@@ -46,14 +46,12 @@ def test_quick_benchmarks_produce_all_cases(tmp_path):
     assert (report["results"]["dc_sweep"]["trace_counters"]
             ["compile_cache_misses"] == 1)
     # The batched cases record their lane counts and touched the
-    # stacked path (batch_lanes counter from repro.spice.batch).  The
-    # Monte-Carlo backend warm-starts from a one-lane pilot solve, so
-    # its campaign counts one extra lane.
+    # stacked path (batch_lanes counter from repro.spice.batch).
     for name in ("batched_montecarlo", "batched_sweep"):
         entry = report["results"][name]
         assert entry["meta"]["batch"] > 1
-        assert entry["trace_counters"]["batch_lanes"] in (
-            entry["meta"]["batch"], entry["meta"]["batch"] + 1)
+        assert entry["trace_counters"]["batch_lanes"] == \
+            entry["meta"]["batch"]
     # The batched Monte Carlo times the same population as the serial
     # case: identical seeds, identical draws, identical mean.
     by_name = {r.name: r for r in results}

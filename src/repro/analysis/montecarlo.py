@@ -283,7 +283,7 @@ class MonteCarlo:
             plan.close()
         return zip(self._seeds(), results)
 
-    def _outcomes_batched(self, tspan):
+    def _outcomes_batched(self):
         """Same (seed, outcome) stream, produced by one stacked solve.
 
         Each seed's lane draw is a pure function of the seed (the
@@ -292,17 +292,14 @@ class MonteCarlo:
         lanes that fail every strategy surface as the same
         ``("error", ConvergenceError)`` records, in seed order.
 
-        Populations larger than one lane warm-start from a pilot solve
-        of the first seed's lane (the sweep backend's pattern): every
-        seed is a small perturbation of the same circuit, so the
-        pilot's operating point puts the whole stack in the converged
-        basin -- which is what lets circuits only the full homotopy
-        ladder can solve cold (the bistable adder latches, say) run as
-        stacked ensembles at all.  A failed pilot degrades to the flat
-        nodeset start instead of poisoning the population.
+        Populations larger than one lane warm-start from a serial
+        ladder solve of the first seed's lane
+        (:func:`~repro.spice.batch.pilot_solution`); a failed pilot
+        degrades to the flat nodeset start instead of poisoning the
+        population.
         """
         from ..spice.batch import (BatchedOpMetric, BatchedTranMetric,
-                                   batch_operating_point)
+                                   batch_operating_point, pilot_solution)
         spec = self.metric_fn
         if isinstance(spec, BatchedTranMetric):
             raise AnalysisError(
@@ -317,18 +314,9 @@ class MonteCarlo:
         circuit = spec.build()
         seeds = self._seeds()
         lanes = [spec.draw(seed, circuit) for seed in seeds]
-        x0 = None
-        if len(lanes) > 1:
-            pilot = batch_operating_point(
-                circuit, lanes[:1], options=spec.options,
-                strategies=spec.strategies, on_error="skip",
-                matrix_backend=self.matrix_backend)
-            if not pilot.failures:
-                x0 = pilot.points[0].x
-                tspan.event("pilot-warm-start", seed=seeds[0])
-            else:
-                tspan.event("pilot-failed-flat-start",
-                            why=str(pilot.failures[0][1]))
+        x0 = (pilot_solution(circuit, lanes[0], spec.options,
+                             spec.strategies, self.matrix_backend)
+              if len(lanes) > 1 else None)
         batch = batch_operating_point(circuit, lanes, options=spec.options,
                                       strategies=spec.strategies,
                                       on_error="skip", x0=x0,
@@ -348,7 +336,7 @@ class MonteCarlo:
             outcomes.append((seed, ("ok", metrics)))
         return outcomes
 
-    def _outcomes_batched_tran(self, tspan):
+    def _outcomes_batched_tran(self):
         """The transient twin of :meth:`_outcomes_batched`: one
         lockstep :func:`~repro.spice.batch.batch_transient` campaign
         produces the whole population's waveforms.
@@ -401,9 +389,9 @@ class MonteCarlo:
     def _run(self, tspan) -> MonteCarloRun:
         if self.backend == "batched":
             if self.analysis == "transient":
-                outcomes = self._outcomes_batched_tran(tspan)
+                outcomes = self._outcomes_batched_tran()
             else:
-                outcomes = self._outcomes_batched(tspan)
+                outcomes = self._outcomes_batched()
         elif self.n_workers > 1:
             outcomes = self._outcomes_parallel(tspan)
         else:

@@ -78,9 +78,12 @@ def _sweep_rows_batched(values_array, metric_fn, on_error, tspan,
     spec; every swept value becomes one lane, and a lane that fails
     every strategy surfaces with the same error record -- and, under
     ``on_error="raise"``, the same (lowest-index) exception -- as the
-    serial loop.
+    serial loop.  Every lane warm-starts from a serial ladder solve of
+    the first point (:func:`~repro.spice.batch.pilot_solution`), or
+    from the flat nodeset guess when that pilot fails.
     """
-    from ..spice.batch import BatchedOpSweep, batch_operating_point
+    from ..spice.batch import (BatchedOpSweep, batch_operating_point,
+                               pilot_solution)
     spec = metric_fn
     if not isinstance(spec, BatchedOpSweep):
         raise AnalysisError(
@@ -89,25 +92,9 @@ def _sweep_rows_batched(values_array, metric_fn, on_error, tspan,
             "triple in repro.spice.batch.BatchedOpSweep")
     circuit = spec.build()
     lanes = [spec.lane(float(value), circuit) for value in values_array]
-    x0 = None
-    if len(lanes) > 1:
-        # Pilot warm start: solve the first point alone and seed every
-        # lane from its solution.  Sweep points are perturbations of one
-        # circuit, so the pilot's operating point is a far better start
-        # than the flat nodeset guess -- most lanes then converge in
-        # phase 1 instead of leaning on gmin stepping.  A failed pilot
-        # (dead first point under ``on_error="skip"``) falls back to
-        # the flat start rather than poisoning the whole sweep.
-        pilot = batch_operating_point(
-            circuit, lanes[:1], options=spec.options,
-            strategies=spec.strategies, on_error="skip",
-            matrix_backend=matrix_backend)
-        if not pilot.failures:
-            x0 = pilot.points[0].x
-            tspan.event("pilot-warm-start", value=float(values_array[0]))
-        else:
-            tspan.event("pilot-failed-flat-start",
-                        why=str(pilot.failures[0][1]))
+    x0 = (pilot_solution(circuit, lanes[0], spec.options, spec.strategies,
+                         matrix_backend)
+          if len(lanes) > 1 else None)
     batch = batch_operating_point(circuit, lanes, options=spec.options,
                                   strategies=spec.strategies,
                                   on_error="skip", x0=x0,

@@ -385,8 +385,8 @@ def _bench_sparse_batched_montecarlo(quick: bool) -> Callable[[], dict]:
 
     Every seed perturbs the VT of *every* transistor in the hierarchy
     (the full device bank, not just top-level elements), and all lanes
-    share one COLAMD symbolic factorization -- the campaign counters in
-    the meta pin that down (``sparse_symbolic_factorizations == 1``).
+    share one COLAMD column ordering -- the campaign counters in the
+    meta pin that down (``sparse_symbolic_factorizations == 1``).
     The per-seed speedup compares the whole campaign wall time (pilot
     included) against one cold serial sparse solve of the same spec.
     """
@@ -406,7 +406,7 @@ def _bench_sparse_batched_montecarlo(quick: bool) -> Callable[[], dict]:
         def build():
             # One shared circuit: apply_lane's undo contract restores
             # it exactly, so reuse is results-neutral and keeps the
-            # compile (and the symbolic factorization) per-campaign.
+            # compile (and the column ordering) per-campaign.
             return circuit
 
         def draw(seed, target):

@@ -39,8 +39,8 @@ Circuits that resolve to the sparse backend
 (:meth:`~repro.spice.netlist.CompiledCircuit.solver_backend`) swap the
 dense ``(B, N, N)`` tensor for a shared-pattern sparse path: every lane
 of an ensemble has the *same* sparsity structure, so the symbolic work
-(triplet dedup, CSC ``indices``/``indptr``, the structure COLAMD orders
-on) is computed **once** per campaign and each Newton iteration only
+(triplet dedup, CSC ``indices``/``indptr``, the COLAMD column ordering)
+is computed **once** per campaign and each Newton iteration only
 refactors per-active-lane numeric data rows ``(B, nnz)`` over it --
 with the serial kernel's chord/LU-reuse discipline applied per lane
 (reused SuperLU handles under the ``lu_contraction`` monitor, fresh
@@ -62,6 +62,7 @@ from __future__ import annotations
 
 import dataclasses
 import time as _time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
@@ -70,8 +71,7 @@ import numpy as np
 from .. import telemetry
 from ..errors import AnalysisError, ConvergenceError, NetlistError
 from .elements import CurrentSource, Resistor, VoltageSource
-from .sparse import (SparseSystem, coo_to_csr, sparse_available,
-                     sparse_factorize)
+from .sparse import SparseSystem, coo_to_csr, sparse_available
 from .strategies import (DEFAULT_LADDER, GminSteppingStrategy,
                          NewtonOptions, SolverDiagnostics, StageReport,
                          run_ladder, step_converged)
@@ -509,9 +509,11 @@ class BatchAssembler(CircuitAssembler):
     def enable_sparse(self) -> None:
         """Switch the stacked Newton loop to the shared-pattern sparse
         backend: the symbolic structure (triplet dedup, CSC
-        ``indices``/``indptr``, COLAMD ordering input) is computed once
-        here and reused by every lane's numeric refactorization across
-        every Newton iteration."""
+        ``indices``/``indptr``) is built once here, the first
+        factorization on it computes the COLAMD column ordering, and
+        every lane's numeric refactorization in every Newton iteration
+        reuses both -- each still runs SuperLU's elimination-tree and
+        supernodal numeric phases."""
         if not sparse_available():  # pragma: no cover - guarded upstream
             raise AnalysisError(
                 "sparse batched backend requires scipy.sparse")
@@ -535,7 +537,7 @@ class BatchAssembler(CircuitAssembler):
                 # derived from the same compiled structure), so borrow
                 # its cached system: pilot solves, per-lane serial
                 # fallbacks and repeated ensembles over one compile all
-                # share a single symbolic factorization.
+                # share a single structure and column ordering.
                 self._batch_sparse_system = \
                     self.compiled.assembler.sparse_system()
             else:
@@ -1008,11 +1010,12 @@ def _solve_stacked_sparse(system: SparseSystem, vals: np.ndarray,
     Mirrors the serial sparse kernel lane by lane: a lane with a cached
     SuperLU handle first tries a chord step, accepted only under the
     ``lu_contraction`` monitor; otherwise its CSC data row is
-    numerically refactorized on the shared ``indices``/``indptr``
-    structure (the symbolic phase never repeats).  Exactly-singular and
-    non-finite lanes degrade to dense least squares; a NaN-parameter
-    lane produces a NaN row that flows into the caller's non-finite
-    kick-out, i.e. the per-lane serial-ladder fallback.
+    numerically refactorized through :meth:`SparseSystem.factorize`
+    (shared structure, column ordering computed once per pattern).
+    Exactly-singular and non-finite lanes degrade to dense least
+    squares; a NaN-parameter lane produces a NaN row that flows into
+    the caller's non-finite kick-out, i.e. the per-lane serial-ladder
+    fallback.
 
     Returns ``(dX, fresh)``; ``fresh`` flags lanes whose step came from
     a fresh factorization -- the caller refuses convergence on stale
@@ -1039,8 +1042,7 @@ def _solve_stacked_sparse(system: SparseSystem, vals: np.ndarray,
                         if tspan is not None:
                             tspan.inc("lu_reuses")
                         continue
-        a_csc = system.matrix_from_data(data[k])
-        handle = sparse_factorize(a_csc)
+        handle = system.factorize(data[k])
         fresh[k] = True
         if chord is not None:
             chord.handles[lane] = handle
@@ -1053,8 +1055,9 @@ def _solve_stacked_sparse(system: SparseSystem, vals: np.ndarray,
             dX[k] = handle.solve(rhs)
         else:
             try:
-                dX[k], *_ = np.linalg.lstsq(a_csc.toarray(), rhs,
-                                            rcond=None)
+                dX[k], *_ = np.linalg.lstsq(
+                    system.matrix_from_data(data[k]).toarray(), rhs,
+                    rcond=None)
             except np.linalg.LinAlgError:
                 dX[k] = np.nan
     return dX, fresh
@@ -1106,11 +1109,12 @@ def batch_operating_point(circuit: "Circuit",
     to the serial path.
 
     ``matrix_backend``, when given, overrides the circuit's own
-    setting before backend resolution (same ``"auto"``/``"dense"``/
-    ``"sparse"`` vocabulary as :class:`~repro.spice.netlist.Circuit`);
-    a circuit resolving to the sparse backend runs the stacked Newton
-    loop over one shared COLAMD symbolic pattern with per-lane numeric
-    refactorization, instead of dense ``(B, N, N)`` tensors.
+    setting for this call only (same ``"auto"``/``"dense"``/
+    ``"sparse"`` vocabulary as :class:`~repro.spice.netlist.Circuit`;
+    see :func:`matrix_backend_override`); a circuit resolving to the
+    sparse backend runs the stacked Newton loop over one shared sparsity
+    pattern and column ordering with per-lane numeric refactorization,
+    instead of dense ``(B, N, N)`` tensors.
 
     ``on_error="raise"`` propagates the first failed lane's
     :class:`~repro.errors.ConvergenceError`; ``"skip"`` records NaN
@@ -1119,24 +1123,83 @@ def batch_operating_point(circuit: "Circuit",
     if on_error not in ("raise", "skip"):
         raise NetlistError(
             f"on_error must be 'raise' or 'skip', got {on_error!r}")
-    if matrix_backend is not None:
-        if matrix_backend not in circuit.MATRIX_BACKENDS:
-            raise NetlistError(
-                f"unknown matrix backend {matrix_backend!r}, expected "
-                f"one of {circuit.MATRIX_BACKENDS}")
-        if matrix_backend != circuit.matrix_backend:
-            circuit.matrix_backend = matrix_backend
-            if circuit._compiled is not None:
-                # Backend resolution is cached on the compiled artifact;
-                # a changed preference must re-resolve without forcing a
-                # full recompile of unchanged structure.
-                circuit._compiled._solver_backend = None
     options = options or NewtonOptions()
     lanes = list(lanes)
-    with telemetry.span("batch-operating-point", circuit=circuit.name,
-                        batch=len(lanes)) as tspan:
+    with matrix_backend_override(circuit, matrix_backend), \
+            telemetry.span("batch-operating-point", circuit=circuit.name,
+                           batch=len(lanes)) as tspan:
         return _batch_op(circuit, lanes, options, strategies, on_error,
                          x0, tspan)
+
+
+@contextmanager
+def matrix_backend_override(circuit: "Circuit",
+                            matrix_backend: str | None):
+    """Resolve ``circuit`` to ``matrix_backend`` for the ``with`` body.
+
+    None leaves the circuit's own setting alone.  Otherwise the setting
+    and the backend resolution cached on the compiled circuit are
+    swapped for the body -- no recompile of unchanged structure -- and
+    restored on exit, exceptions included, so later serial solves of
+    the caller's circuit never inherit a per-call override.
+    """
+    if matrix_backend is not None and \
+            matrix_backend not in circuit.MATRIX_BACKENDS:
+        raise NetlistError(
+            f"unknown matrix backend {matrix_backend!r}, expected "
+            f"one of {circuit.MATRIX_BACKENDS}")
+    if matrix_backend is None or matrix_backend == circuit.matrix_backend:
+        yield
+        return
+    saved = circuit.matrix_backend
+    compiled = circuit._compiled
+    resolved = compiled._solver_backend if compiled is not None else None
+    circuit.matrix_backend = matrix_backend
+    if compiled is not None:
+        compiled._solver_backend = None
+    try:
+        yield
+    finally:
+        circuit.matrix_backend = saved
+        if circuit._compiled is not None:
+            circuit._compiled._solver_backend = (
+                resolved if circuit._compiled is compiled else None)
+
+
+def pilot_solution(circuit: "Circuit", lane: LaneSpec,
+                   options: NewtonOptions | None, strategies,
+                   matrix_backend: str | None) -> np.ndarray | None:
+    """Warm start for a batched solve: ``lane`` through the serial
+    ladder.
+
+    Population members are small perturbations of one circuit, so one
+    member's operating point puts the whole stack in the converged
+    basin -- which is what lets circuits only the full homotopy ladder
+    can solve cold (the bistable adder latches, say) run as stacked
+    ensembles, and lets sweep lanes converge in a few stacked
+    iterations.  The lane is applied, solved by
+    :func:`~repro.spice.dc.operating_point` under ``matrix_backend``
+    (the backend the batch will run on) and undone.
+
+    Returns the solution, recording a ``pilot-warm-start`` event on the
+    current span, or None after a ``pilot-failed-flat-start`` event
+    when the ladder fails: the batch then starts from the flat nodeset
+    guess, and the pilot lane gets a second chance inside it.
+    """
+    from .dc import operating_point  # local: avoids import cycle
+    tspan = telemetry.current_span()
+    with matrix_backend_override(circuit, matrix_backend):
+        undo = apply_lane(circuit, lane)
+        try:
+            x0 = operating_point(circuit, options, strategies=strategies).x
+        except ConvergenceError as error:
+            tspan.event("pilot-failed-flat-start", lane=lane.label,
+                        why=str(error))
+            return None
+        finally:
+            undo()
+    tspan.event("pilot-warm-start", lane=lane.label)
+    return x0
 
 
 def _ladder_gmin_rung(strategies) -> GminSteppingStrategy | None:
@@ -1508,6 +1571,10 @@ def batch_transient(circuit: "Circuit", lanes: Sequence[LaneSpec],
     as the serial engine would (t = 0 included), and a kicked-out
     lane's session is reset and handed to its serial fallback run.
 
+    ``matrix_backend``, when given, overrides the circuit's own
+    dense/sparse setting for this call only, serial fallbacks included
+    (see :func:`matrix_backend_override`).
+
     ``on_error="raise"`` propagates the first failed lane's error;
     ``"skip"`` records None results and keeps going.  Telemetry: the
     run counts ``batch_transient_steps`` (one per accepted shared
@@ -1534,18 +1601,10 @@ def batch_transient(circuit: "Circuit", lanes: Sequence[LaneSpec],
             raise AnalysisError(
                 f"scopes must be one session (or None) per lane: got "
                 f"{len(scopes)} for {len(lanes)} lanes")
-    if matrix_backend is not None:
-        if matrix_backend not in circuit.MATRIX_BACKENDS:
-            raise NetlistError(
-                f"unknown matrix backend {matrix_backend!r}, expected "
-                f"one of {circuit.MATRIX_BACKENDS}")
-        if matrix_backend != circuit.matrix_backend:
-            circuit.matrix_backend = matrix_backend
-            if circuit._compiled is not None:
-                circuit._compiled._solver_backend = None
-    with telemetry.span("batch-transient", circuit=circuit.name,
-                        batch=len(lanes), t_stop=t_stop,
-                        method=options.method) as tspan:
+    with matrix_backend_override(circuit, matrix_backend), \
+            telemetry.span("batch-transient", circuit=circuit.name,
+                           batch=len(lanes), t_stop=t_stop,
+                           method=options.method) as tspan:
         return _batch_transient_run(circuit, lanes, t_stop, options,
                                     on_error, scopes,
                                     lane_rejection_budget, tspan)

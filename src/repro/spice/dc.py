@@ -141,25 +141,20 @@ def _dc_sweep_batched(circuit: Circuit, source_name: str,
 
     Where the serial sweep warm-starts point k from point k-1, the
     stacked solve has no sequential order to exploit -- so it solves
-    the *first* point alone as a pilot and seeds every lane from that
-    solution.  A smooth transfer curve then converges in a handful of
-    stacked Newton iterations instead of every lane climbing the full
-    gmin ladder from cold.  A failed pilot is not an error (its lane
-    gets a second chance inside the batch); the lanes just start cold.
+    the *first* point alone as a pilot
+    (:func:`~repro.spice.batch.pilot_solution`) and seeds every lane
+    from that solution.  A smooth transfer curve then converges in a
+    handful of stacked Newton iterations instead of every lane climbing
+    the full gmin ladder from cold.  A failed pilot is not an error
+    (its lane gets a second chance inside the batch); the lanes just
+    start cold.
     """
-    from .batch import LaneSpec, apply_lane, batch_operating_point
+    from .batch import LaneSpec, batch_operating_point, pilot_solution
 
     lanes = [LaneSpec.source(source_name, value, label=f"{value:g}")
              for value in values]
-    x0 = None
-    undo = apply_lane(circuit, lanes[0])
-    try:
-        pilot = operating_point(circuit, options, strategies=strategies)
-        x0 = pilot.x
-    except ConvergenceError:
-        pass
-    finally:
-        undo()
+    x0 = pilot_solution(circuit, lanes[0], options, strategies,
+                        matrix_backend)
     batch = batch_operating_point(circuit, lanes, options=options,
                                   strategies=strategies, on_error="skip",
                                   x0=x0, matrix_backend=matrix_backend)

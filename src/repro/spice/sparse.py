@@ -13,11 +13,17 @@ the dense scatter).
 
 The expensive symbolic work -- triplet deduplication, the CSC
 ``indptr``/``indices`` structure, the per-segment slot maps -- is done
-once per compiled circuit and shared by every factorization; SuperLU's
-column ordering (COLAMD) depends only on that fixed structure, so
-repeated ``splu`` calls redo only the numeric phase on identical
-symbolic state.  Cross-iteration and cross-step factorization reuse
-itself is the chord-Newton discipline of
+once per compiled circuit and shared by every factorization.  SuperLU's
+column ordering (COLAMD) depends only on that fixed structure, so it
+too is computed -- and counted as ``sparse_symbolic_factorizations`` --
+once per pattern: :meth:`SparseSystem.factorize` keeps the ordering of
+its first factorization and factors every later matrix with its columns
+pre-permuted and ordering disabled.  Each call still runs SuperLU's
+elimination-tree and supernodal numeric phases; only the column
+ordering is skipped, and only an exact pivot tie may resolve
+differently from a per-call COLAMD run (solutions agree to ~1e-12
+relative).  Cross-iteration and cross-step factorization reuse itself
+is the chord-Newton discipline of
 :class:`~repro.spice.strategies.LuReuseState`, which simply holds a
 SuperLU handle instead of a LAPACK ``(lu, piv)`` pair on this backend.
 
@@ -62,7 +68,9 @@ class SparseSystem:
     (ground entries must already be masked out).  Segment *order* is
     contractual: the values vector is the concatenation of the segments
     in insertion order, and per-nonzero summation happens in that
-    order, mirroring the dense path's accumulation sequence.
+    order, mirroring the dense path's accumulation sequence.  The
+    system also keeps the pattern's column ordering once
+    :meth:`factorize` has computed it.
     """
 
     def __init__(self, size: int,
@@ -120,22 +128,27 @@ class SparseSystem:
         counts = np.bincount(unique_cols, minlength=size)
         self.indptr = np.zeros(size + 1, dtype=np.int32)
         np.cumsum(counts, out=self.indptr[1:])
-        # One SparseSystem build is the *symbolic* phase shared by every
-        # numeric factorization over this pattern (COLAMD depends only
-        # on the fixed structure).  Counting builds here lets campaigns
-        # assert the "one symbolic factorization per ensemble" contract
-        # from trace counters alone.
-        if telemetry.is_enabled():
-            telemetry.current_span().inc("sparse_symbolic_factorizations")
+        # The pattern's column ordering, set by the first successful
+        # factorization: ``col_order`` (column ``j`` of the permuted
+        # matrix is column ``col_order[j]`` of A), the permuted CSC
+        # structure, and the gather map taking a data row onto it.
+        # Integer arrays only -- the system rides inside pickled plans.
+        self.col_order: np.ndarray | None = None
+        self._perm_gather: np.ndarray | None = None
+        self._perm_indices: np.ndarray | None = None
+        self._perm_indptr: np.ndarray | None = None
 
-    def matrix(self, values: np.ndarray):
-        """CSC matrix from a full triplet-values vector.
+    def nonzeros(self, values: np.ndarray) -> np.ndarray:
+        """CSC data row from a full triplet-values vector.
 
         ``bincount`` accumulates duplicate triplets in input order --
         the same left-to-right association as the dense ``+=`` scatter.
         """
-        return self.matrix_from_data(
-            np.bincount(self.slot, weights=values, minlength=self.nnz))
+        return np.bincount(self.slot, weights=values, minlength=self.nnz)
+
+    def matrix(self, values: np.ndarray):
+        """CSC matrix from a full triplet-values vector."""
+        return self.matrix_from_data(self.nonzeros(values))
 
     def matrix_from_data(self, data: np.ndarray):
         """CSC matrix over the shared ``indices``/``indptr`` structure
@@ -172,6 +185,74 @@ class SparseSystem:
             np.copyto(out, data)
             return out
         return data
+
+    def factorize(self, data: np.ndarray):
+        """SuperLU-factor the pattern's matrix with nonzeros ``data``;
+        None when it is singular or non-finite (the caller then falls
+        back to dense least squares, mirroring the dense backend's
+        degraded path).
+
+        The first factorization runs COLAMD and its handle is returned
+        as is; its column ordering (``perm_c``) is kept and counted as
+        the pattern's one ``sparse_symbolic_factorizations``.  Every
+        later call factors ``A[:, col_order]`` with ordering disabled
+        and returns a handle whose ``solve`` un-permutes the result.
+        Column order and fill are those of a per-call COLAMD run, and
+        each call still runs SuperLU's elimination-tree and supernodal
+        numeric phases; only an exact pivot tie may resolve differently
+        (scipy factors ordering-free matrices in symmetric mode), so
+        solutions agree with per-call COLAMD to ~1e-12 relative.  Every
+        call is one numeric factorization, counted as
+        ``sparse_numeric_refactorizations``.
+        """
+        if not np.all(np.isfinite(data)):
+            return None
+        if telemetry.is_enabled():
+            telemetry.current_span().inc("sparse_numeric_refactorizations")
+        try:
+            if self.col_order is None:
+                lu = _splu(self.matrix_from_data(data), permc_spec="COLAMD")
+                self._keep_ordering(np.argsort(lu.perm_c))
+                return lu
+            lu = _splu(_csc_matrix((data[self._perm_gather],
+                                    self._perm_indices, self._perm_indptr),
+                                   shape=(self.size, self.size)),
+                       permc_spec="NATURAL")
+        except RuntimeError:  # exactly singular
+            return None
+        return _ColumnPermutedLU(lu, self.col_order)
+
+    def _keep_ordering(self, col_order: np.ndarray) -> None:
+        """Store ``col_order`` and the permuted structure it implies."""
+        starts = self.indptr[col_order]
+        lengths = self.indptr[col_order + 1] - starts
+        indptr = np.zeros(self.size + 1, dtype=np.int32)
+        np.cumsum(lengths, out=indptr[1:])
+        gather = (np.repeat(starts - indptr[:-1], lengths)
+                  + np.arange(self.nnz))
+        self.col_order = col_order
+        self._perm_gather = gather
+        self._perm_indices = self.indices[gather]
+        self._perm_indptr = indptr
+        if telemetry.is_enabled():
+            telemetry.current_span().inc("sparse_symbolic_factorizations")
+
+
+class _ColumnPermutedLU:
+    """SuperLU factors of ``A[:, q]`` presented as a solver of ``A``:
+    ``A[:, q] y = b`` means ``x[q] = y`` solves ``A x = b``."""
+
+    __slots__ = ("_lu", "_q")
+
+    def __init__(self, lu, q: np.ndarray) -> None:
+        self._lu = lu
+        self._q = q
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        y = self._lu.solve(rhs)
+        x = np.empty_like(y)
+        x[self._q] = y
+        return x
 
 
 class SparseStamper:
@@ -219,23 +300,3 @@ def coo_to_csr(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
     constant linear part's residual matvec."""
     from scipy.sparse import coo_matrix
     return coo_matrix((vals, (rows, cols)), shape=(size, size)).tocsr()
-
-
-def sparse_factorize(a_csc):
-    """SuperLU-factor a CSC matrix; None when singular or non-finite
-    (the caller then falls back to dense least squares, mirroring the
-    dense backend's degraded path).
-
-    Every call is one *numeric* (re)factorization over an existing
-    symbolic structure, counted as ``sparse_numeric_refactorizations``
-    -- the twin of the build-time ``sparse_symbolic_factorizations``
-    counter on :class:`SparseSystem`.
-    """
-    if not np.all(np.isfinite(a_csc.data)):
-        return None
-    if telemetry.is_enabled():
-        telemetry.current_span().inc("sparse_numeric_refactorizations")
-    try:
-        return _splu(a_csc, permc_spec="COLAMD")
-    except RuntimeError:  # exactly singular
-        return None

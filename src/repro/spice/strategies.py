@@ -38,7 +38,7 @@ import numpy as np
 from .. import telemetry
 from ..errors import ConvergenceError
 from .elements import CurrentSource, Stamper, VoltageSource
-from .sparse import SparseStamper, sparse_factorize
+from .sparse import SparseStamper
 from .waveforms import dc_wave
 
 try:  # pragma: no cover - scipy is a declared dependency
@@ -208,8 +208,8 @@ def _lu_apply(handle, rhs: np.ndarray) -> np.ndarray:
     """Back-substitute a factorization handle against ``rhs``.
 
     Dispatches on the handle type: a ``(lu, piv)`` tuple comes from the
-    dense :func:`_factorize`, anything else is a SuperLU object from
-    :func:`~repro.spice.sparse.sparse_factorize` -- which is what lets
+    dense :func:`_factorize`, anything else is a SuperLU handle from
+    :meth:`~repro.spice.sparse.SparseSystem.factorize` -- which is what lets
     one :class:`LuReuseState` serve both backends unchanged.
     """
     if not isinstance(handle, tuple):
@@ -331,17 +331,18 @@ def _newton_kernel(compiled: "CompiledCircuit", x0: np.ndarray,
                     dx, reused = candidate, True
         if dx is None:
             if sparse_mode:
-                # The CSC matrix only materialises on factorizing
+                # The CSC data only materialises on factorizing
                 # iterations -- chord steps above never need it.
-                a_csc = st.matrix()
-                handle = sparse_factorize(a_csc)
+                data = st.system.nonzeros(st.vals)
+                handle = st.system.factorize(data)
                 if state is not None:
                     state.lu = handle
                 if handle is not None:
                     dx = _lu_apply(handle, -st.res)
                 else:
-                    dx = _lstsq_step(a_csc.toarray(), -st.res, compiled,
-                                     iteration)
+                    dx = _lstsq_step(
+                        st.system.matrix_from_data(data).toarray(),
+                        -st.res, compiled, iteration)
             elif state is not None:
                 state.lu = _factorize(st.jac)
                 if state.lu is not None:

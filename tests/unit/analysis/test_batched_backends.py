@@ -300,3 +300,179 @@ class TestMonteCarloTransient:
     def test_analysis_validated(self):
         with pytest.raises(AnalysisError, match="analysis"):
             MonteCarlo(_tran_spec(), n_runs=2, analysis="ac")
+
+
+class TestPilotWarmStart:
+    """Every batched-op front-end warm-starts from one serial-ladder
+    pilot solve instead of a one-lane batch."""
+
+    N_RUNS = 4
+
+    def test_lanes_bit_identical_to_one_lane_batch_pilot(
+            self, default_design):
+        """On an adder that only the pseudo-transient rung solves cold,
+        the Monte-Carlo lanes equal the former recipe bit for bit -- a
+        one-lane ``batch_operating_point`` pilot (whose lane falls back
+        to that same serial ladder), its solution as ``x0``, then the
+        batch -- without the extra pilot lane."""
+        from repro import telemetry
+        from repro.spice import batch_operating_point
+        from repro.stscl.adder import adder_chain_circuit
+
+        circuit, _ = adder_chain_circuit(default_design, 0.4, width=2,
+                                         a=1, b=2, carry_in=True)
+        circuit.matrix_backend = "sparse"
+        n_bank = circuit.compile().assembler._mos_bank.n_devices
+        lanes = [LaneSpec.mismatch(
+            np.random.default_rng(seed).normal(0.0, 2e-3, n_bank),
+            label=f"seed-{seed}") for seed in range(self.N_RUNS)]
+        solutions = []
+
+        def measure(result):
+            solutions.append(result.x)
+            return {"v0": float(result.x[0])}
+
+        spec = BatchedOpMetric(build=lambda: circuit,
+                               draw=lambda seed, _: lanes[seed],
+                               measure=measure)
+        pilot = batch_operating_point(circuit, lanes[:1], on_error="skip")
+        assert pilot.diagnostics.n_fallback == 1  # needs the ladder
+        recipe = batch_operating_point(circuit, lanes, on_error="skip",
+                                       x0=pilot.points[0].x)
+        with telemetry.tracing("pilot") as trace:
+            run = MonteCarlo(spec, n_runs=self.N_RUNS,
+                             backend="batched").run()
+        assert run.failed_seeds == [] == recipe.failures
+        for got, point in zip(solutions, recipe.points):
+            assert np.array_equal(got, point.x)
+        counters = trace.total_counters()
+        assert counters["batch_lanes"] == self.N_RUNS
+        assert counters.get("batch_lane_fallbacks", 0) == 0
+        mc_span = trace.root.find("montecarlo")
+        assert mc_span.events_of("pilot-warm-start") == [
+            {"kind": "pilot-warm-start", "lane": "seed-0"}]
+
+    def test_failed_pilot_emits_flat_start_event(self):
+        from repro import telemetry
+        with telemetry.tracing("dead-pilot") as trace:
+            run = MonteCarlo(FLAKY_SPEC, n_runs=3, seed_base=1,
+                             on_error="skip", backend="batched").run()
+        assert [seed for seed, _ in run.failed_seeds] == [1, 3]
+        mc_span = trace.root.find("montecarlo")
+        [event] = mc_span.events_of("pilot-failed-flat-start")
+        assert event["lane"] == "seed-1"
+        assert not mc_span.events_of("pilot-warm-start")
+
+
+def _shared_inverter(design) -> Circuit:
+    circuit, _ = stscl_inverter_circuit(design, 0.4)
+    return circuit
+
+
+def _pilot_backend(trace) -> str:
+    """The backend the first serial operating point of a trace -- the
+    pilot -- factored its Jacobians on."""
+    pilot = trace.root.find("operating-point")
+    assert pilot is not None and pilot.total_counter(
+        "jacobian_factorizations") > 0
+    return ("sparse" if pilot.total_counter("sparse_factorizations")
+            else "dense")
+
+
+class TestMatrixBackendOverride:
+    """A per-call ``matrix_backend=`` applies to that call -- pilot,
+    stacked lanes and serial fallbacks -- and never sticks to the
+    caller's circuit."""
+
+    @staticmethod
+    def _mismatch_draw(seed, circuit):
+        rng = np.random.default_rng(seed)
+        return LaneSpec.mismatch(
+            rng.normal(0.0, 2e-3, len(circuit.mos_elements())),
+            label=f"seed-{seed}")
+
+    def _run_front_end(self, name, circuit, override):
+        from repro.faults import FaultCampaign, ResistorDrift
+        from repro.spice import TransientOptions
+        from repro.spice.batch import BatchedTranMetric
+
+        def build():
+            return circuit
+
+        if name == "montecarlo":
+            spec = BatchedOpMetric(
+                build=build, draw=self._mismatch_draw,
+                measure=lambda r: {"v": r.vdiff("outp", "outn")})
+            MonteCarlo(spec, n_runs=3, backend="batched",
+                       matrix_backend=override).run()
+        elif name == "montecarlo-transient":
+            spec = BatchedTranMetric(
+                build=build, draw=self._mismatch_draw,
+                measure=lambda r: {"v": float(r.voltage("outp")[-1])},
+                t_stop=1e-6, options=TransientOptions(dt_initial=5e-8,
+                                                      dt_max=5e-8))
+            MonteCarlo(spec, n_runs=2, backend="batched",
+                       analysis="transient", matrix_backend=override).run()
+        elif name == "sweep_1d":
+            spec = BatchedOpSweep(
+                build=build,
+                lane=lambda v, _: LaneSpec.source("vinp", v, label=f"{v}"),
+                measure=lambda r: {"v": r.vdiff("outp", "outn")})
+            sweep_1d("v_in", [0.1, 0.2, 0.3], spec, backend="batched",
+                     matrix_backend=override)
+        elif name == "dc_sweep":
+            dc_sweep(circuit, "vinp", [0.1, 0.2, 0.3], backend="batched",
+                     matrix_backend=override)
+        else:
+            FaultCampaign(build=build,
+                          metric_fn=lambda r: {"v": r.voltage("outp")},
+                          faults=[ResistorDrift("rlp", 1.5)],
+                          backend="batched",
+                          matrix_backend=override).run()
+
+    @pytest.mark.parametrize("front_end", [
+        "montecarlo", "montecarlo-transient", "sweep_1d", "dc_sweep",
+        "fault_campaign"])
+    def test_override_does_not_leak(self, default_design, front_end):
+        from repro import telemetry
+        from repro.spice import operating_point
+
+        circuit = _shared_inverter(default_design)
+        operating_point(circuit)  # resolve and cache the own backend
+        assert circuit.compile().solver_backend() == "dense"
+        with telemetry.tracing("override") as trace:
+            self._run_front_end(front_end, circuit, "sparse")
+        assert circuit.matrix_backend == "auto"
+        assert circuit.compile().solver_backend() == "dense"
+        batched = (trace.root.find("batch-operating-point")
+                   or trace.root.find("batch-transient"))
+        assert batched.attrs["matrix_backend"] == "sparse"
+        if front_end in ("montecarlo", "sweep_1d", "dc_sweep"):
+            assert _pilot_backend(trace) == "sparse"
+
+    def test_dense_override_of_a_sparse_circuit(self, default_design):
+        from repro import telemetry
+
+        circuit = _shared_inverter(default_design)
+        circuit.matrix_backend = "sparse"
+        assert circuit.compile().solver_backend() == "sparse"
+        with telemetry.tracing("override") as trace:
+            self._run_front_end("montecarlo", circuit, "dense")
+        assert _pilot_backend(trace) == "dense"
+        assert "matrix_backend" not in trace.root.find(
+            "batch-operating-point").attrs
+        assert circuit.matrix_backend == "sparse"
+        assert circuit.compile().solver_backend() == "sparse"
+
+    def test_override_restored_when_the_batch_raises(self):
+        from repro.errors import ConvergenceError
+        from repro.spice import batch_operating_point
+
+        circuit = _diode_build()
+        assert circuit.compile().solver_backend() == "dense"
+        with pytest.raises(ConvergenceError):
+            batch_operating_point(
+                circuit, [LaneSpec.source("V1", 8.0)], options=TIGHT,
+                strategies=(NewtonStrategy(),), matrix_backend="sparse")
+        assert circuit.matrix_backend == "auto"
+        assert circuit.compile().solver_backend() == "dense"

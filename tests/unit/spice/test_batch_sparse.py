@@ -145,6 +145,88 @@ class TestSymbolicReuse:
             counters["sparse_numeric_refactorizations"]
         assert counters["jacobian_factorizations"] > 0
 
+    def test_repeat_campaign_computes_no_new_ordering(self, default_design):
+        """The ordering lives on the compiled circuit's pattern: a second
+        Monte-Carlo campaign over the same circuit (pilot and stacked
+        lanes alike) orders nothing and only refactorizes."""
+        from repro.analysis import MonteCarlo
+        from repro.spice import BatchedOpMetric
+
+        circuit = _inverter(default_design, "sparse")
+        lanes = _mismatch_lanes(len(circuit.mos_elements()), 4)
+        spec = BatchedOpMetric(
+            build=lambda: circuit, draw=lambda seed, _: lanes[seed],
+            measure=lambda result: {"v": result.voltage("outp")})
+        campaign = MonteCarlo(spec, n_runs=4, backend="batched")
+        with telemetry.tracing("first-campaign") as first:
+            campaign.run()
+        assert first.total_counters()["sparse_symbolic_factorizations"] == 1
+        with telemetry.tracing("second-campaign") as second:
+            campaign.run()
+        counters = second.total_counters()
+        assert counters.get("sparse_symbolic_factorizations", 0) == 0
+        assert counters["sparse_numeric_refactorizations"] == \
+            counters["jacobian_factorizations"] > 0
+
+
+class TestOrderingReuse:
+    """Factorizations after the first reuse the pattern's COLAMD column
+    ordering; a fresh per-call COLAMD ``splu`` is the oracle."""
+
+    def test_every_ladder_jacobian_matches_fresh_colamd(
+            self, default_design, monkeypatch):
+        """Every Jacobian a cold serial ladder solve of a sparse 4-bit
+        adder factors -- Newton, gmin, source stepping and
+        pseudo-transient rungs alike -- solves as a fresh COLAMD
+        factorization does, within 1e-12 relative."""
+        from scipy.sparse.linalg import splu
+
+        factored = []
+        factorize = SparseSystem.factorize
+
+        def recording(system, data):
+            handle = factorize(system, data)
+            factored.append((system, data.copy(), handle))
+            return handle
+
+        monkeypatch.setattr(SparseSystem, "factorize", recording)
+        circuit, _ = adder_chain_circuit(default_design, 0.4, width=4,
+                                         a=1, b=2, carry_in=True)
+        circuit.matrix_backend = "sparse"
+        with telemetry.tracing("ladder") as trace:
+            result = operating_point(circuit)
+        assert result.diagnostics.rescued_by == "pseudo-transient"
+        assert len(factored) > 100
+        assert {id(system) for system, _, _ in factored} == {
+            id(circuit.compile().assembler.sparse_system())}
+        counters = trace.total_counters()
+        assert counters["sparse_symbolic_factorizations"] == 1
+        assert counters["sparse_numeric_refactorizations"] == len(factored)
+        rng = np.random.default_rng(0)
+        for system, data, handle in factored:
+            assert handle is not None
+            rhs = rng.normal(size=system.size)
+            want = splu(system.matrix_from_data(data),
+                        permc_spec="COLAMD").solve(rhs)
+            got = handle.solve(rhs)
+            assert np.max(np.abs(got - want)) <= \
+                1e-12 * np.max(np.abs(want))
+
+    def test_singular_matrix_gives_none_before_and_after_ordering(self):
+        rows = np.repeat(np.arange(2), 2)
+        cols = np.tile(np.arange(2), 2)
+        system = SparseSystem(2, {"full": (rows, cols)})
+        singular = system.nonzeros(np.zeros(4))
+        assert system.factorize(singular) is None
+        assert system.col_order is None
+        regular = system.nonzeros(np.array([1.0, 2.0, 3.0, 4.0]))
+        handle = system.factorize(regular)
+        np.testing.assert_allclose(
+            handle.solve(np.array([1.0, 0.0])),
+            np.linalg.solve([[1.0, 2.0], [3.0, 4.0]], [1.0, 0.0]))
+        assert system.col_order is not None
+        assert system.factorize(singular) is None
+
 
 class TestSparseDegradation:
     """Degenerate lanes fall back per-lane; neighbours stay exact."""
@@ -218,18 +300,19 @@ class TestSparseDegradation:
     @pytest.mark.filterwarnings(
         "ignore:invalid value encountered:RuntimeWarning")
     def test_nan_lane_does_not_count_a_numeric_refactorization(self):
-        """``sparse_factorize`` refuses non-finite input before touching
-        SuperLU -- the counter only ever counts real factorizations."""
-        from repro.spice.sparse import sparse_factorize
-
+        """``SparseSystem.factorize`` refuses non-finite input before
+        touching SuperLU -- the counters only ever count real work, and
+        no ordering is kept from a matrix that was never factored."""
         rows = np.repeat(np.arange(2), 2)
         cols = np.tile(np.arange(2), 2)
         system = SparseSystem(2, {"full": (rows, cols)})
-        nan_csc = system.matrix(np.array([np.nan, 0.0, 0.0, 1.0]))
+        nan_data = system.nonzeros(np.array([np.nan, 0.0, 0.0, 1.0]))
         with telemetry.tracing("nan-factorize") as trace:
-            assert sparse_factorize(nan_csc) is None
-        assert trace.total_counters().get(
-            "sparse_numeric_refactorizations", 0) == 0
+            assert system.factorize(nan_data) is None
+        counters = trace.total_counters()
+        assert counters.get("sparse_numeric_refactorizations", 0) == 0
+        assert counters.get("sparse_symbolic_factorizations", 0) == 0
+        assert system.col_order is None
 
 
 class TestFullBankContract:
