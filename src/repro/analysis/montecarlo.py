@@ -10,66 +10,13 @@ sample.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .. import telemetry
-from ..errors import AnalysisError, ReproError
-from .parallel import (PlanToken, ensure_picklable, fetch_plan,
-                       publish_plan, run_ordered, validate_workers)
-
-
-def _mc_eval(metric_fn: Callable[[int], dict[str, float]],
-             seed: int) -> tuple[str, object]:
-    try:
-        return ("ok", metric_fn(seed))
-    except ReproError as error:
-        return ("error", error)
-
-
-def _mc_worker(metric_fn: Callable[[int], dict[str, float]],
-               seed: int, capture_trace: bool = False) -> tuple:
-    """Evaluate one seed; in a worker process when parallel.
-
-    Library errors come back as data -- ``("error", exception)`` -- so
-    the parent applies the same ``on_error`` policy as the serial loop.
-    Module-level so it pickles.
-
-    ``capture_trace`` is set by the parallel path when the *parent* was
-    tracing: the worker records a private trace around the evaluation
-    and ships its spans back as a third tuple element for the parent to
-    merge in submission order.  A fork-started worker inherits the
-    parent's trace as a dead copy (mutations never propagate back), so
-    it is dropped first.  The serial path instead opens a plain child
-    span, which nests naturally.
-    """
-    if capture_trace:
-        telemetry.reset()
-        with telemetry.tracing(f"seed-{seed}", seed=seed) as trace:
-            outcome = _mc_eval(metric_fn, seed)
-        return outcome + (trace.root.to_dict(),)
-    with telemetry.span(f"seed-{seed}", seed=seed):
-        return _mc_eval(metric_fn, seed)
-
-
-def _mc_worker_shm(token: PlanToken, seed: int,
-                   capture_trace: bool = False) -> tuple:
-    """Shared-memory twin of :func:`_mc_worker`.
-
-    The task carries only a :class:`~repro.analysis.parallel.PlanToken`
-    plus the seed; the metric function itself is resolved through the
-    worker-local plan cache.  The fetch happens *inside* the traced
-    region so ``shm_plan_hits`` / ``shm_plan_misses`` ride back to the
-    parent with the rest of the seed's counters.
-    """
-    if capture_trace:
-        telemetry.reset()
-        with telemetry.tracing(f"seed-{seed}", seed=seed) as trace:
-            outcome = _mc_eval(fetch_plan(token), seed)
-        return outcome + (trace.root.to_dict(),)
-    with telemetry.span(f"seed-{seed}", seed=seed):
-        return _mc_eval(fetch_plan(token), seed)
+from ..errors import AnalysisError
+from .parallel import run_items, validate_workers
 
 
 @dataclass(frozen=True)
@@ -167,18 +114,6 @@ class MonteCarlo:
     seed order -- just wall-clock faster.  ``metric_fn`` must then be
     picklable (a module-level function, not a lambda).
 
-    ``shm`` controls how the metric function reaches the workers when
-    parallel: ``"auto"`` (default) publishes it once as a read-only
-    ``multiprocessing.shared_memory`` segment so each task ships only a
-    tiny token plus its seed -- falling back to classic per-task
-    pickling when shared memory is unavailable; ``"off"`` always
-    pickles per task; ``"on"`` requires shared memory and raises when
-    the platform cannot provide it.  Either way the outcome stream --
-    summaries, failed-seed records, ordering -- is bit-identical to the
-    serial loop.  Pair with :meth:`~repro.spice.batch.BatchedOpMetric.
-    plan` so the published plan carries a pre-compiled circuit and the
-    whole fleet compiles exactly once.
-
     ``backend="batched"`` solves the whole population as one stacked
     tensor instead of one Newton solve per seed; ``metric_fn`` must
     then be a :class:`~repro.spice.batch.BatchedOpMetric` spec (which
@@ -206,16 +141,12 @@ class MonteCarlo:
                  n_workers: int | None = None,
                  backend: str = "serial",
                  analysis: str = "op",
-                 matrix_backend: str | None = None,
-                 shm: str = "auto") -> None:
+                 matrix_backend: str | None = None) -> None:
         if n_runs < 1:
             raise AnalysisError(f"n_runs must be >= 1: {n_runs}")
         if on_error not in ("raise", "skip"):
             raise AnalysisError(
                 f"on_error must be 'raise' or 'skip', got {on_error!r}")
-        if shm not in ("auto", "on", "off"):
-            raise AnalysisError(
-                f"shm must be 'auto', 'on' or 'off', got {shm!r}")
         if backend not in ("serial", "batched"):
             raise AnalysisError(
                 f"backend must be 'serial' or 'batched', got {backend!r}")
@@ -237,144 +168,50 @@ class MonteCarlo:
         self.backend = backend
         self.analysis = analysis
         self.matrix_backend = matrix_backend
-        self.shm = shm
 
     def _seeds(self) -> list[int]:
         return [self.seed_base + k for k in range(self.n_runs)]
 
-    def _outcomes_serial(self):
-        """Yield (seed, ("ok", metrics) | ("error", exception)) lazily
-        -- under ``on_error="raise"`` later seeds never evaluate."""
-        for seed in self._seeds():
-            yield seed, _mc_worker(self.metric_fn, seed)
+    def _outcomes_batched(self) -> list[tuple]:
+        """The population's outcome stream from one stacked solve
+        (:func:`~repro.spice.batch.run_lanes`).
 
-    def _outcomes_parallel(self, tspan):
-        """Same outcome stream, evaluated on a process pool.
-
-        Futures are collected in seed-submission order, so the
-        reduction sees the exact sequence of the serial loop -- and,
-        when tracing, the per-worker spans merge in that same order.
-        Under ``shm="auto"`` / ``"on"`` the metric function travels as
-        one published shared-memory plan instead of riding every task
-        tuple; the worker function changes, the work does not.
+        Each seed's lane draw is a pure function of the seed (the spec
+        contract), so the population is the one the serial loop would
+        have evaluated; lanes that fail every strategy surface as the
+        same ``("error", ConvergenceError)`` records, in seed order.
+        A DC population warm-starts from a serial ladder solve of the
+        first seed's lane; a transient one integrates every lane from
+        its own stacked t = 0 point.
         """
-        ensure_picklable(self.metric_fn, "metric_fn")
-        trace_on = telemetry.is_enabled()
-        plan = (publish_plan(self.metric_fn)
-                if self.shm in ("auto", "on") else None)
-        if plan is None:
-            if self.shm == "on":
-                raise AnalysisError(
-                    "shm='on' but shared memory is unavailable on this "
-                    "platform; use shm='auto' to fall back to per-task "
-                    "pickling")
-            results = run_ordered(_mc_worker,
-                                  [(self.metric_fn, seed, trace_on)
-                                   for seed in self._seeds()],
-                                  self.n_workers)
-            return zip(self._seeds(), results)
-        try:
-            tspan.event("shm-plan-published", bytes=plan.nbytes)
-            results = run_ordered(_mc_worker_shm,
-                                  [(plan.token, seed, trace_on)
-                                   for seed in self._seeds()],
-                                  self.n_workers)
-        finally:
-            plan.close()
-        return zip(self._seeds(), results)
-
-    def _outcomes_batched(self):
-        """Same (seed, outcome) stream, produced by one stacked solve.
-
-        Each seed's lane draw is a pure function of the seed (the
-        :class:`~repro.spice.batch.BatchedOpMetric` contract), so the
-        population is the one the serial loop would have evaluated;
-        lanes that fail every strategy surface as the same
-        ``("error", ConvergenceError)`` records, in seed order.
-
-        Populations larger than one lane warm-start from a serial
-        ladder solve of the first seed's lane
-        (:func:`~repro.spice.batch.pilot_solution`); a failed pilot
-        degrades to the flat nodeset start instead of poisoning the
-        population.
-        """
-        from ..spice.batch import (BatchedOpMetric, BatchedTranMetric,
-                                   batch_operating_point, pilot_solution)
+        from ..spice.batch import BatchedOpMetric, BatchedTranMetric, run_lanes
         spec = self.metric_fn
-        if isinstance(spec, BatchedTranMetric):
+        if self.analysis == "transient":
+            if not isinstance(spec, BatchedTranMetric):
+                raise AnalysisError(
+                    "analysis='transient' with backend='batched' needs a "
+                    "BatchedTranMetric spec as metric_fn, got "
+                    f"{type(spec).__name__}; wrap the build/draw/measure "
+                    "triple in repro.spice.batch.BatchedTranMetric")
+        elif isinstance(spec, BatchedTranMetric):
             raise AnalysisError(
                 "metric_fn is a BatchedTranMetric (a waveform metric); "
                 "pass analysis='transient' to run it as a lockstep "
                 "transient campaign")
-        if not isinstance(spec, BatchedOpMetric):
+        elif not isinstance(spec, BatchedOpMetric):
             raise AnalysisError(
                 "backend='batched' needs a BatchedOpMetric spec as "
                 f"metric_fn, got {type(spec).__name__}; wrap the build/"
                 "draw/measure triple in repro.spice.batch.BatchedOpMetric")
         circuit = spec.build()
-        seeds = self._seeds()
-        lanes = [spec.draw(seed, circuit) for seed in seeds]
-        x0 = (pilot_solution(circuit, lanes[0], spec.options,
-                             spec.strategies, self.matrix_backend)
-              if len(lanes) > 1 else None)
-        batch = batch_operating_point(circuit, lanes, options=spec.options,
-                                      strategies=spec.strategies,
-                                      on_error="skip", x0=x0,
-                                      matrix_backend=self.matrix_backend)
-        failed = dict(batch.failures)
-        outcomes = []
-        for index, seed in enumerate(seeds):
-            if index in failed:
-                outcomes.append((seed, ("error", failed[index])))
-                continue
-            try:
-                metrics = {name: float(value) for name, value in
-                           spec.measure(batch.points[index]).items()}
-            except ReproError as error:
-                outcomes.append((seed, ("error", error)))
-                continue
-            outcomes.append((seed, ("ok", metrics)))
-        return outcomes
-
-    def _outcomes_batched_tran(self):
-        """The transient twin of :meth:`_outcomes_batched`: one
-        lockstep :func:`~repro.spice.batch.batch_transient` campaign
-        produces the whole population's waveforms.
-
-        No pilot warm start here -- every lane's t = 0 point is its own
-        stacked DC solve inside the engine, and lanes that leave the
-        shared grid rerun the full serial ladder + serial transient, so
-        failures surface as the same ``("error", ConvergenceError)``
-        records the serial loop would record, in seed order.
-        """
-        from ..spice.batch import BatchedTranMetric, batch_transient
-        spec = self.metric_fn
-        if not isinstance(spec, BatchedTranMetric):
-            raise AnalysisError(
-                "analysis='transient' with backend='batched' needs a "
-                "BatchedTranMetric spec as metric_fn, got "
-                f"{type(spec).__name__}; wrap the build/draw/measure "
-                "triple in repro.spice.batch.BatchedTranMetric")
-        circuit = spec.build()
-        seeds = self._seeds()
-        lanes = [spec.draw(seed, circuit) for seed in seeds]
-        batch = batch_transient(circuit, lanes, spec.t_stop,
-                                spec.options, on_error="skip",
-                                matrix_backend=self.matrix_backend)
-        failed = dict(batch.failures)
-        outcomes = []
-        for index, seed in enumerate(seeds):
-            if index in failed:
-                outcomes.append((seed, ("error", failed[index])))
-                continue
-            try:
-                metrics = {name: float(value) for name, value in
-                           spec.measure(batch.results[index]).items()}
-            except ReproError as error:
-                outcomes.append((seed, ("error", error)))
-                continue
-            outcomes.append((seed, ("ok", metrics)))
-        return outcomes
+        lanes = [spec.draw(seed, circuit) for seed in self._seeds()]
+        if self.analysis == "transient":
+            return run_lanes(circuit, lanes, spec.measure,
+                             t_stop=spec.t_stop, options=spec.options,
+                             matrix_backend=self.matrix_backend)
+        return run_lanes(circuit, lanes, spec.measure, options=spec.options,
+                         strategies=spec.strategies, warm_start=True,
+                         matrix_backend=self.matrix_backend)
 
     def run(self) -> MonteCarloRun:
         """Execute all runs; returns per-metric summaries (a dict) with
@@ -387,25 +224,17 @@ class MonteCarlo:
             return self._run(tspan)
 
     def _run(self, tspan) -> MonteCarloRun:
+        seeds = self._seeds()
         if self.backend == "batched":
-            if self.analysis == "transient":
-                outcomes = self._outcomes_batched_tran()
-            else:
-                outcomes = self._outcomes_batched()
-        elif self.n_workers > 1:
-            outcomes = self._outcomes_parallel(tspan)
+            outcomes = self._outcomes_batched()
         else:
-            outcomes = self._outcomes_serial()
+            outcomes = run_items(self.metric_fn, seeds,
+                                 [(f"seed-{seed}", {"seed": seed})
+                                  for seed in seeds], self.n_workers)
         collected: dict[str, list[float]] = {}
         expected_keys: set[str] | None = None
         failed: list[tuple[int, str]] = []
-        for seed, outcome in outcomes:
-            status, payload = outcome[0], outcome[1]
-            if len(outcome) > 2 and outcome[2] is not None:
-                # Worker-captured spans: graft them under this span in
-                # submission order, exactly where the serial child span
-                # would have gone.
-                tspan.adopt(outcome[2])
+        for seed, (status, payload) in zip(seeds, outcomes):
             if status == "error":
                 if self.on_error == "raise":
                     raise payload

@@ -7,13 +7,14 @@ arrays back for reporting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .. import telemetry
-from ..errors import AnalysisError, ReproError
+from ..errors import AnalysisError
+from .parallel import run_items
 
 
 @dataclass(frozen=True)
@@ -46,83 +47,29 @@ class SweepTable:
                                  for name, column in self.metrics.items()}
 
 
-def _sweep_rows_serial(values_array, metric_fn, on_error, tspan):
-    """(rows, failures) of the classic one-point-at-a-time loop."""
-    rows: list[dict[str, float] | None] = []
-    failures: list[tuple[int, str]] = []
-    for index, value in enumerate(values_array):
-        try:
-            with telemetry.span(f"point-{index}", value=float(value)):
-                metrics = metric_fn(float(value))
-        except ReproError as error:
-            if on_error == "raise":
-                raise
-            tspan.event("point-failed", index=index,
-                        value=float(value), why=str(error))
-            tspan.inc("sweep_points_failed")
-            failures.append((index, str(error)))
-            rows.append(None)
-            continue
-        if not metrics:
-            raise AnalysisError("metric function returned no metrics")
-        rows.append({name: float(metric)
-                     for name, metric in metrics.items()})
-    return rows, failures
+def _batched_outcomes(values: list[float], spec,
+                      matrix_backend: str | None) -> list[tuple]:
+    """The sweep's outcome stream from one stacked multi-lane solve.
 
-
-def _sweep_rows_batched(values_array, metric_fn, on_error, tspan,
-                        matrix_backend=None):
-    """Same (rows, failures), produced by one stacked multi-lane solve.
-
-    ``metric_fn`` must be a :class:`~repro.spice.batch.BatchedOpSweep`
-    spec; every swept value becomes one lane, and a lane that fails
-    every strategy surfaces with the same error record -- and, under
+    ``spec`` must be a :class:`~repro.spice.batch.BatchedOpSweep`;
+    every swept value becomes one lane of
+    :func:`~repro.spice.batch.run_lanes`, warm-started from a serial
+    ladder solve of the first point.  A lane that fails every strategy
+    surfaces with the same error record -- and, under
     ``on_error="raise"``, the same (lowest-index) exception -- as the
-    serial loop.  Every lane warm-starts from a serial ladder solve of
-    the first point (:func:`~repro.spice.batch.pilot_solution`), or
-    from the flat nodeset guess when that pilot fails.
+    serial loop.
     """
-    from ..spice.batch import (BatchedOpSweep, batch_operating_point,
-                               pilot_solution)
-    spec = metric_fn
+    from ..spice.batch import BatchedOpSweep, run_lanes
     if not isinstance(spec, BatchedOpSweep):
         raise AnalysisError(
             "backend='batched' needs a BatchedOpSweep spec as metric_fn, "
             f"got {type(spec).__name__}; wrap the build/lane/measure "
             "triple in repro.spice.batch.BatchedOpSweep")
     circuit = spec.build()
-    lanes = [spec.lane(float(value), circuit) for value in values_array]
-    x0 = (pilot_solution(circuit, lanes[0], spec.options, spec.strategies,
-                         matrix_backend)
-          if len(lanes) > 1 else None)
-    batch = batch_operating_point(circuit, lanes, options=spec.options,
-                                  strategies=spec.strategies,
-                                  on_error="skip", x0=x0,
-                                  matrix_backend=matrix_backend)
-    failed = dict(batch.failures)
-    rows: list[dict[str, float] | None] = []
-    failures: list[tuple[int, str]] = []
-    for index, value in enumerate(values_array):
-        error = failed.get(index)
-        if error is None:
-            try:
-                metrics = spec.measure(batch.points[index])
-            except ReproError as measure_error:
-                error = measure_error
-        if error is not None:
-            if on_error == "raise":
-                raise error
-            tspan.event("point-failed", index=index,
-                        value=float(value), why=str(error))
-            tspan.inc("sweep_points_failed")
-            failures.append((index, str(error)))
-            rows.append(None)
-            continue
-        if not metrics:
-            raise AnalysisError("metric function returned no metrics")
-        rows.append({name: float(metric)
-                     for name, metric in metrics.items()})
-    return rows, failures
+    lanes = [spec.lane(value, circuit) for value in values]
+    return run_lanes(circuit, lanes, spec.measure, options=spec.options,
+                     strategies=spec.strategies, warm_start=True,
+                     matrix_backend=matrix_backend)
 
 
 def sweep_1d(parameter: str, values: Sequence[float],
@@ -156,16 +103,33 @@ def sweep_1d(parameter: str, values: Sequence[float],
     values_array = np.asarray(list(values), dtype=float)
     if values_array.size == 0:
         raise AnalysisError("empty sweep")
+    values = values_array.tolist()
+    rows: list[dict[str, float] | None] = []
+    failures: list[tuple[int, str]] = []
     with telemetry.span("sweep-1d", parameter=parameter,
                         backend=backend,
                         n_points=int(values_array.size)) as tspan:
         if backend == "batched":
-            rows, failures = _sweep_rows_batched(values_array, metric_fn,
-                                                 on_error, tspan,
-                                                 matrix_backend)
+            outcomes = _batched_outcomes(values, metric_fn, matrix_backend)
         else:
-            rows, failures = _sweep_rows_serial(values_array, metric_fn,
-                                                on_error, tspan)
+            outcomes = run_items(metric_fn, values,
+                                 [(f"point-{index}", {"value": value})
+                                  for index, value in enumerate(values)], 1)
+        for index, (value, (status, payload)) in enumerate(
+                zip(values, outcomes)):
+            if status == "error":
+                if on_error == "raise":
+                    raise payload
+                tspan.event("point-failed", index=index, value=value,
+                            why=str(payload))
+                tspan.inc("sweep_points_failed")
+                failures.append((index, str(payload)))
+                rows.append(None)
+                continue
+            if not payload:
+                raise AnalysisError("metric function returned no metrics")
+            rows.append({name: float(metric)
+                         for name, metric in payload.items()})
         tspan.annotate(n_failures=len(failures))
     evaluated = [row for row in rows if row is not None]
     if not evaluated:

@@ -8,10 +8,27 @@ still distinguishing convergence problems from modelling problems.
 from __future__ import annotations
 
 import pickle
+from typing import Any, Callable
 
 
 class ReproError(Exception):
     """Base class for all errors raised by this library."""
+
+
+def evaluate(fn: Callable[..., Any], *args: Any) -> tuple[str, Any]:
+    """One population member's outcome: ``("ok", fn(*args))``, or
+    ``("error", error)`` when ``fn`` raises a :class:`ReproError`.
+
+    Library errors -- a non-converging chip above all -- become data,
+    so every route (serial, process pool, stacked lanes) hands its
+    caller the same outcome stream to apply an ``on_error`` policy to.
+    Any other exception is a bug and propagates.  Module-level so pool
+    workers can run it.
+    """
+    try:
+        return ("ok", fn(*args))
+    except ReproError as error:
+        return ("error", error)
 
 
 class UnitError(ReproError, ValueError):

@@ -11,13 +11,12 @@ message instead of aborting the campaign.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Mapping, Sequence
 
 from .. import telemetry
-from ..analysis.parallel import (PlanToken, ensure_picklable, fetch_plan,
-                                 publish_plan, run_ordered,
-                                 validate_workers)
-from ..errors import AnalysisError, ReproError
+from ..analysis.parallel import run_items, validate_workers
+from ..errors import AnalysisError, evaluate
 from .models import FaultModel
 
 
@@ -28,80 +27,12 @@ def _coerce_metrics(raw: Mapping[str, float]) -> dict[str, float]:
     return metrics
 
 
-def _fault_eval(build: Callable[[], object],
-                metric_fn: Callable[[object], Mapping[str, float]],
-                fault: "FaultModel") -> tuple[str, object]:
-    try:
-        faulted = fault.apply(build())
-        return ("ok", _coerce_metrics(metric_fn(faulted)))
-    except ReproError as error:
-        return ("error", error)
-
-
-class _OpResultFault:
-    """A fault wrapper whose ``apply`` also *solves* the faulted
-    circuit.
-
-    The batched campaign hands ``metric_fn`` solved
-    :class:`~repro.spice.results.OpResult` objects (its lanes come out
-    of the stacked solve already solved); structural faults that cannot
-    ride a lane go through this wrapper so they honour the same
-    contract.
-    """
-
-    def __init__(self, fault: "FaultModel", solve) -> None:
-        self._fault = fault
-        self._solve = solve
-
-    @property
-    def name(self) -> str:
-        return self._fault.name
-
-    def apply(self, target):
-        return self._solve(self._fault.apply(target))
-
-
-def _fault_worker(build: Callable[[], object],
-                  metric_fn: Callable[[object], Mapping[str, float]],
-                  fault: "FaultModel",
-                  capture_trace: bool = False) -> tuple:
-    """Evaluate one fault against a fresh target.
-
-    Module-level so it pickles into worker processes; library errors
-    (non-converging faulted circuits above all) come back as data so
-    the parent records them exactly like the serial loop would.  With
-    ``capture_trace`` set (parallel path under an active parent trace),
-    the worker drops any fork-inherited dead-copy trace, records its
-    own, and ships the spans back as a third tuple element for in-order
-    merging.
-    """
-    if capture_trace:
-        telemetry.reset()
-        with telemetry.tracing(f"fault-{fault.name}",
-                               fault=fault.name) as trace:
-            outcome = _fault_eval(build, metric_fn, fault)
-        return outcome + (trace.root.to_dict(),)
-    with telemetry.span(f"fault-{fault.name}", fault=fault.name):
-        return _fault_eval(build, metric_fn, fault)
-
-
-def _fault_worker_shm(token: PlanToken, fault: "FaultModel",
-                      capture_trace: bool = False) -> tuple:
-    """Shared-memory twin of :func:`_fault_worker`: the ``(build,
-    metric_fn)`` pair is resolved through the worker-local plan cache,
-    so each task ships only the token and its fault.  The fetch runs
-    inside the traced region so the plan-cache counters ride back with
-    the fault's own spans."""
-    if capture_trace:
-        telemetry.reset()
-        with telemetry.tracing(f"fault-{fault.name}",
-                               fault=fault.name) as trace:
-            build, metric_fn = fetch_plan(token)
-            outcome = _fault_eval(build, metric_fn, fault)
-        return outcome + (trace.root.to_dict(),)
-    with telemetry.span(f"fault-{fault.name}", fault=fault.name):
-        build, metric_fn = fetch_plan(token)
-        return _fault_eval(build, metric_fn, fault)
+def _fault_metrics(build: Callable[[], object],
+                   metric_fn: Callable[[object], Mapping[str, float]],
+                   fault: "FaultModel") -> dict[str, float]:
+    """Metrics of one fault applied to a fresh target.  Module-level so
+    it pickles into worker processes."""
+    return _coerce_metrics(metric_fn(fault.apply(build())))
 
 
 @dataclass(frozen=True)
@@ -216,12 +147,9 @@ class FaultCampaign:
             ``metric_fn`` receives the solved
             :class:`~repro.spice.results.OpResult` (for batched lanes
             and structural faults alike) instead of the raw target.
-        shm: Parallel-path payload policy (``"auto"`` / ``"on"`` /
-            ``"off"``): with shared memory available the ``(build,
-            metric_fn)`` pair is published once and tasks carry only a
-            token plus their fault; ``"off"`` forces classic per-task
-            pickling, ``"on"`` errors when shared memory is missing.
-            Reports are identical either way.
+        matrix_backend: Dense/sparse override (``backend="batched"``
+            only) for this campaign's solves -- the stacked lanes and
+            the structural faults' serial solves alike.
         analysis: ``"op"`` (default) measures DC operating points.
             ``"transient"`` (``backend="batched"`` only) integrates the
             baseline and every lane-expressible fault as one lockstep
@@ -240,15 +168,11 @@ class FaultCampaign:
                  n_workers: int | None = None,
                  backend: str = "serial",
                  matrix_backend: str | None = None,
-                 shm: str = "auto",
                  analysis: str = "op",
                  t_stop: float | None = None,
                  tran_options=None) -> None:
         if not faults:
             raise AnalysisError("campaign needs at least one fault")
-        if shm not in ("auto", "on", "off"):
-            raise AnalysisError(
-                f"shm must be 'auto', 'on' or 'off', got {shm!r}")
         if backend not in ("serial", "batched"):
             raise AnalysisError(
                 f"backend must be 'serial' or 'batched', got {backend!r}")
@@ -276,7 +200,6 @@ class FaultCampaign:
         self.n_workers = validate_workers(n_workers)
         self.backend = backend
         self.matrix_backend = matrix_backend
-        self.shm = shm
         self.analysis = analysis
         self.t_stop = t_stop
         self.tran_options = tran_options
@@ -284,52 +207,36 @@ class FaultCampaign:
     def _evaluate(self, target) -> dict[str, float]:
         return _coerce_metrics(self.metric_fn(target))
 
-    def _fault_outcomes(self) -> list[tuple[str, object]]:
-        """("ok", metrics) / ("error", exception) per fault, in
-        catalogue order, serial or fanned out over a process pool."""
-        if self.n_workers > 1:
-            for role, obj in (("build", self.build),
-                              ("metric_fn", self.metric_fn),
-                              ("fault catalogue", self.faults)):
-                ensure_picklable(obj, role)
-            trace_on = telemetry.is_enabled()
-            plan = (publish_plan((self.build, self.metric_fn))
-                    if self.shm in ("auto", "on") else None)
-            if plan is None:
-                if self.shm == "on":
-                    raise AnalysisError(
-                        "shm='on' but shared memory is unavailable on "
-                        "this platform; use shm='auto' to fall back to "
-                        "per-task pickling")
-                return run_ordered(_fault_worker,
-                                   [(self.build, self.metric_fn, fault,
-                                     trace_on)
-                                    for fault in self.faults],
-                                   self.n_workers)
-            try:
-                return run_ordered(_fault_worker_shm,
-                                   [(plan.token, fault, trace_on)
-                                    for fault in self.faults],
-                                   self.n_workers)
-            finally:
-                plan.close()
-        return [_fault_worker(self.build, self.metric_fn, fault)
-                for fault in self.faults]
+    def _structural_metrics(self, fault: FaultModel) -> dict[str, float]:
+        """Metrics of a fault no lane can express: rebuild, apply, and
+        solve the faulted circuit serially -- under the campaign's
+        ``matrix_backend`` -- so ``metric_fn`` still receives a solved
+        result."""
+        from ..spice.batch import matrix_backend_override
+        from ..spice.dc import operating_point
+        from ..spice.transient import transient
 
-    def _batched_outcomes(self) -> tuple[dict[str, float],
-                                         list[tuple[str, object]]]:
+        faulted = fault.apply(self.build())
+        with matrix_backend_override(faulted, self.matrix_backend):
+            if self.analysis == "transient":
+                solved = transient(faulted, self.t_stop, self.tran_options)
+            else:
+                solved = operating_point(faulted)
+        return self._evaluate(solved)
+
+    def _batched_outcomes(self) -> tuple[dict[str, float], list[tuple]]:
         """(baseline metrics, per-fault outcome stream) from one
         stacked solve.
 
         Lane 0 is the unperturbed baseline; every lane-expressible
-        fault rides the same :func:`~repro.spice.batch.
-        batch_operating_point`.  Structural faults (``lane_spec`` is
-        None) are evaluated through the classic rebuild-and-solve path
-        -- with the same OpResult-based ``metric_fn`` contract -- so
-        one campaign mixes both kinds transparently.
+        fault (:meth:`~repro.faults.models.FaultModel.lane_spec`)
+        rides the same cold-started :func:`~repro.spice.batch.
+        run_lanes` -- a DC operating point, or a lockstep transient to
+        ``t_stop``.  Structural faults go through
+        :meth:`_structural_metrics` under the same solved-result
+        ``metric_fn`` contract, so one campaign mixes both kinds.
         """
-        from ..spice.batch import LaneSpec, batch_operating_point
-        from ..spice.dc import operating_point
+        from ..spice.batch import LaneSpec, run_lanes
         from ..spice.netlist import Circuit
 
         circuit = self.build()
@@ -344,86 +251,23 @@ class FaultCampaign:
             if lane is not None:
                 lane_of_fault[index] = len(lanes)
                 lanes.append(lane)
-        batch = batch_operating_point(circuit, lanes, on_error="skip",
-                                      matrix_backend=self.matrix_backend)
-        lane_errors = dict(batch.failures)
-        if 0 in lane_errors:
-            raise lane_errors[0]  # baseline failures always propagate
-        baseline = self._evaluate(batch.points[0])
-        outcomes: list[tuple[str, object]] = []
+        tran = self.analysis == "transient"
+        lane_outcomes = run_lanes(
+            circuit, lanes, self._evaluate,
+            t_stop=self.t_stop if tran else None,
+            options=self.tran_options if tran else None,
+            matrix_backend=self.matrix_backend)
+        status, baseline = lane_outcomes[0]
+        if status == "error":
+            raise baseline  # baseline failures always propagate
+        outcomes = []
         for index, fault in enumerate(self.faults):
             lane_index = lane_of_fault.get(index)
             with telemetry.span(f"fault-{fault.name}", fault=fault.name,
                                 batched=lane_index is not None):
-                if lane_index is None:
-                    outcomes.append(_fault_eval(
-                        self.build, self.metric_fn,
-                        _OpResultFault(fault, operating_point)))
-                    continue
-                error = lane_errors.get(lane_index)
-                if error is not None:
-                    outcomes.append(("error", error))
-                    continue
-                try:
-                    outcomes.append(("ok", _coerce_metrics(
-                        self.metric_fn(batch.points[lane_index]))))
-                except ReproError as metric_error:
-                    outcomes.append(("error", metric_error))
-        return baseline, outcomes
-
-    def _batched_tran_outcomes(self) -> tuple[dict[str, float],
-                                              list[tuple[str, object]]]:
-        """The transient twin of :meth:`_batched_outcomes`: baseline
-        plus every lane-expressible fault integrate in lockstep on one
-        shared grid; ``metric_fn`` measures the per-lane waveforms.
-        Structural faults rebuild and integrate serially, same
-        TranResult contract."""
-        from ..spice.batch import LaneSpec, batch_transient
-        from ..spice.netlist import Circuit
-        from ..spice.transient import transient
-
-        circuit = self.build()
-        if not isinstance(circuit, Circuit):
-            raise AnalysisError(
-                "backend='batched' needs build() to return a Circuit, "
-                f"got {type(circuit).__name__}")
-        lanes = [LaneSpec(label="baseline")]
-        lane_of_fault: dict[int, int] = {}
-        for index, fault in enumerate(self.faults):
-            lane = fault.lane_spec(circuit)
-            if lane is not None:
-                lane_of_fault[index] = len(lanes)
-                lanes.append(lane)
-        batch = batch_transient(circuit, lanes, self.t_stop,
-                                self.tran_options, on_error="skip",
-                                matrix_backend=self.matrix_backend)
-        lane_errors = dict(batch.failures)
-        if 0 in lane_errors:
-            raise lane_errors[0]  # baseline failures always propagate
-        baseline = self._evaluate(batch.results[0])
-
-        def solve_tran(faulted):
-            return transient(faulted, self.t_stop, self.tran_options)
-
-        outcomes: list[tuple[str, object]] = []
-        for index, fault in enumerate(self.faults):
-            lane_index = lane_of_fault.get(index)
-            with telemetry.span(f"fault-{fault.name}", fault=fault.name,
-                                batched=lane_index is not None):
-                if lane_index is None:
-                    outcomes.append(_fault_eval(
-                        self.build, self.metric_fn,
-                        _OpResultFault(fault, solve_tran)))
-                    continue
-                error = lane_errors.get(lane_index)
-                if error is not None:
-                    outcomes.append(("error", error))
-                    continue
-                try:
-                    outcomes.append(("ok", _coerce_metrics(
-                        self.metric_fn(batch.results[lane_index]))))
-                except ReproError as metric_error:
-                    outcomes.append(("error", metric_error))
+                outcomes.append(
+                    evaluate(self._structural_metrics, fault)
+                    if lane_index is None else lane_outcomes[lane_index])
         return baseline, outcomes
 
     def run(self) -> CampaignReport:
@@ -435,20 +279,17 @@ class FaultCampaign:
             return self._run(tspan)
 
     def _run(self, tspan) -> CampaignReport:
-        if self.backend == "batched" and self.analysis == "transient":
-            baseline, outcomes = self._batched_tran_outcomes()
-        elif self.backend == "batched":
+        if self.backend == "batched":
             baseline, outcomes = self._batched_outcomes()
         else:
             with telemetry.span("baseline"):
                 baseline = self._evaluate(self.build())
-            outcomes = self._fault_outcomes()
+            outcomes = run_items(
+                partial(_fault_metrics, self.build, self.metric_fn),
+                self.faults, [(f"fault-{fault.name}", {"fault": fault.name})
+                              for fault in self.faults], self.n_workers)
         report = CampaignReport(baseline=baseline)
-        for fault, outcome in zip(self.faults, outcomes):
-            status, payload = outcome[0], outcome[1]
-            if len(outcome) > 2 and outcome[2] is not None:
-                # Worker-captured spans, merged in catalogue order.
-                tspan.adopt(outcome[2])
+        for fault, (status, payload) in zip(self.faults, outcomes):
             if status == "error":
                 tspan.event("fault-eval-failed", fault=fault.name,
                             why=str(payload))

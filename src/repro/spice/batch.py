@@ -55,7 +55,10 @@ callable (the serial path: build, perturb, solve, measure) and the
 vectorizable description the batched backends of
 :class:`~repro.analysis.montecarlo.MonteCarlo`,
 :func:`~repro.analysis.sweep.sweep_1d` and
-:class:`~repro.faults.campaign.FaultCampaign` consume.
+:class:`~repro.faults.campaign.FaultCampaign` consume.  Those
+backends, and the batched :func:`~repro.spice.dc.dc_sweep`, all reach
+the engine through :func:`run_lanes`, which turns a population of
+lanes into one ordered outcome per lane.
 """
 
 from __future__ import annotations
@@ -69,7 +72,7 @@ from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 import numpy as np
 
 from .. import telemetry
-from ..errors import AnalysisError, ConvergenceError, NetlistError
+from ..errors import AnalysisError, ConvergenceError, NetlistError, evaluate
 from .elements import CurrentSource, Resistor, VoltageSource
 from .sparse import SparseSystem, coo_to_csr, sparse_available
 from .strategies import (DEFAULT_LADDER, GminSteppingStrategy,
@@ -1202,6 +1205,49 @@ def pilot_solution(circuit: "Circuit", lane: LaneSpec,
     return x0
 
 
+def run_lanes(circuit: "Circuit", lanes: Sequence[LaneSpec],
+              measure: Callable[[object], object], *,
+              t_stop: float | None = None, options=None, strategies=None,
+              warm_start: bool = False,
+              matrix_backend: str | None = None) -> list[tuple]:
+    """One outcome per lane, in lane order, from one stacked solve.
+
+    The batched producer of the population outcome stream (the process
+    pool's twin is :func:`~repro.analysis.parallel.run_items`): one
+    :func:`batch_operating_point` -- or, with ``t_stop`` set, one
+    :func:`batch_transient` to ``t_stop`` -- solves every lane under
+    ``on_error="skip"``.  ``options`` are the call's
+    :class:`NewtonOptions` or :class:`TransientOptions` accordingly;
+    ``strategies`` applies to the DC ladder only.  With ``warm_start``,
+    a DC population of more than one lane first solves lane 0 through
+    :func:`pilot_solution` and starts every lane from it.
+
+    A lane that failed every strategy yields ``("error",
+    ConvergenceError)``; every other lane yields
+    ``evaluate(measure, point)`` (see :func:`~repro.errors.evaluate`).
+    No lanes, no solve.
+    """
+    if not lanes:
+        return []
+    if t_stop is None:
+        x0 = (pilot_solution(circuit, lanes[0], options, strategies,
+                             matrix_backend)
+              if warm_start and len(lanes) > 1 else None)
+        batch = batch_operating_point(circuit, lanes, options=options,
+                                      strategies=strategies,
+                                      on_error="skip", x0=x0,
+                                      matrix_backend=matrix_backend)
+        solved = batch.points
+    else:
+        batch = batch_transient(circuit, lanes, t_stop, options,
+                                on_error="skip",
+                                matrix_backend=matrix_backend)
+        solved = batch.results
+    failed = dict(batch.failures)
+    return [("error", failed[k]) if k in failed else evaluate(measure, point)
+            for k, point in enumerate(solved)]
+
+
 def _ladder_gmin_rung(strategies) -> GminSteppingStrategy | None:
     """The gmin-stepping rung of the effective ladder, if it has one.
 
@@ -1417,11 +1463,11 @@ class BatchedOpMetric:
 
         Builds the base circuit and compiles it **once**; the returned
         :class:`PlannedOpMetric` carries the compiled circuit along, so
-        every later evaluation -- in this process or in a worker that
-        received the plan through the shared-memory cache -- reuses the
-        assembler instead of rebuilding and recompiling per seed.  This
-        is what makes ``compile_cache_misses == 1`` across a whole
-        parallel Monte-Carlo fleet.
+        every later evaluation -- in this process or in a pool worker
+        that unpickled the plan -- reuses the assembler instead of
+        rebuilding and recompiling per seed.  This is what makes
+        ``compile_cache_misses == 1`` across a whole parallel
+        Monte-Carlo fleet.
         """
         circuit = self.build()
         circuit.compile()
@@ -1439,8 +1485,8 @@ class PlannedOpMetric:
     restores the circuit exactly, and every solve cold-starts from the
     circuit's nodesets, so per-seed results are bit-identical to the
     fresh-build :class:`BatchedOpMetric` path.  The plan pickles whole
-    (compiled assembler included), which is the payload the
-    shared-memory Monte-Carlo publishes once per campaign.
+    (compiled assembler included), so a process-pool Monte-Carlo ships
+    it with its tasks and the fleet still compiles only once.
     """
 
     circuit: "Circuit"

@@ -130,43 +130,6 @@ def operating_point(circuit: Circuit,
     return _package(compiled, x, diagnostics.total_iterations, diagnostics)
 
 
-def _dc_sweep_batched(circuit: Circuit, source_name: str,
-                      values: list[float],
-                      options: NewtonOptions,
-                      strategies: Sequence[SolveStrategy] | None,
-                      on_error: str,
-                      matrix_backend: str | None = None) -> SweepResult:
-    """Stacked-sweep backend: every point is one lane of a batched
-    ensemble solve.
-
-    Where the serial sweep warm-starts point k from point k-1, the
-    stacked solve has no sequential order to exploit -- so it solves
-    the *first* point alone as a pilot
-    (:func:`~repro.spice.batch.pilot_solution`) and seeds every lane
-    from that solution.  A smooth transfer curve then converges in a
-    handful of stacked Newton iterations instead of every lane climbing
-    the full gmin ladder from cold.  A failed pilot is not an error
-    (its lane gets a second chance inside the batch); the lanes just
-    start cold.
-    """
-    from .batch import LaneSpec, batch_operating_point, pilot_solution
-
-    lanes = [LaneSpec.source(source_name, value, label=f"{value:g}")
-             for value in values]
-    x0 = pilot_solution(circuit, lanes[0], options, strategies,
-                        matrix_backend)
-    batch = batch_operating_point(circuit, lanes, options=options,
-                                  strategies=strategies, on_error="skip",
-                                  x0=x0, matrix_backend=matrix_backend)
-    if batch.failures and on_error == "raise":
-        raise batch.failures[0][1]
-    return SweepResult(parameter=source_name,
-                       values=np.asarray(values, dtype=float),
-                       points=batch.points,
-                       failures=[(index, str(error))
-                                 for index, error in batch.failures])
-
-
 def dc_sweep(circuit: Circuit, source_name: str,
              values: Sequence[float],
              options: NewtonOptions | None = None,
@@ -215,21 +178,38 @@ def dc_sweep(circuit: Circuit, source_name: str,
     if not isinstance(element, (VoltageSource, CurrentSource)):
         raise NetlistError(
             f"{source_name!r} is not an independent source")
-    if backend == "batched":
-        return _dc_sweep_batched(circuit, source_name,
-                                 [float(v) for v in values], options,
-                                 strategies, on_error, matrix_backend)
-    saved = element.waveform
+    values = [float(value) for value in values]
     points: list[OpResult] = []
     failures: list[tuple[int, str]] = []
+    if backend == "batched":
+        # Where the serial sweep warm-starts point k from point k-1,
+        # the stacked solve has no sequential order to exploit: every
+        # lane starts from one serial ladder solve of the first point
+        # (a failed pilot just leaves the lanes cold).
+        from .batch import LaneSpec, run_lanes  # local: avoids import cycle
+        lanes = [LaneSpec.source(source_name, value, label=f"{value:g}")
+                 for value in values]
+        outcomes = run_lanes(circuit, lanes, lambda point: point,
+                             options=options, strategies=strategies,
+                             warm_start=True, matrix_backend=matrix_backend)
+        for index, (status, payload) in enumerate(outcomes):
+            if status == "error":
+                if on_error == "raise":
+                    raise payload
+                failures.append((index, str(payload)))
+                payload = _nan_point(circuit.compile(), payload.diagnostics)
+            points.append(payload)
+        return SweepResult(parameter=source_name,
+                           values=np.asarray(values, dtype=float),
+                           points=points, failures=failures)
+    saved = element.waveform
     x_prev: np.ndarray | None = None
-    values = list(values)
     try:
         with telemetry.span("dc-sweep", circuit=circuit.name,
                             source=source_name,
                             n_points=len(values)) as tspan:
             for index, value in enumerate(values):
-                element.waveform = dc_wave(float(value))
+                element.waveform = dc_wave(value)
                 try:
                     result = operating_point(circuit, options, x0=x_prev,
                                              strategies=strategies)
@@ -239,7 +219,7 @@ def dc_sweep(circuit: Circuit, source_name: str,
                         # Warm start led the ladder astray: retry cold
                         # from the circuit's own nodeset guess.
                         tspan.event("cold-restart", index=index,
-                                    value=float(value))
+                                    value=value)
                         try:
                             result = operating_point(circuit, options,
                                                      x0=None,
@@ -250,7 +230,7 @@ def dc_sweep(circuit: Circuit, source_name: str,
                         if on_error == "raise":
                             raise error
                         tspan.event("point-failed", index=index,
-                                    value=float(value), why=str(error))
+                                    value=value, why=str(error))
                         tspan.inc("sweep_points_failed")
                         failures.append((index, str(error)))
                         points.append(_nan_point(circuit.compile(),

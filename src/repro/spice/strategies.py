@@ -27,9 +27,7 @@ strategy therefore takes an optional ``max_iterations`` override.
 from __future__ import annotations
 
 import abc
-import os
 import time as _time
-import weakref
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
@@ -142,23 +140,17 @@ class LuReuseState:
     per :func:`newton_solve` call, limiting reuse to iterations of one
     solve.
 
-    The cached handle may be a SuperLU object (sparse backend) --
-    C-level state that is neither picklable nor valid across a
-    ``fork``.  The state therefore **degrades instead of travelling**:
-    pickling one (``__reduce__``) ships a fresh empty state, and every
-    live instance is invalidated in forked children via an
-    ``os.register_at_fork`` hook over a weak registry, so a worker
-    process can never back-substitute against factors whose underlying
-    C memory belongs to the parent.  Losing the cache merely costs one
-    refactorization; using a stale one would be memory-unsafe.
+    A state never outlives the solve that made it -- it is a local of
+    one DC solve or one transient run -- and pickling one
+    (``__reduce__``) ships a fresh empty state: the cached handle may
+    be a SuperLU object, C-level state that cannot be serialized.
     """
 
-    __slots__ = ("lu", "key", "__weakref__")
+    __slots__ = ("lu", "key")
 
     def __init__(self) -> None:
         self.lu = None
         self.key = None
-        _live_lu_states.add(self)
 
     def invalidate(self) -> None:
         self.lu = None
@@ -175,21 +167,6 @@ class LuReuseState:
         # process would have to distrust anyway.  A round-tripped state
         # is simply empty.
         return (LuReuseState, ())
-
-
-#: Weak registry of every live state, so the fork hook can invalidate
-#: them all without keeping any alive.
-_live_lu_states: "weakref.WeakSet[LuReuseState]" = weakref.WeakSet()
-
-
-def _invalidate_lu_states_after_fork() -> None:  # pragma: no cover
-    for state in list(_live_lu_states):
-        state.lu = None
-        state.key = None
-
-
-if hasattr(os, "register_at_fork"):  # pragma: no branch - POSIX
-    os.register_at_fork(after_in_child=_invalidate_lu_states_after_fork)
 
 
 def _factorize(jac: np.ndarray):

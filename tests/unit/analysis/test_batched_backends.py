@@ -211,6 +211,18 @@ class TestDcSweepBatched:
                 == [k for k, _ in serial.failures])
         assert not batched.points[1].converged
 
+    @pytest.mark.parametrize("backend", ["serial", "batched"])
+    def test_empty_value_list_returns_an_empty_sweep(self, backend):
+        """No values, no points -- and no solve on either backend."""
+        from repro import telemetry
+        with telemetry.tracing("empty") as trace:
+            result = dc_sweep(_diode_build(), "V1", [], backend=backend)
+        assert result.parameter == "V1"
+        assert result.values.shape == (0,)
+        assert result.points == [] and result.failures == []
+        assert trace.total_counters().get("jacobian_factorizations", 0) == 0
+        assert trace.root.find("batch-operating-point") is None
+
 
 def _nan_draw(seed, circuit):
     """Seed 2 draws a NaN source value: a degenerate lane whose solve

@@ -87,8 +87,17 @@ def _flaky(bad_seeds):
 
 class TestErrorPolicy:
     def test_default_policy_propagates(self):
+        """The serial route is lazy: seeds after the failure never
+        run."""
+        flaky, seen = _flaky({2}), []
+
+        def metric(seed):
+            seen.append(seed)
+            return flaky(seed)
+
         with pytest.raises(ConvergenceError):
-            MonteCarlo(_flaky({2}), n_runs=5).run()
+            MonteCarlo(metric, n_runs=5).run()
+        assert seen == [0, 1, 2]
 
     def test_skip_records_the_failed_seed(self):
         """One non-converging chip must not destroy the campaign: the

@@ -42,8 +42,17 @@ def _fragile(x):
 
 class TestSweepErrorPolicy:
     def test_default_policy_propagates(self):
+        """The serial route is lazy: points after the failure never
+        run."""
+        seen = []
+
+        def metric(x):
+            seen.append(x)
+            return _fragile(x)
+
         with pytest.raises(ConvergenceError):
-            sweep_1d("x", [1.0, 2.0, 3.0], _fragile)
+            sweep_1d("x", [1.0, 2.0, 3.0], metric)
+        assert seen == [1.0, 2.0]
 
     def test_skip_backfills_nan_and_stays_aligned(self):
         table = sweep_1d("x", [1.0, 2.0, 3.0], _fragile,

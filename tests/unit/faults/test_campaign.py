@@ -199,46 +199,6 @@ class TestBatchedCampaign:
             campaign.run()
 
 
-class TestShmCampaign:
-    """Parallel campaigns ship (build, metric_fn) once through the
-    shared-memory plan cache; outcomes must not depend on the route."""
-
-    FAULTS = [ResistorDrift("R2", 3.0),
-              BridgedNodes("mid", "0", resistance=1.0),
-              _Explosive()]
-
-    def test_shm_modes_match_serial_exactly(self):
-        from repro.analysis.parallel import shm_available
-
-        serial = FaultCampaign(build=divider, metric_fn=mid_voltage,
-                               faults=self.FAULTS).run()
-        modes = ["off"] + (["on"] if shm_available() else [])
-        for mode in modes:
-            pooled = FaultCampaign(build=divider, metric_fn=mid_voltage,
-                                   faults=self.FAULTS, n_workers=2,
-                                   shm=mode).run()
-            assert pooled.baseline == serial.baseline
-            for got, want in zip(pooled.outcomes, serial.outcomes):
-                assert got.fault == want.fault
-                assert got.metrics == want.metrics
-                assert got.error == want.error
-
-    def test_shm_on_without_support_raises(self, monkeypatch):
-        import repro.faults.campaign as campaign_mod
-
-        monkeypatch.setattr(campaign_mod, "publish_plan",
-                            lambda payload: None)
-        campaign = FaultCampaign(build=divider, metric_fn=mid_voltage,
-                                 faults=self.FAULTS, n_workers=2,
-                                 shm="on")
-        with pytest.raises(AnalysisError, match="shm"):
-            campaign.run()
-
-    def test_shm_mode_validated(self):
-        with pytest.raises(AnalysisError, match="shm"):
-            FaultCampaign(build=divider, metric_fn=mid_voltage,
-                          faults=self.FAULTS, shm="sideways")
-
 
 def pulse_divider() -> Circuit:
     """The DC divider with a pulse drive and a hold cap: dynamics."""
@@ -325,3 +285,48 @@ class TestTransientCampaign:
         with pytest.raises(AnalysisError, match="analysis"):
             FaultCampaign(build=pulse_divider, metric_fn=tran_mid_metrics,
                           faults=self.FAULTS, analysis="ac")
+
+
+def tran_mid_reference(circuit: Circuit) -> dict[str, float]:
+    """Serial-contract twin of :func:`tran_mid_metrics`: integrates the
+    raw target on the transient campaign's fixed grid."""
+    from repro.spice import transient
+
+    return tran_mid_metrics(transient(circuit, TestTransientCampaign.T_STOP,
+                                      TestTransientCampaign._grid()))
+
+
+class TestStructuralFaultBackend:
+    """A batched campaign's ``matrix_backend`` override reaches the
+    serial solves of its structural faults, not just the lanes."""
+
+    FAULTS = [ResistorDrift("R2", 3.0),
+              BridgedNodes("mid", "0", resistance=1e3)]  # structural
+
+    def _check(self, build, metric_fn, serial_metric_fn, **kwargs):
+        from repro import telemetry
+
+        with telemetry.tracing("structural") as trace:
+            report = FaultCampaign(build=build, metric_fn=metric_fn,
+                                   faults=self.FAULTS, backend="batched",
+                                   matrix_backend="sparse", **kwargs).run()
+        bridge = trace.root.find("fault-bridge-mid-0")
+        assert bridge.attrs["batched"] is False
+        assert bridge.total_counter("sparse_factorizations") > 0
+        serial = FaultCampaign(build=build, metric_fn=serial_metric_fn,
+                               faults=self.FAULTS).run()
+        for key, value in serial.baseline.items():
+            assert report.baseline[key] == pytest.approx(value, abs=1e-9)
+        for got, want in zip(report.outcomes, serial.outcomes):
+            assert got.fault == want.fault and got.evaluated
+            for key, value in want.metrics.items():
+                assert got.metrics[key] == pytest.approx(value, abs=1e-9)
+
+    def test_op_campaign(self):
+        self._check(divider, op_mid_voltage, mid_voltage)
+
+    def test_transient_campaign(self):
+        self._check(pulse_divider, tran_mid_metrics, tran_mid_reference,
+                    analysis="transient",
+                    t_stop=TestTransientCampaign.T_STOP,
+                    tran_options=TestTransientCampaign._grid())

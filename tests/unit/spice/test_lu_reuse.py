@@ -151,8 +151,8 @@ class TestRungIsolation:
 
 class TestWorkerBoundaries:
     """The cached handle is C-level state (possibly a SuperLU object):
-    it must never travel into a worker payload or survive a fork --
-    the state degrades to empty instead."""
+    it must never travel into a worker payload -- a pickled state
+    degrades to empty instead."""
 
     def test_pickle_round_trip_ships_an_empty_state(self):
         import pickle
@@ -179,24 +179,3 @@ class TestWorkerBoundaries:
         state = LuReuseState()
         state.lu = _Unpicklable()
         pickle.dumps(state)  # must not raise
-
-    @pytest.mark.skipif(not hasattr(__import__("os"), "fork"),
-                        reason="fork-only semantics")
-    def test_forked_child_sees_invalidated_states(self):
-        """A live state's handle points at parent-owned memory; the
-        after-fork hook must clear every registered instance in the
-        child before any solve can back-substitute against it."""
-        import os
-
-        state = LuReuseState()
-        state.ensure_key("parent-key")
-        state.lu = ("lu", "piv")  # dense-style factor stand-in
-        pid = os.fork()
-        if pid == 0:  # child
-            ok = state.lu is None and state.key is None
-            os._exit(0 if ok else 1)
-        _, status = os.waitpid(pid, 0)
-        assert os.waitstatus_to_exitcode(status) == 0
-        # The parent keeps its cache: only the child was reset.
-        assert state.lu == ("lu", "piv")
-        assert state.key == "parent-key"

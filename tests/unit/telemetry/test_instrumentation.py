@@ -11,6 +11,7 @@ import pytest
 
 from repro import telemetry
 from repro.analysis import MonteCarlo, sweep_1d
+from repro.faults import BridgedNodes, FaultCampaign, ResistorDrift
 from repro.spice import Circuit, ac_analysis, operating_point
 from repro.spice.dc import dc_sweep
 from repro.spice.transient import TransientOptions, transient
@@ -183,6 +184,24 @@ def _seed_metric(seed):
     return {"value": float(seed) * 2.0}
 
 
+def _divider():
+    circuit = Circuit("divider")
+    circuit.add_vsource("V1", "in", "0", 1.0)
+    circuit.add_resistor("R1", "in", "mid", 10e3)
+    circuit.add_resistor("R2", "mid", "0", 10e3)
+    return circuit
+
+
+def _mid_voltage(circuit):
+    return {"v_mid": operating_point(circuit).voltage("mid")}
+
+
+#: A pooled catalogue whose second fault fails to apply.
+POOLED_FAULTS = [ResistorDrift("R2", 3.0), ResistorDrift("V1", 2.0),
+                 BridgedNodes("mid", "0", resistance=1.0),
+                 ResistorDrift("R1", 0.5)]
+
+
 class TestMonteCarloTraceMerge:
     def test_serial_spans_nest_per_seed(self):
         with telemetry.tracing("mc") as trace:
@@ -194,10 +213,22 @@ class TestMonteCarloTraceMerge:
     def test_parallel_worker_spans_merge_in_order(self):
         with telemetry.tracing("mc") as trace:
             MonteCarlo(_seed_metric, n_runs=4, n_workers=2).run()
+            report = FaultCampaign(build=_divider, metric_fn=_mid_voltage,
+                                   faults=POOLED_FAULTS, n_workers=2).run()
         node = trace.root.find("montecarlo")
         assert [c.name for c in node.children] == [
             "seed-0", "seed-1", "seed-2", "seed-3"]
         assert [c.attrs["seed"] for c in node.children] == [0, 1, 2, 3]
+        # The fault pool merges the same way, the failing fault's span
+        # included, in catalogue order after the in-process baseline.
+        assert [o.fault for o in report.failed] == ["r-drift-V1-x2"]
+        campaign = trace.root.find("fault-campaign")
+        names = [fault.name for fault in POOLED_FAULTS]
+        assert [c.name for c in campaign.children] == ["baseline"] + [
+            f"fault-{name}" for name in names]
+        assert [c.attrs["fault"] for c in campaign.children[1:]] == names
+        [failure] = campaign.events_of("fault-eval-failed")
+        assert failure["fault"] == "r-drift-V1-x2"
 
     def test_parallel_and_serial_results_identical_when_traced(self):
         with telemetry.tracing("a"):
