@@ -276,9 +276,10 @@ def test_cli_compare_gates_and_escape_hatch(tmp_path, monkeypatch):
 
 def test_stacked_ac_is_at_least_5x_faster_than_loop():
     """Acceptance pin for the stacked-frequency AC fast path: on a
-    >= 200-point grid the stacked backend beats the per-frequency loop
-    by >= 5x.  The operating point is precomputed and shared so only
-    the frequency solve is timed (best-of-5 per backend)."""
+    >= 200-point grid ``ac_analysis`` beats the per-frequency loop
+    oracle of the AC unit tests by >= 5x.  The operating point is
+    precomputed and shared so only the frequency solve is timed
+    (best-of-5 per path)."""
     import time
 
     import numpy as np
@@ -287,34 +288,35 @@ def test_stacked_ac_is_at_least_5x_faster_than_loop():
     from repro.spice import operating_point
     from repro.spice.ac import ac_analysis
     from repro.stscl.netlist_gen import stscl_inverter_circuit
+    from tests.unit.spice.test_ac import ac_loop_oracle
 
     circuit, _ = stscl_inverter_circuit(_design(), _VDD)
     circuit.element("vinp").ac_mag = 1.0
     op = operating_point(circuit)
     freqs = np.logspace(2.0, 9.0, 601)
 
-    def best_of(backend, repeats=5):
+    def best_of(solve, repeats=5):
         best = float("inf")
         for _ in range(repeats):
             t0 = time.perf_counter()
-            ac_analysis(circuit, freqs, backend=backend, op=op)
+            solve(circuit, freqs, op=op)
             best = min(best, time.perf_counter() - t0)
         return best
 
-    best_of("stacked", repeats=1)  # warm both paths before timing
-    best_of("loop", repeats=1)
-    stacked = best_of("stacked")
-    loop = best_of("loop")
+    best_of(ac_analysis, repeats=1)  # warm both paths before timing
+    best_of(ac_loop_oracle, repeats=1)
+    stacked = best_of(ac_analysis)
+    loop = best_of(ac_loop_oracle)
     assert loop / stacked >= 5.0, (
         f"stacked {stacked * 1e3:.2f} ms vs loop {loop * 1e3:.2f} ms "
         f"= {loop / stacked:.1f}x, expected >= 5x")
 
 
-def test_lte_bench_config_is_no_less_accurate_than_legacy():
+def test_lte_bench_config_is_no_less_accurate_than_a_fixed_grid():
     """Acceptance pin for the transient fast path: at the benchmark's
     LTE settings the D-latch waveforms are at least as close to a
-    dense-step reference as the pre-LTE heuristic (``dt_max = t_d/15``)
-    was, while committing far fewer steps."""
+    tight-tolerance LTE reference as a fixed ``t_d/15`` grid, while
+    committing far fewer steps."""
     import numpy as np
 
     from repro.bench.perf import _design, _latch_circuit
@@ -327,7 +329,7 @@ def test_lte_bench_config_is_no_less_accurate_than_legacy():
         return transient(_latch_circuit(design), 10.0 * t_d,
                          TransientOptions(**overrides))
 
-    reference = run(step_control="legacy", dt_max=t_d / 100.0)
+    reference = run(reltol=1e-6, abstol=1e-7, dt_max=t_d / 200.0)
 
     def error_vs_reference(result):
         worst = 0.0
@@ -338,8 +340,9 @@ def test_lte_bench_config_is_no_less_accurate_than_legacy():
                 np.abs(resampled - reference.voltage(node)))))
         return worst
 
-    legacy = run(step_control="legacy", dt_max=t_d / 15.0)
+    dt = t_d / 15.0
+    fixed = run(dt_initial=dt, dt_min=dt, dt_max=dt)
     lte = run(reltol=4e-3, abstol=1e-4, dt_max=t_d / 2.5)
-    assert error_vs_reference(lte) <= error_vs_reference(legacy)
+    assert error_vs_reference(lte) <= error_vs_reference(fixed)
     assert lte.telemetry.steps_accepted < \
-        0.7 * legacy.telemetry.steps_accepted
+        0.7 * fixed.telemetry.steps_accepted

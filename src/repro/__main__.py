@@ -127,6 +127,7 @@ TRACE_SCENARIOS = ("op_chain", "dc_sweep", "transient", "transient_lte",
 def _cmd_trace(args: argparse.Namespace) -> int:
     from . import telemetry
     from .bench.perf import default_cases
+    from .telemetry.invariants import lane_sample_violations
 
     scenarios = dict(default_cases(quick=not args.full,
                                    n_workers=args.workers))
@@ -153,7 +154,10 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     if detail:
         print(f"scenario detail: {detail}")
     print(f"trace written to {path}")
-    return 0
+    violations = lane_sample_violations(trace)
+    for violation in violations:
+        print(f"invariant violated: {violation}")
+    return 1 if violations else 0
 
 
 def _cmd_scope(args: argparse.Namespace) -> int:
@@ -324,7 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_trace = sub.add_parser(
         "trace", help="run a bench/fault scenario under telemetry "
-                      "tracing; write a JSONL trace + tree summary")
+                      "tracing; write a JSONL trace + tree summary; exit "
+                      "1 when a trace accounting identity fails")
     p_trace.add_argument("--scenario", choices=TRACE_SCENARIOS,
                          default="op_chain")
     p_trace.add_argument("--output", default="trace.jsonl",

@@ -201,8 +201,9 @@ def _bench_ac_sweep(n_frequencies: int) -> Callable[[], dict]:
     """Stacked-frequency AC sweep of one inverter.
 
     All frequencies of the log grid are solved through the stacked
-    backend (QZ sweep with chunked-tensor fallback); the loop backend
-    stays available for the speedup comparison in the perf tests.
+    path (QZ sweep with chunked-tensor fallback); the AC unit tests
+    keep a per-frequency loop as the oracle the perf tests time it
+    against.
     """
     def case() -> dict:
         from ..spice.ac import ac_analysis
@@ -210,7 +211,7 @@ def _bench_ac_sweep(n_frequencies: int) -> Callable[[], dict]:
         circuit, _ = stscl_inverter_circuit(design, _VDD)
         circuit.element("vinp").ac_mag = 1.0
         freqs = np.logspace(2.0, 9.0, n_frequencies)
-        result = ac_analysis(circuit, freqs, backend="stacked")
+        result = ac_analysis(circuit, freqs)
         return {"n_frequencies": n_frequencies,
                 "n_nodes": len(result.voltages),
                 **_solver_meta(circuit)}

@@ -23,8 +23,7 @@ every frequency into a back-substitution on the *triangular* matrix
 ``T + jω S``, which vectorizes across the whole grid (N numpy steps
 total instead of F LAPACK calls).  The result is residual-verified and
 any failure -- missing scipy, singular diagonal, loss of accuracy --
-falls back to the chunked direct solve.  ``backend="loop"`` keeps the
-one-solve-per-frequency reference path.
+falls back to the chunked direct solve.
 """
 
 from __future__ import annotations
@@ -58,17 +57,11 @@ def _chunk_length(size: int) -> int:
 
 def ac_analysis(circuit: Circuit, frequencies: Sequence[float],
                 op: OpResult | None = None,
-                options: NewtonOptions | None = None,
-                backend: str = "stacked") -> AcResult:
+                options: NewtonOptions | None = None) -> AcResult:
     """Frequency response of ``circuit`` over ``frequencies`` [Hz].
 
     Exactly the sources constructed with a non-zero ``ac_mag`` excite the
     circuit.  Returns complex node voltages normalised to the excitation.
-
-    ``backend`` selects the linear-solve strategy: ``"stacked"``
-    (default) solves all frequencies of a memory-bounded chunk in one
-    batched call, ``"loop"`` solves them one by one (reference path).
-    Both produce identical results up to LAPACK batching order.
     """
     freqs = np.asarray(list(frequencies), dtype=float)
     if freqs.size == 0:
@@ -82,18 +75,21 @@ def ac_analysis(circuit: Circuit, frequencies: Sequence[float],
             "AC frequency grid contains duplicate points; deduplicate "
             "the grid (duplicates silently skew any response-derived "
             "metric such as bandwidth interpolation)")
-    if backend not in ("stacked", "loop"):
-        raise AnalysisError(
-            f"backend must be 'stacked' or 'loop', got {backend!r}")
 
     with telemetry.span("ac", circuit=circuit.name,
-                        n_frequencies=int(freqs.size),
-                        backend=backend) as tspan:
-        return _ac_run(circuit, freqs, op, options, backend, tspan)
+                        n_frequencies=int(freqs.size)) as tspan:
+        compiled, g_matrix, c_matrix, b = _ac_system(circuit, op, options)
+        solutions = _solve_stacked(g_matrix, c_matrix, b,
+                                   2.0 * np.pi * freqs, tspan)
+    responses = {name: solutions[:, index].copy()
+                 for name, index in compiled.node_index.items()}
+    return AcResult(frequencies=freqs, voltages=responses)
 
 
-def _ac_run(circuit: Circuit, freqs: np.ndarray, op: OpResult | None,
-            options: NewtonOptions | None, backend: str, tspan) -> AcResult:
+def _ac_system(circuit: Circuit, op: OpResult | None,
+               options: NewtonOptions | None):
+    """``(compiled, G, C, b)`` of the small-signal system
+    ``(G + jωC) v = b`` linearised at ``op`` (solved when None)."""
     if op is None:
         op = operating_point(circuit, options)
     if op.x is None:
@@ -152,17 +148,7 @@ def _ac_run(circuit: Circuit, freqs: np.ndarray, op: OpResult | None,
     if not excited:
         raise AnalysisError(
             "no AC excitation: give some source a non-zero ac_mag")
-
-    omegas = 2.0 * np.pi * freqs
-    if backend == "stacked":
-        solutions = _solve_stacked(g_matrix, c_matrix, b, omegas, tspan)
-    else:
-        solutions = _solve_loop(g_matrix, c_matrix, b, omegas, tspan)
-
-    names = list(compiled.node_index)
-    responses = {name: solutions[:, compiled.node_index[name]].copy()
-                 for name in names}
-    return AcResult(frequencies=freqs, voltages=responses)
+    return compiled, g_matrix, c_matrix, b
 
 
 #: Minimum grid length before the QZ triangular sweep pays for its
@@ -186,8 +172,7 @@ def _solve_stacked(g_matrix: np.ndarray, c_matrix: np.ndarray,
     environments and residual-check failures take the chunked direct
     tensor solve.  Either way the telemetry counter advances by the
     number of frequencies handled, so the per-run total still equals
-    one ``jacobian_factorization`` per frequency -- same
-    reconciliation contract as the loop backend.
+    one ``jacobian_factorization`` per frequency.
     """
     if _qz is not None and omegas.size >= _QZ_MIN_FREQUENCIES:
         solutions = _solve_qz_sweep(g_matrix, c_matrix, b, omegas)
@@ -276,19 +261,4 @@ def _solve_stacked_direct(g_matrix: np.ndarray, c_matrix: np.ndarray,
                 except np.linalg.LinAlgError:
                     solutions[start + k], *_ = np.linalg.lstsq(
                         matrix, b, rcond=None)
-    return solutions
-
-
-def _solve_loop(g_matrix: np.ndarray, c_matrix: np.ndarray,
-                b: np.ndarray, omegas: np.ndarray,
-                tspan) -> np.ndarray:
-    """Reference path: one dense solve per frequency."""
-    solutions = np.empty((omegas.size, b.size), dtype=complex)
-    for k, omega in enumerate(omegas):
-        matrix = g_matrix + 1j * omega * c_matrix
-        tspan.inc("jacobian_factorizations")
-        try:
-            solutions[k] = np.linalg.solve(matrix, b)
-        except np.linalg.LinAlgError:
-            solutions[k], *_ = np.linalg.lstsq(matrix, b, rcond=None)
     return solutions

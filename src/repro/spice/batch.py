@@ -80,10 +80,8 @@ from .strategies import (DEFAULT_LADDER, GminSteppingStrategy,
                          run_ladder, step_converged)
 from .assembly import CircuitAssembler
 from .results import TranResult
-from .transient import (TransientOptions, TransientTelemetry,
-                        _BREAKPOINT_RESTART_FRACTION, _LTE_MAX_GROWTH,
-                        _LTE_MIN_SHRINK, _breakpoints, _lte_factor,
-                        _lte_norms_batch, _predict, transient)
+from .transient import (TransientOptions, _Stepper, _check_options,
+                        transient)
 from .waveforms import dc_wave
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -1591,15 +1589,15 @@ def batch_transient(circuit: "Circuit", lanes: Sequence[LaneSpec],
                     lane_rejection_budget: int = 24) -> BatchTranResult:
     """Integrate every lane from t = 0 to ``t_stop`` in lockstep.
 
-    All lanes advance on one shared adaptive grid: per attempted step
-    there is a single stacked damped-Newton solve over ``(B, N, N)``
-    dense or ``(B, nnz)`` shared-pattern sparse rows (the trapezoidal /
-    BE charge companions stamped per lane through the serial kernel's
-    ``extra_stamp`` slot), then one LTE estimate *per lane*, reduced to
-    a shared verdict by the min-rule: any lane over tolerance rejects
+    All lanes advance on one shared adaptive grid, driven by the same
+    step controller as the serial :func:`~repro.spice.transient.transient`:
+    per attempted step there is a single stacked damped-Newton solve over
+    ``(B, N, N)`` dense or ``(B, nnz)`` shared-pattern sparse rows (the
+    trapezoidal / BE charge companions stamped per lane through the
+    kernel's ``extra`` slot), then one LTE estimate *per lane*, reduced
+    to a shared verdict by the min-rule: any lane over tolerance rejects
     the step for everyone, and the accepted-growth factor is the most
-    conservative lane's ask (same growth cap / shrink floor as the
-    serial controller).  Sparse campaigns keep one
+    conservative lane's ask.  Sparse campaigns keep one
     :class:`_SparseChordState` across accepted steps, so an unchanged
     dt lets lanes ride chord steps on the previous step's LU handles.
 
@@ -1627,16 +1625,8 @@ def batch_transient(circuit: "Circuit", lanes: Sequence[LaneSpec],
     step) and ``batch_transient_lane_rejections`` (one per attributed
     lane rejection) under its ``batch-transient`` span.
     """
-    if t_stop <= 0.0:
-        raise NetlistError(f"t_stop must be positive, got {t_stop}")
     options = options or TransientOptions()
-    if options.method not in ("trap", "be"):
-        raise NetlistError(f"unknown method {options.method!r}")
-    if options.step_control != "lte":
-        raise AnalysisError(
-            "the batched transient engine is LTE-only; "
-            "step_control='legacy' is a serial bit-compat mode -- run "
-            "those lanes through the serial transient()")
+    _check_options(t_stop, options)
     if on_error not in ("raise", "skip"):
         raise NetlistError(
             f"on_error must be 'raise' or 'skip', got {on_error!r}")
@@ -1651,413 +1641,162 @@ def batch_transient(circuit: "Circuit", lanes: Sequence[LaneSpec],
             telemetry.span("batch-transient", circuit=circuit.name,
                            batch=len(lanes), t_stop=t_stop,
                            method=options.method) as tspan:
-        return _batch_transient_run(circuit, lanes, t_stop, options,
-                                    on_error, scopes,
-                                    lane_rejection_budget, tspan)
+        stepper = _LockstepStepper(circuit, lanes, t_stop, options, tspan,
+                                   scopes or [None] * len(lanes),
+                                   lane_rejection_budget)
+        return stepper.integrate(on_error)
 
 
-def _batch_transient_run(circuit: "Circuit", lanes: list[LaneSpec],
-                         t_stop: float, options: TransientOptions,
-                         on_error: str, scopes,
-                         budget: int, tspan) -> BatchTranResult:
-    start = _time.perf_counter()
-    B = len(lanes)
-    dt = options.dt_initial or t_stop / 1000.0
-    dt_min = options.dt_min or t_stop * 1e-9
-    dt_max = options.dt_max or t_stop / 50.0
-    dt = min(dt, dt_max)
-    newton_options = options.newton
-    deadline = None
-    if options.max_wall_time is not None:
-        deadline = start + options.max_wall_time
-        newton_options = dataclasses.replace(newton_options,
-                                             deadline=deadline)
-    # Same Newton/waveform tolerance coupling as the serial LTE path.
-    newton_options = dataclasses.replace(
-        newton_options, vntol=max(newton_options.vntol, options.abstol))
-    order = 2 if options.method == "trap" else 1
+class _LockstepStepper(_Stepper):
+    """Lockstep lanes through the stacked Newton kernel; a lane that
+    leaves the grid reruns through the serial
+    :func:`~repro.spice.transient.transient`."""
 
-    compiled = circuit.compile()
-    assembler = BatchAssembler(compiled, lanes)
-    use_sparse = compiled.solver_backend() == "sparse"
-    if use_sparse:
-        assembler.enable_sparse()
-        tspan.annotate(matrix_backend="sparse")
-    system = assembler.sparse_batch_system() if use_sparse else None
-    seg_slices = system.segment_slices if use_sparse else None
-    n_nodes = len(compiled.node_index)
-    N = compiled.size
+    LABEL = "batched transient"
+    ACCEPTED = "batch_transient_steps"
+    REJECTED = "batch_transient_lane_rejections"
+    REJECTED_BY_CAUSE = None
+    REJECTED_EVENT = "batch-step-rejected"
 
-    results: list = [None] * B
-    failures: list[tuple[int, ConvergenceError]] = []
-    lane_logs = [TransientTelemetry() for _ in range(B)]
-    lane_newton_iters = np.zeros(B, dtype=int)
-    diag = BatchTranDiagnostics(circuit=circuit.name, batch=B,
-                                lane_rejections=np.zeros(B, dtype=int))
-    first_error: ConvergenceError | None = None
-    live_mask = np.ones(B, dtype=bool)
+    def __init__(self, circuit: "Circuit", specs: list[LaneSpec],
+                 t_stop: float, options: TransientOptions, tspan,
+                 scopes: list, lane_budget: int) -> None:
+        super().__init__(circuit, t_stop, options, tspan, scopes,
+                         lane_budget)
+        self.specs = specs
+        self.assembler = BatchAssembler(self.compiled, specs)
+        # One chord state across accepted steps (the kernel ignores it
+        # off the sparse LU-reuse path).
+        self.chord = _SparseChordState()
+        self.segment_slices = None
+        if self.compiled.solver_backend() == "sparse":
+            self.assembler.enable_sparse()
+            tspan.annotate(matrix_backend="sparse")
+            self.segment_slices = \
+                self.assembler.sparse_batch_system().segment_slices
+        self.failures: list[tuple[int, ConvergenceError]] = []
+        self.diag = BatchTranDiagnostics(circuit=circuit.name,
+                                         batch=len(specs))
 
-    def _serial_options() -> TransientOptions:
-        if deadline is None:
-            return options
-        remaining = max(deadline - _time.perf_counter(), 0.0)
-        return dataclasses.replace(options, max_wall_time=remaining)
+    def solve(self, X, t_new, c0, rhs):
+        lanes = np.asarray(self.lanes, dtype=np.intp)
+        # dt (hence c0) changed => the companion stamps changed => every
+        # cached per-lane factorization is stale.
+        self.chord.ensure_key(c0)
+        # The kernel addresses lanes by index: scatter the lane rows
+        # into population-sized arrays.
+        X_all = np.zeros((len(self.specs), X.shape[1]))
+        X_all[lanes] = X
+        rhs_all = np.zeros((len(self.specs), rhs.shape[1]))
+        rhs_all[lanes] = rhs
+        assembler = self.assembler
+        segment_slices = self.segment_slices
 
-    def _kick_out(lane_index: int, reason: str) -> None:
-        """Move one lane off the shared grid onto the serial path."""
-        nonlocal first_error
-        live_mask[lane_index] = False
-        diag.fallback_lanes.append((lane_index, reason))
+        def dynamic_stamp(target, res, Xa, lane_idx):
+            assembler.stamp_charges_batch(target, res, Xa, c0,
+                                          rhs_all[lane_idx],
+                                          segment_slices=segment_slices)
+
+        options = self.newton_options
+        outcome = _newton_rounds(assembler, X_all, lanes, options,
+                                 options.gmin, [], time=t_new,
+                                 extra=dynamic_stamp, chord=self.chord)
+        X_new = X_all[lanes]
+        ok = (outcome.converged[lanes]
+              & np.all(np.isfinite(X_new), axis=1))
+        failed = {int(r): outcome.reasons.get(
+                      int(lanes[r]), "Newton failed on the shared grid")
+                  for r in np.nonzero(~ok)[0]}
+        return X_new, outcome.iterations[lanes], failed
+
+    def charges(self, X):
+        return self.assembler.charge_vector_batch(X)
+
+    def leave(self, lane, reason, t):
+        tspan = self.tspan
+        spec = self.specs[lane]
+        self.diag.fallback_lanes.append((lane, reason))
         tspan.inc("batch_lane_fallbacks")
-        tspan.event("lane-fallback", lane=lane_index,
-                    label=lanes[lane_index].label, why=reason)
-        scope = scopes[lane_index] if scopes is not None else None
+        tspan.event("lane-fallback", lane=lane, label=spec.label,
+                    why=reason)
+        scope = self.scopes[lane]
         if scope is not None:
             # The session saw the lane's partial lockstep stream; the
             # serial rerun replays the waveform from t = 0, so the
             # session restarts clean (single-use contract preserved).
             scope.reset()
-        undo = apply_lane(circuit, lanes[lane_index])
+        options = self.options
+        if self.deadline is not None:
+            options = dataclasses.replace(options, max_wall_time=max(
+                self.deadline - _time.perf_counter(), 0.0))
+        undo = apply_lane(self.circuit, spec)
         try:
-            results[lane_index] = transient(circuit, t_stop,
-                                            _serial_options(),
-                                            scope=scope)
+            self.results[lane] = transient(self.circuit, self.t_stop,
+                                           options, scope=scope)
         except ConvergenceError as error:
-            failures.append((lane_index, error))
-            if first_error is None:
-                first_error = error
-            tspan.event("lane-failed", lane=lane_index,
-                        label=lanes[lane_index].label, why=str(error))
+            self.failures.append((lane, error))
+            tspan.event("lane-failed", lane=lane, label=spec.label,
+                        why=str(error))
         finally:
             undo()
 
-    # Initial DC point per lane, stacked; a lane that fails every DC
-    # strategy never enters the grid (serial transient would have
-    # raised before its first step too).
-    dc = batch_operating_point(circuit, lanes, options=newton_options,
-                               on_error="skip")
-    for lane_index, error in dc.failures:
-        live_mask[lane_index] = False
-        diag.fallback_lanes.append(
-            (lane_index, f"initial operating point failed: {error}"))
-        failures.append((lane_index, error))
-        if first_error is None:
-            first_error = error
-    if on_error == "raise" and failures:
-        raise first_error
+    def diagnostics(self) -> BatchTranDiagnostics:
+        diag = self.diag
+        diag.steps_accepted = self.steps_accepted
+        diag.steps_rejected = self.steps_rejected
+        diag.dt_smallest = self.dt_smallest
+        diag.newton_iterations = sum(log.newton_iterations
+                                     for log in self.logs)
+        diag.lane_rejections = np.array(
+            [log.steps_rejected for log in self.logs], dtype=int)
+        diag.n_failed = len(self.failures)
+        return diag
 
-    X = np.zeros((B, N))
-    for k in np.nonzero(live_mask)[0]:
-        X[k] = dc.points[k].x
+    def integrate(self, on_error: str) -> BatchTranResult:
+        # Initial DC point per lane, stacked; a lane that fails every DC
+        # strategy never enters the grid (serial transient would have
+        # raised before its first step too).
+        dc = batch_operating_point(self.circuit, self.specs,
+                                   options=self.newton_options,
+                                   on_error="skip")
+        for lane, error in dc.failures:
+            self.diag.fallback_lanes.append(
+                (lane, f"initial operating point failed: {error}"))
+            self.failures.append((lane, error))
+        if on_error == "raise" and self.failures:
+            raise self.failures[0][1]
+        lanes = [k for k, point in enumerate(dc.points)
+                 if point.x is not None]
+        try:
+            if lanes:
+                self.run(np.array([dc.points[k].x for k in lanes]), lanes)
+        except ConvergenceError as aborted:
+            # A run-level budget (rejections, wall clock) ran out.
+            if on_error == "raise":
+                raise
+            self.failures.extend((lane, aborted) for lane in self.lanes)
+            self.lanes = []
 
-    live = np.nonzero(live_mask)[0].astype(np.intp)
-    q_prev = np.zeros((B, assembler.n_charge_terms))
-    i_prev = np.zeros_like(q_prev)
-    if live.size:
-        q_prev[live] = assembler.charge_vector_batch(X[live])
-
-    record_dense = [scopes is None or scopes[k] is None
-                    or not scopes[k].replace_dense for k in range(B)]
-    times = [0.0]
-    samples: dict[int, list] = {}
-    for k in live:
-        k = int(k)
-        if record_dense[k]:
-            samples[k] = [X[k].copy()]
-        scope = scopes[k] if scopes is not None else None
-        if scope is not None:
-            scope._bind(compiled.node_index, circuit.name, tspan)
-            scope._on_sample(0.0, X[k])
-    recorded_sources = [e for e in circuit.elements
-                        if isinstance(e, VoltageSource)]
-
-    breakpoints = _breakpoints(circuit, t_stop)
-    bp_cursor = 0
-    hist_t: list[float] = [0.0]
-    hist_X: list[np.ndarray] = [X.copy()]
-    chord = (_SparseChordState()
-             if use_sparse and newton_options.lu_reuse else None)
-    aborted: ConvergenceError | None = None
-
-    def _reject(cause: str, bad: np.ndarray, t: float, step: float,
-                err_norms=None) -> bool:
-        """Book one shared rejection attributed to lanes ``bad``;
-        returns False when the run-level rejection budget is gone."""
-        nonlocal aborted
-        diag.steps_rejected += 1
-        diag.lane_rejections[bad] += 1
-        tspan.inc("batch_transient_lane_rejections", int(bad.size))
-        tspan.event("batch-step-rejected", t=t, dt=step, cause=cause,
-                    lanes=[int(l) for l in bad],
-                    **({} if err_norms is None else
-                       {"err_norm": float(np.max(err_norms))}))
-        for lane in bad:
-            lane_logs[int(lane)].record_rejection(t, cause)
-        if (options.max_rejections is not None
-                and diag.steps_rejected > options.max_rejections):
-            aborted = ConvergenceError(
-                f"batched transient exhausted its rejection budget of "
-                f"{options.max_rejections} at t={t:.3e}s in "
-                f"{circuit.name} ({diag.describe()})",
-                diagnostics=diag, stage="rejection-budget")
-            return False
-        return True
-
-    t = 0.0
-    while live_mask.any() and t < t_stop * (1.0 - 1e-12):
-        if deadline is not None and _time.perf_counter() >= deadline:
-            aborted = ConvergenceError(
-                f"batched transient exceeded its wall-clock budget of "
-                f"{options.max_wall_time:.3g}s at t={t:.3e}s "
-                f"({t / t_stop:.0%} of t_stop) in {circuit.name} "
-                f"({diag.describe()})",
-                diagnostics=diag, stage="wall-clock")
-            break
-        while (bp_cursor < len(breakpoints)
-               and breakpoints[bp_cursor] <= t * (1 + 1e-12)):
-            bp_cursor += 1
-        t_limit = (breakpoints[bp_cursor] if bp_cursor < len(breakpoints)
-                   else t_stop)
-        t_limit = min(t_limit, t_stop)
-        step = min(dt, t_limit - t)
-        if step <= 0.0:
-            bp_cursor += 1
-            continue
-
-        accepted = False
-        err_norms = None
-        pred_order = 0
-        while not accepted:
-            live = np.nonzero(live_mask)[0].astype(np.intp)
-            if live.size == 0:
-                break
-            t_new = t + step
-            if options.method == "trap":
-                c0 = 2.0 / step
-                RHS = -c0 * q_prev - i_prev
-            else:
-                c0 = 1.0 / step
-                RHS = -c0 * q_prev
-            if chord is not None:
-                # dt (hence c0) changed => the companion stamps changed
-                # => every cached per-lane factorization is stale.
-                chord.ensure_key(c0)
-
-            def dynamic_stamp(target, res, Xa, lane_idx,
-                              _c0=c0, _rhs=RHS):
-                assembler.stamp_charges_batch(
-                    target, res, Xa, _c0, _rhs[lane_idx],
-                    segment_slices=seg_slices)
-
-            # Shared-grid predictor: the LTE reference and Newton's
-            # warm start, exactly like the serial controller (the
-            # scalar Lagrange weights broadcast over the stacked
-            # history rows unchanged).
-            X_pred = None
-            pred_order = 0
-            if len(hist_t) >= 2:
-                k = min(order + 1, len(hist_t))
-                candidate = _predict(t_new, hist_t, hist_X, k)
-                if np.all(np.isfinite(candidate[live])):
-                    X_pred = candidate
-                    pred_order = k - 1
-            X_try = X.copy()
-            if X_pred is not None:
-                X_try[live] = X_pred[live]
-            outcome = _newton_rounds(assembler, X_try, live,
-                                     newton_options,
-                                     newton_options.gmin, [],
-                                     time=t_new, extra=dynamic_stamp,
-                                     chord=chord)
-            ok = (outcome.converged[live]
-                  & np.all(np.isfinite(X_try[live]), axis=1))
-            solved_iters = np.where(ok, outcome.iterations[live], 0)
-            lane_newton_iters[live] += solved_iters
-            diag.newton_iterations += int(solved_iters.sum())
-            if not ok.all():
-                if deadline is not None and \
-                        _time.perf_counter() >= deadline:
-                    # Budget-killed stacked solves surface as the
-                    # wall-clock abort, not a dt-min grind.
-                    aborted = ConvergenceError(
-                        f"batched transient exceeded its wall-clock "
-                        f"budget of {options.max_wall_time:.3g}s at "
-                        f"t={t:.3e}s in {circuit.name} "
-                        f"({diag.describe()})",
-                        diagnostics=diag, stage="wall-clock")
-                    break
-                failed = live[~ok]
-                if not _reject("newton", failed, t, step):
-                    break
-                at_floor = step / 4.0 < dt_min
-                for lane in failed:
-                    lane = int(lane)
-                    why = outcome.reasons.get(
-                        lane, "Newton failed on the shared grid")
-                    if at_floor:
-                        _kick_out(lane,
-                                  f"Newton failed with the shared step "
-                                  f"floored at dt_min={dt_min:.1e} "
-                                  f"(t={t:.3e}s): {why}")
-                    elif diag.lane_rejections[lane] > budget:
-                        _kick_out(lane,
-                                  f"lane exceeded its rejection budget "
-                                  f"of {budget} on the shared grid "
-                                  f"(t={t:.3e}s, Newton: {why})")
-                if any(live_mask[lane] for lane in failed):
-                    step /= 4.0
-                continue
-
-            err_norms = None
-            if X_pred is not None:
-                err_norms = _lte_norms_batch(
-                    t_new, X_try[live], X_pred[live], hist_t,
-                    hist_X[-1][live], n_nodes, pred_order, options)
-                # Reduced-order estimates steer but never reject, as
-                # in the serial controller.
-                if pred_order == order:
-                    rejecting = err_norms > 1.0
-                    if rejecting.any():
-                        if step <= dt_min * (1.0 + 1e-9):
-                            tspan.event(
-                                "lte-floor", t=t, dt=step,
-                                err_norm=float(err_norms.max()))
-                        else:
-                            bad = live[rejecting]
-                            bad_errs = err_norms[rejecting]
-                            if not _reject("lte", bad, t, step,
-                                           bad_errs):
-                                break
-                            for lane, e_norm in zip(bad, bad_errs):
-                                lane = int(lane)
-                                if diag.lane_rejections[lane] > budget:
-                                    _kick_out(
-                                        lane,
-                                        f"lane kept rejecting the "
-                                        f"shared grid (budget {budget} "
-                                        f"exceeded at t={t:.3e}s, last "
-                                        f"LTE norm {float(e_norm):.3g})")
-                            survivors = [live_mask[int(lane)]
-                                         for lane in bad]
-                            if any(survivors):
-                                # Min-rule: the worst surviving lane's
-                                # ask shrinks the shared step.
-                                worst = float(np.max(
-                                    bad_errs[np.asarray(survivors)]))
-                                factor = max(
-                                    _LTE_MIN_SHRINK,
-                                    min(0.9, _lte_factor(worst,
-                                                         pred_order)))
-                                step = max(dt_min, step * factor)
-                            continue
-            accepted = True
-
-        if aborted is not None:
-            break
-        if not accepted:
-            continue
-
-        # Commit the shared step.
-        q_new = assembler.charge_vector_batch(X_try[live])
-        q_prev[live] = q_new
-        i_prev[live] = c0 * q_new + RHS[live]
-        X[live] = X_try[live]
-        t = t_new
-        diag.steps_accepted += 1
-        diag.dt_smallest = min(diag.dt_smallest, step)
-        tspan.inc("batch_transient_steps")
-        times.append(t)
-        for k in live:
-            k = int(k)
-            lane_logs[k].steps_accepted += 1
-            lane_logs[k].dt_smallest = min(lane_logs[k].dt_smallest,
-                                           step)
-            if record_dense[k]:
-                samples[k].append(X[k].copy())
-            scope = scopes[k] if scopes is not None else None
-            if scope is not None:
-                scope._on_sample(t, X[k])
-
-        landed_on_breakpoint = (
-            bp_cursor < len(breakpoints)
-            and t >= breakpoints[bp_cursor] * (1 - 1e-12))
-        if landed_on_breakpoint:
-            hist_t = []
-            hist_X = []
-            gap = (breakpoints[bp_cursor + 1]
-                   if bp_cursor + 1 < len(breakpoints)
-                   else t_stop) - t
-            dt = max(dt_min,
-                     min(step, gap * _BREAKPOINT_RESTART_FRACTION))
-        else:
-            hist_t.append(t)
-            hist_X.append(X.copy())
-            if len(hist_t) > order + 1:
-                del hist_t[0], hist_X[0]
-            if err_norms is None:
-                factor = 1.0
-            else:
-                # Min-rule growth: the most conservative lane (largest
-                # error norm) sets the shared next step.
-                factor = min(_LTE_MAX_GROWTH,
-                             max(0.3, _lte_factor(float(err_norms.max()),
-                                                  pred_order)))
-            dt = min(dt_max, max(dt_min, step * factor))
-
-    if aborted is not None:
-        if on_error == "raise":
-            raise aborted
-        for k in np.nonzero(live_mask)[0]:
-            failures.append((int(k), aborted))
-            live_mask[k] = False
-
-    # Package the lockstep survivors onto the shared time axis.
-    lockstep = np.nonzero(live_mask)[0]
-    time_axis = np.asarray(times)
-    for k in lockstep:
-        k = int(k)
-        scope = scopes[k] if scopes is not None else None
-        if scope is not None:
-            scope._finish()
-        lane_logs[k].newton_iterations = int(lane_newton_iters[k])
-        if record_dense[k]:
-            lane_samples = samples[k]
-            store = np.empty((N, len(lane_samples)))
-            for j, vec in enumerate(lane_samples):
-                store[:, j] = vec
-                lane_samples[j] = None
-            voltages = {name: store[idx]
-                        for name, idx in compiled.node_index.items()}
-            branch = ({e.name: store[compiled.aux_index[e.name][0]]
-                       for e in recorded_sources}
-                      if options.record_currents else {})
-        else:
-            voltages = {}
-            branch = {}
-        results[k] = TranResult(time=time_axis, voltages=voltages,
-                                branch_currents=branch,
-                                telemetry=lane_logs[k])
-
-    fallback_serial_steps = sum(
-        results[k].telemetry.steps_accepted
-        for k, _reason in diag.fallback_lanes
-        if results[k] is not None and results[k].telemetry is not None)
-    lane_samples_total = sum(len(r.time) - 1
-                             for r in results if r is not None)
-    diag.n_failed = len(failures)
-    diag.wall_time = _time.perf_counter() - start
-    tspan.annotate(steps_accepted=diag.steps_accepted,
-                   steps_rejected=diag.steps_rejected,
-                   lanes_lockstep=int(lockstep.size),
-                   lane_rejections=int(diag.lane_rejections.sum()),
-                   n_fallback=len(diag.fallback_lanes),
-                   n_failed=diag.n_failed,
-                   fallback_serial_steps=int(fallback_serial_steps),
-                   lane_samples=int(lane_samples_total))
-    if failures and on_error == "raise":
-        raise first_error
-    return BatchTranResult(results=results, failures=failures,
-                           diagnostics=diag)
+        diag = self.diagnostics()
+        diag.wall_time = _time.perf_counter() - self.start
+        fallback_serial_steps = sum(
+            self.results[k].telemetry.steps_accepted
+            for k, _reason in diag.fallback_lanes
+            if self.results[k] is not None)
+        self.tspan.annotate(
+            steps_accepted=diag.steps_accepted,
+            steps_rejected=diag.steps_rejected,
+            lanes_lockstep=len(self.lanes),
+            lane_rejections=int(diag.lane_rejections.sum()),
+            n_fallback=len(diag.fallback_lanes),
+            n_failed=diag.n_failed,
+            fallback_serial_steps=int(fallback_serial_steps),
+            lane_samples=sum(len(r.time) - 1
+                             for r in self.results if r is not None))
+        if self.failures and on_error == "raise":
+            raise self.failures[0][1]
+        return BatchTranResult(results=self.results,
+                               failures=self.failures, diagnostics=diag)
 
 
 @dataclass(frozen=True)

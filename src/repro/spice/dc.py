@@ -25,11 +25,8 @@ from .elements import CurrentSource, VoltageSource
 from .netlist import Circuit, CompiledCircuit
 from .results import OpResult, SweepResult
 from .strategies import (NewtonOptions, SolveStrategy, SolverDiagnostics,
-                         newton_solve, run_ladder)
+                         run_ladder)
 from .waveforms import dc_wave
-
-# Backwards-compatible aliases (the kernel moved to ``strategies``).
-_newton = newton_solve
 
 
 def _solve_with_homotopy(circuit: Circuit, compiled: CompiledCircuit,

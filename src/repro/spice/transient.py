@@ -9,23 +9,23 @@ new time point stamps the companion current
 
 Waveform breakpoints (pulse edges etc.) are always landed on exactly.
 
-Two step controllers are available (``TransientOptions.step_control``):
+Step sizes come from a local-truncation-error controller: each
+converged candidate solution is compared against a polynomial
+predictor extrapolated through the last accepted points; the
+difference, scaled by the standard per-method error constant
+(``dt^3 x'''/12`` for trap, ``dt^2 x''/2`` for backward Euler),
+estimates the LTE, and the step size is driven toward the
+``reltol``/``abstol`` target.  Steps whose estimated error exceeds the
+target are rejected and retried smaller -- telemetry distinguishes
+these *LTE rejections* from *Newton rejections*.  A fixed grid is
+``dt_initial == dt_min == dt_max``.
 
-* ``"lte"`` (default) -- a local-truncation-error controller: each
-  accepted candidate solution is compared against a polynomial
-  predictor extrapolated through the last accepted points; the
-  difference, scaled by the standard per-method error constant
-  (``dt^3 x'''/12`` for trap, ``dt^2 x''/2`` for backward Euler),
-  estimates the LTE, and the step size is driven toward the
-  ``reltol``/``abstol`` target.  Steps whose estimated error exceeds
-  the target are rejected and retried smaller -- telemetry
-  distinguishes these *LTE rejections* from *Newton rejections*.
-* ``"legacy"`` -- the original grow-on-easy-steps heuristic, kept
-  bit-compatible (it also pins the Newton kernel to the
-  always-refactorize linear solver) for reproducing old waveforms.
-
-The per-step Newton solves share one Jacobian LU factorization through
-a :class:`~repro.spice.strategies.LuReuseState` held across accepted
+The controller is written once, in :class:`_Stepper`, over an ``(A,
+N)`` lane state: :func:`transient` runs one lane through the scalar
+Newton kernel, :func:`~repro.spice.batch.batch_transient` every
+lockstep lane through the stacked one.  The serial per-step Newton
+solves share one Jacobian LU factorization through a
+:class:`~repro.spice.strategies.LuReuseState` held across accepted
 steps and invalidated on every dt change; see
 :class:`~repro.spice.strategies.NewtonOptions.lu_reuse`.
 """
@@ -45,11 +45,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard only
 
 from .. import telemetry
 from ..errors import AnalysisError, ConvergenceError, NetlistError
-from .dc import NewtonOptions, _newton, operating_point
+from .dc import NewtonOptions, operating_point
 from .elements import CurrentSource, Stamper, VoltageSource
 from .netlist import Circuit
 from .results import OpResult, TranResult
-from .strategies import LuReuseState
+from .strategies import LuReuseState, newton_solve
 
 
 @dataclass(frozen=True)
@@ -60,6 +60,7 @@ class TransientOptions:
         dt_initial: First step size [s]; default t_stop / 1000.
         dt_min: Smallest allowed step [s]; default t_stop * 1e-9.
         dt_max: Largest allowed step [s]; default t_stop / 50.
+            Each step size must be None or finite and positive.
         method: 'trap' (default) or 'be'.
         newton: Nonlinear-solver options per step.
         record_currents: Also record branch currents of voltage sources.
@@ -68,10 +69,6 @@ class TransientOptions:
             alike.  A circuit that keeps rejecting steps is diagnosed
             early with its telemetry instead of grinding the step size
             down to ``dt_min``.
-        step_control: ``"lte"`` (default) for the truncation-error
-            controller, ``"legacy"`` for the pre-LTE grow-only
-            heuristic (bit-compatible: also disables LU reuse in the
-            per-step Newton solves).
         reltol: Relative waveform-error target per step (LTE control).
         abstol: Absolute waveform-error floor per step [V].
         trtol: Truncation-error overestimation divisor (SPICE's TRTOL).
@@ -81,8 +78,7 @@ class TransientOptions:
             operating point included).  When exceeded, the run aborts
             with :class:`~repro.errors.ConvergenceError` carrying the
             :class:`TransientTelemetry` gathered so far (stage
-            ``"wall-clock"``); None (default) means unlimited and
-            leaves the step loop's instruction sequence untouched.
+            ``"wall-clock"``); None (default) means unlimited.
     """
 
     dt_initial: float | None = None
@@ -92,7 +88,6 @@ class TransientOptions:
     newton: NewtonOptions = NewtonOptions(max_iterations=60)
     record_currents: bool = False
     max_rejections: int | None = None
-    step_control: str = "lte"
     reltol: float = 1.0e-3
     abstol: float = 1.0e-6
     trtol: float = 7.0
@@ -108,7 +103,9 @@ class TransientTelemetry:
         steps_rejected: Attempts that shrank the step (all causes).
         newton_rejections: Rejections caused by a Newton failure.
         lte_rejections: Rejections caused by the LTE controller.
-        newton_iterations: Total Newton iterations over accepted steps.
+        newton_iterations: Total Newton iterations of every converged
+            per-step solve, the ones the LTE controller then rejected
+            included.
         rejection_times: Simulation times [s] at which rejections
             happened (capped at 64 entries; earliest kept).
         dt_smallest: Smallest step size actually committed [s].
@@ -219,12 +216,13 @@ def _predict(t_new: float, hist_t: list[float],
     return pred
 
 
-def _lte_norm(t_new: float, x_new: np.ndarray, x_pred: np.ndarray,
-              hist_t: list[float], hist_x: list[np.ndarray],
-              n_nodes: int, order: int,
-              options: TransientOptions) -> float:
-    """Estimated LTE over the node voltages, normalised to the
-    ``reltol``/``abstol`` target (``<= 1`` accepts the step).
+def _lte_norm(t_new: float, X_new: np.ndarray, X_pred: np.ndarray,
+              hist_t: list[float], X_last: np.ndarray, n_nodes: int,
+              order: int, options: TransientOptions) -> np.ndarray:
+    """Estimated LTE over the node voltages of every lane row of
+    ``X_new`` (A, N), normalised to the ``reltol``/``abstol`` target
+    (``<= 1`` accepts the lane's step); ``X_last`` holds the last
+    accepted solutions.
 
     The predictor difference ``x_new - p(t_new)`` equals
     ``prod(t_new - t_i) * DD_{k}`` with ``DD_k`` the k-th divided
@@ -232,37 +230,6 @@ def _lte_norm(t_new: float, x_new: np.ndarray, x_pred: np.ndarray,
     truncation-error estimates ``dt^3 x'''/12`` (trap, ``x''' ~ 6 DD3``)
     and ``dt^2 x''/2`` (BE, ``x'' ~ 2 DD2``).
     """
-    if n_nodes == 0:
-        return 0.0
-    err = np.abs(x_new[:n_nodes] - x_pred[:n_nodes])
-    dt = t_new - hist_t[-1]
-    if order == 2:
-        w = (dt * (t_new - hist_t[-2]) * (t_new - hist_t[-3]))
-        lte = err * (dt ** 3) / (2.0 * w)
-    else:
-        w = dt * (t_new - hist_t[-2])
-        lte = err * (dt ** 2) / w
-    tol = options.abstol + options.reltol * np.maximum(
-        np.abs(x_new[:n_nodes]), np.abs(hist_x[-1][:n_nodes]))
-    return float(np.max(lte / (options.trtol * tol)))
-
-
-def _lte_factor(err_norm: float, order: int) -> float:
-    """Step-scale factor an error norm asks for (clamped by caller)."""
-    if err_norm <= 0.0:
-        return _LTE_MAX_GROWTH
-    return _LTE_SAFETY * err_norm ** (-1.0 / (order + 1))
-
-
-def _lte_norms_batch(t_new: float, X_new: np.ndarray,
-                     X_pred: np.ndarray, hist_t: list[float],
-                     X_last: np.ndarray, n_nodes: int, order: int,
-                     options: TransientOptions) -> np.ndarray:
-    """Per-lane twin of :func:`_lte_norm` for the batched transient
-    engine: one normalised error norm per lane row of ``X_new`` (A, N),
-    against the shared-grid history times ``hist_t`` and the last
-    accepted solutions ``X_last`` (A, N).  Row ``k`` equals a serial
-    ``_lte_norm`` call on lane ``k``'s vectors."""
     if n_nodes == 0:
         return np.zeros(X_new.shape[0])
     err = np.abs(X_new[:, :n_nodes] - X_pred[:, :n_nodes])
@@ -276,6 +243,450 @@ def _lte_norms_batch(t_new: float, X_new: np.ndarray,
     tol = options.abstol + options.reltol * np.maximum(
         np.abs(X_new[:, :n_nodes]), np.abs(X_last[:, :n_nodes]))
     return np.max(lte / (options.trtol * tol), axis=1)
+
+
+def _lte_factor(err_norm: float, order: int, low: float,
+                high: float) -> float:
+    """Step-scale factor an error norm asks for, clamped to
+    ``[low, high]``."""
+    if err_norm <= 0.0:
+        return high
+    return max(low, min(high, _LTE_SAFETY * err_norm ** (-1.0 / (order + 1))))
+
+
+def _check_options(t_stop: float, options: TransientOptions) -> None:
+    """Reject a run the step loop could never finish."""
+    if t_stop <= 0.0:
+        raise NetlistError(f"t_stop must be positive, got {t_stop}")
+    if options.method not in ("trap", "be"):
+        raise NetlistError(f"unknown method {options.method!r}")
+    for name in ("dt_initial", "dt_min", "dt_max"):
+        value = getattr(options, name)
+        if value is not None and not (math.isfinite(value) and value > 0.0):
+            raise NetlistError(
+                f"{name} must be None or a finite step > 0 s, "
+                f"got {value!r}")
+
+
+class _Stepper:
+    """The transient step controller, over an ``(A, N)`` lane state.
+
+    Row ``r`` of every per-lane array belongs to lane ``self.lanes[r]``;
+    a lane that leaves the grid drops its row.  The loop owns breakpoint
+    landing, the predictor (the LTE reference and Newton's start), the
+    min-rule verdict -- any lane over tolerance rejects the step for
+    all, and the most conservative lane sets the next step -- the
+    restart after a waveform corner, the rejection and wall-clock
+    budgets, per-lane :class:`TransientTelemetry`, dense and scope
+    recording, and :class:`TranResult` packaging.
+
+    An entry point subclasses it with the telemetry names below -- the
+    counter bumped per accepted step, the counter advanced per rejection
+    by the number of lanes blamed, an optional per-cause rejection
+    counter pattern, and the rejection event -- and four methods:
+
+    * ``solve(X, t_new, c0, rhs) -> (X_new, iterations, failed)``: one
+      Newton attempt for every lane row, started from ``X`` (A, N) with
+      companion coefficient ``c0`` and per-lane charge history ``rhs``;
+      ``failed`` maps each failed row to its reason;
+    * ``charges(X)``: the dynamic charges of every lane row, (A, Nq);
+    * ``leave(lane, reason, t)``: the fate of a lane that leaves the
+      grid at ``t``;
+    * ``diagnostics()``: the record the run's errors carry.
+    """
+
+    LABEL = "transient"
+    ACCEPTED = "transient_steps_accepted"
+    REJECTED = "transient_steps_rejected"
+    REJECTED_BY_CAUSE: str | None = "transient_{}_rejections"
+    REJECTED_EVENT = "step-rejected"
+
+    def __init__(self, circuit: Circuit, t_stop: float,
+                 options: TransientOptions, tspan, scopes: list,
+                 lane_budget: int | None = None) -> None:
+        self.start = _time.perf_counter()
+        self.circuit = circuit
+        self.compiled = circuit.compile()
+        self.t_stop = t_stop
+        self.options = options
+        self.tspan = tspan
+        self.scopes = scopes
+        self.lane_budget = lane_budget
+        # One absolute deadline covers the whole run, compile and
+        # initial operating point included; it is also threaded into the
+        # per-step Newton solves so a single stuck solve cannot outlive
+        # the budget.
+        self.deadline = (None if options.max_wall_time is None
+                         else self.start + options.max_wall_time)
+        newton = options.newton
+        if self.deadline is not None:
+            newton = replace(newton, deadline=self.deadline)
+        # The waveform accuracy contract is (reltol, abstol); resolving
+        # each nonlinear solve tighter than the absolute waveform
+        # tolerance is wasted iterations, so the Newton update tolerance
+        # is raised to ``abstol`` (a tighter user-set ``vntol`` is
+        # honoured by lowering ``abstol``).
+        self.newton_options = replace(
+            newton, vntol=max(newton.vntol, options.abstol))
+        self.dt_min = options.dt_min or t_stop * 1e-9
+        self.logs = [TransientTelemetry() for _ in scopes]
+        self.results: list[TranResult | None] = [None] * len(scopes)
+        self.lanes: list[int] = []
+        self.steps_accepted = 0
+        self.steps_rejected = 0
+        self.dt_smallest = float("inf")
+
+    def _error(self, stage: str, what: str) -> ConvergenceError:
+        report = self.diagnostics()
+        return ConvergenceError(
+            f"{self.LABEL} {what} in {self.circuit.name} "
+            f"({report.describe()})", diagnostics=report, stage=stage)
+
+    def _check_deadline(self, t: float) -> None:
+        if self.deadline is not None and \
+                _time.perf_counter() >= self.deadline:
+            raise self._error(
+                "wall-clock",
+                f"exceeded its wall-clock budget of "
+                f"{self.options.max_wall_time:.3g}s at t={t:.3e}s "
+                f"({t / self.t_stop:.0%} of t_stop)")
+
+    def _reject(self, cause: str, rows, t: float, step: float,
+                err_norms=None) -> list[int]:
+        """Book one shared rejection blamed on lane ``rows``; returns
+        the rows over their per-lane rejection budget."""
+        self.steps_rejected += 1
+        blamed = [self.lanes[r] for r in rows]
+        for lane in blamed:
+            self.logs[lane].record_rejection(t, cause)
+        tspan = self.tspan
+        tspan.inc(self.REJECTED, len(blamed))
+        if self.REJECTED_BY_CAUSE is not None:
+            tspan.inc(self.REJECTED_BY_CAUSE.format(cause))
+        tspan.event(self.REJECTED_EVENT, t=t, dt=step, cause=cause,
+                    lanes=blamed,
+                    **({} if err_norms is None else
+                       {"err_norm": float(np.max(err_norms))}))
+        limit = self.options.max_rejections
+        if limit is not None and self.steps_rejected > limit:
+            raise self._error(
+                "rejection-budget",
+                f"exhausted its rejection budget of {limit} at "
+                f"t={t:.3e}s")
+        budget = self.lane_budget
+        return [r for r, lane in zip(rows, blamed) if budget is not None
+                and self.logs[lane].steps_rejected > budget]
+
+    def run(self, X: np.ndarray, lanes: list[int]) -> list:
+        """Integrate lane rows ``X`` (A, N) from their t = 0 operating
+        points to ``t_stop``; fills :attr:`results` for every lane still
+        on the grid at the end."""
+        options = self.options
+        t_stop = self.t_stop
+        tspan = self.tspan
+        logs = self.logs
+        scopes = self.scopes
+        n_nodes = len(self.compiled.node_index)
+        order = 2 if options.method == "trap" else 1
+        dt_min = self.dt_min
+        dt_max = options.dt_max or t_stop / 50.0
+        dt = min(options.dt_initial or t_stop / 1000.0, dt_max)
+        self.lanes = lanes
+
+        # Initial charge state; capacitor currents are zero at DC.
+        Q = self.charges(X)
+        I = np.zeros_like(Q)
+
+        # Dense recording keeps the full MNA vector of every accepted
+        # step and transposes into per-node waveforms once at the end.
+        # A lane whose scope session has replace_dense skips it: the
+        # session's bounded windows are then its only waveform storage
+        # (the scalar time axis is always kept).
+        times = [0.0]
+        samples: dict[int, list] = {}
+        for r, lane in enumerate(lanes):
+            scope = scopes[lane]
+            if scope is None or not scope.replace_dense:
+                samples[lane] = [X[r].copy()]
+            if scope is not None:
+                scope._bind(self.compiled.node_index, self.circuit.name,
+                            tspan)
+                scope._on_sample(0.0, X[r])
+
+        breakpoints = _breakpoints(self.circuit, t_stop)
+        bp_cursor = 0
+        # Predictor history for the LTE estimator: the last (order + 1)
+        # accepted points.  Truncated whenever a breakpoint is crossed
+        # -- the input waveform has a derivative corner there and a
+        # polynomial must not extrapolate across it.
+        hist_t: list[float] = [0.0]
+        hist_X: list[np.ndarray] = [X]
+
+        t = 0.0
+        # Relative tolerance above float epsilon: accumulated rounding
+        # in ``t`` must not leave a ~1e-16*t_stop residue to be
+        # "stepped" over (it would pollute the smallest committed step).
+        while self.lanes and t < t_stop * (1.0 - 1e-12):
+            self._check_deadline(t)
+            # Snap the step onto the next breakpoint or the stop time.
+            while (bp_cursor < len(breakpoints)
+                   and breakpoints[bp_cursor] <= t * (1 + 1e-12)):
+                bp_cursor += 1
+            t_limit = min(breakpoints[bp_cursor]
+                          if bp_cursor < len(breakpoints) else t_stop,
+                          t_stop)
+            step = min(dt, t_limit - t)
+
+            while self.lanes:
+                t_new = t + step
+                c0 = order / step  # trap: 2 / dt, BE: 1 / dt
+                RHS = -c0 * Q - I if order == 2 else -c0 * Q
+                # Polynomial predictor through the accepted history:
+                # the LTE reference AND -- being the best available
+                # forecast of the solution -- Newton's starting point.
+                # While the history is still rebuilding after a
+                # waveform corner, a shorter (lower-order) predictor is
+                # used: its divided-difference LTE estimate is
+                # conservative for the trap step, which beats taking
+                # the step blind.
+                X_pred = None
+                pred_order = 0
+                if len(hist_t) >= 2:
+                    k = min(order + 1, len(hist_t))
+                    candidate = _predict(t_new, hist_t, hist_X, k)
+                    if np.all(np.isfinite(candidate)):
+                        X_pred = candidate
+                        pred_order = k - 1
+                X_new, iterations, failed = self.solve(
+                    X if X_pred is None else X_pred, t_new, c0, RHS)
+                for r, lane in enumerate(self.lanes):
+                    if r not in failed:
+                        logs[lane].newton_iterations += int(iterations[r])
+
+                rows: list[int] = []  # lanes blamed for a rejection
+                leaving: dict[int, str] = {}
+                worst = None  # the largest lane LTE norm, once estimated
+                if failed:
+                    # A budget-killed Newton solve surfaces as the
+                    # wall-clock abort, not a dt-min grind.
+                    self._check_deadline(t)
+                    rows = sorted(failed)
+                    over = self._reject("newton", rows, t, step)
+                    at_floor = step / 4.0 < dt_min
+                    for r in rows:
+                        if at_floor:
+                            leaving[r] = (
+                                f"Newton failed with the shared step "
+                                f"floored at dt_min={dt_min:.1e} "
+                                f"(t={t:.3e}s): {failed[r]}")
+                        elif r in over:
+                            leaving[r] = (
+                                f"lane exceeded its rejection budget of "
+                                f"{self.lane_budget} on the shared grid "
+                                f"(t={t:.3e}s, Newton: {failed[r]})")
+                    if len(leaving) < len(rows):
+                        step /= 4.0
+                elif X_pred is not None:
+                    err = _lte_norm(t_new, X_new, X_pred, hist_t,
+                                    hist_X[-1], n_nodes, pred_order,
+                                    options)
+                    worst = float(err.max())
+                    # A reduced-order estimate (history still
+                    # rebuilding after a corner; trap stepping but only
+                    # a linear predictor) systematically *overstates*
+                    # the trap error, so it steers the next step size
+                    # but must not reject -- post-corner steps are
+                    # restarted small, and full-order control resumes
+                    # one step later.
+                    if worst > 1.0 and pred_order == order:
+                        if step <= dt_min * (1.0 + 1e-9):
+                            # The floor wins: accept rather than stall
+                            # -- but leave a forensic marker.
+                            tspan.event("lte-floor", t=t, dt=step,
+                                        err_norm=worst)
+                        else:
+                            rows = np.nonzero(err > 1.0)[0].tolist()
+                    if rows:
+                        for r in self._reject("lte", rows, t, step,
+                                              err[rows]):
+                            leaving[r] = (
+                                f"lane kept rejecting the shared grid "
+                                f"(budget {self.lane_budget} exceeded at "
+                                f"t={t:.3e}s, last LTE norm "
+                                f"{float(err[r]):.3g})")
+                        survivors = [r for r in rows if r not in leaving]
+                        if survivors:
+                            # Min-rule: the worst surviving lane's ask
+                            # shrinks the shared step.
+                            step = max(dt_min, step * _lte_factor(
+                                float(err[survivors].max()), pred_order,
+                                _LTE_MIN_SHRINK, 0.9))
+                if not rows:
+                    break
+                if leaving:
+                    for r, reason in leaving.items():
+                        self.leave(self.lanes[r], reason, t)
+                    keep = np.ones(len(self.lanes), dtype=bool)
+                    keep[list(leaving)] = False
+                    self.lanes = [lane for lane, kept
+                                  in zip(self.lanes, keep) if kept]
+                    X, Q, I = X[keep], Q[keep], I[keep]
+                    hist_X = [h[keep] for h in hist_X]
+            if not self.lanes:
+                break
+
+            # Commit the step: update charge state.
+            Q = self.charges(X_new)
+            I = c0 * Q + RHS
+            X = X_new
+            t = t_new
+            self.steps_accepted += 1
+            self.dt_smallest = min(self.dt_smallest, step)
+            tspan.inc(self.ACCEPTED)
+            times.append(t)
+            for r, lane in enumerate(self.lanes):
+                log = logs[lane]
+                log.steps_accepted += 1
+                log.dt_smallest = min(log.dt_smallest, step)
+                if lane in samples:
+                    samples[lane].append(X[r].copy())
+                if scopes[lane] is not None:
+                    scopes[lane]._on_sample(t, X[r])
+
+            if (bp_cursor < len(breakpoints)
+                    and t >= breakpoints[bp_cursor] * (1 - 1e-12)):
+                # Waveform corner: restart the predictor history so no
+                # polynomial spans the derivative discontinuity.  The
+                # landing sample itself is excluded too -- it holds the
+                # *pre-edge* source values, which would poison the
+                # extrapolation of every driven node.  The first step
+                # past the corner runs without an LTE check, so it is
+                # restarted small relative to the upcoming breakpoint
+                # interval; the controller grows it back once the
+                # estimator is online.
+                hist_t = []
+                hist_X = []
+                gap = (breakpoints[bp_cursor + 1]
+                       if bp_cursor + 1 < len(breakpoints)
+                       else t_stop) - t
+                dt = max(dt_min,
+                         min(step, gap * _BREAKPOINT_RESTART_FRACTION))
+            else:
+                hist_t.append(t)
+                hist_X.append(X)
+                if len(hist_t) > order + 1:
+                    del hist_t[0], hist_X[0]
+                if worst is None:
+                    # No estimate yet (history still rebuilding after
+                    # t=0 or a waveform corner): hold dt -- blind
+                    # growth here is what causes spurious rejections
+                    # once the estimator comes back online.
+                    factor = 1.0
+                else:
+                    # Min-rule growth: the most conservative lane
+                    # (largest error norm) sets the shared next step.
+                    factor = _lte_factor(worst, pred_order, 0.3,
+                                         _LTE_MAX_GROWTH)
+                dt = min(dt_max, max(dt_min, step * factor))
+
+        time_axis = np.asarray(times)
+        for lane in self.lanes:
+            if scopes[lane] is not None:
+                scopes[lane]._finish()
+            self.results[lane] = self._package(
+                time_axis, samples.get(lane), logs[lane])
+        return self.results
+
+    def _package(self, time_axis: np.ndarray, lane_samples: list | None,
+                 log: TransientTelemetry) -> TranResult:
+        if lane_samples is None:
+            return TranResult(time=time_axis, voltages={},
+                              branch_currents={}, telemetry=log)
+        # Transpose the step vectors into ONE (unknowns, steps) store
+        # and hand out contiguous row views.  Each step vector is
+        # released the moment it is copied, so peak waveform memory is
+        # ~2x the final footprint.
+        compiled = self.compiled
+        store = np.empty((lane_samples[0].size, len(lane_samples)))
+        for k in range(len(lane_samples)):
+            store[:, k] = lane_samples[k]
+            lane_samples[k] = None
+        # Only voltage-defined elements own an MNA branch current; with
+        # record_currents set, exactly the independent VoltageSource
+        # branches are recorded (CurrentSource currents are their
+        # waveform values and carry no branch unknown).
+        branch = ({e.name: store[compiled.aux_index[e.name][0]]
+                   for e in self.circuit.elements
+                   if isinstance(e, VoltageSource)}
+                  if self.options.record_currents else {})
+        return TranResult(
+            time=time_axis,
+            voltages={name: store[idx]
+                      for name, idx in compiled.node_index.items()},
+            branch_currents=branch, telemetry=log)
+
+
+class _SerialStepper(_Stepper):
+    """One lane through the scalar Newton kernel: one factorization is
+    carried across iterations *and* accepted steps in a
+    :class:`LuReuseState` keyed on the companion coefficient, so any dt
+    change refactorizes; a lane leaving the grid is the run's
+    ``dt-min`` error."""
+
+    def __init__(self, circuit: Circuit, t_stop: float,
+                 options: TransientOptions, tspan, scope) -> None:
+        super().__init__(circuit, t_stop, options, tspan, [scope])
+        self.assembler = self.compiled.prepare()
+        # The vectorized charge system is used whenever no foreign
+        # element subclass overrides charge_terms (then: per-element
+        # fallback).
+        self.vectorized = self.assembler.charges_vectorized
+        # Unused by the kernel when NewtonOptions.lu_reuse is off.
+        self.lu_state = LuReuseState()
+
+    def solve(self, X, t_new, c0, rhs):
+        rhs = rhs[0]
+        self.lu_state.ensure_key(c0)
+        if self.vectorized:
+            assembler = self.assembler
+
+            def dynamic_stamp(st: Stamper, xv: np.ndarray) -> None:
+                assembler.stamp_charges(st, xv, c0, rhs)
+        else:
+            compiled = self.compiled
+
+            def dynamic_stamp(st: Stamper, xv: np.ndarray) -> None:
+                for k, term in enumerate(compiled.charge_terms(xv)):
+                    i_k = c0 * term.q + rhs[k]
+                    st.add_f(term.pos, i_k)
+                    st.add_f(term.neg, -i_k)
+                    for col, dqdv in term.derivs:
+                        st.add_j(term.pos, col, c0 * dqdv)
+                        st.add_j(term.neg, col, -c0 * dqdv)
+
+        options = self.newton_options
+        try:
+            x_new, iterations = newton_solve(
+                self.compiled, X[0], t_new, options, options.gmin,
+                extra_stamp=dynamic_stamp, lu_state=self.lu_state)
+        except ConvergenceError as error:
+            return X, (0,), {0: str(error)}
+        # x_new is never mutated in place downstream (newton_solve
+        # copies its start vector), so the lane state holds it as is.
+        return x_new[None], (iterations,), {}
+
+    def charges(self, X):
+        if self.vectorized:
+            return self.assembler.charge_vector(X[0])[None]
+        return np.array([[term.q
+                          for term in self.compiled.charge_terms(X[0])]])
+
+    def leave(self, lane, reason, t):
+        raise self._error("dt-min", f"stalled at t={t:.3e}s with the "
+                                    f"step below dt_min={self.dt_min:.1e}")
+
+    def diagnostics(self):
+        return self.logs[0]
 
 
 def transient(circuit: Circuit, t_stop: float,
@@ -301,341 +712,26 @@ def transient(circuit: Circuit, t_stop: float,
     ``voltages`` dict, and the session's bounded windows are the only
     waveform storage of the run (O(window), not O(steps)).
     """
-    if t_stop <= 0.0:
-        raise NetlistError(f"t_stop must be positive, got {t_stop}")
     options = options or TransientOptions()
     if max_wall_time is not None:
         options = replace(options, max_wall_time=max_wall_time)
-    if options.method not in ("trap", "be"):
-        raise NetlistError(f"unknown method {options.method!r}")
-    if options.step_control not in ("lte", "legacy"):
-        raise NetlistError(
-            f"step_control must be 'lte' or 'legacy', "
-            f"got {options.step_control!r}")
+    _check_options(t_stop, options)
     with telemetry.span("transient", circuit=circuit.name,
-                        t_stop=t_stop, method=options.method,
-                        step_control=options.step_control) as tspan:
-        return _transient_run(circuit, t_stop, options, initial_op, tspan,
-                              scope)
-
-
-def _transient_run(circuit: Circuit, t_stop: float,
-                   options: TransientOptions,
-                   initial_op: OpResult | None, tspan,
-                   scope: "ScopeSession | None" = None) -> TranResult:
-    dt = options.dt_initial or t_stop / 1000.0
-    dt_min = options.dt_min or t_stop * 1e-9
-    dt_max = options.dt_max or t_stop / 50.0
-    dt = min(dt, dt_max)
-    legacy = options.step_control == "legacy"
-    newton_options = options.newton
-    deadline = None
-    if options.max_wall_time is not None:
-        # One absolute deadline covers the whole run; it is also
-        # threaded into the per-step Newton solves so a single stuck
-        # solve cannot outlive the budget.  When unset (the default)
-        # the options are untouched -- the legacy bit-compat contract.
-        deadline = _time.perf_counter() + options.max_wall_time
-        newton_options = replace(newton_options, deadline=deadline)
-    if legacy:
-        # Bit-compatibility mode: the pre-LTE heuristic must execute
-        # the historical instruction sequence exactly, so the chord /
-        # LU-reuse fast path is pinned off as well (including for the
-        # initial operating point feeding the waveform).
-        newton_options = replace(newton_options, lu_reuse=False)
-    else:
-        # Under LTE control the waveform accuracy contract is
-        # (reltol, abstol); resolving each nonlinear solve tighter than
-        # the absolute waveform tolerance is wasted iterations, so the
-        # Newton update tolerance is raised to ``abstol`` (a tighter
-        # user-set ``vntol`` is honoured by lowering ``abstol``).
-        newton_options = replace(
-            newton_options,
-            vntol=max(newton_options.vntol, options.abstol))
-    order = 2 if options.method == "trap" else 1
-
-    if initial_op is None:
-        initial_op = operating_point(circuit, newton_options)
-    if initial_op.x is None:
-        raise AnalysisError(
-            "initial_op carries no solution vector (x is None): it is a "
-            "NaN placeholder from a non-converged sweep point recorded "
-            "under on_error='skip'; filter those out (OpResult.converged) "
-            "before handing them to transient()")
-    compiled = circuit.compile()
-    assembler = compiled.prepare()
-    x = initial_op.x.copy()
-
-    # Initial charge state; capacitor currents are zero at DC.  The
-    # vectorized charge system is used whenever no foreign element
-    # subclass overrides charge_terms (then: per-element fallback).
-    vectorized = assembler.charges_vectorized
-    if vectorized:
-        q_prev = assembler.charge_vector(x)
-    else:
-        q_prev = np.array([term.q for term in compiled.charge_terms(x)])
-    i_prev = np.zeros(len(q_prev))
-
-    breakpoints = _breakpoints(circuit, t_stop)
-    bp_cursor = 0
-
-    # Dense recording keeps the full MNA vector of every accepted step
-    # and transposes into per-node waveforms once at the end -- a
-    # per-name python append loop per step is measurable against the
-    # solver hot path.  An attached scope session with replace_dense
-    # skips this entirely: the session's bounded windows are then the
-    # only waveform storage (the scalar time axis is always kept).
-    record_dense = scope is None or not scope.replace_dense
-    times = [0.0]
-    samples = [x.copy()] if record_dense else []
-    if scope is not None:
-        scope._bind(compiled.node_index, circuit.name, tspan)
-        scope._on_sample(0.0, x)
-    # Only voltage-defined elements own an MNA branch current; with
-    # record_currents set, exactly the independent VoltageSource
-    # branches are recorded (CurrentSource currents are their waveform
-    # values and carry no branch unknown).
-    recorded_sources = [e for e in circuit.elements
-                        if isinstance(e, VoltageSource)]
-
-    step_log = TransientTelemetry()
-    # One factorization is carried across iterations *and* accepted
-    # steps; keyed on the companion coefficient so any dt change
-    # refactorizes.
-    lu_state = LuReuseState() if newton_options.lu_reuse else None
-    n_nodes = len(compiled.node_index)
-    # Predictor history for the LTE estimator: the last (order + 1)
-    # accepted points.  Truncated whenever a breakpoint is crossed --
-    # the input waveform has a derivative corner there and a polynomial
-    # must not extrapolate across it.
-    hist_t: list[float] = [0.0]
-    hist_x: list[np.ndarray] = [x.copy()]
-
-    def reject(kind: str, t: float, step: float, err_norm=None) -> None:
-        step_log.record_rejection(t, kind)
-        tspan.inc("transient_steps_rejected")
-        tspan.inc(f"transient_{kind}_rejections")
-        tspan.event("step-rejected", t=t, dt=step, cause=kind,
-                    **({} if err_norm is None else
-                       {"err_norm": err_norm}))
-        if (options.max_rejections is not None
-                and step_log.steps_rejected > options.max_rejections):
-            raise ConvergenceError(
-                f"transient exhausted its rejection budget of "
-                f"{options.max_rejections} at t={t:.3e}s in "
-                f"{circuit.name} ({step_log.describe()})",
-                diagnostics=step_log, stage="rejection-budget")
-
-    t = 0.0
-    # Relative tolerance above float epsilon: accumulated rounding in
-    # ``t`` must not leave a ~1e-16*t_stop residue to be "stepped" over
-    # (it would pollute the telemetry's smallest committed step).
-    while t < t_stop * (1.0 - 1e-12):
-        if deadline is not None and _time.perf_counter() >= deadline:
-            raise ConvergenceError(
-                f"transient exceeded its wall-clock budget of "
-                f"{options.max_wall_time:.3g}s at t={t:.3e}s "
-                f"({t / t_stop:.0%} of t_stop) in {circuit.name} "
-                f"({step_log.describe()})",
-                diagnostics=step_log, stage="wall-clock")
-        # Snap the step onto the next breakpoint or the stop time.
-        while bp_cursor < len(breakpoints) and breakpoints[bp_cursor] <= t * (1 + 1e-12):
-            bp_cursor += 1
-        t_limit = breakpoints[bp_cursor] if bp_cursor < len(breakpoints) else t_stop
-        t_limit = min(t_limit, t_stop)
-        step = min(dt, t_limit - t)
-        if step <= 0.0:
-            bp_cursor += 1
-            continue
-
-        accepted = False
-        err_norm: float | None = None
-        while not accepted:
-            t_new = t + step
-            if options.method == "trap":
-                c0 = 2.0 / step
-                rhs = -c0 * q_prev - i_prev
-            else:
-                c0 = 1.0 / step
-                rhs = -c0 * q_prev
-
-            if vectorized:
-                def dynamic_stamp(st: Stamper, xv: np.ndarray) -> None:
-                    assembler.stamp_charges(st, xv, c0, rhs)
-            else:
-                def dynamic_stamp(st: Stamper, xv: np.ndarray) -> None:
-                    for k, term in enumerate(compiled.charge_terms(xv)):
-                        i_k = c0 * term.q + rhs[k]
-                        st.add_f(term.pos, i_k)
-                        st.add_f(term.neg, -i_k)
-                        for col, dqdv in term.derivs:
-                            st.add_j(term.pos, col, c0 * dqdv)
-                            st.add_j(term.neg, col, -c0 * dqdv)
-
-            if lu_state is not None:
-                # dt (hence c0) changed => the dynamic stamps changed
-                # => any held factorization is stale.
-                lu_state.ensure_key(c0)
-            # Polynomial predictor through the accepted history: the
-            # LTE reference AND -- being the best available forecast of
-            # the solution -- Newton's starting point (a stale x_prev
-            # start costs several extra iterations per large step).
-            # While the history is still rebuilding after a waveform
-            # corner, a shorter (lower-order) predictor is used: its
-            # divided-difference LTE estimate is conservative for the
-            # trap step, which beats taking the step blind.
-            x_pred = None
-            pred_order = 0
-            if not legacy and len(hist_t) >= 2:
-                k = min(order + 1, len(hist_t))
-                candidate = _predict(t_new, hist_t, hist_x, k)
-                if np.all(np.isfinite(candidate)):
-                    x_pred = candidate
-                    pred_order = k - 1
-            try:
-                x_new, iters = _newton(compiled,
-                                       x if x_pred is None else x_pred,
-                                       t_new, newton_options,
-                                       newton_options.gmin,
-                                       extra_stamp=dynamic_stamp,
-                                       lu_state=lu_state)
-                step_log.newton_iterations += iters
-            except ConvergenceError:
-                if deadline is not None and \
-                        _time.perf_counter() >= deadline:
-                    # A budget-killed Newton solve must surface as the
-                    # wall-clock abort, not grind dt to the dt-min
-                    # stall diagnosis.
-                    raise ConvergenceError(
-                        f"transient exceeded its wall-clock budget of "
-                        f"{options.max_wall_time:.3g}s at t={t:.3e}s "
-                        f"in {circuit.name} ({step_log.describe()})",
-                        diagnostics=step_log, stage="wall-clock")
-                reject("newton", t, step)
-                step /= 4.0
-                if step < dt_min:
-                    raise ConvergenceError(
-                        f"transient stalled at t={t:.3e}s in "
-                        f"{circuit.name} (dt below {dt_min:.1e}; "
-                        f"{step_log.describe()})",
-                        diagnostics=step_log, stage="dt-min")
-                continue
-
-            err_norm = None
-            if x_pred is not None:
-                err_norm = _lte_norm(t_new, x_new, x_pred, hist_t,
-                                     hist_x, n_nodes, pred_order,
-                                     options)
-                # A reduced-order estimate (history still rebuilding
-                # after a corner; trap stepping but only a linear
-                # predictor) systematically *overstates* the trap
-                # error, so it steers the next step size but must not
-                # reject -- post-corner steps are restarted small, and
-                # full-order control resumes one step later.
-                if err_norm > 1.0 and pred_order == order:
-                    if step <= dt_min * (1.0 + 1e-9):
-                        # The floor wins: accept rather than stall --
-                        # but leave a forensic marker.
-                        tspan.event("lte-floor", t=t, dt=step,
-                                    err_norm=err_norm)
-                    else:
-                        reject("lte", t, step, err_norm)
-                        factor = max(_LTE_MIN_SHRINK,
-                                     min(0.9, _lte_factor(err_norm,
-                                                          pred_order)))
-                        step = max(dt_min, step * factor)
-                        continue
-            accepted = True
-
-        # Commit the step: update charge state.
-        if vectorized:
-            q_new = assembler.charge_vector(x_new)
-        else:
-            q_new = np.array([term.q
-                              for term in compiled.charge_terms(x_new)])
-        i_new = c0 * q_new + rhs
-        q_prev, i_prev = q_new, i_new
-        x = x_new
-        t = t_new
-        step_log.steps_accepted += 1
-        tspan.inc("transient_steps_accepted")
-        step_log.dt_smallest = min(step_log.dt_smallest, step)
-        times.append(t)
-        # x_new is never mutated in place downstream (_newton copies
-        # its start vector), so recording it unaliased needs no copy.
-        if record_dense:
-            samples.append(x_new)
-        if scope is not None:
-            scope._on_sample(t, x_new)
-
-        if legacy:
-            # Adapt: the accepted step may have been shortened by a
-            # breakpoint; grow the nominal dt gently either way.
-            dt = min(dt_max, max(step * 1.4, dt * 0.5))
-        else:
-            landed_on_breakpoint = (
-                bp_cursor < len(breakpoints)
-                and t >= breakpoints[bp_cursor] * (1 - 1e-12))
-            if landed_on_breakpoint:
-                # Waveform corner: restart the predictor history so no
-                # polynomial spans the derivative discontinuity.  The
-                # landing sample itself is excluded too -- it holds the
-                # *pre-edge* source values, which would poison the
-                # extrapolation of every driven node.  The first step
-                # past the corner runs without an LTE check, so it is
-                # restarted small relative to the upcoming breakpoint
-                # interval; the controller grows it back once the
-                # estimator is online.
-                hist_t = []
-                hist_x = []
-                gap = (breakpoints[bp_cursor + 1]
-                       if bp_cursor + 1 < len(breakpoints)
-                       else t_stop) - t
-                dt = max(dt_min,
-                         min(step, gap * _BREAKPOINT_RESTART_FRACTION))
-            else:
-                hist_t.append(t)
-                hist_x.append(x)
-                if len(hist_t) > order + 1:
-                    del hist_t[0], hist_x[0]
-                if err_norm is None:
-                    # No estimate yet (history still rebuilding after
-                    # t=0 or a waveform corner): hold dt -- blind
-                    # growth here is what causes spurious rejections
-                    # once the estimator comes back online.
-                    factor = 1.0
-                else:
-                    factor = min(_LTE_MAX_GROWTH,
-                                 max(0.3, _lte_factor(err_norm,
-                                                      pred_order)))
-                dt = min(dt_max, max(dt_min, step * factor))
-
-    tspan.annotate(steps_accepted=step_log.steps_accepted,
-                   steps_rejected=step_log.steps_rejected,
-                   newton_rejections=step_log.newton_rejections,
-                   lte_rejections=step_log.lte_rejections,
-                   newton_iterations=step_log.newton_iterations)
-    if scope is not None:
-        scope._finish()
-    if not record_dense:
-        return TranResult(time=np.asarray(times), voltages={},
-                          branch_currents={}, telemetry=step_log)
-    # Transpose the step vectors into ONE (unknowns, steps) store and
-    # hand out contiguous row views.  Each step vector is released the
-    # moment it is copied, so peak waveform memory is ~2x the final
-    # footprint (the old per-node ascontiguousarray materialisation
-    # held samples + a stacked trace + the growing copies: ~3x).
-    n_samples = len(samples)
-    store = np.empty((samples[0].size, n_samples))
-    for k in range(n_samples):
-        store[:, k] = samples[k]
-        samples[k] = None
-    return TranResult(
-        time=np.asarray(times),
-        voltages={name: store[idx]
-                  for name, idx in compiled.node_index.items()},
-        branch_currents=(
-            {e.name: store[compiled.aux_index[e.name][0]]
-             for e in recorded_sources}
-            if options.record_currents else {}),
-        telemetry=step_log)
+                        t_stop=t_stop, method=options.method) as tspan:
+        stepper = _SerialStepper(circuit, t_stop, options, tspan, scope)
+        if initial_op is None:
+            initial_op = operating_point(circuit, stepper.newton_options)
+        if initial_op.x is None:
+            raise AnalysisError(
+                "initial_op carries no solution vector (x is None): it "
+                "is a NaN placeholder from a non-converged sweep point "
+                "recorded under on_error='skip'; filter those out "
+                "(OpResult.converged) before handing them to transient()")
+        result = stepper.run(initial_op.x.copy()[None], [0])[0]
+        log = result.telemetry
+        tspan.annotate(steps_accepted=log.steps_accepted,
+                       steps_rejected=log.steps_rejected,
+                       newton_rejections=log.newton_rejections,
+                       lte_rejections=log.lte_rejections,
+                       newton_iterations=log.newton_iterations)
+        return result

@@ -15,6 +15,8 @@ fallback_serial_steps`` where the fallback steps surface as nested
 serial ``transient_steps_accepted``), and
 ``batch_transient_lane_rejections`` counts per-lane attributed
 rejections of the shared grid (the kick-out budget's currency).
+:mod:`repro.telemetry.invariants` checks such identities over any
+recorded trace.
 
 Quick taste::
 

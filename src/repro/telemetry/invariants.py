@@ -1,0 +1,51 @@
+"""Accounting identities of a recorded trace, as library checks.
+
+Each check takes a :class:`~repro.telemetry.core.Trace` -- live, or read
+back with :func:`~repro.telemetry.export.read_jsonl` -- or any
+:class:`~repro.telemetry.core.Span` subtree, and returns one message per
+violation; an empty list means the identity holds.  The tests and
+``python -m repro trace`` run the same checks, so a drifting counter
+fails everywhere at once.
+"""
+
+from __future__ import annotations
+
+from .core import Span, Trace
+
+
+def lane_sample_violations(trace: Trace | Span) -> list[str]:
+    """Check every ``batch-transient`` span of the lockstep engine.
+
+    Every committed lane sample belongs either to the shared grid or to
+    a named serial fallback:
+
+    * ``lane_samples == steps_accepted * lanes_lockstep +
+      fallback_serial_steps``;
+    * the span's own ``batch_transient_steps`` counter equals its
+      ``steps_accepted``;
+    * the serial ``transient_steps_accepted`` counted inside the span
+      (the fallback reruns) equals ``fallback_serial_steps``.
+
+    A span whose run raised before packaging its lanes carries no
+    ``lane_samples`` and has nothing to reconcile.
+    """
+    root = trace.root if isinstance(trace, Trace) else trace
+    violations = []
+    for span in root.find_all("batch-transient"):
+        attrs = span.attrs
+        if "lane_samples" not in attrs:
+            continue
+        checks = (
+            ("lane_samples", attrs["lane_samples"],
+             attrs["steps_accepted"] * attrs["lanes_lockstep"]
+             + attrs["fallback_serial_steps"]),
+            ("batch_transient_steps", span.counter("batch_transient_steps"),
+             attrs["steps_accepted"]),
+            ("nested transient_steps_accepted",
+             span.total_counter("transient_steps_accepted"),
+             attrs["fallback_serial_steps"]))
+        violations.extend(
+            f"batch-transient span of {attrs.get('circuit')!r}: {name} is "
+            f"{got}, expected {expected}"
+            for name, got, expected in checks if got != expected)
+    return violations

@@ -40,8 +40,8 @@ def _session(ports, pre=16, post=32):
 
 def _options(design, n_steps):
     dt = design.delay() / 10.0
-    return n_steps * dt, TransientOptions(step_control="legacy",
-                                          dt_initial=dt, dt_max=dt)
+    return n_steps * dt, TransientOptions(dt_initial=dt, dt_min=dt,
+                                          dt_max=dt)
 
 
 class TestBoundedCaptureMemory:

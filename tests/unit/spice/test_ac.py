@@ -8,6 +8,24 @@ import pytest
 from repro.devices import Mosfet, nmos_180
 from repro.errors import AnalysisError
 from repro.spice import Circuit, ac_analysis
+from repro.spice.ac import _ac_system
+
+
+def ac_loop_oracle(circuit, frequencies, op=None):
+    """Reference AC response: the small-signal system ``ac_analysis``
+    assembles, solved one dense ``(G + jωC) v = b`` per frequency.
+    Returns ``{node: complex response}``."""
+    compiled, g_matrix, c_matrix, b = _ac_system(circuit, op, None)
+    omegas = 2.0 * np.pi * np.asarray(frequencies, dtype=float)
+    solutions = np.empty((omegas.size, b.size), dtype=complex)
+    for k, omega in enumerate(omegas):
+        matrix = g_matrix + 1j * omega * c_matrix
+        try:
+            solutions[k] = np.linalg.solve(matrix, b)
+        except np.linalg.LinAlgError:
+            solutions[k], *_ = np.linalg.lstsq(matrix, b, rcond=None)
+    return {name: solutions[:, index]
+            for name, index in compiled.node_index.items()}
 
 
 def rc_lowpass(r=1e6, c=1e-12):
@@ -150,10 +168,6 @@ class TestFrequencyGridValidation:
         with pytest.raises(AnalysisError, match="duplicate"):
             ac_analysis(rc_lowpass(), [1e3, 1e4, 1e3])
 
-    def test_rejects_unknown_backend(self):
-        with pytest.raises(AnalysisError, match="backend"):
-            ac_analysis(rc_lowpass(), [1e3], backend="turbo")
-
     def test_zero_frequency_rejected(self):
         with pytest.raises(AnalysisError, match="positive"):
             ac_analysis(rc_lowpass(), [0.0, 1e3])
@@ -161,7 +175,7 @@ class TestFrequencyGridValidation:
 
 class TestStackedBackendEquivalence:
     """The stacked-frequency solve is a linear-algebra rearrangement of
-    the per-frequency loop; both must agree to solver round-off."""
+    the per-frequency loop oracle; both must agree to solver round-off."""
 
     def _grids(self):
         # Wide enough to engage the QZ sweep (>= 16 points) and a short
@@ -170,10 +184,9 @@ class TestStackedBackendEquivalence:
 
     def test_rc_transfer_matches_loop(self):
         for freqs in self._grids():
-            stacked = ac_analysis(rc_lowpass(), freqs, backend="stacked")
-            loop = ac_analysis(rc_lowpass(), freqs, backend="loop")
-            assert np.allclose(stacked.transfer("out"),
-                               loop.transfer("out"),
+            stacked = ac_analysis(rc_lowpass(), freqs)
+            loop = ac_loop_oracle(rc_lowpass(), freqs)
+            assert np.allclose(stacked.transfer("out"), loop["out"],
                                rtol=1e-9, atol=1e-15)
 
     def test_stscl_inverter_matches_loop(self):
@@ -186,10 +199,9 @@ class TestStackedBackendEquivalence:
             design, vdd, vdd, vdd - design.v_sw)
         circuit.element("vinp").ac_mag = 1.0
         freqs = np.logspace(2, 8, 31)
-        stacked = ac_analysis(circuit, freqs, backend="stacked")
-        loop = ac_analysis(circuit, freqs, backend="loop")
+        stacked = ac_analysis(circuit, freqs)
+        loop = ac_loop_oracle(circuit, freqs)
         out_p, out_n = next(iter(ports.outputs.values()))
         for node in (out_p, out_n):
-            assert np.allclose(stacked.transfer(node),
-                               loop.transfer(node),
+            assert np.allclose(stacked.transfer(node), loop[node],
                                rtol=1e-8, atol=1e-15)

@@ -25,6 +25,7 @@ from repro.spice import (
     transient,
 )
 from repro.spice.batch import BatchedTranMetric
+from repro.telemetry.invariants import lane_sample_violations
 
 DIODE = Diode(DiodeParameters(name="junction", i_s=1e-16, cj0=1e-12))
 
@@ -166,9 +167,9 @@ class TestLaneFallback:
         assert counters["batch_lane_fallbacks"] == 1
 
     def test_lane_samples_reconcile_with_shared_steps(self):
-        """The telemetry identity the CI trace smoke asserts:
+        """The telemetry identity ``python -m repro trace`` checks:
         lane_samples == steps_accepted * lanes_lockstep
-        + fallback_serial_steps."""
+        + fallback_serial_steps, with a serial fallback in play."""
         circuit = pulse_rc_diode()
         lanes = resistor_lanes([1.0, 2.0]) + [
             LaneSpec(resistor_scale=(("RS", 1e-4),), label="stiff")]
@@ -177,17 +178,21 @@ class TestLaneFallback:
                                     TransientOptions(),
                                     lane_rejection_budget=0)
         assert batch.n_failed == 0
+        attrs = trace.root.find("batch-transient").attrs
+        assert attrs["fallback_serial_steps"] > 0
+        assert lane_sample_violations(trace) == []
+
+    def test_reconciliation_check_reports_a_drifted_counter(self):
+        with telemetry.tracing("drift") as trace:
+            batch_transient(pulse_rc_diode(), resistor_lanes([1.0]),
+                            T_STOP, fixed_grid(100))
         span = trace.root.find("batch-transient")
-        attrs = span.attrs
-        assert attrs["lane_samples"] == (
-            attrs["steps_accepted"] * attrs["lanes_lockstep"]
-            + attrs["fallback_serial_steps"])
-        counters = trace.root.total_counters()
-        assert counters["batch_transient_steps"] == \
-            attrs["steps_accepted"]
-        # Fallback lanes account for every serial step inside the span.
-        assert span.total_counters()["transient_steps_accepted"] == \
-            attrs["fallback_serial_steps"]
+        span.inc("batch_transient_steps")
+        span.annotate(lane_samples=span.attrs["lane_samples"] + 1)
+        violations = lane_sample_violations(trace)
+        assert len(violations) == 2
+        assert "lane_samples" in violations[0]
+        assert "batch_transient_steps" in violations[1]
 
 
 class TestScopes:
@@ -234,11 +239,6 @@ class TestValidation:
     def test_rejects_nonpositive_t_stop(self):
         with pytest.raises(NetlistError):
             batch_transient(pulse_rc_diode(), [LaneSpec()], 0.0)
-
-    def test_rejects_legacy_step_control(self):
-        with pytest.raises(AnalysisError):
-            batch_transient(pulse_rc_diode(), [LaneSpec()], T_STOP,
-                            TransientOptions(step_control="legacy"))
 
     def test_rejects_scope_count_mismatch(self):
         from repro.scope import Probe, ScopeSession

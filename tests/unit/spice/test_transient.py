@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.errors import NetlistError
-from repro.spice import Circuit, TransientOptions, transient
+from repro.spice import (Circuit, LaneSpec, TransientOptions,
+                         batch_transient, transient)
 from repro.spice.waveforms import pulse_wave, sine_wave, step_wave
 
 
@@ -49,6 +51,40 @@ class TestRcStep:
     def test_bad_t_stop_rejected(self):
         with pytest.raises(NetlistError):
             transient(rc_circuit(), 0.0)
+
+
+class TestStepSizeValidation:
+    """A step size that is neither None nor finite and positive is
+    rejected before the first step, by both engines.  The step loop
+    cannot finish with one (a negative step spins in the breakpoint
+    snap, a NaN one rejects forever), so the wall budget bounds each
+    test should the check ever go missing."""
+
+    @staticmethod
+    def _sine_rc():
+        ckt = Circuit("rc_sine_1k")
+        ckt.add_vsource("V1", "in", "0", sine_wave(0.0, 1.0, 200e3))
+        ckt.add_resistor("R1", "in", "out", 1e3)
+        ckt.add_capacitor("C1", "out", "0", 1e-9)
+        return ckt
+
+    @pytest.mark.parametrize("bad", [
+        {"dt_max": -1e-6},
+        {"dt_initial": -1e-6},
+        {"dt_initial": float("nan")},
+        {"dt_min": 0.0},
+    ], ids=["negative-dt_max", "negative-dt_initial", "nan-dt_initial",
+            "zero-dt_min"])
+    @pytest.mark.parametrize("engine", ["transient", "batch_transient"])
+    def test_rejected_before_the_first_step(self, engine, bad):
+        (name, _value), = bad.items()
+        options = TransientOptions(max_wall_time=2.0, **bad)
+        with pytest.raises(NetlistError, match=name):
+            if engine == "transient":
+                transient(self._sine_rc(), 10e-6, options)
+            else:
+                batch_transient(self._sine_rc(), [LaneSpec()], 10e-6,
+                                options)
 
 
 class TestBreakpoints:
@@ -222,8 +258,8 @@ def _stscl_chain_circuit():
 
 class TestConvergenceOrder:
     """Empirical order study on a sine-driven RC with a closed-form
-    solution: halving a fixed legacy step must divide the max error by
-    ~4 for trapezoid (2nd order) and ~2 for backward Euler (1st)."""
+    solution: halving a fixed step must divide the max error by ~4 for
+    trapezoid (2nd order) and ~2 for backward Euler (1st)."""
 
     R, C = 1e6, 1e-12
     F0 = 200e3  # period 5 us against tau = 1 us
@@ -245,8 +281,7 @@ class TestConvergenceOrder:
 
     def _max_error(self, method, h):
         result = transient(self._sine_rc(), 5e-6, TransientOptions(
-            method=method, step_control="legacy",
-            dt_initial=h, dt_max=h))
+            method=method, dt_initial=h, dt_min=h, dt_max=h))
         return float(np.max(np.abs(result.voltage("out")
                                    - self._exact(result.time))))
 
@@ -270,14 +305,21 @@ class TestLuReuseEquivalence:
     detail: answers match the always-refactorize path to <= 1e-9."""
 
     def test_transient_waveforms_match(self):
+        """On a fixed grid both runs share one time axis; the reuse run
+        must actually reuse factorizations across steps."""
         from repro.spice import NewtonOptions
 
-        runs = {}
+        runs, reuses = {}, {}
         for reuse in (True, False):
             circuit, t_d = _stscl_chain_circuit()
-            runs[reuse] = transient(circuit, 6 * t_d, TransientOptions(
-                step_control="legacy", dt_max=t_d / 10.0,
-                newton=NewtonOptions(lu_reuse=reuse)))
+            dt = t_d / 10.0
+            with telemetry.tracing("lu") as trace:
+                runs[reuse] = transient(circuit, 6 * t_d, TransientOptions(
+                    dt_initial=dt, dt_min=dt, dt_max=dt,
+                    newton=NewtonOptions(lu_reuse=reuse)))
+            reuses[reuse] = trace.root.total_counters().get("lu_reuses", 0)
+        assert reuses[True] > 0
+        assert reuses[False] == 0
         on, off = runs[True], runs[False]
         assert np.array_equal(on.time, off.time)
         for node in on.voltages:
@@ -302,37 +344,6 @@ class TestLuReuseEquivalence:
         for node in on.points[0].voltages:
             assert np.max(np.abs(on.voltage(node)
                                  - off.voltage(node))) <= 1e-9
-
-
-class TestLegacyBitCompat:
-    """``step_control="legacy"`` must stay bit-identical: the LTE
-    tolerance knobs and the LU-reuse flag may not perturb its output."""
-
-    def _run(self, **overrides):
-        circuit, t_d = _stscl_chain_circuit()
-        options = TransientOptions(step_control="legacy",
-                                   dt_max=t_d / 10.0, **overrides)
-        return transient(circuit, 6 * t_d, options)
-
-    def _assert_bitwise_equal(self, a, b):
-        assert np.array_equal(a.time, b.time)
-        assert set(a.voltages) == set(b.voltages)
-        for node in a.voltages:
-            assert np.array_equal(a.voltage(node), b.voltage(node)), node
-
-    def test_lte_tolerances_do_not_leak_into_legacy(self):
-        baseline = self._run()
-        perturbed = self._run(reltol=1e-1, abstol=1e-2, trtol=100.0)
-        self._assert_bitwise_equal(baseline, perturbed)
-
-    def test_lu_reuse_flag_does_not_perturb_legacy(self):
-        from repro.spice import NewtonOptions
-
-        baseline = self._run()
-        reused = self._run(newton=NewtonOptions(lu_reuse=True))
-        direct = self._run(newton=NewtonOptions(lu_reuse=False))
-        self._assert_bitwise_equal(baseline, reused)
-        self._assert_bitwise_equal(baseline, direct)
 
 
 class TestLteController:

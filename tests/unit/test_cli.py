@@ -76,6 +76,28 @@ class TestCommands:
                      str(tmp_path / "t.jsonl"), "--max-depth", "1"]) == 0
         assert not telemetry.is_enabled()
 
+    def test_trace_reconciles_the_batched_transient(self, tmp_path):
+        from repro.telemetry import read_jsonl
+        from repro.telemetry.invariants import lane_sample_violations
+
+        out = tmp_path / "bt.jsonl"
+        assert main(["trace", "--scenario", "batched_tran",
+                     "--output", str(out)]) == 0
+        trace = read_jsonl(out)
+        assert trace.root.find("batch-transient") is not None
+        assert lane_sample_violations(trace) == []
+
+    def test_trace_exits_1_on_a_violated_identity(self, capsys, tmp_path,
+                                                  monkeypatch):
+        from repro.telemetry import invariants
+
+        monkeypatch.setattr(invariants, "lane_sample_violations",
+                            lambda trace: ["lane_samples drifted"])
+        assert main(["trace", "--scenario", "op_chain", "--output",
+                     str(tmp_path / "t.jsonl")]) == 1
+        assert "invariant violated: lane_samples drifted" in \
+            capsys.readouterr().out
+
 
 class TestFuzzCommand:
     def test_defaults(self):
