@@ -3,7 +3,7 @@
 This is the substitute for the commercial simulator used by the paper's
 authors (see DESIGN.md section 2).  It supports:
 
-* nonlinear DC operating point (Newton with gmin/source-stepping homotopy),
+* nonlinear DC operating point (Newton, then pseudo-transient continuation),
 * DC sweeps,
 * small-signal AC analysis (complex MNA linearised at the DC point),
 * transient analysis (trapezoidal / backward-Euler with adaptive steps),
@@ -30,13 +30,11 @@ from .waveforms import dc_wave, pulse_wave, sine_wave, pwl_wave, step_wave
 from .dc import operating_point, dc_sweep, NewtonOptions
 from .strategies import (
     DEFAULT_LADDER,
-    GminSteppingStrategy,
     LuReuseState,
     NewtonStrategy,
     PseudoTransientStrategy,
     SolveStrategy,
     SolverDiagnostics,
-    SourceSteppingStrategy,
     StageReport,
 )
 from .batch import (
@@ -64,8 +62,7 @@ __all__ = [
     "Vcvs", "Vccs", "DiodeElement", "MosElement",
     "dc_wave", "pulse_wave", "sine_wave", "pwl_wave", "step_wave",
     "operating_point", "dc_sweep", "NewtonOptions",
-    "SolveStrategy", "NewtonStrategy", "GminSteppingStrategy",
-    "SourceSteppingStrategy", "PseudoTransientStrategy",
+    "SolveStrategy", "NewtonStrategy", "PseudoTransientStrategy",
     "SolverDiagnostics", "StageReport", "DEFAULT_LADDER", "LuReuseState",
     "LaneSpec", "BatchAssembler", "BatchOpResult", "BatchDiagnostics",
     "batch_operating_point", "BatchedOpMetric", "BatchedOpSweep",

@@ -75,9 +75,10 @@ from .. import telemetry
 from ..errors import AnalysisError, ConvergenceError, NetlistError, evaluate
 from .elements import CurrentSource, Resistor, VoltageSource
 from .sparse import SparseSystem, coo_to_csr, sparse_available
-from .strategies import (DEFAULT_LADDER, GminSteppingStrategy,
-                         NewtonOptions, SolverDiagnostics, StageReport,
-                         run_ladder, step_converged)
+from .strategies import (DEFAULT_LADDER, NewtonOptions,
+                         PseudoTransientStrategy, SolverDiagnostics,
+                         StageReport, pseudo_transient_lanes, run_ladder,
+                         step_converged)
 from .assembly import CircuitAssembler
 from .results import TranResult
 from .transient import (TransientOptions, _Stepper, _check_options,
@@ -93,8 +94,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: handed to the serial fallback ladder).
 BATCHED_STAGE = "batched-newton"
 
-#: Stage name of the batched gmin-stepping continuation phase.
-BATCHED_GMIN_STAGE = "batched-gmin-stepping"
+#: Stage name of the batched pseudo-transient continuation phase.
+BATCHED_PSEUDO_TRANSIENT_STAGE = "batched-pseudo-transient"
 
 
 @dataclass(frozen=True, eq=False)
@@ -657,11 +658,11 @@ class BatchDiagnostics:
             phases (shared clock).
         active_history: Lanes still active entering each stacked
             iteration -- the convergence-masking decay curve (phase 1
-            then the gmin rungs).
+            then the pseudo-transient steps).
         n_converged_batched: Lanes plain batched Newton converged
             directly.
-        n_converged_gmin: Lanes the batched gmin-stepping continuation
-            rescued.
+        n_converged_pseudo_transient: Lanes the batched
+            pseudo-transient continuation rescued.
         n_fallback: Lanes re-solved individually through the strategy
             ladder.
         n_failed: Lanes that failed the ladder too.
@@ -675,7 +676,7 @@ class BatchDiagnostics:
     iterations: int = 0
     active_history: list[int] = field(default_factory=list)
     n_converged_batched: int = 0
-    n_converged_gmin: int = 0
+    n_converged_pseudo_transient: int = 0
     n_fallback: int = 0
     n_failed: int = 0
     fallback_lanes: list[tuple[int, str]] = field(default_factory=list)
@@ -687,8 +688,8 @@ class BatchDiagnostics:
             decay += " -> ..."
         return (f"batched solve of {self.circuit!r}: B={self.batch}, "
                 f"{self.n_converged_batched} converged directly + "
-                f"{self.n_converged_gmin} via gmin stepping in "
-                f"{self.iterations} stacked iterations "
+                f"{self.n_converged_pseudo_transient} via pseudo-transient "
+                f"in {self.iterations} stacked iterations "
                 f"(active {decay}), {self.n_fallback} fell back to the "
                 f"ladder, {self.n_failed} failed "
                 f"({self.wall_time * 1e3:.1f} ms)")
@@ -704,7 +705,6 @@ class _BatchNewtonOutcome:
 
 def _newton_rounds(assembler: BatchAssembler, X: np.ndarray,
                    lanes_idx: np.ndarray, options: NewtonOptions,
-                   gmin: float,
                    active_history: list[int],
                    time: float | None = None,
                    extra=None,
@@ -724,18 +724,20 @@ def _newton_rounds(assembler: BatchAssembler, X: np.ndarray,
 
     ``time`` is the source-waveform timestamp (None: DC).  ``extra``,
     when given, stamps additional per-lane contributions after the
-    static assembly and before the gmin shunt -- the serial kernel's
-    ``extra_stamp`` slot, which the batched transient engine fills with
-    the stacked charge companions; it is called as
+    static assembly and before the ``options.gmin`` shunt -- the serial
+    kernel's ``extra_stamp`` slot, which the batched transient engine
+    fills with the stacked charge companions and the pseudo-transient
+    phase with the per-lane anchors; it is called as
     ``extra(jac_or_vals, res, X_active, active_idx)``.  ``chord``
     carries the per-lane sparse LU/chord state across calls (the
     batched transient holds one across accepted steps, invalidated on
-    dt changes); None creates one scoped to this call, preserving the
-    gmin-rung isolation guarantee.
+    dt changes); None creates one scoped to this call, so a
+    factorization never outlives the anchor it was made under.
     """
     compiled = assembler.compiled
     B, N = X.shape
     n_nodes = len(compiled.node_index)
+    gmin = options.gmin
     diag = np.arange(n_nodes)
     use_sparse = assembler.use_sparse
     system = assembler.sparse_batch_system() if use_sparse else None
@@ -892,62 +894,56 @@ def _newton_rounds(assembler: BatchAssembler, X: np.ndarray,
 
 
 def batch_newton(assembler: BatchAssembler, X: np.ndarray,
-                 options: NewtonOptions, gmin: float,
+                 options: NewtonOptions,
                  active_history: list[int] | None = None,
                  ) -> _BatchNewtonOutcome:
     """Plain damped Newton over all lanes at once (in place on ``X``)."""
-    if active_history is None:
-        active_history = []
     return _newton_rounds(assembler, X, np.arange(X.shape[0]), options,
-                          gmin, active_history)
+                          [] if active_history is None else active_history)
 
 
-def batch_gmin_stepping(assembler: BatchAssembler, X: np.ndarray,
-                        lanes_idx: np.ndarray, options: NewtonOptions,
-                        active_history: list[int],
-                        start_exponent: int = 3, stop_exponent: int = 15,
-                        ) -> _BatchNewtonOutcome:
-    """Batched continuation in the shunt conductance.
+def batch_pseudo_transient(assembler: BatchAssembler, X: np.ndarray,
+                           lanes_idx: np.ndarray,
+                           rung: PseudoTransientStrategy,
+                           options: NewtonOptions,
+                           active_history: list[int],
+                           ) -> _BatchNewtonOutcome:
+    """Stacked pseudo-transient continuation over ``lanes_idx``, in place.
 
-    The stacked analogue of
-    :class:`~repro.spice.strategies.GminSteppingStrategy` (same default
-    schedule): solve all lanes with a heavy shunt, relax it one decade
-    at a time down to ``options.gmin``, warm-starting each rung from
-    the previous one, then polish with a plain solve.  A lane that
-    fails any rung leaves the batch (its ``X`` row holds the last rung
-    it did converge -- callers fall back per-lane from the original
-    guess anyway); lanes that survive every rung converge exactly like
-    their serial counterparts.
+    Runs :func:`~repro.spice.strategies.pseudo_transient_lanes` -- the
+    schedule the serial rung runs for one lane -- with every round's
+    per-lane Newton solves stacked in one :func:`_newton_rounds` call.
+    Each lane's anchor conductance goes on the node diagonal
+    (``jac[:, diag, diag]`` dense, the ``"diag"`` segment sparse) and
+    pulls toward its last accepted state; a lane in its polish solve
+    carries ``g == 0``, which leaves its rows untouched.
     """
-    B = X.shape[0]
-    converged = np.zeros(B, dtype=bool)
-    iterations = np.zeros(B, dtype=int)
-    reasons: dict[int, str] = {}
-    total_rounds = 0
-    active = np.asarray(lanes_idx, dtype=np.intp).copy()
-    tspan = telemetry.current_span() if telemetry.is_enabled() else None
-    schedule = [max(10.0 ** (-e), options.gmin)
-                for e in range(start_exponent, stop_exponent + 1)]
-    schedule.append(options.gmin)
-    for rung, gmin in enumerate(schedule):
-        if active.size == 0:
-            break
-        outcome = _newton_rounds(assembler, X, active, options, gmin,
-                                 active_history)
-        total_rounds += outcome.n_iterations
-        iterations += outcome.iterations
-        for lane, why in outcome.reasons.items():
-            reasons[lane] = (f"gmin rung {rung} (gmin={gmin:.1e}): "
-                             f"{why}")
-        if tspan is not None:
-            tspan.event("batch-gmin-step", gmin=gmin,
-                        n_active=int(active.size),
-                        iterations=outcome.n_iterations)
-        active = active[outcome.converged[active]]
-    converged[active] = True
-    return _BatchNewtonOutcome(converged=converged,
-                               iterations=iterations, reasons=reasons,
-                               n_iterations=total_rounds)
+    n_nodes = len(assembler.compiled.node_index)
+    nodes = np.arange(n_nodes)
+    diag = ((slice(None),
+             assembler.sparse_batch_system().segment_slices["diag"])
+            if assembler.use_sparse else (slice(None), nodes, nodes))
+    options = rung._options(options)
+    rounds = 0
+
+    def solve(active, g, anchor):
+        nonlocal rounds
+
+        def stamp(target, res, Xa, idx):
+            g_lane = g[idx][:, None]
+            target[diag] += g_lane
+            res[:, :n_nodes] += g_lane * (Xa[:, :n_nodes]
+                                          - anchor[idx, :n_nodes])
+
+        outcome = _newton_rounds(assembler, X, active, options,
+                                 active_history, extra=stamp)
+        rounds += outcome.n_iterations
+        return (outcome.converged[active], outcome.iterations[active],
+                outcome.reasons)
+
+    converged, iterations, reasons = pseudo_transient_lanes(
+        X, lanes_idx, rung, options, solve)
+    return _BatchNewtonOutcome(converged, iterations, reasons, rounds)
 
 
 def _solve_stacked(jac: np.ndarray, res: np.ndarray) -> np.ndarray:
@@ -969,10 +965,10 @@ class _SparseChordState:
     """Per-lane chord-Newton bookkeeping for batched sparse solves.
 
     By default scoped to a single :func:`_newton_rounds` call, so a
-    gmin-rung change can never serve a factorization of the previous
-    rung's shunted Jacobian.  The batched transient engine instead
-    holds one instance across accepted steps (cached SuperLU handles
-    from the last step's companion Jacobian are excellent chord
+    pseudo-transient step can never serve a factorization of the
+    previous step's anchored Jacobian.  The batched transient engine
+    instead holds one instance across accepted steps (cached SuperLU
+    handles from the last step's companion Jacobian are excellent chord
     candidates at the next one) and keys it on the companion
     coefficient ``c0 = f(dt)``: :meth:`ensure_key` drops every cached
     handle whenever dt changes, and :meth:`invalidate` clears the cache
@@ -1246,19 +1242,6 @@ def run_lanes(circuit: "Circuit", lanes: Sequence[LaneSpec],
             for k, point in enumerate(solved)]
 
 
-def _ladder_gmin_rung(strategies) -> GminSteppingStrategy | None:
-    """The gmin-stepping rung of the effective ladder, if it has one.
-
-    The stacked phase 2 exists to mirror that rung; a ladder without
-    one (``strategies=(NewtonStrategy(),)`` in a robustness test, say)
-    must fail the same lanes batched as it would serially.
-    """
-    for strategy in (DEFAULT_LADDER if strategies is None else strategies):
-        if isinstance(strategy, GminSteppingStrategy):
-            return strategy
-    return None
-
-
 def _batch_op(circuit: "Circuit", lanes: list[LaneSpec],
               options: NewtonOptions, strategies, on_error: str,
               x0: np.ndarray | None, tspan) -> BatchOpResult:
@@ -1286,52 +1269,44 @@ def _batch_op(circuit: "Circuit", lanes: list[LaneSpec],
     tspan.inc("batch_lanes", len(lanes))
     active_history: list[int] = []
     # Phase 1: plain batched Newton, the analogue of NewtonStrategy.
-    phase1 = batch_newton(assembler, X, options, options.gmin,
-                          active_history)
-    # Phase 2: batched gmin stepping for the lanes plain Newton lost --
-    # restarted from the original guess, exactly like the serial
-    # ladder's second rung.  Only when the caller's ladder actually
-    # carries a gmin rung (the default ladder does): a custom
+    phase1 = batch_newton(assembler, X, options, active_history)
+    phases = [(BATCHED_STAGE, phase1)]
+    # Phase 2: stacked pseudo-transient for the lanes plain Newton lost
+    # -- restarted from the original guess, exactly like the serial
+    # ladder's second rung.  Only when the caller's ladder carries a
+    # pseudo-transient rung (the default ladder does): a custom
     # ``strategies`` without one must fail the same lanes serially and
-    # batched, so the stacked phase mirrors the rung's own schedule and
+    # batched, so the stacked phase runs that rung's own schedule and
     # iteration budget -- or does not run at all.
-    gmin_rung = _ladder_gmin_rung(strategies)
+    rung = next((strategy for strategy in
+                 (DEFAULT_LADDER if strategies is None else strategies)
+                 if isinstance(strategy, PseudoTransientStrategy)), None)
     pending1 = np.nonzero(~phase1.converged)[0]
-    phase2 = None
-    if pending1.size and gmin_rung is not None:
+    if pending1.size and rung is not None:
         X[pending1] = guess
-        phase2 = batch_gmin_stepping(
-            assembler, X, pending1, gmin_rung._options(options),
-            active_history,
-            start_exponent=gmin_rung.start_exponent,
-            stop_exponent=gmin_rung.stop_exponent)
-    converged = phase1.converged.copy()
-    if phase2 is not None:
-        converged |= phase2.converged
+        phases.append((BATCHED_PSEUDO_TRANSIENT_STAGE, batch_pseudo_transient(
+            assembler, X, pending1, rung, options, active_history)))
+    converged = np.logical_or.reduce(
+        [outcome.converged for _, outcome in phases])
     diagnostics = BatchDiagnostics(
         circuit=circuit.name, batch=len(lanes),
-        iterations=(phase1.n_iterations
-                    + (phase2.n_iterations if phase2 else 0)),
+        iterations=sum(outcome.n_iterations for _, outcome in phases),
         active_history=active_history,
         n_converged_batched=int(phase1.converged.sum()),
-        n_converged_gmin=(int(phase2.converged.sum()) if phase2 else 0))
+        n_converged_pseudo_transient=int(
+            (converged & ~phase1.converged).sum()))
 
     def _lane_stages(lane_index: int) -> list[StageReport]:
         """The batched stages lane ``lane_index`` went through, as
         serial-style stage reports (converged flag per phase)."""
-        stages = [StageReport(
-            strategy=BATCHED_STAGE,
-            converged=bool(phase1.converged[lane_index]),
-            iterations=int(phase1.iterations[lane_index]),
-            wall_time=0.0,
-            detail=phase1.reasons.get(lane_index, ""))]
-        if phase2 is not None and not phase1.converged[lane_index]:
+        stages = []
+        for name, outcome in phases:
             stages.append(StageReport(
-                strategy=BATCHED_GMIN_STAGE,
-                converged=bool(phase2.converged[lane_index]),
-                iterations=int(phase2.iterations[lane_index]),
-                wall_time=0.0,
-                detail=phase2.reasons.get(lane_index, "")))
+                strategy=name, converged=bool(outcome.converged[lane_index]),
+                iterations=int(outcome.iterations[lane_index]),
+                wall_time=0.0, detail=outcome.reasons.get(lane_index, "")))
+            if stages[-1].converged:
+                break
         return stages
 
     points: list = [None] * len(lanes)
@@ -1344,9 +1319,11 @@ def _batch_op(circuit: "Circuit", lanes: list[LaneSpec],
             # says -- demote it to the serial fallback below, which
             # either produces a real solution or a diagnosed failure.
             converged[lane_index] = False
-            phase1.reasons.setdefault(
-                lane_index,
-                "non-finite solution vector after batched convergence")
+            for _, outcome in phases:
+                if outcome.converged[lane_index]:
+                    outcome.reasons[lane_index] = (
+                        "non-finite solution vector after batched "
+                        "convergence")
             tspan.event("lane-nonfinite", lane=lane_index)
             continue
         stages = _lane_stages(lane_index)
@@ -1363,13 +1340,8 @@ def _batch_op(circuit: "Circuit", lanes: list[LaneSpec],
     # re-runs the full serial ladder from the same cold start.
     pending = [k for k in range(len(lanes)) if points[k] is None]
     diagnostics.n_fallback = len(pending)
-
-    def _lane_reason(k: int) -> str:
-        if phase2 is not None and k in phase2.reasons:
-            return phase2.reasons[k]
-        return phase1.reasons.get(k, "")
-
-    diagnostics.fallback_lanes = [(k, _lane_reason(k)) for k in pending]
+    diagnostics.fallback_lanes = [(k, _lane_stages(k)[-1].detail)
+                                  for k in pending]
     if pending:
         tspan.inc("batch_lane_fallbacks", len(pending))
     first_error: ConvergenceError | None = None
@@ -1404,7 +1376,8 @@ def _batch_op(circuit: "Circuit", lanes: list[LaneSpec],
     diagnostics.n_failed = len(failures)
     diagnostics.wall_time = _time.perf_counter() - start
     tspan.annotate(n_converged_batched=diagnostics.n_converged_batched,
-                   n_converged_gmin=diagnostics.n_converged_gmin,
+                   n_converged_pseudo_transient=(
+                       diagnostics.n_converged_pseudo_transient),
                    n_fallback=diagnostics.n_fallback,
                    n_failed=diagnostics.n_failed,
                    iterations=diagnostics.iterations)
@@ -1697,9 +1670,8 @@ class _LockstepStepper(_Stepper):
                                           rhs_all[lane_idx],
                                           segment_slices=segment_slices)
 
-        options = self.newton_options
-        outcome = _newton_rounds(assembler, X_all, lanes, options,
-                                 options.gmin, [], time=t_new,
+        outcome = _newton_rounds(assembler, X_all, lanes,
+                                 self.newton_options, [], time=t_new,
                                  extra=dynamic_stamp, chord=self.chord)
         X_new = X_all[lanes]
         ok = (outcome.converged[lanes]

@@ -6,10 +6,10 @@ every device is an exponential.  The solver therefore
 * damps Newton steps to a maximum per-iteration voltage change,
 * converges on the *update* norm (residuals at pA levels sit near the
   noise floor of double precision),
-* climbs a pluggable ladder of fallback strategies (gmin stepping,
-  source stepping, pseudo-transient continuation -- see
-  :mod:`repro.spice.strategies`) when plain Newton diverges, recording
-  a :class:`~repro.spice.strategies.SolverDiagnostics` either way.
+* falls back to pseudo-transient continuation when plain Newton
+  diverges -- a pluggable ladder of strategies, see
+  :mod:`repro.spice.strategies` -- recording a
+  :class:`~repro.spice.strategies.SolverDiagnostics` either way.
 """
 
 from __future__ import annotations
@@ -27,15 +27,6 @@ from .results import OpResult, SweepResult
 from .strategies import (NewtonOptions, SolveStrategy, SolverDiagnostics,
                          run_ladder)
 from .waveforms import dc_wave
-
-
-def _solve_with_homotopy(circuit: Circuit, compiled: CompiledCircuit,
-                         x0: np.ndarray, time: float | None,
-                         options: NewtonOptions,
-                         strategies: Sequence[SolveStrategy] | None = None,
-                         ) -> tuple[np.ndarray, SolverDiagnostics]:
-    """Climb the strategy ladder; return (solution, diagnostics)."""
-    return run_ladder(circuit, compiled, x0, time, options, strategies)
 
 
 class _LazyDeviceOps(Mapping):
@@ -119,8 +110,8 @@ def operating_point(circuit: Circuit,
             raise NetlistError(
                 f"warm-start vector has wrong size {x0.shape}, "
                 f"expected ({compiled.size},)")
-        x, diagnostics = _solve_with_homotopy(circuit, compiled, start,
-                                              None, options, strategies)
+        x, diagnostics = run_ladder(circuit, compiled, start, None,
+                                    options, strategies)
         tspan.annotate(converged_via=diagnostics.rescued_by,
                        iterations=diagnostics.total_iterations,
                        warm_start=x0 is not None)

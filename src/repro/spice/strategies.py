@@ -1,16 +1,19 @@
 """Pluggable DC solve strategies, the homotopy ladder, and diagnostics.
 
 The nonlinear DC solve is organised as a *ladder* of
-:class:`SolveStrategy` objects tried in order until one converges:
+:class:`SolveStrategy` objects tried in order until one converges.  The
+default ladder has two rungs:
 
 1. :class:`NewtonStrategy` -- plain damped Newton from the initial guess;
-2. :class:`GminSteppingStrategy` -- solve with a heavy shunt conductance
-   on every node, then relax it geometrically (continuation in gmin);
-3. :class:`SourceSteppingStrategy` -- ramp every independent source up
-   from a fraction of its value (continuation in the excitation);
-4. :class:`PseudoTransientStrategy` -- anchor each solve to the previous
-   iterate through a decaying conductance, mimicking the damping of a
-   transient run settling to DC (continuation in pseudo-time).
+2. :class:`PseudoTransientStrategy` -- anchor each solve to the last
+   accepted state through a decaying conductance, mimicking the damping
+   of a transient run settling to DC (continuation in pseudo-time), with
+   a step that backs off where the circuit resists.
+
+The pseudo-transient schedule is written once over lanes
+(:func:`pseudo_transient_lanes`): the serial rung runs it for one lane,
+and the batched ensemble solver (:mod:`repro.spice.batch`) runs it for
+every lane stacked Newton could not converge.
 
 Every rung, successful or not, is recorded in a
 :class:`SolverDiagnostics` carried by the returned
@@ -35,9 +38,7 @@ import numpy as np
 
 from .. import telemetry
 from ..errors import ConvergenceError
-from .elements import CurrentSource, Stamper, VoltageSource
 from .sparse import SparseStamper
-from .waveforms import dc_wave
 
 try:  # pragma: no cover - scipy is a declared dependency
     # Raw LAPACK bindings: same getrf/getrs pair scipy.linalg's
@@ -220,15 +221,17 @@ def _lstsq_step(jac: np.ndarray, rhs: np.ndarray,
 
 
 def newton_solve(compiled: "CompiledCircuit", x0: np.ndarray,
-                 time: float | None, options: NewtonOptions, gmin: float,
-                 extra_stamp=None,
-                 trace: list[float] | None = None,
+                 time: float | None, options: NewtonOptions,
+                 extra_stamp=None, trace: list[float] | None = None,
                  lu_state: LuReuseState | None = None,
                  ) -> tuple[np.ndarray, int]:
     """Run damped (modified) Newton from ``x0``; return (solution, iters).
 
-    ``trace``, when given, accumulates the max-abs residual of every
-    iteration -- the trajectory the diagnostics record keeps.
+    ``extra_stamp(stamper, x)``, when given, adds to each iteration's
+    assembled system before the ``options.gmin`` shunt (the transient
+    companions, the pseudo-transient anchor).  ``trace``, when given,
+    accumulates the max-abs residual of every iteration -- the
+    trajectory the diagnostics record keeps.
     ``lu_state`` carries a Jacobian factorization across calls (the
     transient engine's cross-step chord iteration); without it, LU
     reuse -- when enabled by ``options.lu_reuse`` -- is scoped to the
@@ -240,13 +243,13 @@ def newton_solve(compiled: "CompiledCircuit", x0: np.ndarray,
     single-flag-check fast path.
     """
     if not telemetry.is_enabled():
-        return _newton_kernel(compiled, x0, time, options, gmin,
-                              extra_stamp, trace, None, lu_state)
-    with telemetry.span("newton", gmin=gmin) as tspan:
+        return _newton_kernel(compiled, x0, time, options, extra_stamp,
+                              trace, None, lu_state)
+    with telemetry.span("newton") as tspan:
         try:
             x, iterations = _newton_kernel(compiled, x0, time, options,
-                                           gmin, extra_stamp, trace,
-                                           tspan, lu_state)
+                                           extra_stamp, trace, tspan,
+                                           lu_state)
         except ConvergenceError as error:
             tspan.annotate(converged=False, detail=str(error))
             raise
@@ -255,10 +258,11 @@ def newton_solve(compiled: "CompiledCircuit", x0: np.ndarray,
 
 
 def _newton_kernel(compiled: "CompiledCircuit", x0: np.ndarray,
-                   time: float | None, options: NewtonOptions, gmin: float,
+                   time: float | None, options: NewtonOptions,
                    extra_stamp, trace: list[float] | None,
                    tspan, lu_state: LuReuseState | None = None,
                    ) -> tuple[np.ndarray, int]:
+    gmin = options.gmin
     st = compiled.new_stamper()
     sparse_mode = isinstance(st, SparseStamper)
     x = x0.copy()
@@ -415,7 +419,7 @@ class StageReport:
     """Forensic record of one ladder rung.
 
     Attributes:
-        strategy: Strategy name (e.g. ``"gmin-stepping"``).
+        strategy: Strategy name (e.g. ``"pseudo-transient"``).
         converged: Whether this rung produced the solution.
         iterations: Newton iterations spent inside the rung.
         wall_time: Seconds spent inside the rung.
@@ -527,108 +531,29 @@ class NewtonStrategy(SolveStrategy):
 
     def solve(self, circuit, compiled, x0, time, options, trace):
         options = self._options(options)
-        return newton_solve(compiled, x0, time, options, options.gmin,
-                            trace=trace)
+        return newton_solve(compiled, x0, time, options, trace=trace)
 
 
-class GminSteppingStrategy(SolveStrategy):
-    """Continuation in the shunt conductance.
-
-    Solves with ``gmin = 10^-start_exponent`` (a nearly linear system),
-    then relaxes the shunt one decade at a time down to
-    ``10^-stop_exponent``, warm-starting each stage from the previous
-    one, and finishes with a plain solve at the true ``options.gmin``.
-    """
-
-    name = "gmin-stepping"
-
-    def __init__(self, start_exponent: int = 3, stop_exponent: int = 15,
-                 max_iterations: int | None = None) -> None:
-        super().__init__(max_iterations)
-        if stop_exponent <= start_exponent:
-            raise ValueError("stop_exponent must exceed start_exponent")
-        self.start_exponent = start_exponent
-        self.stop_exponent = stop_exponent
-
-    def solve(self, circuit, compiled, x0, time, options, trace):
-        options = self._options(options)
-        schedule = telemetry.current_span()
-        x = x0.copy()
-        total = 0
-        for exponent in range(self.start_exponent, self.stop_exponent + 1):
-            gmin = 10.0 ** (-exponent)
-            x, iters = newton_solve(compiled, x, time, options,
-                                    max(gmin, options.gmin), trace=trace)
-            total += iters
-            schedule.event("gmin-step", gmin=gmin, iterations=iters)
-        x, iters = newton_solve(compiled, x, time, options, options.gmin,
-                                trace=trace)
-        return x, total + iters
-
-
-class SourceSteppingStrategy(SolveStrategy):
-    """Continuation in the independent-source excitation.
-
-    Every independent source is ramped from ``start_fraction`` of its
-    value to 100 % in ``steps`` increments; each increment warm-starts
-    from the previous solution, so no single Newton solve faces the full
-    excitation from a cold guess.
-    """
-
-    name = "source-stepping"
-
-    def __init__(self, steps: int = 10, start_fraction: float = 0.1,
-                 max_iterations: int | None = None) -> None:
-        super().__init__(max_iterations)
-        if steps < 2:
-            raise ValueError(f"need at least 2 ramp steps, got {steps}")
-        if not 0.0 < start_fraction < 1.0:
-            raise ValueError(
-                f"start_fraction must be in (0, 1): {start_fraction}")
-        self.steps = steps
-        self.start_fraction = start_fraction
-
-    def solve(self, circuit, compiled, x0, time, options, trace):
-        options = self._options(options)
-        sources = [e for e in circuit.elements
-                   if isinstance(e, (VoltageSource, CurrentSource))]
-        saved = [source.waveform for source in sources]
-        schedule = telemetry.current_span()
-        try:
-            x = np.zeros_like(x0)
-            total = 0
-            for fraction in np.linspace(self.start_fraction, 1.0,
-                                        self.steps):
-                for source, waveform in zip(sources, saved):
-                    value = waveform(0.0 if time is None else time)
-                    source.waveform = dc_wave(value * float(fraction))
-                x, iters = newton_solve(compiled, x, None, options,
-                                        max(1e-12, options.gmin),
-                                        trace=trace)
-                total += iters
-                schedule.event("source-step", fraction=float(fraction),
-                               iterations=iters)
-            for source, waveform in zip(sources, saved):
-                source.waveform = waveform
-            x, iters = newton_solve(compiled, x, time, options,
-                                    options.gmin, trace=trace)
-            return x, total + iters
-        finally:
-            for source, waveform in zip(sources, saved):
-                source.waveform = waveform
+#: Smallest step ratio the adaptive pseudo-transient schedule backs off
+#: to: a lane whose ratio is square-rooted below it fails the rung.
+MIN_STEP_RATIO = 1.1
 
 
 class PseudoTransientStrategy(SolveStrategy):
-    """Pseudo-transient continuation (the final fallback).
+    """Pseudo-transient continuation with an adaptive step.
 
-    Each outer step solves the circuit with an extra conductance ``g``
-    from every node to its *previous* voltage -- the resistive analogue
+    Each step solves the circuit with an extra conductance ``g`` from
+    every node to its last accepted voltage -- the resistive analogue
     of a capacitor to the old state, i.e. one implicit-Euler step of a
-    fictitious transient.  ``g`` starts heavy (small pseudo-timestep,
-    strongly damped) and decays by ``shrink`` per accepted step until it
-    reaches ``options.gmin``, after which a plain Newton solve polishes
-    the answer.  Unlike gmin stepping the anchor carries no bias toward
-    ground, so it also tames circuits whose solution sits far from zero.
+    fictitious transient.  ``g`` starts heavy (``g_start``: a small
+    pseudo-timestep, strongly damped) and falls by the step ratio per
+    accepted step until it reaches ``options.gmin``, after which a
+    plain Newton solve polishes the answer.  The ratio starts at
+    ``shrink``; a failed step restarts from the last accepted state
+    with the ratio square-rooted, and an accepted step squares it back
+    up to ``shrink`` (see :func:`pseudo_transient_lanes`).  The anchor
+    carries no bias toward ground, so the solve keeps the state the
+    nodesets name on bistable circuits.
     """
 
     name = "pseudo-transient"
@@ -646,34 +571,103 @@ class PseudoTransientStrategy(SolveStrategy):
     def solve(self, circuit, compiled, x0, time, options, trace):
         options = self._options(options)
         n_nodes = len(compiled.node_index)
-        schedule = telemetry.current_span()
-        x = x0.copy()
-        total = 0
-        g = self.g_start
-        while g > options.gmin:
-            x_prev = x.copy()
+        X = x0.copy()[None, :]
 
-            def anchor(st, xv: np.ndarray,
-                       g=g, x_prev=x_prev) -> None:
+        def solve_lane(active, g, anchor):
+            def extra(st, xv, g=g[0], x_prev=anchor[0]) -> None:
                 st.add_diagonal(g, n_nodes)
                 st.res[:n_nodes] += g * (xv[:n_nodes] - x_prev[:n_nodes])
 
-            x, iters = newton_solve(compiled, x, time, options,
-                                    options.gmin, extra_stamp=anchor,
-                                    trace=trace)
-            total += iters
-            schedule.event("pseudo-transient-step", g=g, iterations=iters)
-            g /= self.shrink
-        x, iters = newton_solve(compiled, x, time, options, options.gmin,
-                                trace=trace)
-        return x, total + iters
+            try:
+                X[0], iters = newton_solve(compiled, X[0], time, options,
+                                           extra_stamp=extra, trace=trace)
+            except ConvergenceError as error:
+                return [False], [error.iterations or 0], {0: str(error)}
+            return [True], [iters], {}
+
+        converged, iterations, reasons = pseudo_transient_lanes(
+            X, np.zeros(1, dtype=np.intp), self, options, solve_lane)
+        if not converged[0]:
+            raise ConvergenceError(reasons[0], iterations=int(iterations[0]))
+        return X[0], int(iterations[0])
+
+
+def pseudo_transient_lanes(X: np.ndarray, lanes: np.ndarray,
+                           rung: PseudoTransientStrategy,
+                           options: NewtonOptions, solve,
+                           ) -> tuple[np.ndarray, np.ndarray, dict[int, str]]:
+    """Run the adaptive pseudo-transient schedule on rows ``lanes`` of
+    ``X`` (in place); return ``(converged, iterations, reasons)``.
+
+    Every lane carries its anchor conductance ``g`` (``rung.g_start``
+    at first), its step ratio (``rung.shrink`` at first) and its last
+    accepted state, which anchors its next step:
+
+    * an accepted step records its state, squares the ratio (capped at
+      ``rung.shrink``) and divides ``g`` by it; once ``g`` would reach
+      ``options.gmin`` the lane's next solve is the plain polish;
+    * a failed step restarts from the last accepted state with the
+      ratio square-rooted -- ``g`` is the last accepted one divided by
+      the new ratio -- and records a ``pseudo-transient-backoff`` event;
+    * a lane fails the rung when its first step (from ``g_start``)
+      fails, when its ratio falls below :data:`MIN_STEP_RATIO`, when its
+      polish fails, or once the wall-clock deadline has passed.
+
+    ``solve(active, g, anchor)`` runs one Newton solve per lane of
+    ``active`` from its row of ``X``, in place, with ``g[lane]`` from
+    every node to ``anchor[lane]`` (``g[lane] == 0``: the plain
+    polish), and returns ``(converged, iterations, reasons)`` for those
+    lanes in order, ``reasons`` keyed by lane.  The serial strategy
+    passes one lane through :func:`newton_solve`; the batched engine
+    passes the stacked lanes through its own kernel.
+    """
+    B = X.shape[0]
+    g = np.full(B, rung.g_start)
+    g_accepted = np.zeros(B)
+    ratio = np.full(B, rung.shrink)
+    anchor = X.copy()
+    converged = np.zeros(B, dtype=bool)
+    iterations = np.zeros(B, dtype=int)
+    reasons: dict[int, str] = {}
+    schedule = telemetry.current_span()
+    active = np.asarray(lanes, dtype=np.intp)
+    while active.size:
+        ok, iters, why = solve(active, g, anchor)
+        expired = (options.deadline is not None
+                   and _time.perf_counter() >= options.deadline)
+        for k, lane in enumerate(active.tolist()):
+            iterations[lane] += iters[k]
+            if ok[k] and g[lane] == 0.0:
+                converged[lane] = True
+            elif ok[k]:
+                schedule.event("pseudo-transient-step", lane=lane,
+                               g=float(g[lane]), iterations=int(iters[k]))
+                anchor[lane] = X[lane]
+                g_accepted[lane] = g[lane]
+                ratio[lane] = min(ratio[lane] ** 2, rung.shrink)
+                g[lane] = g[lane] / ratio[lane]
+                if g[lane] <= options.gmin:
+                    g[lane] = 0.0
+            elif (expired or g[lane] == 0.0 or g_accepted[lane] == 0.0
+                  or np.sqrt(ratio[lane]) < MIN_STEP_RATIO):
+                reasons[lane] = (f"pseudo-transient step at "
+                                 f"g={g[lane]:.3g}: {why[lane]}")
+            else:
+                ratio[lane] = np.sqrt(ratio[lane])
+                schedule.event("pseudo-transient-backoff", lane=lane,
+                               g=float(g[lane]), ratio=float(ratio[lane]),
+                               why=why[lane])
+                g[lane] = g_accepted[lane] / ratio[lane]
+                X[lane] = anchor[lane]
+        active = np.array([lane for lane in active.tolist()
+                           if not converged[lane] and lane not in reasons],
+                          dtype=np.intp)
+    return converged, iterations, reasons
 
 
 #: The ladder ``operating_point`` climbs by default.
 DEFAULT_LADDER: tuple[SolveStrategy, ...] = (
     NewtonStrategy(),
-    GminSteppingStrategy(),
-    SourceSteppingStrategy(),
     PseudoTransientStrategy(),
 )
 

@@ -27,8 +27,8 @@ Deliberate scope limits (documented in docs/architecture.md):
 * template elements must be assembler-known types (no foreign
   :class:`~.elements.Element` subclasses);
 * instances of one subcircuit share the template's element values --
-  source stepping ramps and fault/Monte-Carlo overlays address
-  top-level elements only.
+  sweeps and fault/Monte-Carlo overlays address top-level elements
+  only.
 """
 
 from __future__ import annotations

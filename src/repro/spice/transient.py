@@ -664,10 +664,9 @@ class _SerialStepper(_Stepper):
                         st.add_j(term.pos, col, c0 * dqdv)
                         st.add_j(term.neg, col, -c0 * dqdv)
 
-        options = self.newton_options
         try:
             x_new, iterations = newton_solve(
-                self.compiled, X[0], t_new, options, options.gmin,
+                self.compiled, X[0], t_new, self.newton_options,
                 extra_stamp=dynamic_stamp, lu_state=self.lu_state)
         except ConvergenceError as error:
             return X, (0,), {0: str(error)}

@@ -42,6 +42,7 @@ from .testbench import (
     GateCharacterization,
     buffer_chain_capture,
     characterize_gate,
+    delay_chain_circuit,
     measure_gate_delay,
     measure_ring_period,
 )
@@ -67,7 +68,7 @@ __all__ = [
     "stscl_tree_circuit", "stscl_latch_circuit",
     "stscl_ring_oscillator_circuit",
     "GateCharacterization", "buffer_chain_capture", "characterize_gate",
-    "measure_gate_delay", "measure_ring_period",
+    "delay_chain_circuit", "measure_gate_delay", "measure_ring_period",
     "PipelinedAdder", "full_adder_cells",
     "LoadBreakdown", "estimate_load", "supported_fanout",
     "ThermalPoint", "delay_spread", "gain_over_temperature",

@@ -25,7 +25,7 @@ from ..scope import (
     SwingReport,
     measure,
 )
-from ..spice import TransientOptions, transient
+from ..spice import Circuit, TransientOptions, transient
 from ..spice.waveforms import step_wave
 from .gate_model import StsclGateDesign
 from .netlist_gen import (
@@ -54,6 +54,20 @@ class GateCharacterization:
                 f"{self.rise.describe()}, {self.swing.describe()}")
 
 
+def delay_chain_circuit(design: StsclGateDesign, vdd: float,
+                        n_stages: int = 3) -> Circuit:
+    """The delay testbench's circuit: an ``n_stages`` buffer chain
+    driven by a differential step at 5 t_d (see
+    :func:`buffer_chain_capture`)."""
+    t_d = design.delay()
+    high, low = vdd, vdd - design.v_sw
+    circuit, _ports = stscl_buffer_chain_circuit(
+        design, vdd, n_stages,
+        in_p=step_wave(low, high, 5.0 * t_d, t_d / 10.0),
+        in_n=step_wave(high, low, 5.0 * t_d, t_d / 10.0))
+    return circuit
+
+
 def buffer_chain_capture(design: StsclGateDesign, vdd: float,
                          n_stages: int = 3,
                          replace_dense: bool = True) -> ScopeSession:
@@ -71,11 +85,7 @@ def buffer_chain_capture(design: StsclGateDesign, vdd: float,
         raise DesignError(
             f"delay extraction needs >= 2 stages: {n_stages}")
     t_d = design.delay()
-    high, low = vdd, vdd - design.v_sw
-    circuit, _ports = stscl_buffer_chain_circuit(
-        design, vdd, n_stages,
-        in_p=step_wave(low, high, 5.0 * t_d, t_d / 10.0),
-        in_n=step_wave(high, low, 5.0 * t_d, t_d / 10.0))
+    circuit = delay_chain_circuit(design, vdd, n_stages)
     a, b = n_stages - 1, n_stages
     session = ScopeSession(
         probes=[Probe(f"s{a}_outp", f"s{a}_outn", label="y_prev"),

@@ -49,3 +49,24 @@ def lane_sample_violations(trace: Trace | Span) -> list[str]:
             f"{got}, expected {expected}"
             for name, got, expected in checks if got != expected)
     return violations
+
+
+def factorization_violations(trace: Trace | Span) -> list[str]:
+    """Check that the Newton kernels counted every SuperLU factorization.
+
+    Trace-wide, ``sparse_numeric_refactorizations`` (counted by
+    :meth:`~repro.spice.sparse.SparseSystem.factorize` for every numeric
+    factorization SuperLU runs) equals ``sparse_factorizations``
+    (counted by the serial and the stacked Newton kernels for every
+    factorization they request).  A factorization outside a kernel, or
+    a kernel path that skips its count, breaks the identity; so does a
+    non-finite Jacobian, which a kernel requests but ``factorize``
+    refuses before SuperLU.
+    """
+    root = trace.root if isinstance(trace, Trace) else trace
+    numeric = root.total_counter("sparse_numeric_refactorizations")
+    requested = root.total_counter("sparse_factorizations")
+    if numeric == requested:
+        return []
+    return [f"sparse_numeric_refactorizations is {numeric}, expected "
+            f"sparse_factorizations = {requested}"]

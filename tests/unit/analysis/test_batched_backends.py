@@ -323,12 +323,12 @@ class TestPilotWarmStart:
     def test_lanes_bit_identical_to_one_lane_batch_pilot(
             self, default_design):
         """On an adder that only the pseudo-transient rung solves cold,
-        the Monte-Carlo lanes equal the former recipe bit for bit -- a
-        one-lane ``batch_operating_point`` pilot (whose lane falls back
-        to that same serial ladder), its solution as ``x0``, then the
-        batch -- without the extra pilot lane."""
+        the Monte-Carlo lanes equal the explicit recipe bit for bit --
+        lane 0 through the serial ladder, its solution as ``x0``, then
+        the batch -- without an extra pilot lane."""
         from repro import telemetry
-        from repro.spice import batch_operating_point
+        from repro.spice import (apply_lane, batch_operating_point,
+                                 operating_point)
         from repro.stscl.adder import adder_chain_circuit
 
         circuit, _ = adder_chain_circuit(default_design, 0.4, width=2,
@@ -347,10 +347,14 @@ class TestPilotWarmStart:
         spec = BatchedOpMetric(build=lambda: circuit,
                                draw=lambda seed, _: lanes[seed],
                                measure=measure)
-        pilot = batch_operating_point(circuit, lanes[:1], on_error="skip")
-        assert pilot.diagnostics.n_fallback == 1  # needs the ladder
+        undo = apply_lane(circuit, lanes[0])
+        try:
+            pilot = operating_point(circuit)
+        finally:
+            undo()
+        assert pilot.diagnostics.rescued_by == "pseudo-transient"
         recipe = batch_operating_point(circuit, lanes, on_error="skip",
-                                       x0=pilot.points[0].x)
+                                       x0=pilot.x)
         with telemetry.tracing("pilot") as trace:
             run = MonteCarlo(spec, n_runs=self.N_RUNS,
                              backend="batched").run()

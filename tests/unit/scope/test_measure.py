@@ -257,6 +257,20 @@ class TestStsclTestbench:
         assert report.delay_ratio > 1.0
         assert "t_pd" in report.describe()
 
+    @pytest.mark.parametrize("i_ss", np.logspace(-10.0, -8.0, 9),
+                             ids=lambda i_ss: f"{i_ss:.3g}")
+    def test_characterization_covers_the_designer_grid(self, i_ss):
+        """gate_char's nine tail currents, 100 pA .. 10 nA: the delay
+        testbench's cold operating point converges at every one (at
+        316 pA only by backing the pseudo-transient step off)."""
+        from repro.stscl import StsclGateDesign
+        from repro.stscl.testbench import characterize_gate
+
+        design = StsclGateDesign.default(float(i_ss))
+        report = characterize_gate(design, vdd=0.4)
+        assert report.swing.swing == pytest.approx(design.v_sw, rel=0.1)
+        assert 1.0 < report.delay_ratio < 2.0
+
     def test_single_stage_chain_rejected(self, default_design):
         from repro.errors import DesignError
         from repro.stscl.testbench import buffer_chain_capture

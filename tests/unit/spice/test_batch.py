@@ -22,7 +22,9 @@ from repro.spice import (
     batch_operating_point,
     operating_point,
 )
-from repro.spice.batch import BATCHED_GMIN_STAGE, BATCHED_STAGE
+from repro.spice.batch import BATCHED_PSEUDO_TRANSIENT_STAGE, BATCHED_STAGE
+from repro.stscl import (StsclGateDesign, delay_chain_circuit,
+                         stscl_latch_circuit)
 
 DIODE = Diode(DiodeParameters(name="junction", i_s=1e-16))
 
@@ -37,6 +39,28 @@ def diode_circuit(v_in: float = 1.0) -> Circuit:
     circuit.add_resistor("RS", "in", "a", 10.0)
     circuit.add_diode("D1", "a", "0", DIODE)
     return circuit
+
+
+def delay_chain() -> Circuit:
+    """gate_char's 3-stage delay testbench at 316 pA, VDD 0.4 V."""
+    return delay_chain_circuit(StsclGateDesign.default(10.0 ** -9.5), 0.4)
+
+
+def hold_latch(i_ss: float) -> Circuit:
+    """gate_char's D-latch as at t = 0: clock low (hold), data low.  It
+    is bistable there, and its nodesets name outp = VDD = 0.4 V,
+    outn = VDD - V_SW = 0.2 V."""
+    design = StsclGateDesign.default(i_ss)
+    high, low = 0.4, 0.4 - design.v_sw
+    circuit, _ = stscl_latch_circuit(design, 0.4, low, high, low, high)
+    return circuit
+
+
+def mismatch_lanes(circuit: Circuit, n_lanes: int) -> list[LaneSpec]:
+    n_devices = len(circuit.mos_elements())
+    return [LaneSpec.mismatch(
+        np.random.default_rng(seed).normal(0.0, 2e-3, n_devices),
+        label=f"seed-{seed}") for seed in range(n_lanes)]
 
 
 def source_lanes(values) -> list[LaneSpec]:
@@ -171,9 +195,9 @@ class TestEquivalence:
 
 class TestLadderSemantics:
     def test_gmin_phase_respects_a_newton_only_ladder(self):
-        """A ladder without a gmin rung must fail the same lanes
-        batched as serially -- the stacked gmin phase may not rescue
-        lanes the caller's ladder could not."""
+        """A ladder without a pseudo-transient rung must fail the same
+        lanes batched as serially -- the stacked continuation phase may
+        not rescue lanes the caller's ladder could not."""
         lanes = source_lanes([0.5, 8.0])  # 8 V walk defeats TIGHT Newton
         with pytest.raises(ConvergenceError):
             operating_point(diode_circuit(8.0), TIGHT,
@@ -208,29 +232,60 @@ class TestLadderSemantics:
                                   strategies=(NewtonStrategy(),))
 
     def test_fallback_rescues_via_the_full_ladder(self):
-        """TIGHT options defeat both the stacked phases on the 8 V
-        walk; the per-lane fallback climbs the full serial ladder and
-        still delivers the solution."""
-        batch = batch_operating_point(diode_circuit(),
-                                      source_lanes([8.0]), options=TIGHT)
-        point = batch.points[0]
-        assert point.converged
-        assert 0.7 < point.voltage("a") < 1.1
-        assert batch.diagnostics.n_fallback == 1
-        # The lane's diagnostics tell the whole story: batched stages
-        # first, then the serial rungs that rescued it.
-        stages = [s.strategy for s in point.diagnostics.stages]
-        assert stages[0] == BATCHED_STAGE
-        assert BATCHED_GMIN_STAGE in stages
-        assert point.diagnostics.rescued_by == "source-stepping"
+        """Stacked Newton stalls on the 316 pA delay chain; the lanes
+        fall back to the ladder's pseudo-transient rung, run stacked,
+        which rescues every one of them -- with a backoff, since the
+        decade step g = 1e-9 -> 1e-10 stalls."""
+        circuit = delay_chain()
+        with telemetry.tracing("rescue") as trace:
+            batch = batch_operating_point(circuit,
+                                          mismatch_lanes(circuit, 4))
+        diagnostics = batch.diagnostics
+        assert diagnostics.n_converged_batched == 0
+        assert diagnostics.n_converged_pseudo_transient == 4
+        assert diagnostics.n_fallback == 0
+        assert "4 via pseudo-transient" in diagnostics.describe()
+        span = trace.root.find("batch-operating-point")
+        assert span.attrs["n_converged_pseudo_transient"] == 4
+        assert span.events_of("pseudo-transient-backoff")
+        v_sw = StsclGateDesign.default(10.0 ** -9.5).v_sw
+        for point in batch.points:
+            # The lane's diagnostics tell the whole story: the stacked
+            # Newton attempt, then the stacked rung that rescued it.
+            assert [s.strategy for s in point.diagnostics.stages] == [
+                BATCHED_STAGE, BATCHED_PSEUDO_TRANSIENT_STAGE]
+            assert point.diagnostics.rescued_by == \
+                BATCHED_PSEUDO_TRANSIENT_STAGE
+            swing = point.voltage("s3_outp") - point.voltage("s3_outn")
+            assert swing == pytest.approx(-v_sw, rel=0.05)
 
     def test_converged_lane_diagnostics_name_the_batched_stage(self):
         batch = batch_operating_point(diode_circuit(),
                                       source_lanes([0.5, 1.0]))
         for point in batch.points:
-            assert point.diagnostics.rescued_by in (BATCHED_STAGE,
-                                                    BATCHED_GMIN_STAGE)
+            assert point.diagnostics.rescued_by in (
+                BATCHED_STAGE, BATCHED_PSEUDO_TRANSIENT_STAGE)
             assert point.diagnostics.total_iterations == point.iterations
+
+
+class TestBistableNodesets:
+    """A bistable circuit's operating point lies on the side its
+    nodesets name: the continuation rung anchors each step to the last
+    accepted state, which starts at the nodesets, instead of shunting
+    every node toward ground."""
+
+    @pytest.mark.parametrize("i_ss", [1e-10, 1e-9, 1e-8])
+    def test_serial_solve_keeps_the_named_state(self, i_ss):
+        op = operating_point(hold_latch(i_ss))
+        assert op.voltage("outp") - op.voltage("outn") > 0.0
+
+    @pytest.mark.parametrize("i_ss", [1e-10, 1e-9, 1e-8])
+    def test_batched_lanes_keep_the_named_state(self, i_ss):
+        circuit = hold_latch(i_ss)
+        batch = batch_operating_point(circuit, mismatch_lanes(circuit, 4))
+        assert batch.diagnostics.n_fallback == 0
+        for point in batch.points:
+            assert point.voltage("outp") - point.voltage("outn") > 0.0
 
 
 class TestDiagnosticsAndTelemetry:
@@ -355,8 +410,8 @@ class TestSingularLanes:
 
         real = batch_mod.batch_newton
 
-        def poisoned(assembler, X, options, gmin, active_history=None):
-            outcome = real(assembler, X, options, gmin, active_history)
+        def poisoned(assembler, X, options, active_history=None):
+            outcome = real(assembler, X, options, active_history)
             X[0] = np.nan  # "converged", but the vector is garbage
             return outcome
 

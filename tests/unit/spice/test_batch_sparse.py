@@ -145,6 +145,26 @@ class TestSymbolicReuse:
             counters["sparse_numeric_refactorizations"]
         assert counters["jacobian_factorizations"] > 0
 
+    def test_factorization_check_reports_a_drifted_counter(
+            self, default_design):
+        """The library identity holds over a serial solve and a stacked
+        ensemble that needs the pseudo-transient rung, and names both
+        counters once one drifts."""
+        from repro.telemetry.invariants import factorization_violations
+
+        with telemetry.tracing("sparse-identity") as trace:
+            circuit = _inverter(default_design, "sparse")
+            operating_point(circuit)
+            batch = batch_operating_point(
+                circuit, _mismatch_lanes(len(circuit.mos_elements()), 4))
+        assert batch.diagnostics.n_converged_pseudo_transient == 4
+        assert factorization_violations(trace) == []
+        trace.root.find("batch-operating-point").inc(
+            "sparse_numeric_refactorizations")
+        [violation] = factorization_violations(trace)
+        assert "sparse_numeric_refactorizations" in violation
+        assert "sparse_factorizations" in violation
+
     def test_repeat_campaign_computes_no_new_ordering(self, default_design):
         """The ordering lives on the compiled circuit's pattern: a second
         Monte-Carlo campaign over the same circuit (pilot and stacked
@@ -176,9 +196,9 @@ class TestOrderingReuse:
     def test_every_ladder_jacobian_matches_fresh_colamd(
             self, default_design, monkeypatch):
         """Every Jacobian a cold serial ladder solve of a sparse 4-bit
-        adder factors -- Newton, gmin, source stepping and
-        pseudo-transient rungs alike -- solves as a fresh COLAMD
-        factorization does, within 1e-12 relative."""
+        adder factors -- Newton and pseudo-transient rungs alike --
+        solves as a fresh COLAMD factorization does, within 1e-12
+        relative."""
         from scipy.sparse.linalg import splu
 
         factored = []
@@ -196,7 +216,13 @@ class TestOrderingReuse:
         with telemetry.tracing("ladder") as trace:
             result = operating_point(circuit)
         assert result.diagnostics.rescued_by == "pseudo-transient"
-        assert len(factored) > 100
+        # Both rungs factor, dozens of times after the first (the
+        # two-rung walk takes 74 factorizations).
+        per_rung = [trace.root.find(f"strategy:{name}").total_counter(
+            "sparse_numeric_refactorizations")
+            for name in ("newton", "pseudo-transient")]
+        assert min(per_rung) > 0
+        assert sum(per_rung) == len(factored) > 50
         assert {id(system) for system, _, _ in factored} == {
             id(circuit.compile().assembler.sparse_system())}
         counters = trace.total_counters()

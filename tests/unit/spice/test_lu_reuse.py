@@ -1,10 +1,11 @@
 """LuReuseState lifecycle: rung isolation and key invalidation.
 
 The chord-Newton factorization cache must never leak across solves
-whose Jacobians differ -- a gmin- or source-stepping rung factors a
-*different* matrix at every continuation stage, so a factor cached by
-an earlier rung (or an earlier stage of the same rung) must not be
-consumed as if it were current.  Two mechanisms guarantee that:
+whose Jacobians differ -- a pseudo-transient rung factors a *different*
+matrix at every continuation step (the anchor conductance and the
+anchor state both move), so a factor cached by an earlier rung (or an
+earlier step of the same rung) must not be consumed as if it were
+current.  Two mechanisms guarantee that:
 
 * each :func:`~repro.spice.strategies.newton_solve` call without an
   explicit ``lu_state`` gets a fresh private cache, so strategy rungs
@@ -21,9 +22,9 @@ from repro import telemetry
 from repro.devices.diode import Diode, DiodeParameters
 from repro.spice import (
     Circuit,
-    GminSteppingStrategy,
     NewtonOptions,
     NewtonStrategy,
+    PseudoTransientStrategy,
     operating_point,
 )
 from repro.spice.strategies import LuReuseState, newton_solve
@@ -90,8 +91,8 @@ class TestRungIsolation:
         x0 = circuit.initial_guess(compiled)
         options = NewtonOptions()
         with telemetry.tracing("isolation") as trace:
-            x1, _ = newton_solve(compiled, x0, None, options, options.gmin)
-            newton_solve(compiled, x1, None, options, options.gmin)
+            x1, _ = newton_solve(compiled, x0, None, options)
+            newton_solve(compiled, x1, None, options)
         spans = _newton_spans(trace.root)
         assert len(spans) == 2
         for span in spans:
@@ -99,20 +100,20 @@ class TestRungIsolation:
             assert first_iter["lu_reused"] is False
 
     def test_gmin_rung_never_consumes_a_foreign_factor(self):
-        """Newton fails, gmin stepping rescues.  Every continuation
-        stage solves a different Jacobian (the shunt changes a decade
-        at a time), so each stage's opening step must be a fresh
-        factorization -- chord steps may only appear *within* one
-        stage's iterations."""
+        """Newton fails, the pseudo-transient rung rescues.  Every
+        continuation step solves a different Jacobian (the anchor
+        conductance falls a decade at a time), so each step's opening
+        iteration must be a fresh factorization -- chord steps may only
+        appear *within* one step's iterations."""
         with telemetry.tracing("ladder") as trace:
             op = operating_point(hard_diode(), TIGHT, strategies=(
                 NewtonStrategy(),
-                GminSteppingStrategy(max_iterations=80)))
-        assert op.diagnostics.rescued_by == "gmin-stepping"
-        gmin_span = trace.root.find("strategy:gmin-stepping")
-        assert gmin_span is not None
-        spans = _newton_spans(gmin_span)
-        assert len(spans) > 2  # one per continuation stage
+                PseudoTransientStrategy(max_iterations=80)))
+        assert op.diagnostics.rescued_by == "pseudo-transient"
+        rung_span = trace.root.find("strategy:pseudo-transient")
+        assert rung_span is not None
+        spans = _newton_spans(rung_span)
+        assert len(spans) > 2  # one per continuation step
         for span in spans:
             first_iter = span.events_of("newton-iter")[0]
             assert first_iter["lu_reused"] is False
@@ -124,7 +125,7 @@ class TestRungIsolation:
             hard_diode(), NewtonOptions(max_iterations=400),
             strategies=(NewtonStrategy(),))
         rescued = operating_point(hard_diode(), TIGHT, strategies=(
-            NewtonStrategy(), GminSteppingStrategy(max_iterations=80)))
+            NewtonStrategy(), PseudoTransientStrategy(max_iterations=80)))
         for node, value in reference.voltages.items():
             assert rescued.voltages[node] == pytest.approx(value,
                                                            abs=1e-9)
@@ -139,13 +140,11 @@ class TestRungIsolation:
         options = NewtonOptions()
         state = LuReuseState()
         state.ensure_key(1e-9)
-        x1, _ = newton_solve(compiled, x0, None, options, options.gmin,
-                             lu_state=state)
+        x1, _ = newton_solve(compiled, x0, None, options, lu_state=state)
         assert state.lu is not None
         state.ensure_key(2e-9)  # dt change
         assert state.lu is None
-        x2, _ = newton_solve(compiled, x1, None, options, options.gmin,
-                             lu_state=state)
+        x2, _ = newton_solve(compiled, x1, None, options, lu_state=state)
         np.testing.assert_allclose(x2, x1, atol=1e-9)
 
 

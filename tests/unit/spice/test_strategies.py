@@ -1,28 +1,31 @@
 """The homotopy ladder: pathological circuits, diagnostics, recovery.
 
-The fixture circuit drives a diode hard through a tiny series resistor
+One fixture circuit drives a diode hard through a tiny series resistor
 from an 8 V source.  With the damped Newton of this solver the source
 node must *walk* to 8 V at ``max_step`` volts per iteration, so a tight
-iteration budget defeats plain Newton deterministically -- exactly the
-situation continuation strategies exist for.
+iteration budget defeats plain Newton deterministically.  The rescue
+fixture is the paper's delay testbench at I_SS = 10^-9.5 A: plain
+Newton stalls on it under the default budget, and pseudo-transient
+continuation converges it only by backing its step off.
 """
 
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.devices.diode import Diode, DiodeParameters
 from repro.errors import ConvergenceError
 from repro.spice import (
     Circuit,
-    GminSteppingStrategy,
     NewtonOptions,
     NewtonStrategy,
     PseudoTransientStrategy,
     SolveStrategy,
-    SourceSteppingStrategy,
     dc_sweep,
     operating_point,
 )
+from repro.spice.strategies import MIN_STEP_RATIO, pseudo_transient_lanes
+from repro.stscl import StsclGateDesign, delay_chain_circuit
 
 DIODE = Diode(DiodeParameters(name="junction", i_s=1e-16))
 
@@ -41,6 +44,11 @@ def hard_diode(nodesets: dict[str, float] | None = None) -> Circuit:
     return circuit
 
 
+def delay_chain() -> Circuit:
+    """gate_char's 3-stage delay testbench at 316 pA, VDD 0.4 V."""
+    return delay_chain_circuit(StsclGateDesign.default(10.0 ** -9.5), 0.4)
+
+
 def divider() -> Circuit:
     circuit = Circuit("divider")
     circuit.add_vsource("V1", "in", "0", 1.0)
@@ -56,35 +64,44 @@ class TestLadderRescue:
                             strategies=(NewtonStrategy(),))
 
     def test_default_ladder_rescues_and_names_the_stage(self):
-        op = operating_point(hard_diode(), TIGHT)
+        op = operating_point(delay_chain())
         diag = op.diagnostics
         assert diag.converged
         assert diag.rescue_needed
-        assert diag.rescued_by == "source-stepping"
-        # The failed rungs are on record, in ladder order.
+        assert diag.rescued_by == "pseudo-transient"
+        # The failed rung is on record, in ladder order.
         assert [s.strategy for s in diag.stages] == [
-            "newton", "gmin-stepping", "source-stepping"]
+            "newton", "pseudo-transient"]
         assert not diag.stage("newton").converged
-        assert not diag.stage("gmin-stepping").converged
-        assert diag.stage("source-stepping").converged
-        # And the answer is the physical one: the diode clamps node a.
-        assert 0.7 < op.voltage("a") < 1.1
-        assert op.voltage("in") == pytest.approx(8.0)
+        assert diag.stage("pseudo-transient").converged
+        # And the answer is the physical one: with the input step still
+        # low, every stage's output sits at -V_SW.
+        v_sw = StsclGateDesign.default(10.0 ** -9.5).v_sw
+        for stage in (1, 2, 3):
+            swing = op.voltage(f"s{stage}_outp") - op.voltage(
+                f"s{stage}_outn")
+            assert swing == pytest.approx(-v_sw, rel=0.05)
 
-    def test_gmin_stepping_rescues_with_its_own_budget(self):
-        """Continuation stages may carry a larger per-solve budget
-        (SPICE's ITL6); with one, gmin stepping absorbs the walk."""
-        op = operating_point(hard_diode(), TIGHT, strategies=(
-            NewtonStrategy(), GminSteppingStrategy(max_iterations=80)))
-        assert op.diagnostics.rescued_by == "gmin-stepping"
-        assert not op.diagnostics.stage("newton").converged
-        assert 0.7 < op.voltage("a") < 1.1
-
-    def test_source_stepping_rescues_under_the_shared_budget(self):
-        op = operating_point(hard_diode(), TIGHT, strategies=(
-            NewtonStrategy(), SourceSteppingStrategy()))
-        assert op.diagnostics.rescued_by == "source-stepping"
-        assert 0.7 < op.voltage("a") < 1.1
+    def test_pseudo_transient_backs_off_where_a_decade_stalls(self):
+        """The decade step g = 1e-9 -> 1e-10 stalls on this chain; the
+        rung restarts from the last accepted state with the ratio
+        square-rooted, then squares it back up."""
+        with telemetry.tracing("backoff") as trace:
+            op = operating_point(delay_chain())
+        assert op.diagnostics.rescued_by == "pseudo-transient"
+        rung = trace.root.find("strategy:pseudo-transient")
+        backoffs = rung.events_of("pseudo-transient-backoff")
+        assert backoffs
+        for event in backoffs:
+            assert 1.0 < event["ratio"] < 10.0
+        steps = [event["g"] for event in
+                 rung.events_of("pseudo-transient-step")]
+        assert steps[0] == 1e-3
+        assert all(later < earlier
+                   for earlier, later in zip(steps, steps[1:]))
+        # Off the decade grid after the backoff.
+        assert any(not np.isclose(np.log10(g), np.round(np.log10(g)))
+                   for g in steps)
 
     def test_pseudo_transient_is_a_viable_final_fallback(self):
         op = operating_point(hard_diode(), TIGHT, strategies=(
@@ -96,11 +113,59 @@ class TestLadderRescue:
         reference = operating_point(hard_diode()).voltage("a")
         for strategies in (
                 (NewtonStrategy(),),
-                (GminSteppingStrategy(),),
-                (SourceSteppingStrategy(),),
                 (PseudoTransientStrategy(),)):
             op = operating_point(hard_diode(), strategies=strategies)
             assert op.voltage("a") == pytest.approx(reference, abs=1e-5)
+
+
+class TestPseudoTransientSchedule:
+    """The adaptive schedule itself, driven by a stub per-lane solve
+    that fails every step whose anchor conductance ``fails(g)``."""
+
+    @staticmethod
+    def _run(fails):
+        calls = []
+
+        def solve(active, g, anchor):
+            calls.append(float(g[0]))
+            ok = not fails(g[0])
+            return [ok], [1], ({} if ok else {0: "stub failure"})
+
+        converged, iterations, reasons = pseudo_transient_lanes(
+            np.zeros((1, 2)), np.zeros(1, dtype=np.intp),
+            PseudoTransientStrategy(), NewtonOptions(), solve)
+        return bool(converged[0]), int(iterations[0]), reasons, calls
+
+    def test_decade_steps_end_in_a_plain_polish(self):
+        converged, iterations, reasons, calls = self._run(lambda g: False)
+        assert converged and not reasons
+        np.testing.assert_allclose(calls[:-1], 10.0 ** -np.arange(3, 15))
+        assert calls[-1] == 0.0
+        assert iterations == len(calls) == 13
+
+    def test_a_failed_step_backs_off_and_recovers_the_ratio(self):
+        converged, _, _, calls = self._run(
+            lambda g: np.isclose(g, 1e-6))
+        assert converged
+        np.testing.assert_allclose(
+            calls[3:7], [1e-6, 10.0 ** -5.5, 10.0 ** -6.5, 10.0 ** -7.5])
+
+    def test_the_ratio_floor_fails_the_lane(self):
+        converged, iterations, reasons, calls = self._run(
+            lambda g: g < 9.9e-6)
+        assert not converged
+        # 10 -> 10^(1/2) -> ... -> 10^(1/16); 10^(1/32) is below the floor.
+        assert 10.0 ** (1 / 32) < MIN_STEP_RATIO <= 10.0 ** (1 / 16)
+        np.testing.assert_allclose(
+            calls[3:], 1e-5 / 10.0 ** (1.0 / 2.0 ** np.arange(5)))
+        assert "stub failure" in reasons[0]
+        assert iterations == len(calls)
+
+    def test_a_failed_first_step_fails_the_lane(self):
+        converged, iterations, reasons, calls = self._run(lambda g: True)
+        assert not converged
+        assert calls == [1e-3] and iterations == 1
+        assert "g=0.001" in reasons[0]
 
 
 class TestDiagnostics:
@@ -119,28 +184,29 @@ class TestDiagnostics:
         assert residuals[-1] <= residuals[0]
 
     def test_total_failure_carries_full_forensics(self):
+        """Under TIGHT the 8 V walk defeats both default rungs:
+        pseudo-transient's first step needs the whole walk too."""
         with pytest.raises(ConvergenceError) as excinfo:
-            operating_point(hard_diode(), TIGHT,
-                            strategies=(NewtonStrategy(),
-                                        GminSteppingStrategy()))
+            operating_point(hard_diode(), TIGHT)
         error = excinfo.value
-        assert error.stage == "gmin-stepping"
+        assert error.stage == "pseudo-transient"
         diag = error.diagnostics
         assert diag is not None
         assert not diag.converged
         assert [s.strategy for s in diag.stages] == [
-            "newton", "gmin-stepping"]
+            "newton", "pseudo-transient"]
         assert all(not s.converged for s in diag.stages)
         assert error.iterations == diag.total_iterations
 
     def test_describe_names_every_stage(self):
-        op = operating_point(hard_diode(), TIGHT)
+        op = operating_point(delay_chain())
         text = op.diagnostics.describe()
-        assert "source-stepping" in text
+        assert "newton" in text and "pseudo-transient" in text
         assert "failed" in text and "ok" in text
 
     def test_wall_time_is_accounted(self):
-        diag = operating_point(hard_diode(), TIGHT).diagnostics
+        diag = operating_point(delay_chain()).diagnostics
+        assert len(diag.stages) == 2
         assert diag.wall_time > 0.0
         assert all(s.wall_time >= 0.0 for s in diag.stages)
 
@@ -218,31 +284,11 @@ class TestSweepRecovery:
 
 
 class TestStrategyValidation:
-    def test_gmin_exponent_ordering(self):
-        with pytest.raises(ValueError):
-            GminSteppingStrategy(start_exponent=9, stop_exponent=3)
-
-    def test_source_stepping_fraction_bounds(self):
-        with pytest.raises(ValueError):
-            SourceSteppingStrategy(start_fraction=1.5)
-        with pytest.raises(ValueError):
-            SourceSteppingStrategy(steps=1)
-
     def test_pseudo_transient_parameters(self):
         with pytest.raises(ValueError):
             PseudoTransientStrategy(g_start=-1.0)
         with pytest.raises(ValueError):
             PseudoTransientStrategy(shrink=0.5)
-
-    def test_source_stepping_restores_waveforms_on_failure(self):
-        circuit = hard_diode()
-        element = circuit.element("V1")
-        saved = element.waveform
-        with pytest.raises(ConvergenceError):
-            operating_point(
-                circuit, NewtonOptions(max_iterations=3),
-                strategies=(SourceSteppingStrategy(),))
-        assert element.waveform is saved
 
 
 class TestWallClockBudget:

@@ -77,13 +77,14 @@ class TestOperatingPointTrace:
         assert rungs
         winner = [r for r in rungs if r["converged"]]
         assert winner[-1]["strategy"] == result.diagnostics.rescued_by
-        # The STSCL inverter needs the gmin ladder from a cold start:
-        # its strategy span records the gmin schedule.
-        gmin = op.find("strategy:gmin-stepping")
-        if gmin is not None:
-            steps = gmin.events_of("gmin-step")
-            assert steps
-            assert all("gmin" in s and "iterations" in s for s in steps)
+        # The STSCL inverter needs the pseudo-transient rung from a
+        # cold start: its strategy span records the step schedule.
+        assert result.diagnostics.rescued_by == "pseudo-transient"
+        rung = op.find("strategy:pseudo-transient")
+        steps = rung.events_of("pseudo-transient-step")
+        assert steps
+        assert all("g" in s and "iterations" in s for s in steps)
+        assert steps[0]["g"] == 1e-3
 
     def test_device_bank_evals_counted(self):
         circuit, _ = inverter()

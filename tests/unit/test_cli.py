@@ -98,6 +98,17 @@ class TestCommands:
         assert "invariant violated: lane_samples drifted" in \
             capsys.readouterr().out
 
+    def test_trace_runs_the_factorization_check(self, capsys, tmp_path,
+                                                monkeypatch):
+        from repro.telemetry import invariants
+
+        monkeypatch.setattr(invariants, "factorization_violations",
+                            lambda trace: ["factorizations drifted"])
+        assert main(["trace", "--scenario", "op_chain", "--output",
+                     str(tmp_path / "t.jsonl")]) == 1
+        assert "invariant violated: factorizations drifted" in \
+            capsys.readouterr().out
+
 
 class TestFuzzCommand:
     def test_defaults(self):
@@ -150,9 +161,9 @@ class TestErrorReporting:
         from repro.errors import ConvergenceError
 
         line = _diagnose(ConvergenceError("no luck",
-                                          stage="gmin-stepping"))
+                                          stage="pseudo-transient"))
         assert line == ("error: ConvergenceError: no luck "
-                        "[last stage: gmin-stepping]")
+                        "[last stage: pseudo-transient]")
 
     def test_programming_errors_still_raise(self, monkeypatch):
         """Only library errors are swallowed; bugs must stay loud."""
