@@ -160,23 +160,33 @@ def test_sparse_batched_mc_full_case_meets_acceptance():
     """Acceptance pin for the sparse batched ensemble: on the
     1164-unknown 32-bit adder the campaign runs >= 3x faster per seed
     than one cold serial sparse solve, shares exactly one symbolic
-    factorization, and every seed decodes the exact arithmetic sum."""
+    factorization, and every seed decodes the exact arithmetic sum.
+
+    Like ``run_benchmarks``, one traced warmup supplies the counters
+    and each side's time is the best of three untraced runs: a single
+    sample of either side swings by more than the margin on a shared
+    host."""
     from repro import telemetry
     from repro.bench.perf import _bench_sparse_batched_montecarlo
 
+    case = _bench_sparse_batched_montecarlo(quick=False)
     with telemetry.tracing("sparse-batched-mc-acceptance"):
-        meta = _bench_sparse_batched_montecarlo(quick=False)()
+        meta = case()
     assert meta["n_unknowns"] >= 1000
     assert meta["backend"] == "sparse"
     assert meta["n_failed"] == 0
     assert meta["sum_mean"] == meta["sum_expected"]
     counters = meta["campaign_counters"]
     assert counters["sparse_symbolic_factorizations"] == 1
-    assert counters["lu_reuses"] > 0
-    assert meta["per_seed_speedup"] >= 3.0, (
-        f"batched {meta['batched_per_seed_s'] * 1e3:.1f} ms/seed vs "
-        f"serial {meta['serial_seed_s'] * 1e3:.1f} ms/seed = "
-        f"{meta['per_seed_speedup']:.2f}x, expected >= 3x")
+    assert (counters["sparse_numeric_refactorizations"]
+            == counters["jacobian_factorizations"])
+    runs = [case() for _ in range(3)]
+    serial_s = min(run["serial_seed_s"] for run in runs)
+    batched_s = min(run["batched_per_seed_s"] for run in runs)
+    assert serial_s / batched_s >= 3.0, (
+        f"batched {batched_s * 1e3:.1f} ms/seed vs serial "
+        f"{serial_s * 1e3:.1f} ms/seed = {serial_s / batched_s:.2f}x "
+        f"(best of three each), expected >= 3x")
 
 
 def test_batched_transient_mc_full_case_meets_acceptance():

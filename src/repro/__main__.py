@@ -127,8 +127,7 @@ TRACE_SCENARIOS = ("op_chain", "dc_sweep", "transient", "transient_lte",
 def _cmd_trace(args: argparse.Namespace) -> int:
     from . import telemetry
     from .bench.perf import default_cases
-    from .telemetry.invariants import (factorization_violations,
-                                       lane_sample_violations)
+    from .telemetry.invariants import violations
 
     scenarios = dict(default_cases(quick=not args.full,
                                    n_workers=args.workers))
@@ -155,11 +154,10 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     if detail:
         print(f"scenario detail: {detail}")
     print(f"trace written to {path}")
-    violations = (lane_sample_violations(trace)
-                  + factorization_violations(trace))
-    for violation in violations:
+    broken = violations(trace)
+    for violation in broken:
         print(f"invariant violated: {violation}")
-    return 1 if violations else 0
+    return 1 if broken else 0
 
 
 def _cmd_scope(args: argparse.Namespace) -> int:

@@ -26,6 +26,7 @@ import numpy as np
 
 from .. import telemetry
 from ..analysis.montecarlo import MonteCarlo
+from ..errors import AnalysisError
 from ..spice.dc import dc_sweep, operating_point
 from ..spice.transient import TransientOptions, transient
 from ..spice.waveforms import pulse_wave
@@ -35,6 +36,7 @@ from ..stscl.netlist_gen import (
     stscl_inverter_circuit,
     stscl_latch_circuit,
 )
+from ..telemetry.invariants import violations
 
 #: Format tag of the emitted JSON report (v2: per-case trace_counters;
 #: v3: batched-ensemble cases + numpy/BLAS/threading provenance meta;
@@ -170,10 +172,9 @@ def _latch_circuit(design: StsclGateDesign):
 def _bench_transient_lte(n_stages: int) -> Callable[[], dict]:
     """Pulse-driven STSCL buffer chain under the LTE controller.
 
-    Exercises the cross-step LU chord (one Jacobian carried over many
-    accepted steps of a settled chain) and the LTE rejection machinery
-    on the cascaded edges -- the workload behind the controller's
-    accepted-step regression pins.
+    Exercises the LTE step controller over the long settled stretches
+    of the chain and its rejection machinery on the cascaded edges --
+    the workload behind the controller's accepted-step regression pins.
     """
     def case() -> dict:
         design = _design()
@@ -445,7 +446,7 @@ def _bench_sparse_batched_montecarlo(quick: bool) -> Callable[[], dict]:
                     key: counters.get(key, 0) for key in
                     ("sparse_symbolic_factorizations",
                      "sparse_numeric_refactorizations",
-                     "jacobian_factorizations", "lu_reuses")},
+                     "jacobian_factorizations")},
                 **_solver_meta(circuit)}
     return case
 
@@ -691,11 +692,17 @@ def default_cases(quick: bool = False,
 def _traced_warmup(name: str, case: Callable[[], dict]) -> tuple[dict, dict]:
     """Run the untimed warmup under a private trace; returns
     (case meta, counter totals).  Timed repeats stay untraced, so the
-    reported wall times measure the solver alone."""
+    reported wall times measure the solver alone.  A warmup trace that
+    breaks an identity of :mod:`repro.telemetry.invariants` fails the
+    run with an :class:`~repro.errors.AnalysisError`."""
     if telemetry.is_enabled():
         return case(), {}
     with telemetry.tracing(f"bench-{name}") as trace:
         meta = case()
+    broken = violations(trace)
+    if broken:
+        raise AnalysisError(f"bench case {name!r} broke a trace "
+                            f"invariant: {'; '.join(broken)}")
     return meta, trace.total_counters()
 
 

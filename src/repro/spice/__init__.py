@@ -30,7 +30,6 @@ from .waveforms import dc_wave, pulse_wave, sine_wave, pwl_wave, step_wave
 from .dc import operating_point, dc_sweep, NewtonOptions
 from .strategies import (
     DEFAULT_LADDER,
-    LuReuseState,
     NewtonStrategy,
     PseudoTransientStrategy,
     SolveStrategy,
@@ -63,7 +62,7 @@ __all__ = [
     "dc_wave", "pulse_wave", "sine_wave", "pwl_wave", "step_wave",
     "operating_point", "dc_sweep", "NewtonOptions",
     "SolveStrategy", "NewtonStrategy", "PseudoTransientStrategy",
-    "SolverDiagnostics", "StageReport", "DEFAULT_LADDER", "LuReuseState",
+    "SolverDiagnostics", "StageReport", "DEFAULT_LADDER",
     "LaneSpec", "BatchAssembler", "BatchOpResult", "BatchDiagnostics",
     "batch_operating_point", "BatchedOpMetric", "BatchedOpSweep",
     "apply_lane",

@@ -41,12 +41,9 @@ dense ``(B, N, N)`` tensor for a shared-pattern sparse path: every lane
 of an ensemble has the *same* sparsity structure, so the symbolic work
 (triplet dedup, CSC ``indices``/``indptr``, the COLAMD column ordering)
 is computed **once** per campaign and each Newton iteration only
-refactors per-active-lane numeric data rows ``(B, nnz)`` over it --
-with the serial kernel's chord/LU-reuse discipline applied per lane
-(reused SuperLU handles under the ``lu_contraction`` monitor, fresh
-full-Newton step required before convergence is accepted).  That is
-what makes thousand-unknown mismatch campaigns (the 32-bit adder, the
-transistor-level ADC slices) feasible as ensembles instead of
+refactors per-active-lane numeric data rows ``(B, nnz)`` over it.  That
+is what makes thousand-unknown mismatch campaigns (the 32-bit adder,
+the transistor-level ADC slices) feasible as ensembles instead of
 one-lane-at-a-time serial solves.
 
 :class:`BatchedOpMetric` and :class:`BatchedOpSweep` package the
@@ -707,9 +704,7 @@ def _newton_rounds(assembler: BatchAssembler, X: np.ndarray,
                    lanes_idx: np.ndarray, options: NewtonOptions,
                    active_history: list[int],
                    time: float | None = None,
-                   extra=None,
-                   chord: "_SparseChordState | None" = None,
-                   ) -> _BatchNewtonOutcome:
+                   extra=None) -> _BatchNewtonOutcome:
     """One batched damped-Newton solve over ``lanes_idx``, in place.
 
     The per-lane math mirrors the serial kernel exactly: same damping
@@ -728,11 +723,8 @@ def _newton_rounds(assembler: BatchAssembler, X: np.ndarray,
     kernel's ``extra_stamp`` slot, which the batched transient engine
     fills with the stacked charge companions and the pseudo-transient
     phase with the per-lane anchors; it is called as
-    ``extra(jac_or_vals, res, X_active, active_idx)``.  ``chord``
-    carries the per-lane sparse LU/chord state across calls (the
-    batched transient holds one across accepted steps, invalidated on
-    dt changes); None creates one scoped to this call, so a
-    factorization never outlives the anchor it was made under.
+    ``extra(jac_or_vals, res, X_active, active_idx)``.  Every
+    iteration factors every active lane's freshly assembled Jacobian.
     """
     compiled = assembler.compiled
     B, N = X.shape
@@ -742,10 +734,6 @@ def _newton_rounds(assembler: BatchAssembler, X: np.ndarray,
     use_sparse = assembler.use_sparse
     system = assembler.sparse_batch_system() if use_sparse else None
     diag_slice = system.segment_slices["diag"] if use_sparse else None
-    if not (use_sparse and options.lu_reuse):
-        chord = None
-    elif chord is None:
-        chord = _SparseChordState()
     converged = np.zeros(B, dtype=bool)
     iterations = np.zeros(B, dtype=int)
     stall_checkpoint = np.full(B, np.inf)
@@ -797,24 +785,18 @@ def _newton_rounds(assembler: BatchAssembler, X: np.ndarray,
             if gmin > 0.0:
                 jac[:, diag, diag] += gmin
                 res[:, :n_nodes] += gmin * Xa[:, :n_nodes]
-            if tspan is not None:
-                # The dense stacked solve factors every active lane;
-                # the sparse path counts per-lane inside the solver so
-                # chord reuse shows up as fewer factorizations.
-                tspan.inc("jacobian_factorizations", n_active)
+        if tspan is not None:
+            tspan.inc("jacobian_factorizations", n_active)
+            if use_sparse:
+                tspan.inc("sparse_factorizations", n_active)
         # Per-lane residual norms feed the stall detector (mirroring
         # the serial kernel); only window boundaries read them.
         res_norm = None
         if iteration == 1 or (options.stall_window > 0 and
                               iteration % options.stall_window == 0):
             res_norm = np.abs(res).max(axis=1)
-        if use_sparse:
-            dX, fresh = _solve_stacked_sparse(system, vals, res, active,
-                                              n_nodes, options, chord,
-                                              tspan)
-        else:
-            dX = _solve_stacked(jac, res)
-            fresh = None
+        dX = (_solve_stacked_sparse(system, vals, res) if use_sparse
+              else _solve_stacked(jac, res))
         finite = np.all(np.isfinite(dX), axis=1)
         if not finite.all():
             for lane in active[~finite]:
@@ -823,8 +805,6 @@ def _newton_rounds(assembler: BatchAssembler, X: np.ndarray,
                 iterations[lane] = iteration
             active = active[finite]
             dX = dX[finite]
-            if fresh is not None:
-                fresh = fresh[finite]
             if res_norm is not None:
                 res_norm = res_norm[finite]
             if active.size == 0:
@@ -849,15 +829,6 @@ def _newton_rounds(assembler: BatchAssembler, X: np.ndarray,
         v_max = (np.abs(X[active][:, :n_nodes]).max(axis=1) if n_nodes
                  else np.zeros(active.size))
         conv = step_converged(step_norm, v_max, options) & (scale == 1.0)
-        if chord is not None:
-            # Never declare victory on a stale (chord) Jacobian: drop
-            # the lane's cached factorization and let the next
-            # iteration take -- and re-check -- a fresh full-Newton
-            # step, exactly like the serial kernel.
-            for lane in active[conv & ~fresh]:
-                chord.handles.pop(int(lane), None)
-            conv &= fresh
-            chord.note_norms(active, step_norm)
         if tspan is not None:
             tspan.event("batch-iter", i=iteration,
                         n_active=int(active.size),
@@ -961,103 +932,31 @@ def _solve_stacked(jac: np.ndarray, res: np.ndarray) -> np.ndarray:
         return dX
 
 
-class _SparseChordState:
-    """Per-lane chord-Newton bookkeeping for batched sparse solves.
-
-    By default scoped to a single :func:`_newton_rounds` call, so a
-    pseudo-transient step can never serve a factorization of the
-    previous step's anchored Jacobian.  The batched transient engine
-    instead holds one instance across accepted steps (cached SuperLU
-    handles from the last step's companion Jacobian are excellent chord
-    candidates at the next one) and keys it on the companion
-    coefficient ``c0 = f(dt)``: :meth:`ensure_key` drops every cached
-    handle whenever dt changes, and :meth:`invalidate` clears the cache
-    after rejected attempts whose trial states were discarded.
-    """
-
-    __slots__ = ("handles", "prev_norm", "key")
-
-    def __init__(self) -> None:
-        self.handles: dict[int, object] = {}
-        self.prev_norm: dict[int, float] = {}
-        self.key: float | None = None
-
-    def note_norms(self, active: np.ndarray,
-                   step_norm: np.ndarray) -> None:
-        for lane, norm in zip(active, step_norm):
-            self.prev_norm[int(lane)] = float(norm)
-
-    def ensure_key(self, key: float) -> None:
-        if key != self.key:
-            self.invalidate()
-            self.key = key
-
-    def invalidate(self) -> None:
-        self.handles.clear()
-        self.prev_norm.clear()
-
-
 def _solve_stacked_sparse(system: SparseSystem, vals: np.ndarray,
-                          res: np.ndarray, active: np.ndarray,
-                          n_nodes: int, options: NewtonOptions,
-                          chord: _SparseChordState | None,
-                          tspan) -> tuple[np.ndarray, np.ndarray]:
+                          res: np.ndarray) -> np.ndarray:
     """Per-lane sparse solves over the shared symbolic pattern.
 
-    Mirrors the serial sparse kernel lane by lane: a lane with a cached
-    SuperLU handle first tries a chord step, accepted only under the
-    ``lu_contraction`` monitor; otherwise its CSC data row is
-    numerically refactorized through :meth:`SparseSystem.factorize`
-    (shared structure, column ordering computed once per pattern).
-    Exactly-singular and non-finite lanes degrade to dense least
-    squares; a NaN-parameter lane produces a NaN row that flows into
-    the caller's non-finite kick-out, i.e. the per-lane serial-ladder
-    fallback.
-
-    Returns ``(dX, fresh)``; ``fresh`` flags lanes whose step came from
-    a fresh factorization -- the caller refuses convergence on stale
-    chord steps exactly like the serial kernel.
+    Each lane's CSC data row is numerically refactorized through
+    :meth:`SparseSystem.factorize` (shared structure, column ordering
+    computed once per pattern).  Exactly-singular and non-finite lanes
+    degrade to dense least squares; a NaN-parameter lane produces a NaN
+    row that flows into the caller's non-finite kick-out, i.e. the
+    per-lane serial-ladder fallback.
     """
     data = system.batch_data(vals)
     dX = np.empty_like(res)
-    fresh = np.zeros(active.size, dtype=bool)
-    for k in range(active.size):
-        lane = int(active[k])
-        rhs = -res[k]
-        if chord is not None:
-            handle = chord.handles.get(lane)
-            if handle is not None:
-                candidate = handle.solve(rhs)
-                if np.all(np.isfinite(candidate)):
-                    biggest = (float(np.abs(candidate[:n_nodes]).max())
-                               if n_nodes else 0.0)
-                    scale = (1.0 if biggest <= options.max_step
-                             else options.max_step / max(biggest, 1e-300))
-                    prev = chord.prev_norm.get(lane, np.inf)
-                    if biggest * scale <= options.lu_contraction * prev:
-                        dX[k] = candidate
-                        if tspan is not None:
-                            tspan.inc("lu_reuses")
-                        continue
+    for k in range(res.shape[0]):
         handle = system.factorize(data[k])
-        fresh[k] = True
-        if chord is not None:
-            chord.handles[lane] = handle
-        if tspan is not None:
-            tspan.inc("jacobian_factorizations")
-            tspan.inc("sparse_factorizations")
-            if chord is not None:
-                tspan.inc("lu_refactorizations")
         if handle is not None:
-            dX[k] = handle.solve(rhs)
-        else:
-            try:
-                dX[k], *_ = np.linalg.lstsq(
-                    system.matrix_from_data(data[k]).toarray(), rhs,
-                    rcond=None)
-            except np.linalg.LinAlgError:
-                dX[k] = np.nan
-    return dX, fresh
+            dX[k] = handle.solve(-res[k])
+            continue
+        try:
+            dX[k], *_ = np.linalg.lstsq(
+                system.matrix_from_data(data[k]).toarray(), -res[k],
+                rcond=None)
+        except np.linalg.LinAlgError:
+            dX[k] = np.nan
+    return dX
 
 
 # -- orchestration --------------------------------------------------------
@@ -1570,9 +1469,7 @@ def batch_transient(circuit: "Circuit", lanes: Sequence[LaneSpec],
     kernel's ``extra`` slot), then one LTE estimate *per lane*, reduced
     to a shared verdict by the min-rule: any lane over tolerance rejects
     the step for everyone, and the accepted-growth factor is the most
-    conservative lane's ask.  Sparse campaigns keep one
-    :class:`_SparseChordState` across accepted steps, so an unchanged
-    dt lets lanes ride chord steps on the previous step's LU handles.
+    conservative lane's ask.
 
     Per-lane kick-out mirrors the batched-DC fallback contract: a lane
     that fails its initial DC point, fails Newton with the step floored
@@ -1638,9 +1535,6 @@ class _LockstepStepper(_Stepper):
                          lane_budget)
         self.specs = specs
         self.assembler = BatchAssembler(self.compiled, specs)
-        # One chord state across accepted steps (the kernel ignores it
-        # off the sparse LU-reuse path).
-        self.chord = _SparseChordState()
         self.segment_slices = None
         if self.compiled.solver_backend() == "sparse":
             self.assembler.enable_sparse()
@@ -1653,9 +1547,6 @@ class _LockstepStepper(_Stepper):
 
     def solve(self, X, t_new, c0, rhs):
         lanes = np.asarray(self.lanes, dtype=np.intp)
-        # dt (hence c0) changed => the companion stamps changed => every
-        # cached per-lane factorization is stale.
-        self.chord.ensure_key(c0)
         # The kernel addresses lanes by index: scatter the lane rows
         # into population-sized arrays.
         X_all = np.zeros((len(self.specs), X.shape[1]))
@@ -1672,7 +1563,7 @@ class _LockstepStepper(_Stepper):
 
         outcome = _newton_rounds(assembler, X_all, lanes,
                                  self.newton_options, [], time=t_new,
-                                 extra=dynamic_stamp, chord=self.chord)
+                                 extra=dynamic_stamp)
         X_new = X_all[lanes]
         ok = (outcome.converged[lanes]
               & np.all(np.isfinite(X_new), axis=1))

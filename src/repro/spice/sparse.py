@@ -22,10 +22,8 @@ pre-permuted and ordering disabled.  Each call still runs SuperLU's
 elimination-tree and supernodal numeric phases; only the column
 ordering is skipped, and only an exact pivot tie may resolve
 differently from a per-call COLAMD run (solutions agree to ~1e-12
-relative).  Cross-iteration and cross-step factorization reuse itself
-is the chord-Newton discipline of
-:class:`~repro.spice.strategies.LuReuseState`, which simply holds a
-SuperLU handle instead of a LAPACK ``(lu, piv)`` pair on this backend.
+relative).  Numeric factors are never reused: every Newton iteration
+factors the Jacobian it just assembled.
 
 Backend selection lives in
 :meth:`~repro.spice.netlist.CompiledCircuit.solver_backend`: explicit

@@ -35,22 +35,16 @@ from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
+# Raw LAPACK bindings: the getrf/getrs pair scipy.linalg's
+# lu_factor/lu_solve wrap, minus the per-call asarray/check_finite
+# overhead -- which is comparable to the factorization itself at MNA
+# sizes.
+from scipy.linalg.lapack import dgetrf as _getrf
+from scipy.linalg.lapack import dgetrs as _getrs
 
 from .. import telemetry
 from ..errors import ConvergenceError
 from .sparse import SparseStamper
-
-try:  # pragma: no cover - scipy is a declared dependency
-    # Raw LAPACK bindings: same getrf/getrs pair scipy.linalg's
-    # lu_factor/lu_solve wrap, minus the per-call asarray/check_finite
-    # wrapper overhead -- which is comparable to the factorization
-    # itself at MNA sizes.  The (lu, piv) handle this module stores is
-    # LAPACK-native (1-based pivots) and is only ever fed back to
-    # _getrs here.
-    from scipy.linalg.lapack import dgetrf as _getrf
-    from scipy.linalg.lapack import dgetrs as _getrs
-except ImportError:  # pragma: no cover - degraded environment
-    _getrf = _getrs = None
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .netlist import Circuit, CompiledCircuit
@@ -76,24 +70,6 @@ class NewtonOptions:
             its whole iteration budget before the next homotopy rung --
             which converges such cases quickly -- gets a turn.  0
             disables the detector.
-        lu_reuse: Hold one LU factorization of the Jacobian across
-            Newton iterations (chord / modified Newton) -- and, when
-            the caller supplies a :class:`LuReuseState`, across
-            transient time steps -- refactoring only when the
-            convergence-rate monitor trips.  The residual is always
-            assembled exactly, so the converged solution is the same
-            fixed point; only the iteration trajectory differs.
-        lu_contraction: Contraction the monitor demands of a
-            reused-factorization step: the damped update norm must
-            shrink below ``lu_contraction`` times the previous
-            iteration's, otherwise the step is discarded and redone
-            with a fresh factorization of the current Jacobian.  The
-            default is deliberately strict: residual assembly costs
-            several times a factorization on MNA systems of this size,
-            so a chord that merely *converges* (say 10x per iteration)
-            still loses wall time to the extra assembled iterations
-            its linear tail needs -- reuse must be nearly free (close
-            to the quadratic trajectory) to pay.
         max_wall_time: Wall-clock budget [s] for one whole ladder solve
             (every rung included).  When exhausted, the solve aborts
             with a :class:`~repro.errors.ConvergenceError` carrying the
@@ -112,8 +88,6 @@ class NewtonOptions:
     max_step: float = 0.3
     gmin: float = 1.0e-15
     stall_window: int = 25
-    lu_reuse: bool = True
-    lu_contraction: float = 0.04
     max_wall_time: float | None = None
     deadline: float | None = None
 
@@ -126,76 +100,6 @@ def step_converged(step_norm, v_max, options: NewtonOptions):
     exactly the same rule; works elementwise on per-lane arrays.
     """
     return step_norm < options.vntol * (1.0 + options.reltol * v_max)
-
-
-class LuReuseState:
-    """Cached LU factorization shared across Newton solves.
-
-    The transient engine owns one instance per run and threads it
-    through every per-step solve, so a factorization survives across
-    accepted time steps while the companion-model coefficient is
-    unchanged.  :meth:`ensure_key` invalidates the cache whenever that
-    coefficient (or anything else baked into the Jacobian from outside
-    the kernel, keyed by the caller) changes -- e.g. on every dt
-    change.  DC solves that do not pass a state get a fresh private one
-    per :func:`newton_solve` call, limiting reuse to iterations of one
-    solve.
-
-    A state never outlives the solve that made it -- it is a local of
-    one DC solve or one transient run -- and pickling one
-    (``__reduce__``) ships a fresh empty state: the cached handle may
-    be a SuperLU object, C-level state that cannot be serialized.
-    """
-
-    __slots__ = ("lu", "key")
-
-    def __init__(self) -> None:
-        self.lu = None
-        self.key = None
-
-    def invalidate(self) -> None:
-        self.lu = None
-
-    def ensure_key(self, key) -> None:
-        """Invalidate the cache when ``key`` differs from the last one."""
-        if key != self.key:
-            self.key = key
-            self.lu = None
-
-    def __reduce__(self):
-        # Never pickle the handle: SuperLU objects cannot be serialized,
-        # and dense (lu, piv) factors are stale bulk data the receiving
-        # process would have to distrust anyway.  A round-tripped state
-        # is simply empty.
-        return (LuReuseState, ())
-
-
-def _factorize(jac: np.ndarray):
-    """LU-factor ``jac``; None when it is singular or non-finite (the
-    caller then falls back to least squares, matching the behavior of
-    the plain ``np.linalg.solve`` path)."""
-    lu, piv, info = _getrf(jac)
-    # info > 0 flags an exactly zero pivot; NaN/Inf inputs propagate
-    # into the factors, caught by the isfinite sweep.
-    if info != 0 or not np.all(np.isfinite(lu)):
-        return None
-    return lu, piv
-
-
-def _lu_apply(handle, rhs: np.ndarray) -> np.ndarray:
-    """Back-substitute a factorization handle against ``rhs``.
-
-    Dispatches on the handle type: a ``(lu, piv)`` tuple comes from the
-    dense :func:`_factorize`, anything else is a SuperLU handle from
-    :meth:`~repro.spice.sparse.SparseSystem.factorize` -- which is what lets
-    one :class:`LuReuseState` serve both backends unchanged.
-    """
-    if not isinstance(handle, tuple):
-        return handle.solve(rhs)
-    dx, info = _getrs(handle[0], handle[1], rhs)
-    if info != 0:  # pragma: no cover - getrs only rejects bad args
-        raise ConvergenceError(f"LAPACK getrs failed (info={info})")
-    return dx
 
 
 def _damping(dx: np.ndarray, n_nodes: int,
@@ -220,36 +124,45 @@ def _lstsq_step(jac: np.ndarray, rhs: np.ndarray,
     return dx
 
 
+def _dense_step(jac: np.ndarray, rhs: np.ndarray,
+                compiled: "CompiledCircuit", iteration: int) -> np.ndarray:
+    """LU-factor ``jac`` and solve for ``rhs``; least squares when the
+    factor is singular or non-finite."""
+    lu, piv, info = _getrf(jac)
+    # info > 0 flags an exactly zero pivot; NaN/Inf inputs propagate
+    # into the factors, caught by the isfinite sweep.
+    if info != 0 or not np.all(np.isfinite(lu)):
+        return _lstsq_step(jac, rhs, compiled, iteration)
+    dx, info = _getrs(lu, piv, rhs)
+    if info != 0:  # pragma: no cover - getrs only rejects bad args
+        raise ConvergenceError(f"LAPACK getrs failed (info={info})")
+    return dx
+
+
 def newton_solve(compiled: "CompiledCircuit", x0: np.ndarray,
                  time: float | None, options: NewtonOptions,
                  extra_stamp=None, trace: list[float] | None = None,
-                 lu_state: LuReuseState | None = None,
                  ) -> tuple[np.ndarray, int]:
-    """Run damped (modified) Newton from ``x0``; return (solution, iters).
+    """Run damped Newton from ``x0``; return (solution, iterations).
 
+    Every iteration factors the Jacobian it just assembled.
     ``extra_stamp(stamper, x)``, when given, adds to each iteration's
     assembled system before the ``options.gmin`` shunt (the transient
     companions, the pseudo-transient anchor).  ``trace``, when given,
     accumulates the max-abs residual of every iteration -- the
-    trajectory the diagnostics record keeps.
-    ``lu_state`` carries a Jacobian factorization across calls (the
-    transient engine's cross-step chord iteration); without it, LU
-    reuse -- when enabled by ``options.lu_reuse`` -- is scoped to the
-    iterations of this one solve.  Under an active telemetry trace each
-    solve opens a ``newton`` span carrying one ``newton-iter`` event
-    per iteration (residual, update norm, damping, stall-detector
-    state) plus the ``jacobian_factorizations`` / ``lu_refactorizations``
-    / ``lu_reuses`` counters; disabled tracing takes a
-    single-flag-check fast path.
+    trajectory the diagnostics record keeps.  Under an active
+    telemetry trace each solve opens a ``newton`` span carrying one
+    ``newton-iter`` event per iteration (residual, update norm,
+    damping, stall-detector state) plus the ``jacobian_factorizations``
+    counter; disabled tracing takes a single-flag-check fast path.
     """
     if not telemetry.is_enabled():
         return _newton_kernel(compiled, x0, time, options, extra_stamp,
-                              trace, None, lu_state)
+                              trace, None)
     with telemetry.span("newton") as tspan:
         try:
             x, iterations = _newton_kernel(compiled, x0, time, options,
-                                           extra_stamp, trace, tspan,
-                                           lu_state)
+                                           extra_stamp, trace, tspan)
         except ConvergenceError as error:
             tspan.annotate(converged=False, detail=str(error))
             raise
@@ -260,8 +173,7 @@ def newton_solve(compiled: "CompiledCircuit", x0: np.ndarray,
 def _newton_kernel(compiled: "CompiledCircuit", x0: np.ndarray,
                    time: float | None, options: NewtonOptions,
                    extra_stamp, trace: list[float] | None,
-                   tspan, lu_state: LuReuseState | None = None,
-                   ) -> tuple[np.ndarray, int]:
+                   tspan) -> tuple[np.ndarray, int]:
     gmin = options.gmin
     st = compiled.new_stamper()
     sparse_mode = isinstance(st, SparseStamper)
@@ -269,10 +181,6 @@ def _newton_kernel(compiled: "CompiledCircuit", x0: np.ndarray,
     n_nodes = len(compiled.node_index)
     stall_checkpoint = np.inf
     stall_residual = np.inf
-    reusing = options.lu_reuse and (sparse_mode or _getrf is not None)
-    state = (lu_state if lu_state is not None else LuReuseState()) \
-        if reusing else None
-    prev_norm = np.inf
     observing = trace is not None or tspan is not None
     deadline = options.deadline
     for iteration in range(1, options.max_iterations + 1):
@@ -296,61 +204,28 @@ def _newton_kernel(compiled: "CompiledCircuit", x0: np.ndarray,
             residual = float(np.abs(st.res).max())
         if trace is not None:
             trace.append(residual)
-        # Linear step.  With a cached factorization, try the chord step
-        # first; keep it only while it contracts the damped update norm
-        # by the configured ratio (the residual is exact either way, so
-        # the converged fixed point is unchanged).  Otherwise -- and on
-        # the non-reuse path -- factorize the current Jacobian.
-        dx = None
-        reused = False
-        biggest = scale = 0.0
-        if state is not None and state.lu is not None:
-            candidate = _lu_apply(state.lu, -st.res)
-            if np.all(np.isfinite(candidate)):
-                biggest, scale = _damping(candidate, n_nodes, options)
-                if biggest * scale <= options.lu_contraction * prev_norm:
-                    dx, reused = candidate, True
-        if dx is None:
-            if sparse_mode:
-                # The CSC data only materialises on factorizing
-                # iterations -- chord steps above never need it.
-                data = st.system.nonzeros(st.vals)
-                handle = st.system.factorize(data)
-                if state is not None:
-                    state.lu = handle
-                if handle is not None:
-                    dx = _lu_apply(handle, -st.res)
-                else:
-                    dx = _lstsq_step(
-                        st.system.matrix_from_data(data).toarray(),
-                        -st.res, compiled, iteration)
-            elif state is not None:
-                state.lu = _factorize(st.jac)
-                if state.lu is not None:
-                    dx = _lu_apply(state.lu, -st.res)
-                else:
-                    dx = _lstsq_step(st.jac, -st.res, compiled, iteration)
+        if sparse_mode:
+            data = st.system.nonzeros(st.vals)
+            handle = st.system.factorize(data)
+            if handle is not None:
+                dx = handle.solve(-st.res)
             else:
-                try:
-                    dx = np.linalg.solve(st.jac, -st.res)
-                except np.linalg.LinAlgError:
-                    dx = _lstsq_step(st.jac, -st.res, compiled, iteration)
-            if not np.all(np.isfinite(dx)):
-                raise ConvergenceError(
-                    f"non-finite Newton update in {compiled.circuit.name}",
-                    iterations=iteration)
-            biggest, scale = _damping(dx, n_nodes, options)
+                dx = _lstsq_step(
+                    st.system.matrix_from_data(data).toarray(),
+                    -st.res, compiled, iteration)
+        else:
+            dx = _dense_step(st.jac, -st.res, compiled, iteration)
+        if not np.all(np.isfinite(dx)):
+            raise ConvergenceError(
+                f"non-finite Newton update in {compiled.circuit.name}",
+                iterations=iteration)
+        biggest, scale = _damping(dx, n_nodes, options)
         if tspan is not None:
-            if reused:
-                tspan.inc("lu_reuses")
-            else:
-                tspan.inc("jacobian_factorizations")
-                if sparse_mode:
-                    tspan.inc("sparse_factorizations")
-                if state is not None:
-                    tspan.inc("lu_refactorizations")
+            tspan.inc("jacobian_factorizations")
+            if sparse_mode:
+                tspan.inc("sparse_factorizations")
         x += scale * dx
-        prev_norm = biggest * scale
+        step_norm = biggest * scale
         if iteration == 1:
             # Seed the stall detector with the opening update norm and
             # residual so the first window is already armed: a solve
@@ -362,33 +237,21 @@ def _newton_kernel(compiled: "CompiledCircuit", x0: np.ndarray,
             # healthy (pseudo-transient continuation does exactly
             # this), which is why the residual check is part of the
             # trip condition.
-            stall_checkpoint = prev_norm
+            stall_checkpoint = step_norm
             stall_residual = residual
         if tspan is not None:
             tspan.event("newton-iter", i=iteration, residual=residual,
-                        update_norm=biggest * scale, damping=scale,
-                        lu_reused=reused,
+                        update_norm=step_norm, damping=scale,
                         stall_checkpoint=(
                             None if stall_checkpoint == np.inf
                             else stall_checkpoint))
-        converged = step_converged(
-            biggest * scale,
-            float(np.abs(x[:n_nodes]).max() if n_nodes else 0.0),
-            options)
-        if converged and scale == 1.0:
-            if reused:
-                # Never declare victory on a stale Jacobian: drop the
-                # cached factorization so the next iteration takes a
-                # fresh full-Newton step and re-checks.  This pins the
-                # accepted solution to full-Newton accuracy (the final
-                # step is always a true Newton step) at the cost of at
-                # most one extra factorization per solve.
-                state.invalidate()
-            else:
-                return x, iteration
+        if scale == 1.0 and step_converged(
+                step_norm,
+                float(np.abs(x[:n_nodes]).max() if n_nodes else 0.0),
+                options):
+            return x, iteration
         if options.stall_window > 0 and \
                 iteration % options.stall_window == 0:
-            step_norm = biggest * scale
             if step_norm > 0.5 * stall_checkpoint and \
                     residual > 0.5 * stall_residual:
                 if tspan is not None:

@@ -23,11 +23,8 @@ these *LTE rejections* from *Newton rejections*.  A fixed grid is
 The controller is written once, in :class:`_Stepper`, over an ``(A,
 N)`` lane state: :func:`transient` runs one lane through the scalar
 Newton kernel, :func:`~repro.spice.batch.batch_transient` every
-lockstep lane through the stacked one.  The serial per-step Newton
-solves share one Jacobian LU factorization through a
-:class:`~repro.spice.strategies.LuReuseState` held across accepted
-steps and invalidated on every dt change; see
-:class:`~repro.spice.strategies.NewtonOptions.lu_reuse`.
+lockstep lane through the stacked one.  Every Newton iteration of
+every step factors the Jacobian it just assembled.
 """
 
 from __future__ import annotations
@@ -49,7 +46,7 @@ from .dc import NewtonOptions, operating_point
 from .elements import CurrentSource, Stamper, VoltageSource
 from .netlist import Circuit
 from .results import OpResult, TranResult
-from .strategies import LuReuseState, newton_solve
+from .strategies import newton_solve
 
 
 @dataclass(frozen=True)
@@ -627,11 +624,8 @@ class _Stepper:
 
 
 class _SerialStepper(_Stepper):
-    """One lane through the scalar Newton kernel: one factorization is
-    carried across iterations *and* accepted steps in a
-    :class:`LuReuseState` keyed on the companion coefficient, so any dt
-    change refactorizes; a lane leaving the grid is the run's
-    ``dt-min`` error."""
+    """One lane through the scalar Newton kernel; a lane leaving the
+    grid is the run's ``dt-min`` error."""
 
     def __init__(self, circuit: Circuit, t_stop: float,
                  options: TransientOptions, tspan, scope) -> None:
@@ -641,12 +635,9 @@ class _SerialStepper(_Stepper):
         # element subclass overrides charge_terms (then: per-element
         # fallback).
         self.vectorized = self.assembler.charges_vectorized
-        # Unused by the kernel when NewtonOptions.lu_reuse is off.
-        self.lu_state = LuReuseState()
 
     def solve(self, X, t_new, c0, rhs):
         rhs = rhs[0]
-        self.lu_state.ensure_key(c0)
         if self.vectorized:
             assembler = self.assembler
 
@@ -667,7 +658,7 @@ class _SerialStepper(_Stepper):
         try:
             x_new, iterations = newton_solve(
                 self.compiled, X[0], t_new, self.newton_options,
-                extra_stamp=dynamic_stamp, lu_state=self.lu_state)
+                extra_stamp=dynamic_stamp)
         except ConvergenceError as error:
             return X, (0,), {0: str(error)}
         # x_new is never mutated in place downstream (newton_solve

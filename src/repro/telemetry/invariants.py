@@ -3,9 +3,10 @@
 Each check takes a :class:`~repro.telemetry.core.Trace` -- live, or read
 back with :func:`~repro.telemetry.export.read_jsonl` -- or any
 :class:`~repro.telemetry.core.Span` subtree, and returns one message per
-violation; an empty list means the identity holds.  The tests and
-``python -m repro trace`` run the same checks, so a drifting counter
-fails everywhere at once.
+violation; an empty list means the identity holds.  :func:`violations`
+runs every check; the tests, ``python -m repro trace`` and every bench
+warmup run the same checks, so a drifting counter fails everywhere at
+once.
 """
 
 from __future__ import annotations
@@ -70,3 +71,8 @@ def factorization_violations(trace: Trace | Span) -> list[str]:
         return []
     return [f"sparse_numeric_refactorizations is {numeric}, expected "
             f"sparse_factorizations = {requested}"]
+
+
+def violations(trace: Trace | Span) -> list[str]:
+    """The messages of every check in this module, in order."""
+    return lane_sample_violations(trace) + factorization_violations(trace)

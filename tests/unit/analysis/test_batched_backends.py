@@ -320,8 +320,7 @@ class TestPilotWarmStart:
 
     N_RUNS = 4
 
-    def test_lanes_bit_identical_to_one_lane_batch_pilot(
-            self, default_design):
+    def test_lanes_bitwise_match_serial_pilot(self, default_design):
         """On an adder that only the pseudo-transient rung solves cold,
         the Monte-Carlo lanes equal the explicit recipe bit for bit --
         lane 0 through the serial ladder, its solution as ``x0``, then

@@ -186,7 +186,9 @@ class TestSparsePlanRoundTrip:
     """The n_workers>1 sparse-circuit regression: a compiled plan whose
     solves run on the SuperLU backend must survive the worker round
     trip -- no C-level factorization handle may travel in the payload
-    (LuReuseState degrades on pickle) and results stay bit-identical."""
+    (a SuperLU handle lives for one Newton iteration; the plan carries
+    only the pattern's integer column ordering) and results stay
+    bit-identical."""
 
     def _plan(self):
         from repro.spice import BatchedOpMetric

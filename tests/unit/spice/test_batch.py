@@ -194,7 +194,7 @@ class TestEquivalence:
 
 
 class TestLadderSemantics:
-    def test_gmin_phase_respects_a_newton_only_ladder(self):
+    def test_stacked_rescue_respects_a_newton_only_ladder(self):
         """A ladder without a pseudo-transient rung must fail the same
         lanes batched as serially -- the stacked continuation phase may
         not rescue lanes the caller's ladder could not."""

@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from repro import telemetry
 from repro.errors import NetlistError
 from repro.spice import (Circuit, LaneSpec, TransientOptions,
                          batch_transient, transient)
@@ -298,52 +297,6 @@ class TestConvergenceOrder:
     def test_trap_beats_backward_euler_at_equal_step(self):
         assert self._max_error("trap", 1e-7) < \
             0.1 * self._max_error("be", 1e-7)
-
-
-class TestLuReuseEquivalence:
-    """The modified-Newton LU-reuse fast path must be an implementation
-    detail: answers match the always-refactorize path to <= 1e-9."""
-
-    def test_transient_waveforms_match(self):
-        """On a fixed grid both runs share one time axis; the reuse run
-        must actually reuse factorizations across steps."""
-        from repro.spice import NewtonOptions
-
-        runs, reuses = {}, {}
-        for reuse in (True, False):
-            circuit, t_d = _stscl_chain_circuit()
-            dt = t_d / 10.0
-            with telemetry.tracing("lu") as trace:
-                runs[reuse] = transient(circuit, 6 * t_d, TransientOptions(
-                    dt_initial=dt, dt_min=dt, dt_max=dt,
-                    newton=NewtonOptions(lu_reuse=reuse)))
-            reuses[reuse] = trace.root.total_counters().get("lu_reuses", 0)
-        assert reuses[True] > 0
-        assert reuses[False] == 0
-        on, off = runs[True], runs[False]
-        assert np.array_equal(on.time, off.time)
-        for node in on.voltages:
-            assert np.max(np.abs(on.voltage(node)
-                                 - off.voltage(node))) <= 1e-9
-
-    def test_dc_sweep_matches(self):
-        from repro.spice import NewtonOptions, dc_sweep
-        from repro.stscl.gate_model import StsclGateDesign
-        from repro.stscl.netlist_gen import stscl_inverter_circuit
-
-        design = StsclGateDesign.default(1e-9)
-        vdd = 0.4
-        high, low = vdd, vdd - design.v_sw
-        values = list(np.linspace(low, high, 11))
-        sweeps = {}
-        for reuse in (True, False):
-            circuit, _ = stscl_inverter_circuit(design, vdd, high, low)
-            sweeps[reuse] = dc_sweep(circuit, "vinp", values,
-                                     NewtonOptions(lu_reuse=reuse))
-        on, off = sweeps[True], sweeps[False]
-        for node in on.points[0].voltages:
-            assert np.max(np.abs(on.voltage(node)
-                                 - off.voltage(node))) <= 1e-9
 
 
 class TestLteController:
