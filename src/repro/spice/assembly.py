@@ -10,7 +10,7 @@ path.  It splits the system into
   contributes it with a single ``copyto`` + matvec;
 * a **per-iteration source RHS** -- the waveform values of independent
   sources (evaluated in Python: waveforms are user callables, but there
-  are few sources);
+  are few sources), memoized per timestamp for one solve;
 * a **vectorized nonlinear restamp** -- every MOS transistor and diode
   of the circuit is grouped into a :class:`~repro.devices.mosfet.MosBank`
   / :class:`~repro.devices.diode.DiodeBank` and evaluated with one
@@ -25,6 +25,19 @@ transient engine: linear capacitors contribute a constant scatter
 pattern scaled by the integration coefficient, diode depletion charges
 are evaluated through the bank.
 
+Every stamping kernel is lane-polymorphic.  It takes one solution
+vector ``x`` of shape ``(N,)`` or a stack of lane rows ``X`` of shape
+``(A, N)``, and fills the matching dense Jacobian (``(N, N)`` or ``(A,
+N, N)``) or sparse triplet values (``(n_triplets,)`` or ``(A,
+n_triplets)``).  Each scatter pattern is stored for one row and offset
+into every row of a raveled stack on demand (:class:`_Index`), so a
+stack costs one gather and one ``np.add.at`` per pattern, as a vector
+does.  The serial solvers pass ``(N,)`` vectors, which keeps the device
+banks on their fastest inputs.  The batched assembler
+(:class:`~repro.spice.batch.BatchAssembler`) adds only its per-lane
+overlays, through three hooks the kernels call: :meth:`_lane_bank`,
+:meth:`_source_terms` and :meth:`_stamp_overlays`.
+
 Because element *values* (a resistance aged by
 :class:`~repro.faults.models.ResistorDrift`, a device swapped by
 :class:`~repro.faults.models.VtOutlier`) may be mutated without going
@@ -35,6 +48,7 @@ changed.  ``sync`` runs once per solve, not once per Newton iteration.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -49,7 +63,6 @@ from .elements import (
     Element,
     MosElement,
     Resistor,
-    Stamper,
     Vccs,
     Vcvs,
     VoltageSource,
@@ -75,13 +88,159 @@ class _InstanceGroup:
         self.lut_matrix = np.stack([inst.lut for inst in instances])
 
 
-def _masked_flat(rows: np.ndarray, cols: np.ndarray,
-                 size: int) -> tuple[np.ndarray, np.ndarray]:
-    """(valid mask, flat indices of the valid entries) for a scatter
-    into the raveled dense Jacobian; ground rows/columns are dropped."""
-    valid = (rows >= 0) & (cols >= 0)
-    flat = rows[valid].astype(np.intp) * size + cols[valid].astype(np.intp)
-    return valid, flat
+class _Index:
+    """An index array into one row of ``stride`` entries.
+
+    :meth:`rows` returns it unchanged for a single vector, or offset into
+    each row of a raveled ``(rows, stride)`` stack, with shape
+    ``idx.shape[:-1] + (rows, n)``.  The stacked form is cached per row
+    count, because the batched Newton loop keeps its active set for long
+    runs of iterations.
+    """
+
+    __slots__ = ("idx", "stride", "_stacked")
+
+    def __init__(self, idx, stride: int) -> None:
+        self.idx = np.asarray(idx, dtype=np.intp)
+        self.stride = stride
+        self._stacked: dict[int, np.ndarray] = {}
+
+    def rows(self, rows: int | None) -> np.ndarray:
+        if rows is None:
+            return self.idx
+        flat = self._stacked.get(rows)
+        if flat is None:
+            offsets = np.arange(rows, dtype=np.intp)[:, None] * self.stride
+            flat = self.idx[..., None, :] + offsets
+            self._stacked[rows] = flat
+        return flat
+
+
+class _Scatter:
+    """A scatter pattern: entry ``k`` adds ``sign[k] * values[sel[k]]``
+    at position ``at[k]`` of a raveled target row, where ``values``
+    holds one entry per device."""
+
+    __slots__ = ("at", "sel", "sign")
+
+    def __init__(self, at, at_stride: int, sel, sel_stride: int,
+                 sign) -> None:
+        self.at = _Index(at, at_stride)
+        self.sel = _Index(sel, sel_stride)
+        self.sign = np.asarray(sign, dtype=float)
+
+    def terms(self, values: np.ndarray, rows: int | None) -> np.ndarray:
+        """The signed entries for per-device ``values``: ``(n,)`` values
+        give ``(m,)`` terms, lane rows ``(rows, n)`` give ``(rows, m)``.
+        Multiplying by ±1 is exact, so a term equals the value or its
+        negation bit for bit."""
+        if values.ndim == 1:
+            return values[self.sel.idx] * self.sign
+        return values.ravel()[self.sel.rows(rows)] * self.sign
+
+    def add_terms(self, target: np.ndarray, terms: np.ndarray,
+                  rows: int | None) -> None:
+        """Accumulate signed ``terms`` into the raveled ``target``;
+        ``(m,)`` terms are shared by every row.  ``np.add.at`` sums
+        duplicate positions in pattern order."""
+        at = self.at.rows(rows)
+        if terms.shape != at.shape:
+            # Broadcast explicitly: np.add.at (numpy 2.4) misreads
+            # ``(m,)`` values against a ``(rows, m)`` index.
+            terms = np.broadcast_to(terms, at.shape)
+        np.add.at(target, at, terms)
+
+    def add(self, target: np.ndarray, values: np.ndarray,
+            rows: int | None) -> None:
+        """Accumulate the terms of per-device ``values``."""
+        self.add_terms(target, self.terms(values, rows), rows)
+
+
+def _current_scatter(terminals, signs, size: int) -> _Scatter:
+    """Device currents into the residual: ``signs[t] * i`` at terminal
+    row ``terminals[t]``, terminal by terminal; ground rows dropped."""
+    n = len(terminals[0])
+    rows = np.concatenate(terminals).astype(np.intp)
+    sel = np.tile(np.arange(n, dtype=np.intp), len(terminals))
+    sign = np.repeat(np.asarray(signs, dtype=float), n)
+    keep = rows >= 0
+    return _Scatter(rows[keep], size, sel[keep], n, sign[keep])
+
+
+def _jacobian_scatter(rows, cols, blocks, signs, n_values: int,
+                      size: int) -> _Scatter:
+    """Jacobian entries ``(rows[k][j], cols[k][j])`` of device ``j``,
+    taking ``signs[k]`` times block ``blocks[k]`` of the packed
+    per-device values; entries in a ground row or column dropped."""
+    n = len(rows[0])
+    r = np.concatenate(rows).astype(np.intp)
+    c = np.concatenate(cols).astype(np.intp)
+    sel = np.concatenate([block * n + np.arange(n, dtype=np.intp)
+                          for block in blocks])
+    sign = np.repeat(np.asarray(signs, dtype=float), n)
+    keep = (r >= 0) & (c >= 0)
+    return _Scatter(r[keep] * size + c[keep], size * size, sel[keep],
+                    n_values, sign[keep])
+
+
+def _gather(terminals, size: int) -> _Index:
+    """Terminal voltages of every device, one terminal per leading row,
+    from a grounded row (ground ``-1`` reads the row's trailing 0)."""
+    idx = np.asarray(terminals, dtype=np.intp)
+    return _Index(np.where(idx < 0, size, idx), size + 1)
+
+
+def _two_terminal(a, c, size: int) -> tuple[_Index, _Scatter, _Scatter]:
+    """Patterns of devices between node arrays ``a`` and ``c``: the
+    voltage gather, the current scatter (``+i`` into ``a``, ``-i``
+    into ``c``) and the conductance scatter (``[g, -g; -g, g]``)."""
+    return (_gather((a, c), size),
+            _current_scatter((a, c), (1.0, -1.0), size),
+            _jacobian_scatter((a, a, c, c), (a, c, a, c), (0, 0, 0, 0),
+                              (1.0, -1.0, -1.0, 1.0), len(a), size))
+
+
+def _target(st) -> tuple[np.ndarray, dict | None]:
+    """A stamper's Jacobian target: ``(jac, None)`` for a dense
+    :class:`~repro.spice.elements.Stamper`, ``(triplet values, segment
+    slices)`` for a :class:`~repro.spice.sparse.SparseStamper`."""
+    if isinstance(st, SparseStamper):
+        return st.vals, st.system.segment_slices
+    return st.jac, None
+
+
+class LazyDeviceOps(Mapping):
+    """``device_ops`` mapping materialized on first access.
+
+    Most solutions are only read for node voltages; deferring the
+    per-transistor operating-point extraction keeps it off the hot path
+    while looking exactly like the dict it replaces.  ``lane`` selects a
+    batched assembler's per-lane parameter overlay.
+    """
+
+    def __init__(self, assembler: "CircuitAssembler", x: np.ndarray,
+                 lane: int | None = None) -> None:
+        self._assembler = assembler
+        self._x = x
+        self._lane = lane
+        self._data: dict | None = None
+
+    def _materialize(self) -> dict:
+        if self._data is None:
+            self._data = self._assembler.device_ops(self._x, self._lane)
+        return self._data
+
+    def __getitem__(self, key):
+        return self._materialize()[key]
+
+    def __iter__(self):
+        return iter(self._materialize())
+
+    def __len__(self) -> int:
+        return len(self._materialize())
+
+    def __repr__(self) -> str:
+        return repr(self._materialize())
 
 
 class CircuitAssembler:
@@ -91,7 +250,6 @@ class CircuitAssembler:
         self.compiled = compiled
         self.size = compiled.size
         self._signature: tuple | None = None
-        self._xg = np.empty(self.size + 1)
         self._sparse_system: SparseSystem | None = None
         self._partition()
         self.sync()
@@ -170,8 +328,12 @@ class CircuitAssembler:
         """Rebuild the cached arrays when element values changed.
 
         Returns True when a rebuild happened.  Cheap when nothing
-        changed: one pass collecting plain attribute reads.
+        changed: one pass collecting plain attribute reads.  Either way
+        the per-timestamp source values are forgotten: a waveform may
+        have been swapped since the last solve, and waveforms are
+        callables no signature can compare.
         """
+        self._src_cache: tuple | None = None
         signature = self._value_signature()
         if signature == self._signature:
             return False
@@ -258,31 +420,38 @@ class CircuitAssembler:
         self._lin_cols = np.concatenate(cols_parts)
         self._lin_vals = np.concatenate(vals_parts)
         self._lin_csr = None  # rebuilt lazily after value syncs
-        # Source bookkeeping for the per-iteration RHS.  Waveform values
-        # are memoized per timestamp: every Newton iteration of one
-        # transient attempt shares ``time``.  ``time=None`` (DC) is
-        # never cached -- sweeps mutate source values between solves
-        # without the timestamp changing.  ``_vsrc_elements`` /
-        # ``_isrc_elements`` run parallel to the row/node lists and
-        # include the template sources of every instance (zip against
-        # the shorter ``_vsources`` would silently drop the tail).
-        self._vsrc_elements: list[VoltageSource] = list(self._vsources)
-        self._isrc_elements: list[CurrentSource] = list(self._isources)
-        self._vsrc_branch_rows = [e._aux[0] for e in self._vsources]
-        self._isrc_nodes = [e._idx for e in self._isources]
+        # Independent sources: the voltage sources, top-level first and
+        # then every instance's template sources, then the current
+        # sources in the same order.
+        vsources: list[VoltageSource] = list(self._vsources)
+        isources: list[CurrentSource] = list(self._isources)
+        vsrc_rows = [e._aux[0] for e in self._vsources]
+        isrc_nodes = [e._idx for e in self._isources]
         for grp in self._instance_groups:
             plan = grp.plan
             if not (plan.vsrc_elements or plan.isrc_elements):
                 continue
             for inst in grp.instances:
-                self._vsrc_elements.extend(plan.vsrc_elements)
-                self._vsrc_branch_rows.extend(
-                    int(r) for r in inst.lut[plan.vsrc_rows])
-                self._isrc_elements.extend(plan.isrc_elements)
-                self._isrc_nodes.extend(
+                vsources.extend(plan.vsrc_elements)
+                vsrc_rows.extend(int(r) for r in inst.lut[plan.vsrc_rows])
+                isources.extend(plan.isrc_elements)
+                isrc_nodes.extend(
                     (int(p), int(n)) for p, n in inst.lut[plan.isrc_nodes])
-        self._src_cache_time: float | None = None
-        self._src_cache: tuple[list, list] | None = None
+        self._sources: list = [*vsources, *isources]
+        # One residual term per voltage-source branch row (``-v``) and
+        # per non-ground current-source terminal (``+i`` at p, ``-i``
+        # at n), in the order a per-source loop subtracts and adds them.
+        rows = list(vsrc_rows)
+        sel = list(range(len(vsources)))
+        sign = [-1.0] * len(vsources)
+        for k, (p, n) in enumerate(isrc_nodes, start=len(vsources)):
+            for node, direction in ((p, 1.0), (n, -1.0)):
+                if node >= 0:
+                    rows.append(node)
+                    sel.append(k)
+                    sign.append(direction)
+        self._src_scatter = _Scatter(rows, size, sel, len(self._sources),
+                                     sign)
 
     def _build_mos(self) -> None:
         mos = list(self._mos)
@@ -310,26 +479,16 @@ class CircuitAssembler:
             return
         self._mos_bank = MosBank([m.device for m in mos],
                                  [m.temperature for m in mos])
-        idx = np.vstack(idx_parts)  # (n, dgsb)
-        d, g, s, b = idx[:, 0], idx[:, 1], idx[:, 2], idx[:, 3]
-        self._mos_terms = (d, g, s, b)
-        self._mos_d_mask = d >= 0
-        self._mos_s_mask = s >= 0
-        self._mos_d_idx = d[self._mos_d_mask]
-        self._mos_s_idx = s[self._mos_s_mask]
-        self._mos_d_all = bool(self._mos_d_mask.all())
-        self._mos_s_all = bool(self._mos_s_mask.all())
-        # Jacobian scatter: rows (d, s) x cols (d, g, s, b), with the
-        # source-row block negated -- the exact entries of
-        # MosElement.stamp, flattened.
-        rows = np.concatenate([d, d, d, d, s, s, s, s])
-        cols = np.concatenate([d, g, s, b, d, g, s, b])
-        self._mos_valid, self._mos_flat = _masked_flat(rows, cols,
-                                                       self.size)
-        self._mos_sign = np.concatenate(
-            [np.ones(4 * len(mos)), -np.ones(4 * len(mos))])
-        self._mos_valid_all = bool(self._mos_valid.all())
-        self._mos_buf = np.empty(8 * len(mos))
+        d, g, s, b = np.vstack(idx_parts).T
+        self._mos_gather = _gather((d, g, s, b), self.size)
+        self._mos_current = _current_scatter((d, s), (1.0, -1.0),
+                                             self.size)
+        # Rows (d, s) x cols (d, g, s, b) over the packed partials
+        # [p_d | p_g | p_s | p_b], the source-row block negated -- the
+        # exact entries of MosElement.stamp.
+        self._mos_jacobian = _jacobian_scatter(
+            (d, d, d, d, s, s, s, s), (d, g, s, b) * 2, (0, 1, 2, 3) * 2,
+            (1.0,) * 4 + (-1.0,) * 4, 4 * len(mos), self.size)
 
     def _build_diodes(self) -> None:
         diodes = list(self._diodes)
@@ -344,26 +503,14 @@ class CircuitAssembler:
             idx_parts.append(
                 grp.lut_matrix[:, plan.diode_idx].reshape(-1, 2))
             diodes.extend(plan.diode_elements * len(grp.instances))
-        self._diodes_all = diodes
         self._diode_bank = None
         if not diodes:
             return
         self._diode_bank = DiodeBank([d.diode for d in diodes],
                                      [d.temperature for d in diodes])
-        idx = np.vstack(idx_parts)
-        a, c = idx[:, 0], idx[:, 1]
-        self._diode_terms = (a, c)
-        self._diode_a_mask = a >= 0
-        self._diode_c_mask = c >= 0
-        self._diode_a_idx = a[self._diode_a_mask]
-        self._diode_c_idx = c[self._diode_c_mask]
-        rows = np.concatenate([a, a, c, c])
-        cols = np.concatenate([a, c, a, c])
-        self._diode_valid, self._diode_flat = _masked_flat(rows, cols,
-                                                           self.size)
-        self._diode_sign = np.concatenate(
-            [np.ones(len(diodes)), -np.ones(len(diodes)),
-             -np.ones(len(diodes)), np.ones(len(diodes))])
+        a, c = np.vstack(idx_parts).T
+        self._diode_gather, self._diode_current, self._diode_jacobian = \
+            _two_terminal(a, c, self.size)
 
     def _build_charges(self) -> None:
         """Vectorized charge system (transient companion models).
@@ -411,31 +558,19 @@ class CircuitAssembler:
                     inst_dio_chunks[id(element)] = slot + plan.dio_offsets
                 slot += plan.n_charge_terms
         self.n_charge_terms = slot
-        self._cap_slots = np.array(cap_slots, dtype=np.intp)
-        self._cap_pos = np.array(cap_pos, dtype=np.intp)
-        self._cap_neg = np.array(cap_neg, dtype=np.intp)
+        self._cap_slots = _Index(cap_slots, slot)
         self._cap_c = np.array(cap_c, dtype=float)
-        self._cap_pos_mask = self._cap_pos >= 0
-        self._cap_neg_mask = self._cap_neg >= 0
-        self._cap_pos_idx = self._cap_pos[self._cap_pos_mask]
-        self._cap_neg_idx = self._cap_neg[self._cap_neg_mask]
-        rows = np.concatenate([self._cap_pos, self._cap_pos,
-                               self._cap_neg, self._cap_neg])
-        cols = np.concatenate([self._cap_pos, self._cap_neg,
-                               self._cap_pos, self._cap_neg])
-        self._cap_valid, self._cap_flat = _masked_flat(rows, cols,
-                                                       self.size)
-        n_caps = len(cap_slots)
-        self._cap_jac_base = np.concatenate(
-            [self._cap_c, -self._cap_c, -self._cap_c, self._cap_c]
-        )[self._cap_valid] if n_caps else np.zeros(0)
+        self._cap_gather, self._cap_current, self._cap_jacobian = \
+            _two_terminal(np.array(cap_pos, dtype=np.intp),
+                          np.array(cap_neg, dtype=np.intp), self.size)
+        self._cap_jac_terms = self._cap_jacobian.terms(self._cap_c, None)
         dio_parts = [np.array(dio_slots, dtype=np.intp)]
         for grp in self._instance_groups:
             for inst in grp.instances:
                 chunk = inst_dio_chunks.get(id(inst))
                 if chunk is not None:
                     dio_parts.append(chunk)
-        self._dio_slots = np.concatenate(dio_parts)
+        self._dio_slots = _Index(np.concatenate(dio_parts), slot)
 
     # -- sparse twin ----------------------------------------------------
 
@@ -455,19 +590,21 @@ class CircuitAssembler:
         size = self.size
         empty = np.zeros(0, dtype=np.intp)
 
-        def unflat(flat: np.ndarray):
-            return flat // size, flat % size
+        def pattern(scatter: _Scatter | None):
+            if scatter is None:
+                return empty, empty
+            return scatter.at.idx // size, scatter.at.idx % size
 
-        diode_pat = (unflat(self._diode_flat)
-                     if self._diode_bank is not None else (empty, empty))
+        diode_pat = pattern(self._diode_jacobian
+                            if self._diode_bank is not None else None)
         n_nodes = len(self.compiled.node_index)
         diag = np.arange(n_nodes)
         return {
             "lin": (self._lin_rows, self._lin_cols),
-            "mos": (unflat(self._mos_flat)
-                    if self._mos_bank is not None else (empty, empty)),
+            "mos": pattern(self._mos_jacobian
+                           if self._mos_bank is not None else None),
             "dio": diode_pat,
-            "cap": unflat(self._cap_flat),
+            "cap": pattern(self._cap_jacobian),
             "diocap": diode_pat,
             "diag": (diag, diag),
         }
@@ -487,81 +624,60 @@ class CircuitAssembler:
                                                self._sparse_segments())
         return self._sparse_system
 
-    # -- hot path -------------------------------------------------------
+    # -- lane hooks -----------------------------------------------------
+    #
+    # The kernels read per-lane parameters only through these; the
+    # batched assembler overrides them with its lane overlays.  ``lanes``
+    # is None for a single vector, else the lane index of every row.
 
-    def _grounded(self, x: np.ndarray) -> np.ndarray:
-        """``x`` padded with a trailing 0 so ground index -1 reads 0.
-        Returns a shared scratch buffer -- gather from it before the
-        next call; never hold a reference across calls."""
-        xg = self._xg
-        xg[:-1] = x
-        xg[-1] = 0.0
-        return xg
+    def _lane_bank(self, lanes) -> MosBank:
+        """The MOS bank to evaluate for ``lanes``."""
+        return self._mos_bank
 
-    def _terminal_voltages(self, x: np.ndarray,
-                           indices: tuple) -> tuple[np.ndarray, ...]:
-        """Gather node voltages per terminal; ground index -1 reads 0."""
-        xg = self._grounded(x)
-        return tuple(xg[idx] for idx in indices)
+    def _source_terms(self, time: float | None, lanes) -> np.ndarray:
+        """The residual terms of the independent sources at ``time``
+        (see ``_src_scatter``): ``(m,)`` shared by all rows, or ``(rows,
+        m)``.
 
-    def _source_rhs(self, res: np.ndarray, time: float | None) -> None:
-        """Independent-source excitations (Python loop: waveforms are
-        user callables, and source counts are small).  Cached per
-        timestamp: Newton iterations of one attempt share ``time``."""
-        if time is not None and time == self._src_cache_time:
-            vsrc_vals, isrc_vals = self._src_cache
+        Memoized per timestamp: the Newton iterations of one attempt
+        share ``time``.  The cache lives for one solve -- :meth:`sync`,
+        which every solve runs through ``CompiledCircuit.prepare``,
+        starts it empty, so a waveform replaced between two solves is
+        always read anew.
+        """
+        cache = self._src_cache
+        if cache is None or cache[0] != time:
+            values = np.array([e.value_at(time) for e in self._sources],
+                              dtype=float)
+            cache = (time, self._src_scatter.terms(values, None))
+            self._src_cache = cache
+        return cache[1]
+
+    def _stamp_overlays(self, target, segments, res_flat, xg, lanes,
+                        rows) -> None:
+        """Per-lane contributions stamped after the device banks."""
+
+    # -- kernels --------------------------------------------------------
+
+    def _grounded(self, X: np.ndarray) -> np.ndarray:
+        """``X`` -- ``(N,)`` or ``(A, N)`` -- raveled row by row, each
+        row followed by a 0: gather index ``N`` of a row (ground) reads
+        0 in every lane."""
+        xg = np.zeros(X.shape[:-1] + (self.size + 1,))
+        xg[..., :-1] = X
+        return xg.ravel()
+
+    @staticmethod
+    def _put(target: np.ndarray, segments: dict | None, segment: str,
+             scatter: _Scatter, terms: np.ndarray,
+             rows: int | None) -> None:
+        """Jacobian ``terms`` of one pattern: accumulated into the dense
+        Jacobian, or written over their ``segment`` of the sparse
+        triplet values (zeroed by the static stamp)."""
+        if segments is None:
+            scatter.add_terms(target.ravel(), terms, rows)
         else:
-            vsrc_vals = [e.value_at(time) for e in self._vsrc_elements]
-            isrc_vals = [e.value_at(time) for e in self._isrc_elements]
-            if time is not None:
-                self._src_cache_time = time
-                self._src_cache = (vsrc_vals, isrc_vals)
-        for row, value in zip(self._vsrc_branch_rows, vsrc_vals):
-            res[row] -= value
-        for (p, n), value in zip(self._isrc_nodes, isrc_vals):
-            if p >= 0:
-                res[p] += value
-            if n >= 0:
-                res[n] -= value
-
-    def _mos_values(self, res: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """One MOS bank evaluation: drain/source currents accumulated
-        into ``res``, masked Jacobian scatter values returned (the same
-        vector both backends consume, so they agree bit for bit)."""
-        d, g, s, b = self._mos_terms
-        vd, vg, vs, vb = self._terminal_voltages(x, (d, g, s, b))
-        r = self._mos_bank.evaluate(vd, vg, vs, vb)
-        np.add.at(res, self._mos_d_idx,
-                  r.ids if self._mos_d_all
-                  else r.ids[self._mos_d_mask])
-        np.add.at(res, self._mos_s_idx,
-                  -(r.ids if self._mos_s_all
-                    else r.ids[self._mos_s_mask]))
-        # [p_d p_g p_s p_b | -(same)] -- the drain-row block and the
-        # negated source-row block of every device, built in a
-        # reused buffer (negation is exact, so this matches the
-        # former sign-vector multiply bit for bit).
-        n = len(r.ids)
-        buf = self._mos_buf
-        buf[:n] = r.p_d
-        buf[n:2 * n] = r.p_g
-        buf[2 * n:3 * n] = r.p_s
-        buf[3 * n:4 * n] = r.p_b
-        np.negative(buf[:4 * n], out=buf[4 * n:])
-        return buf if self._mos_valid_all else buf[self._mos_valid]
-
-    def _diode_values(self, res: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """One diode bank evaluation: currents accumulated into ``res``,
-        masked Jacobian scatter values returned."""
-        a, c = self._diode_terms
-        va, vc = self._terminal_voltages(x, (a, c))
-        current, conductance = self._diode_bank.current(va - vc)
-        np.add.at(res, self._diode_a_idx,
-                  current[self._diode_a_mask])
-        np.add.at(res, self._diode_c_idx,
-                  -current[self._diode_c_mask])
-        values = self._diode_sign * np.tile(conductance, 4)
-        return values[self._diode_valid]
+            target[..., segments[segment]] = terms
 
     def _count_bank_evals(self) -> None:
         if telemetry.is_enabled():
@@ -571,217 +687,162 @@ class CircuitAssembler:
             if self._diode_bank is not None:
                 span.inc("device_bank_evals")
 
-    def assemble(self, st, x: np.ndarray, time: float | None) -> None:
-        """Overwrite ``st`` with the full static system at ``x``.
+    def _stamp_static(self, target: np.ndarray, res: np.ndarray,
+                      X: np.ndarray, lanes, time: float | None,
+                      segments: dict | None) -> None:
+        """Overwrite ``target``/``res`` with the static system at ``X``.
 
-        Dispatches on the stamper type: a dense
-        :class:`~repro.spice.elements.Stamper` takes the flat-index
-        scatter path, a :class:`~repro.spice.sparse.SparseStamper` the
-        triplet path.
+        ``X`` is one vector ``(N,)`` (``lanes`` None) or lane rows ``(A,
+        N)`` of lanes ``lanes``.  Dense mode (``segments`` None):
+        ``target`` is the Jacobian, ``(N, N)`` or ``(A, N, N)``.  Sparse
+        mode: ``target`` holds the triplet values of a pattern and
+        ``segments`` its segment slices; the linear part's residual goes
+        through one cached CSR matvec.  ``target`` and ``res`` must be
+        C-contiguous.  Per row, every contribution lands in the order of
+        a per-element stamping loop, so a lane row is bit-identical to
+        the vector assembly of that lane.
         """
-        if isinstance(st, SparseStamper):
-            self._assemble_sparse(st, x, time)
-            return
-        np.copyto(st.jac, self._g_const)
-        np.dot(self._g_const, x, out=st.res)
-        res = st.res
-        self._source_rhs(res, time)
+        rows = None if X.ndim == 1 else X.shape[0]
+        if segments is None:
+            np.copyto(target, self._g_const)
+            np.dot(X, self._g_const.T, out=res)
+        else:
+            if self._lin_csr is None:
+                self._lin_csr = coo_to_csr(self._lin_rows, self._lin_cols,
+                                           self._lin_vals, self.size)
+            target.fill(0.0)
+            target[..., segments["lin"]] = self._lin_vals
+            res[...] = self._lin_csr.dot(X.T).T
+        res_flat = res.ravel()
+        self._src_scatter.add_terms(res_flat,
+                                    self._source_terms(time, lanes), rows)
         self._count_bank_evals()
-        jac_flat = st.jac.reshape(-1)
+        xg = self._grounded(X)
         if self._mos_bank is not None:
-            np.add.at(jac_flat, self._mos_flat, self._mos_values(res, x))
+            vd, vg, vs, vb = xg[self._mos_gather.rows(rows)]
+            r = self._lane_bank(lanes).evaluate(vd, vg, vs, vb)
+            self._mos_current.add(res_flat, r.ids, rows)
+            partials = np.concatenate((r.p_d, r.p_g, r.p_s, r.p_b), axis=-1)
+            self._put(target, segments, "mos", self._mos_jacobian,
+                      self._mos_jacobian.terms(partials, rows), rows)
         if self._diode_bank is not None:
-            np.add.at(jac_flat, self._diode_flat,
-                      self._diode_values(res, x))
+            va, vc = xg[self._diode_gather.rows(rows)]
+            current, conductance = self._diode_bank.current(va - vc)
+            self._diode_current.add(res_flat, current, rows)
+            self._put(target, segments, "dio", self._diode_jacobian,
+                      self._diode_jacobian.terms(conductance, rows), rows)
+        self._stamp_overlays(target, segments, res_flat, xg, lanes, rows)
+
+    def _stamp_companions(self, target: np.ndarray, res: np.ndarray,
+                          X: np.ndarray, c0: float, rhs: np.ndarray,
+                          segments: dict | None) -> None:
+        """Add the companion currents ``i = c0 q(x) + rhs`` and their
+        conductances ``c0 dq/dv`` for every charge term, on top of a
+        static stamp with the same ``target``/``segments``.  ``rhs`` is
+        ``(n_charge_terms,)`` or per lane row ``(A, n_charge_terms)``:
+        each lane carries its own charge history."""
+        rows = None if X.ndim == 1 else X.shape[0]
+        xg = self._grounded(X)
+        res_flat = res.ravel()
+        rhs_flat = rhs.ravel()
+        if self._cap_slots.idx.size:
+            vpos, vneg = xg[self._cap_gather.rows(rows)]
+            i = (c0 * (self._cap_c * (vpos - vneg))
+                 + rhs_flat[self._cap_slots.rows(rows)])
+            self._cap_current.add(res_flat, i, rows)
+            self._put(target, segments, "cap", self._cap_jacobian,
+                      c0 * self._cap_jac_terms, rows)
+        if self._dio_slots.idx.size:
+            va, vc = xg[self._diode_gather.rows(rows)]
+            v_ak = va - vc
+            i = (c0 * self._diode_bank.charge(v_ak)
+                 + rhs_flat[self._dio_slots.rows(rows)])
+            self._diode_current.add(res_flat, i, rows)
+            self._put(target, segments, "diocap", self._diode_jacobian,
+                      self._diode_jacobian.terms(
+                          c0 * self._diode_bank.capacitance(v_ak), rows),
+                      rows)
+
+    # -- entry points ---------------------------------------------------
+    #
+    # benchmarks/e2e/layers.py times assembly through the public entry
+    # points of this class and of BatchAssembler, looked up in each
+    # class body; none calls another, so each call counts once.
+
+    def assemble(self, st, x: np.ndarray, time: float | None) -> None:
+        """Overwrite stamper ``st`` with the full static system at the
+        vector ``x`` -- a dense :class:`~repro.spice.elements.Stamper`
+        or a :class:`~repro.spice.sparse.SparseStamper` -- then stamp
+        the elements the assembler does not know, one by one."""
+        target, segments = _target(st)
+        self._stamp_static(target, st.res, x, None, time, segments)
         for element in self._fallback:
             element.stamp(st, x, time)
 
-    def _assemble_sparse(self, st: SparseStamper, x: np.ndarray,
-                         time: float | None) -> None:
-        """Triplet-path twin of the dense hot loop: segments are
-        overwritten in place, the residual stays dense, the linear part
-        contributes through one cached CSR matvec."""
-        if self._lin_csr is None:
-            self._lin_csr = coo_to_csr(self._lin_rows, self._lin_cols,
-                                       self._lin_vals, self.size)
-        st.vals.fill(0.0)
-        st.segment("lin")[:] = self._lin_vals
-        st.res[:] = self._lin_csr.dot(x)
-        res = st.res
-        self._source_rhs(res, time)
-        self._count_bank_evals()
-        if self._mos_bank is not None:
-            st.segment("mos")[:] = self._mos_values(res, x)
-        if self._diode_bank is not None:
-            st.segment("dio")[:] = self._diode_values(res, x)
-
-    def device_operating_points(
-            self, x: np.ndarray) -> dict[str, MosOperatingPoint]:
-        """All MOS operating points at ``x`` via one bank call."""
-        if self._mos_bank is None:
-            return {}
-        d, g, s, b = self._mos_terms
-        vd, vg, vs, vb = self._terminal_voltages(x, (d, g, s, b))
-        points = self._mos_bank.operating_points(vd, vg, vs, vb)
-        return dict(zip(self._mos_names, points))
-
-    # -- charge system (transient companions) ---------------------------
-
-    def charge_vector(self, x: np.ndarray) -> np.ndarray:
-        """All dynamic charges at ``x``, in canonical term order."""
-        q = np.zeros(self.n_charge_terms)
-        if self._cap_slots.size:
-            vpos, vneg = self._terminal_voltages(
-                x, (self._cap_pos, self._cap_neg))
-            q[self._cap_slots] = self._cap_c * (vpos - vneg)
-        if self._dio_slots.size:
-            a, c = self._diode_terms
-            va, vc = self._terminal_voltages(x, (a, c))
-            q[self._dio_slots] = self._diode_bank.charge(va - vc)
-        return q
-
     def stamp_charges(self, st, x: np.ndarray, c0: float,
                       rhs: np.ndarray) -> None:
-        """Add the companion currents ``i = c0 q(x) + rhs`` and their
-        conductances ``c0 dq/dv`` for every charge term.
-
-        Works on both stamper types: the conductance values go through
-        the dense flat-index scatter or into the ``cap``/``diocap``
-        triplet segments (zeroed by the preceding :meth:`assemble`).
-        """
-        sparse = isinstance(st, SparseStamper)
-        q = self.charge_vector(x)
-        i = c0 * q + rhs
-        res = st.res
-        jac_flat = None if sparse else st.jac.reshape(-1)
-        if self._cap_slots.size:
-            i_cap = i[self._cap_slots]
-            np.add.at(res, self._cap_pos_idx,
-                      i_cap[self._cap_pos_mask])
-            np.add.at(res, self._cap_neg_idx,
-                      -i_cap[self._cap_neg_mask])
-            if sparse:
-                st.segment("cap")[:] = c0 * self._cap_jac_base
-            else:
-                np.add.at(jac_flat, self._cap_flat,
-                          c0 * self._cap_jac_base)
-        if self._dio_slots.size:
-            a, c = self._diode_terms
-            va, vc = self._terminal_voltages(x, (a, c))
-            cap = self._diode_bank.capacitance(va - vc)
-            i_dio = i[self._dio_slots]
-            np.add.at(res, self._diode_a_idx,
-                      i_dio[self._diode_a_mask])
-            np.add.at(res, self._diode_c_idx,
-                      -i_dio[self._diode_c_mask])
-            values = self._diode_sign * np.tile(c0 * cap, 4)
-            if sparse:
-                st.segment("diocap")[:] = values[self._diode_valid]
-            else:
-                np.add.at(jac_flat, self._diode_flat,
-                          values[self._diode_valid])
-
-    # -- stacked charge system (batched transient companions) -----------
-
-    def _grounded_rows(self, X: np.ndarray) -> np.ndarray:
-        """``X`` (A, N) padded with a zero column so index -1 reads 0.
-        Freshly allocated (unlike :meth:`_grounded`'s shared scratch):
-        the batched callers hold several lane-axis gathers at once."""
-        Xg = np.empty((X.shape[0], self.size + 1))
-        Xg[:, :-1] = X
-        Xg[:, -1] = 0.0
-        return Xg
-
-    def charge_vector_batch(self, X: np.ndarray) -> np.ndarray:
-        """Stacked twin of :meth:`charge_vector`: all dynamic charges at
-        every row of ``X`` (A, N), returned as (A, n_charge_terms).
-
-        Charge parameters (capacitances, diode junction constants) are
-        lane-independent -- :class:`~repro.spice.batch.LaneSpec`
-        perturbs VT/beta, resistors and sources only -- so the lane
-        axis broadcasts straight through the term expressions and each
-        row is bit-identical to a serial ``charge_vector`` call at that
-        lane's solution.
-        """
-        q = np.zeros((X.shape[0], self.n_charge_terms))
-        if self.n_charge_terms == 0:
-            return q
-        Xg = self._grounded_rows(X)
-        if self._cap_slots.size:
-            q[:, self._cap_slots] = self._cap_c * (
-                Xg[:, self._cap_pos] - Xg[:, self._cap_neg])
-        if self._dio_slots.size:
-            a, c = self._diode_terms
-            q[:, self._dio_slots] = self._diode_bank.charge(
-                Xg[:, a] - Xg[:, c])
-        return q
+        """Add the charge companions at the vector ``x`` to stamper
+        ``st``, after :meth:`assemble` (see :meth:`_stamp_companions`)."""
+        target, segments = _target(st)
+        self._stamp_companions(target, st.res, x, c0, rhs, segments)
 
     def stamp_charges_batch(self, target: np.ndarray, res: np.ndarray,
                             X: np.ndarray, c0: float, rhs: np.ndarray,
                             segment_slices: dict | None = None) -> None:
-        """Stacked twin of :meth:`stamp_charges`: companion currents
-        ``i = c0 q(x) + rhs`` and conductances ``c0 dq/dv`` for every
-        lane row at once.
+        """Add the charge companions of every lane row of ``X`` (A, N)
+        with per-lane histories ``rhs`` (A, n_charge_terms): into the
+        stacked (A, N, N) Jacobian ``target``, or -- with
+        ``segment_slices`` -- into the (A, n_triplets) values of the
+        stacked sparse assembly."""
+        self._stamp_companions(target, res, X, c0, rhs, segment_slices)
 
-        ``rhs`` is per-lane, shape (A, n_charge_terms) -- each lane
-        carries its own charge history.  Dense mode
-        (``segment_slices=None``): ``target`` is the stacked (A, N, N)
-        Jacobian, scattered through the same flat-index patterns as the
-        serial path.  Sparse mode: ``target`` is the (A, n_triplets)
-        data-row array and the values land in the ``cap``/``diocap``
-        segments (zeroed by the preceding ``assemble_batch_sparse``).
-        """
-        sparse = segment_slices is not None
-        q = self.charge_vector_batch(X)
-        i = c0 * q + rhs
-        jac_flat = None if sparse else target.reshape(X.shape[0], -1)
-        all_rows = (slice(None),)
-        if self._cap_slots.size:
-            i_cap = i[:, self._cap_slots]
-            np.add.at(res, all_rows + (self._cap_pos_idx,),
-                      i_cap[:, self._cap_pos_mask])
-            np.add.at(res, all_rows + (self._cap_neg_idx,),
-                      -i_cap[:, self._cap_neg_mask])
-            if sparse:
-                target[:, segment_slices["cap"]] = c0 * self._cap_jac_base
-            else:
-                np.add.at(jac_flat, all_rows + (self._cap_flat,),
-                          c0 * self._cap_jac_base)
-        if self._dio_slots.size:
-            a, c = self._diode_terms
-            Xg = self._grounded_rows(X)
-            cap = self._diode_bank.capacitance(Xg[:, a] - Xg[:, c])
-            i_dio = i[:, self._dio_slots]
-            np.add.at(res, all_rows + (self._diode_a_idx,),
-                      i_dio[:, self._diode_a_mask])
-            np.add.at(res, all_rows + (self._diode_c_idx,),
-                      -i_dio[:, self._diode_c_mask])
-            values = self._diode_sign * np.tile(c0 * cap, (1, 4))
-            if sparse:
-                target[:, segment_slices["diocap"]] = \
-                    values[:, self._diode_valid]
-            else:
-                np.add.at(jac_flat, all_rows + (self._diode_flat,),
-                          values[:, self._diode_valid])
+    # -- queries --------------------------------------------------------
+
+    def device_ops(self, x: np.ndarray,
+                   lane: int | None = None) -> dict[str, MosOperatingPoint]:
+        """MOS element name -> operating point at the vector ``x``, via
+        one bank call (under lane ``lane``'s parameter overlay on a
+        batched assembler)."""
+        if self._mos_bank is None:
+            return {}
+        vd, vg, vs, vb = self._grounded(x)[self._mos_gather.idx]
+        points = self._lane_bank(lane).operating_points(vd, vg, vs, vb)
+        return dict(zip(self._mos_names, points))
+
+    def charge_vector(self, X: np.ndarray) -> np.ndarray:
+        """All dynamic charges in canonical term order: ``(N,)`` ->
+        ``(n_charge_terms,)``, lane rows ``(A, N)`` -> ``(A,
+        n_charge_terms)``.  Charge parameters are lane-independent
+        (:class:`~repro.spice.batch.LaneSpec` perturbs VT/beta,
+        resistors and sources only)."""
+        q = np.zeros(X.shape[:-1] + (self.n_charge_terms,))
+        rows = None if X.ndim == 1 else X.shape[0]
+        xg = self._grounded(X)
+        q_flat = q.ravel()
+        if self._cap_slots.idx.size:
+            vpos, vneg = xg[self._cap_gather.rows(rows)]
+            q_flat[self._cap_slots.rows(rows)] = self._cap_c * (vpos - vneg)
+        if self._dio_slots.idx.size:
+            va, vc = xg[self._diode_gather.rows(rows)]
+            q_flat[self._dio_slots.rows(rows)] = \
+                self._diode_bank.charge(va - vc)
+        return q
 
     def susceptance_matrix(self, x: np.ndarray) -> np.ndarray:
         """Dense small-signal C matrix (dq/dv of every charge term) at
         ``x`` -- the ``jωC`` part of the AC system, assembled by the
-        same flat-index scatters as :meth:`stamp_charges` (``c0 = 1``).
+        same scatter patterns as the charge companions (``c0 = 1``).
 
         Only valid when :attr:`charges_vectorized` is set; the AC
         engine falls back to the per-term ``charge_terms`` loop
         otherwise.
         """
         c_matrix = np.zeros((self.size, self.size))
-        c_flat = c_matrix.reshape(-1)
-        if self._cap_slots.size:
-            np.add.at(c_flat, self._cap_flat, self._cap_jac_base)
-        if self._dio_slots.size:
-            a, c = self._diode_terms
-            va, vc = self._terminal_voltages(x, (a, c))
-            cap = self._diode_bank.capacitance(va - vc)
-            values = self._diode_sign * np.tile(cap, 4)
-            np.add.at(c_flat, self._diode_flat,
-                      values[self._diode_valid])
+        c_flat = c_matrix.ravel()
+        if self._cap_slots.idx.size:
+            self._cap_jacobian.add_terms(c_flat, self._cap_jac_terms, None)
+        if self._dio_slots.idx.size:
+            va, vc = self._grounded(x)[self._diode_gather.idx]
+            self._diode_jacobian.add(
+                c_flat, self._diode_bank.capacitance(va - vc), None)
         return c_matrix

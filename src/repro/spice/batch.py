@@ -10,11 +10,11 @@ whole population as one stacked system instead:
 * a :class:`LaneSpec` describes one population member ("lane") as a
   perturbation of the base circuit -- per-device VT/beta deltas, scaled
   resistors, overridden source values -- without mutating anything;
-* :class:`BatchAssembler` extends the compile-once
-  :class:`~repro.spice.assembly.CircuitAssembler` with a ``(B, N)``
-  assembly path: the MOS/diode banks are evaluated over ``(B,
-  n_devices)`` voltage arrays in one numpy call and scattered into a
-  ``(B, N, N)`` stacked Jacobian;
+* :class:`BatchAssembler` runs the compile-once
+  :class:`~repro.spice.assembly.CircuitAssembler` kernels over ``(B,
+  N)`` lane rows with per-lane overlays: the MOS/diode banks are
+  evaluated over ``(B, n_devices)`` voltage arrays in one numpy call
+  and scattered into a ``(B, N, N)`` stacked Jacobian;
 * :func:`batch_newton` runs damped Newton on all lanes at once -- one
   ``np.linalg.solve`` on the stacked Jacobian per iteration (LAPACK's
   batched path) -- with per-lane damping, convergence and stall
@@ -71,12 +71,12 @@ import numpy as np
 from .. import telemetry
 from ..errors import AnalysisError, ConvergenceError, NetlistError, evaluate
 from .elements import CurrentSource, Resistor, VoltageSource
-from .sparse import SparseSystem, coo_to_csr, sparse_available
+from .sparse import SparseSystem
 from .strategies import (DEFAULT_LADDER, NewtonOptions,
                          PseudoTransientStrategy, SolverDiagnostics,
                          StageReport, pseudo_transient_lanes, run_ladder,
                          step_converged)
-from .assembly import CircuitAssembler
+from .assembly import CircuitAssembler, LazyDeviceOps, _two_terminal
 from .results import TranResult
 from .transient import (TransientOptions, _Stepper, _check_options,
                         transient)
@@ -257,15 +257,17 @@ def apply_lane(circuit: "Circuit", lane: LaneSpec) -> Callable[[], None]:
 
 
 class BatchAssembler(CircuitAssembler):
-    """Stacked ``(B, N)`` assembly over one compiled circuit.
+    """Stacked ``(A, N)`` assembly over one compiled circuit.
 
-    Builds on the serial assembler's compile-once structure (constant
-    linear part, bank index scatter patterns) and adds per-lane
-    parameter overlays: VT / beta arrays of shape ``(B, n_mos)``,
-    per-lane delta conductances for scaled resistors, per-lane source
-    values.  :meth:`assemble_batch` then assembles any subset of lanes
-    (the batched Newton loop's shrinking active set) in one pass of
-    numpy calls.
+    The stamping kernels are the serial assembler's: they take a stack
+    of lane rows as they take one vector.  This class adds only the
+    per-lane parameter overlays, through the hooks the kernels call --
+    VT / beta arrays of shape ``(B, n_mos)`` (:meth:`_lane_bank`),
+    per-lane source values (:meth:`_source_terms`) and per-lane delta
+    conductances of scaled resistors (:meth:`_stamp_overlays`).
+    :meth:`assemble_batch` then assembles any subset of lanes (the
+    batched Newton loop's shrinking active set) in one pass of numpy
+    calls.
 
     Circuits containing element types the assembler does not know
     (user subclasses stamped through the per-element fallback) cannot
@@ -332,22 +334,12 @@ class BatchAssembler(CircuitAssembler):
                         f"{name!r} is not a resistor of "
                         f"{self.compiled.circuit.name!r}")
                 elements.append(by_name[name])
-            a = np.array([e._idx[0] for e in elements], dtype=np.intp)
-            b = np.array([e._idx[1] for e in elements], dtype=np.intp)
-            self._rov_a, self._rov_b = a, b
-            self._rov_a_mask = a >= 0
-            self._rov_b_mask = b >= 0
-            rows = np.concatenate([a, a, b, b])
-            cols = np.concatenate([a, b, a, b])
-            valid = (rows >= 0) & (cols >= 0)
-            self._rov_flat = (rows[valid].astype(np.intp) * self.size
-                              + cols[valid].astype(np.intp))
-            self._rov_valid = valid
-            n_over = len(elements)
-            self._rov_sign = np.concatenate(
-                [np.ones(n_over), -np.ones(n_over),
-                 -np.ones(n_over), np.ones(n_over)])
-            dg = np.zeros((self.batch, n_over))
+            self._rov_gather, self._rov_current, self._rov_jacobian = \
+                _two_terminal(
+                    np.array([e._idx[0] for e in elements], dtype=np.intp),
+                    np.array([e._idx[1] for e in elements], dtype=np.intp),
+                    self.size)
+            dg = np.zeros((self.batch, len(elements)))
             base_g = np.array([1.0 / e.resistance for e in elements])
             for li, lane in enumerate(self.lanes):
                 for name, factor in lane.resistor_scale:
@@ -359,149 +351,81 @@ class BatchAssembler(CircuitAssembler):
                     dg[li, k] = base_g[k] / factor - base_g[k]
             self._rov_dg = dg
 
-        # Source overlays: per-source (B,) value arrays, None when no
-        # lane overrides that source.
-        vsrc_over: dict[str, np.ndarray] = {}
-        isrc_over: dict[str, np.ndarray] = {}
-        vsrc_names = {e.name for e in self._vsources}
-        isrc_names = {e.name for e in self._isources}
-        for li, lane in enumerate(self.lanes):
-            for name, value in lane.source_values:
-                if name in vsrc_names:
-                    table = vsrc_over
-                    base = next(e for e in self._vsources
-                                if e.name == name)
-                elif name in isrc_names:
-                    table = isrc_over
-                    base = next(e for e in self._isources
-                                if e.name == name)
-                else:
-                    raise AnalysisError(
-                        f"{name!r} is not an independent source of "
-                        f"{self.compiled.circuit.name!r}")
-                if name not in table:
-                    table[name] = np.full(self.batch,
-                                          base.value_at(None))
-                table[name][li] = float(value)
-        # Parallel to the *expanded* source lists (top-level sources
-        # followed by every instance's template sources).  Overrides
-        # are looked up against the top-level prefix only, so a
-        # template source that happens to share a top-level source's
-        # name is never accidentally overridden.
-        n_inst_v = len(self._vsrc_elements) - len(self._vsources)
-        n_inst_i = len(self._isrc_elements) - len(self._isources)
-        self._vsrc_over = ([vsrc_over.get(e.name) for e in self._vsources]
-                           + [None] * n_inst_v)
-        self._isrc_over = ([isrc_over.get(e.name) for e in self._isources]
-                           + [None] * n_inst_i)
+        # Source overrides: per lane, the residual terms of the value
+        # replacing a source's waveform, and where they go.  Names
+        # resolve against the top-level sources only, so a template
+        # source that happens to share a top-level source's name is
+        # never overridden.
+        top = {id(e) for e in (*self._vsources, *self._isources)}
+        position = {e.name: k for k, e in enumerate(self._sources)
+                    if id(e) in top}
+        scatter = self._src_scatter
+        self._src_override = None
+        if any(lane.source_values for lane in self.lanes):
+            terms = np.zeros((self.batch, scatter.sign.size))
+            overridden = np.zeros(terms.shape, dtype=bool)
+            for li, lane in enumerate(self.lanes):
+                for name, value in lane.source_values:
+                    if name not in position:
+                        raise AnalysisError(
+                            f"{name!r} is not an independent source of "
+                            f"{self.compiled.circuit.name!r}")
+                    cols = scatter.sel.idx == position[name]
+                    terms[li, cols] = scatter.sign[cols] * float(value)
+                    overridden[li, cols] = True
+            self._src_override = (terms, overridden)
 
-    # -- stacked hot path -----------------------------------------------
+    def _lane_bank(self, lanes):
+        """A bank view whose VT / I_spec are the selected lanes'.
 
-    def _grounded_batch(self, X: np.ndarray) -> np.ndarray:
-        """``X`` (A, N) padded with a zero column so index -1 reads 0."""
-        Xg = np.empty((X.shape[0], X.shape[1] + 1))
-        Xg[:, :-1] = X
-        Xg[:, -1] = 0.0
-        return Xg
+        The bank math is pure elementwise numpy, so swapping the (n,)
+        parameter arrays for (A, n) slices broadcasts the evaluation
+        over the lane axis with zero duplicated model code.
+        ``MosBank.overlay`` rebuilds the bank's derived packed
+        constants along the way.
+        """
+        if self._mos_vt_b is None:
+            return self._mos_bank
+        return self._mos_bank.overlay(self._mos_vt_b[lanes],
+                                      self._mos_ispec_b[lanes])
 
-    def _batch_source_rhs(self, res: np.ndarray, lane_idx: np.ndarray,
-                          time: float | None) -> None:
-        """Independent-source excitations into the stacked residual,
-        honouring per-lane value overrides."""
-        for element, row, over in zip(self._vsrc_elements,
-                                      self._vsrc_branch_rows,
-                                      self._vsrc_over):
-            if over is None:
-                res[:, row] -= element.value_at(time)
-            else:
-                res[:, row] -= over[lane_idx]
-        for element, (p, n), over in zip(self._isrc_elements,
-                                         self._isrc_nodes,
-                                         self._isrc_over):
-            value = (element.value_at(time) if over is None
-                     else over[lane_idx])
-            if p >= 0:
-                res[:, p] += value
-            if n >= 0:
-                res[:, n] -= value
+    def _source_terms(self, time, lanes):
+        """The waveform terms at ``time``, replaced per lane where the
+        lane overrides a source."""
+        terms = super()._source_terms(time, lanes)
+        if self._src_override is None:
+            return terms
+        override, overridden = self._src_override
+        return np.where(overridden[lanes], override[lanes], terms)
 
-    def _batch_mos_scatter(self, res: np.ndarray, Xg: np.ndarray,
-                           lane_idx: np.ndarray) -> np.ndarray:
-        """One lane-overlaid MOS bank evaluation: drain/source currents
-        accumulated into the stacked residual, masked Jacobian scatter
-        values (A, n_valid) returned -- the same array both the dense
-        flat scatter and the sparse ``mos`` segment consume, so the two
-        backends agree bit for bit."""
-        d, g, s, b = self._mos_terms
-        all_rows = (slice(None),)
-        bank = self._lane_mos_bank(lane_idx)
-        r = bank.evaluate(Xg[:, d], Xg[:, g], Xg[:, s], Xg[:, b])
-        np.add.at(res, all_rows + (d[self._mos_d_mask],),
-                  r.ids[:, self._mos_d_mask])
-        np.add.at(res, all_rows + (s[self._mos_s_mask],),
-                  -r.ids[:, self._mos_s_mask])
-        partials = np.concatenate(
-            [r.p_d, r.p_g, r.p_s, r.p_b,
-             r.p_d, r.p_g, r.p_s, r.p_b], axis=1)
-        return (self._mos_sign * partials)[:, self._mos_valid]
+    def _stamp_overlays(self, target, segments, res_flat, xg, lanes,
+                        rows) -> None:
+        """Per-lane resistor-overlay delta conductances."""
+        if self._rov_dg is None:
+            return
+        dg = self._rov_dg[lanes]
+        va, vb = xg[self._rov_gather.rows(rows)]
+        self._rov_current.add(res_flat, dg * (va - vb), rows)
+        self._put(target, segments, "rov", self._rov_jacobian,
+                  self._rov_jacobian.terms(dg, rows), rows)
 
-    def _batch_diode_scatter(self, res: np.ndarray,
-                             Xg: np.ndarray) -> np.ndarray:
-        """Diode bank twin of :meth:`_batch_mos_scatter`."""
-        a, c = self._diode_terms
-        all_rows = (slice(None),)
-        current, conductance = self._diode_bank.current(
-            Xg[:, a] - Xg[:, c])
-        np.add.at(res, all_rows + (a[self._diode_a_mask],),
-                  current[:, self._diode_a_mask])
-        np.add.at(res, all_rows + (c[self._diode_c_mask],),
-                  -current[:, self._diode_c_mask])
-        values = self._diode_sign * np.tile(conductance, (1, 4))
-        return values[:, self._diode_valid]
-
-    def _batch_rov_scatter(self, res: np.ndarray, Xg: np.ndarray,
-                           lane_idx: np.ndarray) -> np.ndarray:
-        """Per-lane resistor-overlay delta conductances: currents into
-        the stacked residual, scatter values returned."""
-        dg = self._rov_dg[lane_idx]
-        all_rows = (slice(None),)
-        va = Xg[:, self._rov_a]
-        vb = Xg[:, self._rov_b]
-        i = dg * (va - vb)
-        np.add.at(res, all_rows + (self._rov_a[self._rov_a_mask],),
-                  i[:, self._rov_a_mask])
-        np.add.at(res, all_rows + (self._rov_b[self._rov_b_mask],),
-                  -i[:, self._rov_b_mask])
-        values = self._rov_sign * np.tile(dg, (1, 4))
-        return values[:, self._rov_valid]
+    # -- stacked entry points -------------------------------------------
 
     def assemble_batch(self, jac: np.ndarray, res: np.ndarray,
                        X: np.ndarray, lane_idx: np.ndarray,
                        time: float | None = None) -> None:
         """Overwrite ``jac`` (A, N, N) / ``res`` (A, N) with the full
         static system of lanes ``lane_idx`` at solutions ``X`` (A, N)."""
-        n_active = X.shape[0]
-        jac[:] = self._g_const
-        np.matmul(X, self._g_const.T, out=res)
-        self._batch_source_rhs(res, lane_idx, time)
-        if telemetry.is_enabled():
-            span = telemetry.current_span()
-            if self._mos_bank is not None:
-                span.inc("device_bank_evals")
-            if self._diode_bank is not None:
-                span.inc("device_bank_evals")
-        Xg = self._grounded_batch(X)
-        jac_flat = jac.reshape(n_active, -1)
-        all_rows = (slice(None),)
-        if self._mos_bank is not None:
-            np.add.at(jac_flat, all_rows + (self._mos_flat,),
-                      self._batch_mos_scatter(res, Xg, lane_idx))
-        if self._diode_bank is not None:
-            np.add.at(jac_flat, all_rows + (self._diode_flat,),
-                      self._batch_diode_scatter(res, Xg))
-        if self._rov_dg is not None:
-            np.add.at(jac_flat, all_rows + (self._rov_flat,),
-                      self._batch_rov_scatter(res, Xg, lane_idx))
+        self._stamp_static(jac, res, X, lane_idx, time, None)
+
+    def assemble_batch_sparse(self, vals: np.ndarray, res: np.ndarray,
+                              X: np.ndarray, lane_idx: np.ndarray,
+                              time: float | None = None) -> None:
+        """Sparse twin of :meth:`assemble_batch`: overwrite ``vals``
+        (A, n_triplets) / ``res`` (A, N) with per-lane triplet values
+        over the shared pattern of :meth:`sparse_batch_system`."""
+        self._stamp_static(vals, res, X, lane_idx, time,
+                           self.sparse_batch_system().segment_slices)
 
     # -- shared-pattern sparse path --------------------------------------
 
@@ -513,9 +437,6 @@ class BatchAssembler(CircuitAssembler):
         every lane's numeric refactorization in every Newton iteration
         reuses both -- each still runs SuperLU's elimination-tree and
         supernodal numeric phases."""
-        if not sparse_available():  # pragma: no cover - guarded upstream
-            raise AnalysisError(
-                "sparse batched backend requires scipy.sparse")
         self.use_sparse = True
         self.sparse_batch_system()
 
@@ -540,105 +461,12 @@ class BatchAssembler(CircuitAssembler):
                 self._batch_sparse_system = \
                     self.compiled.assembler.sparse_system()
             else:
+                flat = self._rov_jacobian.at.idx
                 segments = self._sparse_segments()
-                segments["rov"] = (self._rov_flat // self.size,
-                                   self._rov_flat % self.size)
+                segments["rov"] = (flat // self.size, flat % self.size)
                 self._batch_sparse_system = SparseSystem(self.size,
                                                          segments)
         return self._batch_sparse_system
-
-    def assemble_batch_sparse(self, vals: np.ndarray, res: np.ndarray,
-                              X: np.ndarray, lane_idx: np.ndarray,
-                              time: float | None = None) -> None:
-        """Sparse twin of :meth:`assemble_batch`: overwrite ``vals``
-        (A, n_triplets) / ``res`` (A, N) with per-lane triplet values
-        over the shared pattern of :meth:`sparse_batch_system`.
-
-        Segment values are produced by the same bank evaluations and
-        scatter-value expressions as the dense stacked path, and the
-        linear part rides the same cached CSR matvec as the serial
-        sparse assembler -- so per-lane assembled entries are
-        bit-identical to both.
-        """
-        system = self.sparse_batch_system()
-        sl = system.segment_slices
-        if self._lin_csr is None:
-            self._lin_csr = coo_to_csr(self._lin_rows, self._lin_cols,
-                                       self._lin_vals, self.size)
-        vals.fill(0.0)
-        vals[:, sl["lin"]] = self._lin_vals
-        res[:] = self._lin_csr.dot(X.T).T
-        self._batch_source_rhs(res, lane_idx, time)
-        if telemetry.is_enabled():
-            span = telemetry.current_span()
-            if self._mos_bank is not None:
-                span.inc("device_bank_evals")
-            if self._diode_bank is not None:
-                span.inc("device_bank_evals")
-        Xg = self._grounded_batch(X)
-        if self._mos_bank is not None:
-            vals[:, sl["mos"]] = self._batch_mos_scatter(res, Xg,
-                                                         lane_idx)
-        if self._diode_bank is not None:
-            vals[:, sl["dio"]] = self._batch_diode_scatter(res, Xg)
-        if self._rov_dg is not None:
-            vals[:, sl["rov"]] = self._batch_rov_scatter(res, Xg,
-                                                         lane_idx)
-
-    def _lane_mos_bank(self, lane_idx):
-        """A bank view whose VT / I_spec rows are the selected lanes'.
-
-        The bank math is pure elementwise numpy, so swapping the (n,)
-        parameter arrays for (A, n) slices broadcasts the evaluation
-        over the lane axis with zero duplicated model code.
-        ``MosBank.overlay`` rebuilds the bank's derived packed
-        constants along the way.
-        """
-        if self._mos_vt_b is None:
-            return self._mos_bank
-        return self._mos_bank.overlay(self._mos_vt_b[lane_idx],
-                                      self._mos_ispec_b[lane_idx])
-
-    def lane_device_ops(self, lane: int, x: np.ndarray) -> dict:
-        """MOS element name -> operating point at ``x`` under the lane's
-        parameter overlay (the batched analogue of
-        :meth:`CircuitAssembler.device_operating_points`)."""
-        if self._mos_bank is None:
-            return {}
-        bank = self._mos_bank
-        if self._mos_vt_b is not None:
-            bank = bank.overlay(self._mos_vt_b[lane],
-                                self._mos_ispec_b[lane])
-        d, g, s, b = self._mos_terms
-        vd, vg, vs, vb = self._terminal_voltages(x, (d, g, s, b))
-        points = bank.operating_points(vd, vg, vs, vb)
-        return dict(zip(self._mos_names, points))
-
-
-class _LaneDeviceOps(Mapping):
-    """Per-lane ``device_ops`` mapping, materialized on first access."""
-
-    def __init__(self, assembler: BatchAssembler, lane: int,
-                 x: np.ndarray) -> None:
-        self._assembler = assembler
-        self._lane = lane
-        self._x = x
-        self._data: dict | None = None
-
-    def _materialize(self) -> dict:
-        if self._data is None:
-            self._data = self._assembler.lane_device_ops(self._lane,
-                                                         self._x)
-        return self._data
-
-    def __getitem__(self, key):
-        return self._materialize()[key]
-
-    def __iter__(self):
-        return iter(self._materialize())
-
-    def __len__(self) -> int:
-        return len(self._materialize())
 
 
 # -- batched Newton kernel ------------------------------------------------
@@ -1231,8 +1059,7 @@ def _batch_op(circuit: "Circuit", lanes: list[LaneSpec],
             circuit=circuit.name, stages=stages,
             rescued_by=stages[-1].strategy, total_iterations=total)
         result = _package(compiled, X[lane_index], total, lane_diag)
-        result.device_ops = _LaneDeviceOps(assembler, lane_index,
-                                           result.x)
+        result.device_ops = LazyDeviceOps(assembler, result.x, lane_index)
         points[lane_index] = result
 
     # Per-lane fallback: anything the stacked phases could not converge
@@ -1269,8 +1096,7 @@ def _batch_op(circuit: "Circuit", lanes: list[LaneSpec],
         lane_diag.total_iterations += batched_iters
         result = _package(compiled, x, lane_diag.total_iterations,
                           lane_diag)
-        result.device_ops = _LaneDeviceOps(assembler, lane_index,
-                                           result.x)
+        result.device_ops = LazyDeviceOps(assembler, result.x, lane_index)
         points[lane_index] = result
     diagnostics.n_failed = len(failures)
     diagnostics.wall_time = _time.perf_counter() - start
@@ -1573,7 +1399,7 @@ class _LockstepStepper(_Stepper):
         return X_new, outcome.iterations[lanes], failed
 
     def charges(self, X):
-        return self.assembler.charge_vector_batch(X)
+        return self.assembler.charge_vector(X)
 
     def leave(self, lane, reason, t):
         tspan = self.tspan

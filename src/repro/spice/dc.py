@@ -14,50 +14,19 @@ every device is an exponential.  The solver therefore
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from typing import Sequence
 
 import numpy as np
 
 from .. import telemetry
 from ..errors import ConvergenceError, NetlistError
+from .assembly import LazyDeviceOps
 from .elements import CurrentSource, VoltageSource
 from .netlist import Circuit, CompiledCircuit
 from .results import OpResult, SweepResult
 from .strategies import (NewtonOptions, SolveStrategy, SolverDiagnostics,
                          run_ladder)
 from .waveforms import dc_wave
-
-
-class _LazyDeviceOps(Mapping):
-    """``device_ops`` mapping materialized on first access.
-
-    Most sweep points are only read for node voltages; deferring the
-    per-transistor operating-point extraction keeps it off the sweep
-    hot path while looking exactly like the dict it replaces.
-    """
-
-    def __init__(self, compiled: CompiledCircuit, x: np.ndarray) -> None:
-        self._compiled = compiled
-        self._x = x
-        self._data: dict | None = None
-
-    def _materialize(self) -> dict:
-        if self._data is None:
-            self._data = self._compiled.device_ops(self._x)
-        return self._data
-
-    def __getitem__(self, key):
-        return self._materialize()[key]
-
-    def __iter__(self):
-        return iter(self._materialize())
-
-    def __len__(self) -> int:
-        return len(self._materialize())
-
-    def __repr__(self) -> str:
-        return repr(self._materialize())
 
 
 def _package(compiled: CompiledCircuit, x: np.ndarray, iterations: int,
@@ -71,7 +40,7 @@ def _package(compiled: CompiledCircuit, x: np.ndarray, iterations: int,
             branch[element.name] = float(x[aux[0]])
     x = x.copy()
     return OpResult(voltages=voltages, branch_currents=branch,
-                    device_ops=_LazyDeviceOps(compiled, x),
+                    device_ops=LazyDeviceOps(compiled.assembler, x),
                     iterations=iterations, x=x,
                     diagnostics=diagnostics)
 

@@ -70,22 +70,18 @@ class CompiledCircuit:
         * ``"dense"`` always stays dense;
         * ``"sparse"`` demands the sparse backend and raises
           :class:`~repro.errors.NetlistError` when it cannot be honored
-          (scipy.sparse missing, or foreign elements whose imperative
-          stamps have no triplet twin);
+          (foreign elements whose imperative stamps have no triplet
+          twin);
         * ``"auto"`` (default) picks sparse when the system has at
           least :data:`~repro.spice.sparse.SPARSE_AUTO_THRESHOLD`
           unknowns and the circuit is sparse-eligible.
         """
         if self._solver_backend is None:
-            from .sparse import SPARSE_AUTO_THRESHOLD, sparse_available
+            from .sparse import SPARSE_AUTO_THRESHOLD
             requested = getattr(self.circuit, "matrix_backend", "auto")
             if requested == "dense":
                 self._solver_backend = "dense"
             elif requested == "sparse":
-                if not sparse_available():
-                    raise NetlistError(
-                        f"{self.circuit.name}: matrix_backend='sparse' "
-                        f"requires scipy.sparse")
                 if not self.assembler.sparse_eligible:
                     raise NetlistError(
                         f"{self.circuit.name}: matrix_backend='sparse' "
@@ -95,7 +91,6 @@ class CompiledCircuit:
             else:
                 self._solver_backend = (
                     "sparse" if self.size >= SPARSE_AUTO_THRESHOLD
-                    and sparse_available()
                     and self.assembler.sparse_eligible else "dense")
         return self._solver_backend
 
@@ -129,21 +124,12 @@ class CompiledCircuit:
         Called once per solve (not per Newton iteration) by the DC
         ladder, the transient engine and the AC engine, so value edits
         that bypass :class:`Circuit` -- an aged resistance, a swapped
-        device model -- are picked up without a recompile.
+        device model, a replaced source waveform -- are picked up
+        without a recompile.
         """
         assembler = self.assembler
         assembler.sync()
         return assembler
-
-    def stamp_all(self, st: Stamper, x: np.ndarray,
-                  time: float | None) -> None:
-        """Assemble the full static system at solution ``x``."""
-        self.assembler.assemble(st, x, time)
-
-    def device_ops(self, x: np.ndarray) -> dict:
-        """MOS element name -> operating point at ``x`` (one vectorized
-        bank call instead of one model call per transistor)."""
-        return self.assembler.device_operating_points(x)
 
     def charge_terms(self, x: np.ndarray):
         """All dynamic charge terms at solution ``x`` (stable order)."""

@@ -175,6 +175,7 @@ def _newton_kernel(compiled: "CompiledCircuit", x0: np.ndarray,
                    extra_stamp, trace: list[float] | None,
                    tspan) -> tuple[np.ndarray, int]:
     gmin = options.gmin
+    assembler = compiled.assembler
     st = compiled.new_stamper()
     sparse_mode = isinstance(st, SparseStamper)
     x = x0.copy()
@@ -189,7 +190,7 @@ def _newton_kernel(compiled: "CompiledCircuit", x0: np.ndarray,
                 f"wall-clock budget exhausted after {iteration - 1} "
                 f"Newton iterations in {compiled.circuit.name}",
                 iterations=iteration - 1, stage="wall-clock")
-        compiled.stamp_all(st, x, time)
+        assembler.assemble(st, x, time)
         if extra_stamp is not None:
             extra_stamp(st, x)
         if gmin > 0.0:

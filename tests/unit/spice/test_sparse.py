@@ -19,11 +19,8 @@ from repro.errors import NetlistError
 from repro.spice import Circuit, NewtonOptions, operating_point
 from repro.spice.elements import Element, Stamper
 from repro.spice.sparse import (SPARSE_AUTO_THRESHOLD, SparseStamper,
-                                SparseSystem, sparse_available)
+                                SparseSystem)
 from repro.stscl.netlist_gen import stscl_inverter_circuit
-
-pytestmark = pytest.mark.skipif(not sparse_available(),
-                                reason="scipy.sparse unavailable")
 
 DIODE = Diode(DiodeParameters(name="junction", i_s=1e-16))
 
@@ -67,8 +64,8 @@ class TestBitLevelAgreement:
         x = dense.circuit.initial_guess(dense)
         if x_kind == "solved":
             x = operating_point(dense.circuit).x
-        dense.stamp_all(st_d, x, None)
-        sparse.stamp_all(st_s, x, None)
+        dense.assembler.assemble(st_d, x, None)
+        sparse.assembler.assemble(st_s, x, None)
         assert np.array_equal(st_s.matrix().toarray(), st_d.jac)
         assert np.array_equal(st_s.res, st_d.res)
 
@@ -76,8 +73,8 @@ class TestBitLevelAgreement:
         (dense, st_d), (sparse, st_s) = _pair(
             lambda backend: inverter_circuit(backend, default_design))
         x = operating_point(dense.circuit).x
-        dense.stamp_all(st_d, x, None)
-        sparse.stamp_all(st_s, x, None)
+        dense.assembler.assemble(st_d, x, None)
+        sparse.assembler.assemble(st_s, x, None)
         assert np.array_equal(st_s.matrix().toarray(), st_d.jac)
         assert np.array_equal(st_s.res, st_d.res)
 
@@ -91,7 +88,7 @@ class TestBitLevelAgreement:
         q0 = dense.assembler.charge_vector(x)
         rhs = -c0 * q0
         for compiled, st in ((dense, st_d), (sparse, st_s)):
-            compiled.stamp_all(st, x, None)
+            compiled.assembler.assemble(st, x, None)
             compiled.assembler.stamp_charges(st, x, c0, rhs)
         assert np.array_equal(st_s.matrix().toarray(), st_d.jac)
         assert np.array_equal(st_s.res, st_d.res)
@@ -101,7 +98,7 @@ class TestBitLevelAgreement:
         x = dense.circuit.initial_guess(dense)
         n_nodes = len(dense.node_index)
         for compiled, st in ((dense, st_d), (sparse, st_s)):
-            compiled.stamp_all(st, x, None)
+            compiled.assembler.assemble(st, x, None)
             st.add_diagonal(1e-9, n_nodes)
         assert np.array_equal(st_s.matrix().toarray(), st_d.jac)
 

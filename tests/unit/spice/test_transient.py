@@ -7,8 +7,8 @@ import pytest
 
 from repro.errors import NetlistError
 from repro.spice import (Circuit, LaneSpec, TransientOptions,
-                         batch_transient, transient)
-from repro.spice.waveforms import pulse_wave, sine_wave, step_wave
+                         batch_transient, operating_point, transient)
+from repro.spice.waveforms import dc_wave, pulse_wave, sine_wave, step_wave
 
 
 def rc_circuit(tau_r=1e6, tau_c=1e-12, t_step=1e-6):
@@ -477,3 +477,37 @@ class TestBreakpointsPastStop:
         result = self._run(9.2e-6)
         for edge in (1e-6, 3e-6 + 1e-9, 5e-6, 7e-6 + 1e-9, 9e-6):
             assert np.min(np.abs(result.time - edge)) < 2e-9
+
+
+class TestWaveformReplacedBetweenRuns:
+    """Source values are cached per timestamp within one solve only: a
+    waveform replaced between two runs on one compiled circuit drives
+    the second run, even at a timestamp the first run's last step
+    shares."""
+
+    @staticmethod
+    def _rc(vin: float) -> Circuit:
+        ckt = Circuit("rc_rerun")
+        ckt.add_vsource("vin", "in", "0", vin)
+        ckt.add_resistor("R1", "in", "out", 1e3)
+        ckt.add_capacitor("C1", "out", "0", 1e-12)
+        return ckt
+
+    def test_second_run_sees_the_new_waveform(self):
+        ckt = self._rc(1.0)
+        transient(ckt, 1e-9)
+        ckt.element("vin").waveform = dc_wave(2.0)
+        rerun = transient(ckt, 1e-6, TransientOptions(dt_initial=1e-9))
+        assert rerun.value_at("out", 1e-9) == pytest.approx(2.0, abs=1e-9)
+
+    def test_rerun_from_a_given_operating_point_matches_a_fresh_circuit(self):
+        """No DC solve between the runs: the second run's first step
+        lands on the timestamp the first run ended at."""
+        ckt = self._rc(1.0)
+        op = operating_point(ckt)
+        transient(ckt, 1e-9, initial_op=op)
+        ckt.element("vin").waveform = dc_wave(2.0)
+        options = TransientOptions(dt_initial=1e-9)
+        rerun = transient(ckt, 1e-6, options, initial_op=op)
+        fresh = transient(self._rc(2.0), 1e-6, options, initial_op=op)
+        assert np.array_equal(rerun.voltages["out"], fresh.voltages["out"])
