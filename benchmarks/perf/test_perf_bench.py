@@ -193,21 +193,30 @@ def test_batched_transient_mc_full_case_meets_acceptance():
     """Acceptance pin for the lockstep transient ensemble: the D-latch
     Monte-Carlo population integrates >= 3x faster per seed than one
     serial transient of the same spec, with no lane falling off the
-    shared grid."""
+    shared grid.
+
+    As for the sparse ensemble pin, one traced warmup supplies the
+    counters and each side's time is the best of three untraced runs:
+    a single sample of either side swings by more than the margin on a
+    shared host."""
     from repro import telemetry
     from repro.bench.perf import _bench_batched_transient_montecarlo
 
+    case = _bench_batched_transient_montecarlo(quick=False)
     with telemetry.tracing("batched-tran-mc-acceptance"):
-        meta = _bench_batched_transient_montecarlo(quick=False)()
+        meta = case()
     assert meta["n_seeds"] >= 8
     assert meta["n_failed"] == 0
     counters = meta["campaign_counters"]
     assert counters["batch_transient_steps"] > 0
     assert counters["batch_lane_fallbacks"] == 0
-    assert meta["per_seed_speedup"] >= 3.0, (
-        f"batched {meta['batched_per_seed_s'] * 1e3:.1f} ms/seed vs "
-        f"serial {meta['serial_seed_s'] * 1e3:.1f} ms/seed = "
-        f"{meta['per_seed_speedup']:.2f}x, expected >= 3x")
+    runs = [case() for _ in range(3)]
+    serial_s = min(run["serial_seed_s"] for run in runs)
+    batched_s = min(run["batched_per_seed_s"] for run in runs)
+    assert serial_s / batched_s >= 3.0, (
+        f"batched {batched_s * 1e3:.1f} ms/seed vs serial "
+        f"{serial_s * 1e3:.1f} ms/seed = {serial_s / batched_s:.2f}x "
+        f"(best of three each), expected >= 3x")
 
 
 def test_fai_adc_yield_full_case_is_bit_identical():

@@ -15,13 +15,21 @@ source-override lanes compare with ``==``.  Resistor-scale lanes add a
 delta conductance to the base one where the serial lane scales the
 resistance itself, so they agree to rounding (rtol 1e-12).
 
-Lanes are assembled in reversed order, so row ``r`` holds lane
-``n - 1 - r``: the lane overlays must follow the lane index, not the
-row.  The last lane is also assembled on its own, the one-row stack.
-Every serial lane is assembled on a freshly built circuit, so no state
-carries over from one lane to the next.
+One batched assembler assembles three lane sets in a row: every lane
+in reversed order, so row ``r`` holds lane ``n - 1 - r`` and the lane
+overlays must follow the lane index, not the row; then the last lane
+on its own, the one-row stack; then every lane in lane order.  The
+assembler must switch its lane overlays with the lane set (it keeps
+the MOS overlay of the last one).  Every serial lane is assembled on a
+freshly built circuit, so no state carries over from one lane to the
+next.
+
+Every stacked scatter must also hand ``np.add.at`` a flat index:
+numpy's fast path for it takes only a 1-D index.
 """
 
+import dataclasses
+import types
 from typing import NamedTuple
 
 import numpy as np
@@ -30,6 +38,7 @@ import pytest
 from repro import telemetry
 from repro.spice import (BatchAssembler, Circuit, LaneSpec, TransientOptions,
                          apply_lane, pulse_wave)
+from repro.spice import assembly
 from repro.spice.batch import _LockstepStepper
 from repro.spice.elements import Stamper
 from repro.spice.sparse import SparseStamper
@@ -162,14 +171,13 @@ def _serial(build, lane: LaneSpec, x: np.ndarray, time, sparse: bool,
         undo()
 
 
-def _stacked(circuit: Circuit, lanes: list[LaneSpec], X: np.ndarray,
-             rows: np.ndarray, time, sparse: bool,
-             rhs: np.ndarray) -> Assembly:
+def _stacked(assembler: BatchAssembler, circuit: Circuit,
+             lanes: list[LaneSpec], X: np.ndarray, rows: np.ndarray, time,
+             sparse: bool, rhs: np.ndarray) -> Assembly:
     """Lanes ``rows`` (rows of ``X``/``rhs``) assembled in one stacked
-    pass; every array has one row per assembled lane."""
-    compiled = circuit.compile()
-    assembler = BatchAssembler(compiled, lanes)
-    n_rows, size = len(rows), compiled.size
+    pass of ``assembler``, a batched assembler over ``lanes``; every
+    array has one row per assembled lane."""
+    n_rows, size = len(rows), assembler.size
     res = np.empty((n_rows, size))
     Xa, rhs_a = X[rows], rhs[rows]
     if sparse:
@@ -210,9 +218,11 @@ def test_stacked_lanes_equal_serial_lanes(name, sparse, time):
     n_charges = circuit.compile().assembler.n_charge_terms
     rhs = np.random.default_rng(3).normal(0.0, 1e-6,
                                           (len(lanes), n_charges))
+    assembler = BatchAssembler(circuit.compile(), lanes)
     order = np.arange(len(lanes))[::-1].copy()
-    for rows in (order, order[:1]):
-        stacked = _stacked(circuit, lanes, X, rows, time, sparse, rhs)
+    for rows in (order, order[:1], order[::-1].copy()):
+        stacked = _stacked(assembler, circuit, lanes, X, rows, time,
+                           sparse, rhs)
         for r, lane_index in enumerate(rows):
             lane, exact = specs[lane_index]
             serial = _serial(build, lane, X[lane_index], time, sparse,
@@ -243,9 +253,81 @@ def test_source_override_leaves_other_lanes_on_the_waveform(sparse):
     X = _points(circuit, 2)
     rhs = np.zeros((2, circuit.compile().assembler.n_charge_terms))
     rows = np.arange(2)
-    stacked = _stacked(circuit, lanes, X, rows, T_EDGE, sparse, rhs)
+    stacked = _stacked(BatchAssembler(circuit.compile(), lanes), circuit,
+                       lanes, X, rows, T_EDGE, sparse, rhs)
     for lane_index in rows:
         serial = _serial(_divider, lanes[lane_index], X[lane_index],
                          T_EDGE, sparse, rhs[lane_index])
         assert np.array_equal(stacked.static_res[lane_index],
                               serial.static_res)
+
+
+class _NumpySpy:
+    """``numpy`` as the assembly module sees it, recording the shapes
+    of the index and the terms of every ``np.add.at`` call."""
+
+    def __init__(self) -> None:
+        self.calls: list[tuple[tuple, tuple]] = []
+        self.add = types.SimpleNamespace(at=self._add_at)
+
+    def _add_at(self, target, index, terms) -> None:
+        self.calls.append((np.shape(index), np.shape(terms)))
+        np.add.at(target, index, terms)
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+@pytest.mark.parametrize("time", [None, T_EDGE], ids=["dc", "tran"])
+@pytest.mark.parametrize("n_lanes", [16, 1])
+@pytest.mark.parametrize("name", ["chain", "latch"])
+def test_stacked_scatters_take_the_flat_fast_path(name, n_lanes, time,
+                                                  monkeypatch):
+    """Every scatter of a dense stacked assembly passes ``np.add.at`` a
+    1-D index and 1-D terms of the same length: numpy's fast path takes
+    only a 1-D index, and a ``(rows, m)`` one costs several times as
+    much.  This pins that speed property without timing anything."""
+    circuit = BUILDERS[name]()
+    n_top = len(circuit.mos_elements())
+    lanes = [_mismatch(seed, n_top) for seed in range(n_lanes)]
+    assembler = BatchAssembler(circuit.compile(), lanes)
+    size = assembler.size
+    X = _points(circuit, n_lanes)
+    rhs = np.random.default_rng(3).normal(
+        0.0, 1e-6, (n_lanes, assembler.n_charge_terms))
+    rows = np.arange(n_lanes)
+    jac = np.empty((n_lanes, size, size))
+    res = np.empty((n_lanes, size))
+    spy = _NumpySpy()
+    monkeypatch.setattr(assembly, "np", spy)
+    assembler.assemble_batch(jac, res, X, rows, time=time)
+    assembler.stamp_charges_batch(jac, res, X, C0, rhs)
+    assert spy.calls
+    for index_shape, terms_shape in spy.calls:
+        assert len(index_shape) == 1
+        assert terms_shape == index_shape
+
+
+def test_lane_bank_keeps_the_overlay_of_the_last_lane_set():
+    """A repeated lane set reuses the MOS overlay of the last one; any
+    other set gets its own -- a reordering, a one-element lane array (a
+    ``(1, n)`` bank) and the scalar lane ``device_ops`` passes (an
+    ``(n,)`` bank) -- and a sync that rebuilds the bank drops it."""
+    circuit = _latch()
+    mos = circuit.mos_elements()
+    n = len(mos)
+    assembler = BatchAssembler(circuit.compile(),
+                               [_mismatch(seed, n) for seed in range(4)])
+    rows = np.arange(4)
+    bank = assembler._lane_bank(rows)
+    assert assembler._lane_bank(rows.copy()) is bank
+    assert assembler._lane_bank(rows[::-1].copy()) is not bank
+    assert assembler._lane_bank(np.array([2])).vt.shape == (1, n)
+    kept = assembler._lane_bank(2)
+    assert kept.vt.shape == (n,)
+    assert assembler._lane_bank(2) is kept
+    device = mos[0].device
+    mos[0].device = dataclasses.replace(device,
+                                        vt_shift=device.vt_shift + 1e-3)
+    assert assembler.sync()
+    assert assembler._lane_bank(2) is not kept
