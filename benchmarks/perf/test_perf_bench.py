@@ -99,9 +99,10 @@ def test_quick_benchmarks_produce_all_cases(tmp_path):
         assert rung["dense_s"] > 0.0 and rung["sparse_s"] > 0.0
         assert rung["n_unknowns"] < adder["n_unknowns"]
     # Provenance: numbers are only comparable when the numerics stack
-    # is known, so the report carries numpy/BLAS/thread pinning.
+    # is known, so the report carries numpy/scipy/BLAS/thread pinning.
     runtime = report["runtime"]
     assert runtime["numpy"]
+    assert runtime["scipy"]
     assert "name" in runtime["blas"]
     assert "OMP_NUM_THREADS" in runtime["thread_env"]
 

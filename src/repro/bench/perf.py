@@ -23,6 +23,7 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
+import scipy
 
 from .. import telemetry
 from ..analysis.montecarlo import MonteCarlo
@@ -751,12 +752,14 @@ def _blas_provenance() -> dict:
 def runtime_provenance() -> dict:
     """Numerics-stack provenance attached to every report.
 
-    Bench numbers are only comparable when numpy, its BLAS and the
-    thread-pool pinning match; recording them turns "CI got slower"
-    from archaeology into a diff.
+    Bench numbers are only comparable when numpy, its BLAS, scipy (whose
+    bundled SuperLU sets the sparse numbers) and the thread-pool pinning
+    match; recording them turns "CI got slower" from archaeology into a
+    diff.
     """
     return {
         "numpy": np.__version__,
+        "scipy": scipy.__version__,
         "blas": _blas_provenance(),
         "thread_env": {name: os.environ.get(name)
                        for name in THREAD_ENV_VARS},

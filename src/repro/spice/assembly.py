@@ -5,9 +5,10 @@ and replaces the per-element Python stamping loop on the Newton hot
 path.  It splits the system into
 
 * a **constant linear part** -- resistors, controlled sources and the
-  incidence/branch topology of independent sources -- accumulated into
-  one dense matrix ``G_const`` at build time, so each Newton iteration
-  contributes it with a single ``copyto`` + matvec;
+  incidence/branch topology of independent sources -- kept as triplets
+  at build time and accumulated into one dense matrix ``G_const`` on
+  first dense use, so each dense Newton iteration contributes it with
+  a single ``copyto`` + matvec (a sparse circuit never builds it);
 * a **per-iteration source RHS** -- the waveform values of independent
   sources (evaluated in Python: waveforms are user callables, but there
   are few sources), memoized per timestamp for one solve;
@@ -108,6 +109,11 @@ class _Index:
         self.idx = np.asarray(idx, dtype=np.intp)
         self.stride = stride
         self._stacked: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    def __reduce__(self):
+        """Pickled as the index alone: the stacked forms are per-call
+        state."""
+        return _Index, (self.idx, self.stride)
 
     def _forms(self, rows: int) -> tuple[np.ndarray, np.ndarray]:
         forms = self._stacked.get(rows)
@@ -367,17 +373,16 @@ class CircuitAssembler:
 
     def _build_linear(self) -> None:
         size = self.size
-        g = np.zeros((size, size))
-        # Triplet twin of the dense accumulation: the sparse backend
-        # replays exactly this contribution sequence through bincount,
-        # which is what makes its assembled entries bit-identical.
+        # The constant linear part as triplets, in accumulation order:
+        # the dense G (:meth:`_dense_g`) and the sparse backend's
+        # bincount both sum exactly this contribution sequence, which
+        # is what makes their assembled entries bit-identical.
         lin_rows: list[int] = []
         lin_cols: list[int] = []
         lin_vals: list[float] = []
 
         def add(row: int, col: int, value: float) -> None:
             if row >= 0 and col >= 0:
-                g[row, col] += value
                 lin_rows.append(row)
                 lin_cols.append(col)
                 lin_vals.append(value)
@@ -411,7 +416,6 @@ class CircuitAssembler:
             add(p, cn, -e.gm)
             add(n, cp, -e.gm)
             add(n, cn, e.gm)
-        self._g_const = g
         rows_parts = [np.asarray(lin_rows, dtype=np.intp)]
         cols_parts = [np.asarray(lin_cols, dtype=np.intp)]
         vals_parts = [np.asarray(lin_vals, dtype=float)]
@@ -420,7 +424,7 @@ class CircuitAssembler:
         # ground entries (local index >= 0, global -1), so the mapped
         # triplets are re-masked; ports tied to one parent net create
         # duplicate coordinates, which both the dense ``np.add.at`` and
-        # the sparse bincount replay accumulate identically.
+        # the sparse bincount accumulate identically.
         for grp in self._instance_groups:
             t_asm = grp.plan.assembler
             t_asm.sync()
@@ -431,14 +435,16 @@ class CircuitAssembler:
             vals_g = np.broadcast_to(t_asm._lin_vals, rows_g.shape)
             mask = (rows_g >= 0) & (cols_g >= 0)
             r, c, v = rows_g[mask], cols_g[mask], vals_g[mask]
-            np.add.at(g, (r, c), v)
             rows_parts.append(r)
             cols_parts.append(c)
             vals_parts.append(v)
         self._lin_rows = np.concatenate(rows_parts)
         self._lin_cols = np.concatenate(cols_parts)
         self._lin_vals = np.concatenate(vals_parts)
-        self._lin_csr = None  # rebuilt lazily after value syncs
+        # Both forms of the linear part are built on first use: a
+        # sparse circuit never needs the dense (size, size) G.
+        self._g_const: np.ndarray | None = None
+        self._lin_csr = None
         # Independent sources: the voltage sources, top-level first and
         # then every instance's template sources, then the current
         # sources in the same order.
@@ -591,6 +597,16 @@ class CircuitAssembler:
                     dio_parts.append(chunk)
         self._dio_slots = _Index(np.concatenate(dio_parts), slot)
 
+    def _dense_g(self) -> np.ndarray:
+        """The dense constant linear part, from the linear triplets in
+        their order (built on first use, kept until values change)."""
+        if self._g_const is None:
+            g = np.zeros((self.size, self.size))
+            np.add.at(g.ravel(), self._lin_rows * self.size + self._lin_cols,
+                      self._lin_vals)
+            self._g_const = g
+        return self._g_const
+
     # -- sparse twin ----------------------------------------------------
 
     @property
@@ -723,8 +739,9 @@ class CircuitAssembler:
         """
         rows = None if X.ndim == 1 else X.shape[0]
         if segments is None:
-            np.copyto(target, self._g_const)
-            np.dot(X, self._g_const.T, out=res)
+            g = self._dense_g()
+            np.copyto(target, g)
+            np.dot(X, g.T, out=res)
         else:
             if self._lin_csr is None:
                 self._lin_csr = coo_to_csr(self._lin_rows, self._lin_cols,

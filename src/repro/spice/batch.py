@@ -269,6 +269,12 @@ class BatchAssembler(CircuitAssembler):
     batched Newton loop's shrinking active set) in one pass of numpy
     calls.
 
+    Construction builds no arrays: it syncs the compiled circuit's own
+    assembler and takes over its arrays and scatter patterns (so both
+    share the patterns' stacked index forms), then derives the lane
+    overlays from them.  A :meth:`sync` that rebuilds rebuilds this
+    assembler's arrays alone, and its lane overlays with them.
+
     Circuits containing element types the assembler does not know
     (user subclasses stamped through the per-element fallback) cannot
     be batched; constructing a :class:`BatchAssembler` for one raises
@@ -277,7 +283,9 @@ class BatchAssembler(CircuitAssembler):
 
     def __init__(self, compiled: "CompiledCircuit",
                  lanes: Sequence[LaneSpec]) -> None:
-        super().__init__(compiled)
+        # The synced arrays and patterns of the compiled circuit's own
+        # assembler become this one's: no build pass runs here.
+        vars(self).update(vars(compiled.prepare()))
         if self._fallback:
             kinds = sorted({type(e).__name__ for e in self._fallback})
             raise AnalysisError(
@@ -294,9 +302,21 @@ class BatchAssembler(CircuitAssembler):
         self._batch_sparse_system: SparseSystem | None = None
         self._build_lane_overlays()
 
+    def sync(self) -> bool:
+        """:meth:`CircuitAssembler.sync`, rebuilding the lane overlays
+        whenever the arrays they derive from were rebuilt."""
+        rebuilt = super().sync()
+        if rebuilt:
+            self._build_lane_overlays()
+        return rebuilt
+
     # -- lane overlays --------------------------------------------------
 
     def _build_lane_overlays(self) -> None:
+        """Per-lane VT / I_spec rows, resistor delta conductances and
+        source overrides, from the current arrays; drops the kept MOS
+        overlay (see :meth:`_lane_bank`)."""
+        self._overlay: tuple | None = None
         n_mos = len(self._mos)
         n_bank = len(self._mos_all)
         vt_rows, beta_rows = [], []
@@ -375,10 +395,6 @@ class BatchAssembler(CircuitAssembler):
                     overridden[li, cols] = True
             self._src_override = (terms, overridden)
 
-    def _build_mos(self) -> None:
-        super()._build_mos()
-        self._overlay: tuple | None = None  # see _lane_bank
-
     def _lane_bank(self, lanes):
         """A bank view whose VT / I_spec are the selected lanes'.
 
@@ -449,12 +465,15 @@ class BatchAssembler(CircuitAssembler):
 
     def enable_sparse(self) -> None:
         """Switch the stacked Newton loop to the shared-pattern sparse
-        backend: the symbolic structure (triplet dedup, CSC
-        ``indices``/``indptr``) is built once here, the first
-        factorization on it computes the COLAMD column ordering, and
-        every lane's numeric refactorization in every Newton iteration
-        reuses both -- each still runs SuperLU's elimination-tree and
-        supernodal numeric phases."""
+        backend.  The symbolic structure (triplet dedup, CSC
+        ``indices``/``indptr``) is built once here, or borrowed from the
+        compiled circuit's assembler (:meth:`sparse_batch_system`); the
+        first factorization on it computes the COLAMD column ordering.
+        Every lane's numeric refactorization in every Newton iteration
+        reuses both through :meth:`SparseSystem.factorize`: SuperLU
+        column by column into the pattern's one column-permuted
+        container, refilled in place -- each still runs SuperLU's
+        elimination-tree and numeric phases."""
         self.use_sparse = True
         self.sparse_batch_system()
 

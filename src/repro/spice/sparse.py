@@ -18,12 +18,16 @@ column ordering (COLAMD) depends only on that fixed structure, so it
 too is computed -- and counted as ``sparse_symbolic_factorizations`` --
 once per pattern: :meth:`SparseSystem.factorize` keeps the ordering of
 its first factorization and factors every later matrix with its columns
-pre-permuted and ordering disabled.  Each call still runs SuperLU's
-elimination-tree and supernodal numeric phases; only the column
-ordering is skipped, and only an exact pivot tie may resolve
-differently from a per-call COLAMD run (solutions agree to ~1e-12
-relative).  Numeric factors are never reused: every Newton iteration
-factors the Jacobian it just assembled.
+pre-permuted and ordering disabled, refilling one column-permuted CSC
+container of the pattern in place.  Every factorization runs SuperLU
+column by column (:data:`SUPERLU_RELAX`, :data:`SUPERLU_PANEL_SIZE`):
+MNA Jacobians of STSCL netlists fill in almost nothing, so relaxed
+supernodes and multi-column panels cost more than they save.  Each
+call still runs SuperLU's elimination-tree and numeric phases; only
+the column ordering is skipped, and only an exact pivot tie may
+resolve differently from a per-call COLAMD run (solutions agree to
+~1e-12 relative).  Numeric factors are never reused: every Newton
+iteration factors the Jacobian it just assembled.
 
 Backend selection lives in
 :meth:`~repro.spice.netlist.CompiledCircuit.solver_backend`: explicit
@@ -48,6 +52,17 @@ from ..errors import ConvergenceError
 #: LAPACK keeps winning through a few hundred unknowns on MNA-sparsity
 #: matrices, sparse wins decisively by ~1000.
 SPARSE_AUTO_THRESHOLD = 500
+
+#: SuperLU's supernode relaxation and panel size for every
+#: factorization: one column at a time.  The 16-bit adder's factors hold
+#: about 5,400 nonzeros against the matrix's 4,500, so there are no
+#: supernodes worth grouping; SuperLU's defaults (relaxed supernodes,
+#: multi-column panels) give the same fill and take about twice as
+#: long (0.49–0.76 against 0.24–0.39 ms a factorization on the
+#: 588-unknown 16-bit adder, 0.81–0.87 against 0.39–0.47 ms on the
+#: 1164-unknown 32-bit one; docs/architecture.md, "Ordering once").
+SUPERLU_RELAX = 1
+SUPERLU_PANEL_SIZE = 1
 
 
 class SparseSystem:
@@ -106,7 +121,7 @@ class SparseSystem:
         # triplets land at ``k * nnz + slot``), keyed by the lane count
         # of the last :meth:`batch_data` call -- the batched Newton
         # loop's active set is stable for long runs of iterations, so
-        # the rebuild is amortised away.
+        # the rebuild is amortised away.  Per-call state: not pickled.
         self._flat_slot: tuple[int, np.ndarray] | None = None
         unique_rows = sorted_rows[new_entry]
         unique_cols = sorted_cols[new_entry]
@@ -123,6 +138,16 @@ class SparseSystem:
         self._perm_gather: np.ndarray | None = None
         self._perm_indices: np.ndarray | None = None
         self._perm_indptr: np.ndarray | None = None
+        # The column-permuted CSC matrix every later factorization
+        # refills in place (built on first use; not pickled).
+        self._permuted = None
+
+    def __getstate__(self) -> dict:
+        """The structure and its ordering, without per-call state."""
+        state = self.__dict__.copy()
+        state["_flat_slot"] = None
+        state["_permuted"] = None
+        return state
 
     def nonzeros(self, values: np.ndarray) -> np.ndarray:
         """CSC data row from a full triplet-values vector.
@@ -178,17 +203,21 @@ class SparseSystem:
         back to dense least squares, mirroring the dense backend's
         degraded path).
 
-        The first factorization runs COLAMD and its handle is returned
-        as is; its column ordering (``perm_c``) is kept and counted as
-        the pattern's one ``sparse_symbolic_factorizations``.  Every
-        later call factors ``A[:, col_order]`` with ordering disabled
-        and returns a handle whose ``solve`` un-permutes the result.
-        Column order and fill are those of a per-call COLAMD run, and
-        each call still runs SuperLU's elimination-tree and supernodal
-        numeric phases; only an exact pivot tie may resolve differently
-        (scipy factors ordering-free matrices in symmetric mode), so
-        solutions agree with per-call COLAMD to ~1e-12 relative.  Every
-        call is one numeric factorization, counted as
+        Every call runs SuperLU column by column (relax
+        :data:`SUPERLU_RELAX`, panel size :data:`SUPERLU_PANEL_SIZE`)
+        through the module's ``_splu`` binding.  The first
+        factorization runs COLAMD and its handle is returned as is; its
+        column ordering (``perm_c``) is kept and counted as the
+        pattern's one ``sparse_symbolic_factorizations``.  Every later
+        call gathers ``data`` into the pattern's column-permuted CSC
+        matrix -- one container, refilled in place; SuperLU copies what
+        it factors, so earlier handles stay valid -- factors it with
+        ordering disabled and returns a handle whose ``solve``
+        un-permutes the result.  Column order and fill are those of a
+        per-call COLAMD run; only an exact pivot tie may resolve
+        differently (scipy factors ordering-free matrices in symmetric
+        mode), so solutions agree with per-call COLAMD to ~1e-12
+        relative.  Every call is one numeric factorization, counted as
         ``sparse_numeric_refactorizations``.
         """
         if not np.all(np.isfinite(data)):
@@ -197,13 +226,20 @@ class SparseSystem:
             telemetry.current_span().inc("sparse_numeric_refactorizations")
         try:
             if self.col_order is None:
-                lu = _splu(self.matrix_from_data(data), permc_spec="COLAMD")
+                lu = _splu(self.matrix_from_data(data), permc_spec="COLAMD",
+                           relax=SUPERLU_RELAX,
+                           panel_size=SUPERLU_PANEL_SIZE)
                 self._keep_ordering(np.argsort(lu.perm_c))
                 return lu
-            lu = _splu(_csc_matrix((data[self._perm_gather],
-                                    self._perm_indices, self._perm_indptr),
-                                   shape=(self.size, self.size)),
-                       permc_spec="NATURAL")
+            permuted = self._permuted
+            if permuted is None:
+                permuted = self._permuted = _csc_matrix(
+                    (data[self._perm_gather], self._perm_indices,
+                     self._perm_indptr), shape=(self.size, self.size))
+            else:
+                np.take(data, self._perm_gather, out=permuted.data)
+            lu = _splu(permuted, permc_spec="NATURAL", relax=SUPERLU_RELAX,
+                       panel_size=SUPERLU_PANEL_SIZE)
         except RuntimeError:  # exactly singular
             return None
         return _ColumnPermutedLU(lu, self.col_order)

@@ -5,14 +5,18 @@ A :class:`Subcircuit` wraps a *template* :class:`~.netlist.Circuit`
 (built with the ordinary ``add_*`` API) plus an ordered port list.  The
 template is compiled exactly once -- its MNA local index space, its
 vectorized assembler (linear triplets, MOS/diode banks, charge system)
-and its structural net pairs are all shared by every instance.  An
-:class:`Instance` is then a single :class:`~.elements.Element` in the
-parent circuit carrying only a local->global index LUT; the parent's
+and its structural classification (which nets each template element
+touches, sources or conductively joins) are all shared by every
+instance.  An :class:`Instance` is then a single
+:class:`~.elements.Element` in the parent circuit carrying only a
+local->global index LUT; the parent's
 :class:`~.assembly.CircuitAssembler` expands instance groups into its
-own flat scatter arrays with numpy index arithmetic, so a 32-bit adder
-bit-slice chain costs one cell compile plus O(instances) array tiling
-instead of O(chain) per-element Python work -- the way litex composes
-an SoC from one parameterized core compiled once.
+own flat scatter arrays with numpy index arithmetic, and structural
+validation maps the cell's classification onto each instance's nets,
+so a 32-bit adder bit-slice chain costs one cell compile plus
+O(instances) work to assemble and to validate instead of O(chain)
+per-element Python work -- the way litex composes an SoC from one
+parameterized core compiled once.
 
 Naming: an instance's internal nets appear in the parent as
 ``"<instance>.<net>"``; ports take whatever parent nets the
@@ -49,6 +53,7 @@ from .elements import (
     Stamper,
     VoltageSource,
 )
+from .validate import cell_structure
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .netlist import Circuit
@@ -122,6 +127,11 @@ class CellPlan:
         self.cap_pos = np.array(cap_pos, dtype=np.intp)
         self.cap_neg = np.array(cap_neg, dtype=np.intp)
         self.dio_offsets = np.array(dio_offsets, dtype=np.intp)
+        #: The template's structural classification, which validation
+        #: maps onto each instance's nets instead of walking its
+        #: elements.
+        self.structure = cell_structure(template.elements,
+                                        ports + self.internal_nodes)
 
 
 class Subcircuit:

@@ -28,15 +28,23 @@ Three structural defects are detected (in order of specificity):
 The classification of each element type mirrors what it stamps (see
 :mod:`repro.spice.elements`): an edge counts as conductive exactly when
 the element couples its terminals in the DC Jacobian.
+
+Hierarchy is validated as if flat, at the cost of its instances rather
+than of its elements: each subcircuit template is classified once
+(:func:`cell_structure`, kept on its
+:class:`~repro.spice.subckt.CellPlan`), and every instance maps that
+classification onto its parent nets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from ..errors import NetlistError
 from .elements import (Capacitor, CurrentSource, DiodeElement, Element,
                        MosElement, Resistor, Vccs, Vcvs, VoltageSource)
+from .netlist import is_ground
 
 #: Issue kinds reported by :func:`structural_report`.
 FLOATING_NET = "floating-net"
@@ -140,52 +148,97 @@ class _UnionFind:
             self._parent[ra] = rb
 
 
+_GROUND = "0"
+
+
+def _canon(node: str) -> str:
+    return _GROUND if is_ground(node) else node
+
+
+@dataclass(frozen=True)
+class CellStructure:
+    """The structural classification of a group of elements, per net,
+    in the order of a net list given to :func:`cell_structure`.
+
+    Attributes:
+        touched: Names of the elements touching each net.
+        sourced: Whether some element sources or sinks DC current there.
+        anchor: ``-1`` when the net's conductive component reaches
+            ground, else the position of the first net of that
+            component -- all a placement needs to merge the group's
+            conductive graph into its circuit's.
+    """
+
+    touched: tuple[tuple[str, ...], ...]
+    sourced: tuple[bool, ...]
+    anchor: tuple[int, ...]
+
+
+def cell_structure(elements, nets: Sequence[str]) -> CellStructure:
+    """Classify ``elements`` over ``nets``, every net they touch but
+    ground.  A subcircuit's :class:`~repro.spice.subckt.CellPlan`
+    classifies its template once; :func:`structural_report` classifies
+    a circuit's top-level elements on each call."""
+    position = {net: k for k, net in enumerate(nets)}
+    touched: list[list[str]] = [[] for _ in nets]
+    sourced = [False] * len(nets)
+    uf = _UnionFind()
+    uf.find(_GROUND)
+    for element in elements:
+        for node in map(_canon, element.nodes):
+            if node != _GROUND:
+                touched[position[node]].append(element.name)
+        for node in map(_canon, _current_terminals(element)):
+            if node != _GROUND:
+                sourced[position[node]] = True
+        for a, b in _conductive_pairs(element):
+            uf.union(_canon(a), _canon(b))
+    ground_root = uf.find(_GROUND)
+    first: dict[str, int] = {}
+    anchor = [-1 if (root := uf.find(net)) == ground_root
+              else first.setdefault(root, k)
+              for k, net in enumerate(nets)]
+    return CellStructure(touched=tuple(map(tuple, touched)),
+                         sourced=tuple(sourced), anchor=tuple(anchor))
+
+
 def structural_report(circuit) -> list[StructuralIssue]:
     """All structural defects of ``circuit``, without raising.
 
     The empty list means the netlist passes every check.  ``circuit``
     is a :class:`~repro.spice.netlist.Circuit` (typed loosely to avoid
-    an import cycle).
+    an import cycle).  A subcircuit instance reports as its flattened
+    twin would: a defect inside a cell (or a port left to dangle in the
+    parent) names the parent's nets and ``"<instance>.<element>"``.
     """
-    from .netlist import is_ground
-
-    touches: dict[str, list[str]] = {n: [] for n in circuit.node_names}
-    current: dict[str, set[str]] = {n: set() for n in circuit.node_names}
-    uf = _UnionFind()
-    ground = "0"
-    uf.find(ground)
-
-    def canon(node: str) -> str:
-        return ground if is_ground(node) else node
-
     from .subckt import Instance
 
-    def visit(element, name: str, mapped) -> None:
-        for node in map(mapped, element.nodes):
-            node = canon(node)
-            if node != ground:
-                touches.setdefault(node, []).append(name)
-        for node in map(mapped, _current_terminals(element)):
-            node = canon(node)
-            if node != ground:
-                current.setdefault(node, set()).add(name)
-        for a, b in _conductive_pairs(element):
-            uf.union(canon(mapped(a)), canon(mapped(b)))
-
-    def identity(node: str) -> str:
-        return node
-
-    for element in circuit.elements:
-        if isinstance(element, Instance):
-            # Hierarchy is validated flat: template elements are walked
-            # at the *name* level with ports remapped, so a defect
-            # inside a cell (or a port left to dangle in the parent) is
-            # reported against the parent's net names.
-            for t_elem in element.subcircuit.template.elements:
-                visit(t_elem, f"{element.name}.{t_elem.name}",
-                      element.map_net)
-        else:
-            visit(element, element.name, identity)
+    # Placements of classified element groups: the top-level elements
+    # on the circuit's own nets, and each instance's template on the
+    # instance's nets under its name.
+    nets = circuit.node_names
+    top = [e for e in circuit.elements if not isinstance(e, Instance)]
+    placements = [("", nets, cell_structure(top, nets))]
+    placements.extend(
+        (f"{e.name}.", [_canon(net) for net in e.nodes],
+         e.subcircuit.plan().structure)
+        for e in circuit.elements if isinstance(e, Instance))
+    # Per net, the elements touching it as (name prefix, names) pairs;
+    # names are only spelled out for a net that gets reported.
+    touches: dict[str, list[tuple[str, tuple[str, ...]]]] = {
+        n: [] for n in nets}
+    current: set[str] = set()
+    uf = _UnionFind()
+    uf.find(_GROUND)
+    for prefix, mapped, cell in placements:
+        for net, names, sourced, anchor in zip(
+                mapped, cell.touched, cell.sourced, cell.anchor):
+            if net != _GROUND:
+                if names:
+                    touches[net].append((prefix, names))
+                if sourced:
+                    current.add(net)
+            uf.union(net, _GROUND if anchor < 0 else mapped[anchor])
 
     issues: list[StructuralIssue] = []
 
@@ -198,11 +251,14 @@ def structural_report(circuit) -> list[StructuralIssue]:
                    f"net?)"))
 
     sense_only = sorted(n for n, t in touches.items()
-                        if t and not current.get(n))
+                        if t and n not in current)
     if sense_only:
-        by_net = [f"{net!r} (touched by "
-                  f"{', '.join(sorted(set(touches[net]))[:4])})"
-                  for net in sense_only]
+        by_net = []
+        for net in sense_only:
+            names = sorted({prefix + name
+                            for prefix, local in touches[net]
+                            for name in local})
+            by_net.append(f"{net!r} (touched by {', '.join(names[:4])})")
         issues.append(StructuralIssue(
             kind=SENSE_ONLY_NET, nets=tuple(sense_only),
             detail=f"net(s) {'; '.join(by_net)} are only sensed -- MOS "
@@ -211,7 +267,7 @@ def structural_report(circuit) -> list[StructuralIssue]:
                    f"the MNA row is structurally singular"))
 
     flagged = set(floating) | set(sense_only)
-    ground_root = uf.find(ground)
+    ground_root = uf.find(_GROUND)
     disconnected = sorted(
         n for n, t in touches.items()
         if t and n not in flagged and uf.find(n) != ground_root)

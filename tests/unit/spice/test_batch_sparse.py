@@ -7,7 +7,14 @@ analysis runs exactly **once** per campaign -- every lane and every
 Newton iteration reuses the shared ``indices``/``indptr`` structure.
 Degenerate lanes (exactly singular, NaN parameters) must degrade to
 the per-lane serial-ladder fallback without poisoning neighbours.
+
+Every factorization runs SuperLU column by column, refilling one
+column-permuted container per pattern; a pickled circuit carries
+neither that container nor any other per-call cache.
 """
+
+import io
+import pickle
 
 import numpy as np
 import pytest
@@ -22,6 +29,7 @@ from repro.spice import (
     batch_operating_point,
     operating_point,
 )
+from repro.spice import assembly, sparse
 from repro.spice.sparse import SparseSystem
 from repro.stscl.adder import adder_chain_circuit
 from repro.stscl.netlist_gen import stscl_inverter_circuit
@@ -370,3 +378,177 @@ class TestFullBankContract:
         with pytest.raises(AnalysisError, match="top-level"):
             batch_operating_point(
                 circuit, [LaneSpec.mismatch(np.zeros(5), label="short")])
+
+
+class TestColumnByColumn:
+    """SuperLU runs one column at a time, through one binding, into one
+    container per pattern -- without changing the fill or the steps."""
+
+    def test_every_factorization_runs_column_by_column(
+            self, default_design, monkeypatch):
+        """A stand-in for ``sparse._splu`` sees every factorization of
+        a serial solve (the serial kernel) and of a stacked solve
+        (``_solve_stacked_sparse``): the first orders with COLAMD, every
+        later one keeps that order, and all pass relax 1, panel 1."""
+        from repro.spice import batch
+
+        calls = {"serial": [], "stacked": []}
+        caller = "serial"
+        real_splu = sparse._splu
+        real_stacked = batch._solve_stacked_sparse
+
+        def splu_stand_in(matrix, **options):
+            calls[caller].append(options)
+            return real_splu(matrix, **options)
+
+        def stacked(*args):
+            nonlocal caller
+            caller = "stacked"
+            try:
+                return real_stacked(*args)
+            finally:
+                caller = "serial"
+
+        monkeypatch.setattr(sparse, "_splu", splu_stand_in)
+        monkeypatch.setattr(batch, "_solve_stacked_sparse", stacked)
+        circuit = _inverter(default_design, "sparse")
+        x = operating_point(circuit).x
+        batch_operating_point(circuit, _mismatch_lanes(
+            len(circuit.mos_elements()), 3), x0=x)
+        assert calls["serial"] and calls["stacked"]
+        options = calls["serial"] + calls["stacked"]
+        assert [opts["permc_spec"] for opts in options] == (
+            ["COLAMD"] + ["NATURAL"] * (len(options) - 1))
+        assert sparse.SUPERLU_RELAX == sparse.SUPERLU_PANEL_SIZE == 1
+        assert all(opts["relax"] == 1 and opts["panel_size"] == 1
+                   for opts in options)
+
+    def test_handles_from_the_reused_container_solve_their_own_matrix(
+            self):
+        """Factorizations after the first refill one column-permuted
+        container in place; a handle made before the refill still
+        solves its own matrix."""
+        rng = np.random.default_rng(5)
+        pattern = (rng.random((6, 6)) < 0.4) | np.eye(6, dtype=bool)
+        rows, cols = np.nonzero(pattern)
+        system = SparseSystem(6, {"full": (rows, cols)})
+        matrices = []
+        for _ in range(3):
+            matrix = np.zeros((6, 6))
+            matrix[rows, cols] = rng.normal(size=rows.size)
+            matrix[np.arange(6), np.arange(6)] += 4.0
+            matrices.append(matrix)
+        handles = [system.factorize(system.nonzeros(matrices[0][rows, cols]))]
+        handles.append(system.factorize(
+            system.nonzeros(matrices[1][rows, cols])))
+        container = system._permuted
+        handles.append(system.factorize(
+            system.nonzeros(matrices[2][rows, cols])))
+        assert system._permuted is container
+        rhs = rng.normal(size=6)
+        for matrix, handle in zip(matrices, handles):
+            np.testing.assert_allclose(handle.solve(rhs),
+                                       np.linalg.solve(matrix, rhs),
+                                       rtol=1e-12)
+
+    def test_adder16_newton_steps_match_dense_with_unchanged_fill(
+            self, default_design, monkeypatch):
+        """On the 588-unknown 16-bit adder, the Newton steps of a cold
+        sparse solve agree with ``np.linalg.solve`` on the same
+        Jacobian to 1e-12 relative, and every sampled factorization
+        has the nnz(L) and nnz(U) of SuperLU's default settings."""
+        from scipy.sparse.linalg import splu
+
+        factors = []
+        real = sparse._splu
+
+        def stand_in(matrix, **options):
+            lu = real(matrix, **options)
+            factors.append((matrix.copy(), options["permc_spec"], lu))
+            return lu
+
+        steps = []
+        factorize = SparseSystem.factorize
+
+        class Recorded:
+            def __init__(self, handle, matrix):
+                self.handle, self.matrix = handle, matrix
+
+            def solve(self, rhs):
+                dx = self.handle.solve(rhs)
+                steps.append((self.matrix, rhs.copy(), dx.copy()))
+                return dx
+
+        def recording(system, data):
+            handle = factorize(system, data)
+            return Recorded(handle, system.matrix_from_data(data.copy()))
+
+        monkeypatch.setattr(sparse, "_splu", stand_in)
+        monkeypatch.setattr(SparseSystem, "factorize", recording)
+        circuit, _ = adder_chain_circuit(default_design, 0.4, width=16,
+                                         a=0x1234, b=0xBEEF, carry_in=True)
+        assert circuit.compile().solver_backend() == "sparse"
+        assert circuit.compile().size == 588
+        operating_point(circuit)
+        assert len(steps) == len(factors) > 20
+        for matrix, rhs, dx in steps[::len(steps) // 8]:
+            want = np.linalg.solve(matrix.toarray(), rhs)
+            assert np.max(np.abs(dx - want)) <= \
+                1e-12 * np.max(np.abs(want))
+        for matrix, permc_spec, lu in factors[::len(factors) // 8]:
+            default = splu(matrix, permc_spec=permc_spec)
+            assert (lu.L.nnz, lu.U.nnz) == (default.L.nnz, default.U.nnz)
+
+
+def _indexes(assembler):
+    """Every scatter-pattern index of ``assembler``."""
+    for value in vars(assembler).values():
+        if isinstance(value, assembly._Index):
+            yield value
+        elif isinstance(value, assembly._Scatter):
+            yield value.at
+            yield value.sel
+
+
+class TestPickledState:
+    def test_solved_adder_pickles_without_dense_or_per_call_state(
+            self, default_design):
+        """After a serial solve and a batched job, the 16-bit adder
+        pickles with no float (N, N) array and no per-call cache (the
+        stacked flat slot map, the refilled container, the stacked
+        index forms), and the unpickled circuit solves to the same
+        bits."""
+        circuit, _ = adder_chain_circuit(default_design, 0.4, width=16,
+                                         a=0x0F0F, b=0x3C3C, carry_in=True)
+        x = operating_point(circuit).x
+        assembler = circuit.compile().assembler
+        n_bank = assembler._mos_bank.n_devices
+        batch = batch_operating_point(circuit,
+                                      _mismatch_lanes(n_bank, 8), x0=x)
+        assert batch.failures == []
+        system = assembler.sparse_system()
+        assert system._flat_slot is not None
+        assert system._permuted is not None
+        assert any(index._stacked for index in _indexes(assembler))
+        size = assembler.size
+        shapes = []
+
+        class Inspector(pickle.Pickler):
+            def reducer_override(self, obj):
+                if isinstance(obj, np.ndarray):
+                    shapes.append((obj.shape, obj.dtype.kind))
+                return NotImplemented
+
+        buffer = io.BytesIO()
+        Inspector(buffer).dump(circuit)
+        assert shapes
+        assert ((size, size), "f") not in shapes
+        restored = pickle.loads(buffer.getvalue())
+        restored_asm = restored.compile().assembler
+        restored_system = restored_asm.sparse_system()
+        assert restored_system._flat_slot is None
+        assert restored_system._permuted is None
+        assert np.array_equal(restored_system.col_order, system.col_order)
+        assert not any(index._stacked for index in _indexes(restored_asm))
+        assert np.array_equal(operating_point(restored).x,
+                              operating_point(circuit).x)

@@ -26,6 +26,11 @@ next.
 
 Every stacked scatter must also hand ``np.add.at`` a flat index:
 numpy's fast path for it takes only a 1-D index.
+
+A batched assembler builds no arrays of its own: it takes over the
+compiled circuit's synced assembler.  When a later sync of the batched
+assembler rebuilds its arrays after an element mutation, its lane
+overlays must follow the new values.
 """
 
 import dataclasses
@@ -46,6 +51,7 @@ from repro.spice.transient import _SerialStepper
 from repro.stscl import StsclGateDesign
 from repro.stscl.adder import adder_chain_circuit
 from repro.stscl.netlist_gen import (stscl_buffer_chain_circuit,
+                                     stscl_inverter_circuit,
                                      stscl_latch_circuit)
 
 DESIGN = StsclGateDesign.default(1e-9)
@@ -331,3 +337,94 @@ def test_lane_bank_keeps_the_overlay_of_the_last_lane_set():
                                         vt_shift=device.vt_shift + 1e-3)
     assert assembler.sync()
     assert assembler._lane_bank(2) is not kept
+
+
+def test_construction_takes_over_the_synced_arrays(monkeypatch):
+    """With the compiled circuit's assembler in sync, constructing a
+    batched assembler runs no build pass: it takes over that
+    assembler's arrays and scatter patterns.  Out of sync, construction
+    syncs the compiled assembler once and takes over the result."""
+    calls = []
+
+    def spy(name):
+        original = getattr(assembly.CircuitAssembler, name)
+
+        def build(self):
+            calls.append(name)
+            original(self)
+        return build
+
+    for name in ("_build_linear", "_build_mos", "_build_diodes",
+                 "_build_charges"):
+        monkeypatch.setattr(assembly.CircuitAssembler, name, spy(name))
+    circuit = _latch()
+    compiled = circuit.compile()
+    serial = compiled.prepare()
+    mos = circuit.mos_elements()
+    lanes = [_mismatch(seed, len(mos)) for seed in range(4)]
+    calls.clear()
+    batched = BatchAssembler(compiled, lanes)
+    assert calls == []
+    assert batched._mos_jacobian is serial._mos_jacobian
+    assert batched._mos_bank is serial._mos_bank
+    device = mos[0].device
+    mos[0].device = dataclasses.replace(device,
+                                        vt_shift=device.vt_shift + 1e-3)
+    batched = BatchAssembler(compiled, lanes)
+    assert sorted(calls) == ["_build_charges", "_build_diodes",
+                             "_build_linear", "_build_mos"]
+    assert batched._mos_bank is compiled.assembler._mos_bank
+
+
+def _inverter() -> Circuit:
+    circuit, _ = stscl_inverter_circuit(DESIGN, VDD)
+    return circuit
+
+
+def _raise_vt(circuit: Circuit) -> None:
+    element = circuit.mos_elements()[0]
+    element.device = dataclasses.replace(
+        element.device, vt_shift=element.device.vt_shift + 50e-3)
+
+
+def _age_r1(circuit: Circuit) -> None:
+    circuit.element("r1").resistance *= 1.3
+
+
+@pytest.mark.parametrize("case", ["vt", "resistor"])
+def test_rebuilding_sync_rebuilds_the_lane_overlays(case):
+    """A held batched assembler re-synced after an element mutation
+    assembles every lane as the mutated circuit does serially: a +1 mV
+    VT lane after the device's VT rose 50 mV, and a scaled-resistor
+    lane after the resistor aged."""
+    if case == "vt":
+        build, mutate = _inverter, _raise_vt
+        n = len(_inverter().mos_elements())
+        lane = LaneSpec.mismatch(np.eye(n)[0] * 1e-3)
+    else:
+        build, mutate = _divider, _age_r1
+        lane = LaneSpec(resistor_scale=(("r1", 1.7),))
+    lanes = [LaneSpec(), lane]
+    circuit = build()
+    assembler = BatchAssembler(circuit.compile(), lanes)
+    mutate(circuit)
+    assert assembler.sync()
+
+    def mutated() -> Circuit:
+        fresh = build()
+        mutate(fresh)
+        return fresh
+
+    if case == "vt":
+        vt = mutated().compile().assembler._mos_bank.vt
+        assert np.array_equal(assembler._lane_bank(np.array([1])).vt[0],
+                              vt + lane.vt_delta)
+    X = _points(circuit, 2)
+    rhs = np.zeros((2, assembler.n_charge_terms))
+    rows = np.arange(2)
+    stacked = _stacked(assembler, circuit, lanes, X, rows, None, False, rhs)
+    for r in rows:
+        serial = _serial(mutated, lanes[r], X[r], None, False, rhs[r])
+        exact = case == "vt" or r == 0
+        _same(stacked.static_target[r], serial.static_target, exact)
+        _same(stacked.static_res[r], serial.static_res, exact)

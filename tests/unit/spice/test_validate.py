@@ -7,7 +7,8 @@ from repro.devices.mosfet import Mosfet
 from repro.devices.parameters import nmos_180
 from repro.errors import NetlistError
 from repro.spice.dc import operating_point
-from repro.spice.netlist import Circuit
+from repro.spice.netlist import Circuit, is_ground
+from repro.spice.subckt import Subcircuit
 from repro.spice.validate import (FLOATING_NET, RAIL_DISCONNECTED,
                                   SENSE_ONLY_NET, structural_report,
                                   validate_structure)
@@ -134,3 +135,100 @@ class TestCompileHook:
         ckt.add_resistor("ri", "a", "b", 1e3)
         with pytest.raises(NetlistError, match="structurally singular"):
             operating_point(ckt)
+
+
+# -- hierarchy ---------------------------------------------------------------
+#
+# Each case is a cell, written once as a function of an element-name map
+# and a net map, placed twice in a parent: as subcircuit instances, and
+# by hand with every element and internal net renamed as an instance
+# names them ("<instance>.<name>").  Validation classifies the template
+# once and maps it per instance; it must report exactly what the
+# flattened twin reports.
+
+
+def _floating_internal_net(c, name, net):
+    c.add_resistor(name("r1"), net("a"), net("0"), 1e3)
+    c.nodeset(net("unwired"), 0.1)
+
+
+def _sense_only_internal_net(c, name, net):
+    c.add_resistor(name("rl"), net("a"), net("d"), 1e4)
+    c.add_mosfet(name("m1"), net("d"), net("g"), net("0"), net("0"),
+                 _nmos())
+
+
+def _island_inside_cell(c, name, net):
+    c.add_resistor(name("r1"), net("a"), net("0"), 1e3)
+    c.add_resistor(name("ri"), net("p"), net("q"), 1e3)
+    c.add_isource(name("ii"), net("p"), net("q"), 1e-6)
+
+
+def _port_bound_to_ground(c, name, net):
+    c.add_resistor(name("r1"), net("a"), net("b"), 1e3)
+    c.add_mosfet(name("m1"), net("a"), net("a"), net("b"), net("b"),
+                 _nmos(), with_caps=False)
+    c.add_capacitor(name("c1"), net("b"), net("c"), 1e-12)
+
+
+def _ports_tied_to_one_net(c, name, net):
+    c.add_resistor(name("r1"), net("a"), net("b"), 1e3)
+    c.add_capacitor(name("ca"), net("a"), net("0"), 1e-12)
+    c.add_capacitor(name("cb"), net("b"), net("0"), 1e-12)
+
+
+#: name -> (cell, ports, port map per instance, expected issue kinds).
+HIERARCHY_CASES = {
+    "floating-internal-net": (
+        _floating_internal_net, ("a",),
+        ({"a": "in"}, {"a": "in"}), [FLOATING_NET]),
+    "sense-only-internal-net": (
+        _sense_only_internal_net, ("a",),
+        ({"a": "in"}, {"a": "mid"}), [SENSE_ONLY_NET]),
+    "island-inside-cell": (
+        _island_inside_cell, ("a",),
+        ({"a": "in"}, {"a": "mid"}), [RAIL_DISCONNECTED]),
+    "port-bound-to-ground": (
+        _port_bound_to_ground, ("a", "b"),
+        ({"a": "in", "b": "gnd"}, {"a": "mid", "b": "0"}),
+        [SENSE_ONLY_NET]),
+    "ports-tied-to-one-net": (
+        _ports_tied_to_one_net, ("a", "b"),
+        ({"a": "tied", "b": "tied"}, {"a": "mid", "b": "in"}),
+        [RAIL_DISCONNECTED]),
+}
+
+
+def _hierarchical(cell, ports, port_maps) -> Circuit:
+    template = Circuit("cell")
+    cell(template, lambda name: name, lambda net: net)
+    subckt = Subcircuit("cell", template, ports)
+    circuit = _divider()
+    for k, port_map in enumerate(port_maps):
+        circuit.add_instance(f"x{k}", subckt, port_map)
+    return circuit
+
+
+def _flattened(cell, port_maps) -> Circuit:
+    circuit = _divider()
+    for k, port_map in enumerate(port_maps):
+        inst = f"x{k}"
+
+        def net(n, inst=inst, port_map=port_map):
+            if is_ground(n):
+                return n
+            return port_map.get(n, f"{inst}.{n}")
+
+        cell(circuit, lambda name, inst=inst: f"{inst}.{name}", net)
+    return circuit
+
+
+@pytest.mark.parametrize("case", sorted(HIERARCHY_CASES))
+def test_hierarchy_reports_as_its_flattened_twin(case):
+    """Kind, nets and detail of every issue equal the hand-flattened
+    twin's, for a defect inside a cell, a port bound to ground and two
+    ports tied to one parent net."""
+    cell, ports, port_maps, kinds = HIERARCHY_CASES[case]
+    report = structural_report(_hierarchical(cell, ports, port_maps))
+    assert [issue.kind for issue in report] == kinds
+    assert report == structural_report(_flattened(cell, port_maps))
