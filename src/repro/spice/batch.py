@@ -860,9 +860,10 @@ def batch_operating_point(circuit: "Circuit",
                           ) -> BatchOpResult:
     """Solve one DC operating point per lane, stacked.
 
-    Every lane starts from the circuit's nodeset initial guess (or
-    ``x0``), exactly like a cold serial
-    :func:`~repro.spice.dc.operating_point`.  Lanes the batched Newton
+    Every lane starts where a cold serial
+    :func:`~repro.spice.dc.operating_point` of its perturbed twin
+    would (:meth:`~repro.spice.netlist.Circuit.initial_guess` with the
+    lane's source overrides), or from ``x0``.  Lanes the batched Newton
     loop cannot converge are re-solved individually through the serial
     strategy ladder with the lane perturbation applied to the circuit
     (and reverted afterwards), so the failure behaviour -- and the
@@ -944,8 +945,9 @@ def pilot_solution(circuit: "Circuit", lane: LaneSpec,
 
     Returns the solution, recording a ``pilot-warm-start`` event on the
     current span, or None after a ``pilot-failed-flat-start`` event
-    when the ladder fails: the batch then starts from the flat nodeset
-    guess, and the pilot lane gets a second chance inside it.
+    when the ladder fails: the batch then starts cold, each lane from
+    its own initial guess, and the pilot lane gets a second chance
+    inside it.
     """
     from .dc import operating_point  # local: avoids import cycle
     tspan = telemetry.current_span()
@@ -1023,20 +1025,29 @@ def _batch_op(circuit: "Circuit", lanes: list[LaneSpec],
     if compiled.solver_backend() == "sparse":
         assembler.enable_sparse()
         tspan.annotate(matrix_backend="sparse")
-    guess = (circuit.initial_guess(compiled) if x0 is None else
-             np.asarray(x0, dtype=float))
-    if guess.shape != (compiled.size,):
-        raise NetlistError(
-            f"warm-start vector has wrong size {guess.shape}, "
-            f"expected ({compiled.size},)")
-    X = np.tile(guess, (len(lanes), 1))
+    if x0 is None:
+        # Each lane starts where its serial twin (apply_lane, then
+        # operating_point) would: a lane overriding a grounded source
+        # starts its node on the overriding value.
+        guess = circuit.initial_guess(compiled)
+        starts = np.array([
+            circuit.initial_guess(compiled, lane.source_values)
+            if lane.source_values else guess for lane in lanes])
+    else:
+        guess = np.asarray(x0, dtype=float)
+        if guess.shape != (compiled.size,):
+            raise NetlistError(
+                f"warm-start vector has wrong size {guess.shape}, "
+                f"expected ({compiled.size},)")
+        starts = np.broadcast_to(guess, (len(lanes), compiled.size))
+    X = starts.copy()
     tspan.inc("batch_lanes", len(lanes))
     active_history: list[int] = []
     # Phase 1: plain batched Newton, the analogue of NewtonStrategy.
     phase1 = batch_newton(assembler, X, options, active_history)
     phases = [(BATCHED_STAGE, phase1)]
     # Phase 2: stacked pseudo-transient for the lanes plain Newton lost
-    # -- restarted from the original guess, exactly like the serial
+    # -- restarted from each lane's start, exactly like the serial
     # ladder's second rung.  Only when the caller's ladder carries a
     # pseudo-transient rung (the default ladder does): a custom
     # ``strategies`` without one must fail the same lanes serially and
@@ -1047,7 +1058,7 @@ def _batch_op(circuit: "Circuit", lanes: list[LaneSpec],
                  if isinstance(strategy, PseudoTransientStrategy)), None)
     pending1 = np.nonzero(~phase1.converged)[0]
     if pending1.size and rung is not None:
-        X[pending1] = guess
+        X[pending1] = starts[pending1]
         phases.append((BATCHED_PSEUDO_TRANSIENT_STAGE, batch_pseudo_transient(
             assembler, X, pending1, rung, options, active_history)))
     converged = np.logical_or.reduce(
@@ -1114,8 +1125,9 @@ def _batch_op(circuit: "Circuit", lanes: list[LaneSpec],
         batched_iters = sum(s.iterations for s in batched_stages)
         undo = apply_lane(circuit, lane)
         try:
-            x, lane_diag = run_ladder(circuit, compiled, guess.copy(),
-                                      None, options, strategies)
+            x, lane_diag = run_ladder(circuit, compiled,
+                                      starts[lane_index].copy(), None,
+                                      options, strategies)
         except ConvergenceError as error:
             if error.diagnostics is not None:
                 error.diagnostics.stages[0:0] = batched_stages
@@ -1216,7 +1228,7 @@ class PlannedOpMetric:
     Evaluation applies the seed's lane to the *shared* prebuilt circuit
     and undoes it afterwards -- :func:`apply_lane`'s undo contract
     restores the circuit exactly, and every solve cold-starts from the
-    circuit's nodesets, so per-seed results are bit-identical to the
+    circuit's initial guess, so per-seed results are bit-identical to the
     fresh-build :class:`BatchedOpMetric` path.  The plan pickles whole
     (compiled assembler included), so a process-pool Monte-Carlo ships
     it with its tasks and the fleet still compiles only once.

@@ -64,9 +64,10 @@ def operating_point(circuit: Circuit,
                     ) -> OpResult:
     """Compute the DC operating point of ``circuit``.
 
-    ``x0`` (e.g. a previous solution) warm-starts the solve; otherwise the
-    circuit's nodesets seed the initial guess.  ``strategies`` overrides
-    the default homotopy ladder (see
+    ``x0`` (e.g. a previous solution) warm-starts the solve; otherwise it
+    starts from :meth:`~repro.spice.netlist.Circuit.initial_guess`
+    (grounded sources' nodes on their values, nodesets on top).
+    ``strategies`` overrides the default homotopy ladder (see
     :data:`repro.spice.strategies.DEFAULT_LADDER`).  The returned
     :class:`~repro.spice.results.OpResult` carries the full
     :class:`~repro.spice.strategies.SolverDiagnostics` of the solve.
@@ -101,8 +102,8 @@ def dc_sweep(circuit: Circuit, source_name: str,
     is compiled once for the whole sweep (only the swept source's
     waveform changes, which is not a structural mutation), so every
     point reuses the same vectorized assembler.  A point whose
-    warm-started solve fails is retried cold from the circuit's nodeset
-    initial guess before any error is declared, so one bad bias point
+    warm-started solve fails is retried cold from the circuit's initial
+    guess before any error is declared, so one bad bias point
     does not poison its successors.
 
     ``on_error`` selects the per-point recovery policy after both
@@ -174,7 +175,7 @@ def dc_sweep(circuit: Circuit, source_name: str,
                     result = None
                     if x_prev is not None:
                         # Warm start led the ladder astray: retry cold
-                        # from the circuit's own nodeset guess.
+                        # from the circuit's own initial guess.
                         tspan.event("cold-restart", index=index,
                                     value=value)
                         try:

@@ -372,9 +372,38 @@ class Circuit:
         self.compile_count += 1
         return self._compiled
 
-    def initial_guess(self, compiled: CompiledCircuit) -> np.ndarray:
-        """Zero vector refined by nodesets (aux currents start at zero)."""
+    def initial_guess(self, compiled: CompiledCircuit,
+                      source_values: tuple[tuple[str, float], ...] = (),
+                      ) -> np.ndarray:
+        """The start vector of a cold DC solve.
+
+        Each node that a top-level independent :class:`VoltageSource`
+        ties to ground starts at that source's t = 0 value (negated when
+        the positive terminal is the grounded one); every other node and
+        every auxiliary current starts at zero.  Nodesets are applied
+        last, so an explicit hint wins over a source.  ``source_values``
+        (``(name, value)`` pairs, as in
+        :attr:`~repro.spice.batch.LaneSpec.source_values`) stand in for
+        the named sources' waveforms, so a batched lane that overrides a
+        source starts where its serial twin does.
+
+        The source start is what lets damped Newton finish: from 0 V a
+        grounded source row asks its node for the full supply step, a
+        nearly floating internal node is asked for far more, and the
+        global ``max_step`` damping scales the whole update down until
+        no source row is ever met.
+        """
         x0 = np.zeros(compiled.size)
+        overrides = dict(source_values)
+        for element in self.elements:
+            if not isinstance(element, VoltageSource):
+                continue
+            value = overrides.get(element.name, element.value_at(None))
+            pos, neg = element.nodes
+            if is_ground(neg) and not is_ground(pos):
+                x0[compiled.node_index[pos]] = value
+            elif is_ground(pos) and not is_ground(neg):
+                x0[compiled.node_index[neg]] = -value
         for node, voltage in self.nodesets.items():
             x0[compiled.node_index[node]] = voltage
         return x0

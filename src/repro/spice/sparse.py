@@ -57,10 +57,13 @@ SPARSE_AUTO_THRESHOLD = 500
 #: factorization: one column at a time.  The 16-bit adder's factors hold
 #: about 5,400 nonzeros against the matrix's 4,500, so there are no
 #: supernodes worth grouping; SuperLU's defaults (relaxed supernodes,
-#: multi-column panels) give the same fill and take about twice as
-#: long (0.49–0.76 against 0.24–0.39 ms a factorization on the
-#: 588-unknown 16-bit adder, 0.81–0.87 against 0.39–0.47 ms on the
-#: 1164-unknown 32-bit one; docs/architecture.md, "Ordering once").
+#: multi-column panels) pick the same pivots, store the same fill up to
+#: a few entries that cancel to exactly zero in one update order and
+#: not the other (at most 6 of about 5,500 per factorization of a cold
+#: 16-bit adder solve), and take about twice as long (0.49–0.76 against
+#: 0.24–0.39 ms a factorization on the 588-unknown 16-bit adder,
+#: 0.81–0.87 against 0.39–0.47 ms on the 1164-unknown 32-bit one;
+#: docs/architecture.md, "Ordering once").
 SUPERLU_RELAX = 1
 SUPERLU_PANEL_SIZE = 1
 

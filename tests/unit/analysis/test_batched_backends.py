@@ -32,10 +32,14 @@ TIGHT = NewtonOptions(max_iterations=20)
 
 
 def _diode_build() -> Circuit:
+    """A source into a diode through 10 ohms.  A nodeset starts the
+    source node at 0 V (nodesets win over the source start), so every
+    lane walks up to its source value: the 8 V walk defeats TIGHT."""
     circuit = Circuit("flaky_diode")
     circuit.add_vsource("V1", "in", "0", 1.0)
     circuit.add_resistor("RS", "in", "a", 10.0)
     circuit.add_diode("D1", "a", "0", DIODE)
+    circuit.nodeset("in", 0.0)
     return circuit
 
 

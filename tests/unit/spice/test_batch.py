@@ -33,11 +33,16 @@ TIGHT = NewtonOptions(max_iterations=20)
 
 
 def diode_circuit(v_in: float = 1.0) -> Circuit:
-    """V source into a diode through 10 ohms (damped-Newton walk)."""
+    """V source into a diode through 10 ohms (damped-Newton walk).
+
+    A nodeset starts the source node at 0 V (nodesets win over the
+    source start), so every lane walks up to its source value and an
+    8 V lane defeats TIGHT Newton."""
     circuit = Circuit("batch_diode")
     circuit.add_vsource("V1", "in", "0", v_in)
     circuit.add_resistor("RS", "in", "a", 10.0)
     circuit.add_diode("D1", "a", "0", DIODE)
+    circuit.nodeset("in", 0.0)
     return circuit
 
 

@@ -25,11 +25,15 @@ TIGHT = NewtonOptions(max_iterations=20)
 
 
 def hard_diode() -> Circuit:
-    """8 V into a diode through 10 ohms: a 27-iteration Newton walk."""
+    """8 V into a diode through 10 ohms: a 27-iteration Newton walk.
+
+    A nodeset holds the source node's start at 0 V (nodesets win over
+    the source start), so Newton must walk it up to 8 V."""
     circuit = Circuit("hard_diode")
     circuit.add_vsource("V1", "in", "0", 8.0)
     circuit.add_resistor("RS", "in", "a", 10.0)
     circuit.add_diode("D1", "a", "0", DIODE)
+    circuit.nodeset("in", 0.0)
     return circuit
 
 

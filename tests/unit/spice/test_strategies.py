@@ -1,9 +1,10 @@
 """The homotopy ladder: pathological circuits, diagnostics, recovery.
 
 One fixture circuit drives a diode hard through a tiny series resistor
-from an 8 V source.  With the damped Newton of this solver the source
-node must *walk* to 8 V at ``max_step`` volts per iteration, so a tight
-iteration budget defeats plain Newton deterministically.  The rescue
+from an 8 V source.  A nodeset starts the source node at 0 V, and with
+the damped Newton of this solver it must then *walk* to 8 V at
+``max_step`` volts per iteration, so a tight iteration budget defeats
+plain Newton deterministically.  The rescue
 fixture is the paper's delay testbench at I_SS = 10^-9.5 A: plain
 Newton stalls on it under the default budget, and pseudo-transient
 continuation converges it only by backing its step off.
@@ -34,12 +35,15 @@ TIGHT = NewtonOptions(max_iterations=20)
 
 
 def hard_diode(nodesets: dict[str, float] | None = None) -> Circuit:
-    """8 V into a diode through 10 ohms: a 27-iteration Newton walk."""
+    """8 V into a diode through 10 ohms: a 27-iteration Newton walk.
+
+    A nodeset holds the source node's start at 0 V (nodesets win over
+    the source start), so Newton must walk it up to 8 V."""
     circuit = Circuit("hard_diode")
     circuit.add_vsource("V1", "in", "0", 8.0)
     circuit.add_resistor("RS", "in", "a", 10.0)
     circuit.add_diode("D1", "a", "0", DIODE)
-    for node, voltage in (nodesets or {}).items():
+    for node, voltage in {"in": 0.0, **(nodesets or {})}.items():
         circuit.nodeset(node, voltage)
     return circuit
 
