@@ -140,8 +140,7 @@ class MonteCarlo:
                  on_error: str = "raise",
                  n_workers: int | None = None,
                  backend: str = "serial",
-                 analysis: str = "op",
-                 matrix_backend: str | None = None) -> None:
+                 analysis: str = "op") -> None:
         if n_runs < 1:
             raise AnalysisError(f"n_runs must be >= 1: {n_runs}")
         if on_error not in ("raise", "skip"):
@@ -157,9 +156,6 @@ class MonteCarlo:
             raise AnalysisError(
                 "backend='batched' replaces the process pool; "
                 "leave n_workers unset")
-        if matrix_backend is not None and backend != "batched":
-            raise AnalysisError(
-                "matrix_backend overrides apply to backend='batched' only")
         self.metric_fn = metric_fn
         self.n_runs = n_runs
         self.seed_base = seed_base
@@ -167,7 +163,6 @@ class MonteCarlo:
         self.n_workers = validate_workers(n_workers)
         self.backend = backend
         self.analysis = analysis
-        self.matrix_backend = matrix_backend
 
     def _seeds(self) -> list[int]:
         return [self.seed_base + k for k in range(self.n_runs)]
@@ -207,11 +202,9 @@ class MonteCarlo:
         lanes = [spec.draw(seed, circuit) for seed in self._seeds()]
         if self.analysis == "transient":
             return run_lanes(circuit, lanes, spec.measure,
-                             t_stop=spec.t_stop, options=spec.options,
-                             matrix_backend=self.matrix_backend)
+                             t_stop=spec.t_stop, options=spec.options)
         return run_lanes(circuit, lanes, spec.measure, options=spec.options,
-                         strategies=spec.strategies, warm_start=True,
-                         matrix_backend=self.matrix_backend)
+                         strategies=spec.strategies, warm_start=True)
 
     def run(self) -> MonteCarloRun:
         """Execute all runs; returns per-metric summaries (a dict) with

@@ -47,8 +47,7 @@ class SweepTable:
                                  for name, column in self.metrics.items()}
 
 
-def _batched_outcomes(values: list[float], spec,
-                      matrix_backend: str | None) -> list[tuple]:
+def _batched_outcomes(values: list[float], spec) -> list[tuple]:
     """The sweep's outcome stream from one stacked multi-lane solve.
 
     ``spec`` must be a :class:`~repro.spice.batch.BatchedOpSweep`;
@@ -68,15 +67,13 @@ def _batched_outcomes(values: list[float], spec,
     circuit = spec.build()
     lanes = [spec.lane(value, circuit) for value in values]
     return run_lanes(circuit, lanes, spec.measure, options=spec.options,
-                     strategies=spec.strategies, warm_start=True,
-                     matrix_backend=matrix_backend)
+                     strategies=spec.strategies, warm_start=True)
 
 
 def sweep_1d(parameter: str, values: Sequence[float],
              metric_fn: Callable[[float], dict[str, float]],
              on_error: str = "raise",
-             backend: str = "serial",
-             matrix_backend: str | None = None) -> SweepTable:
+             backend: str = "serial") -> SweepTable:
     """Evaluate ``metric_fn`` at each value; collect aligned columns.
 
     ``on_error="skip"`` records a point whose evaluation raises a
@@ -86,10 +83,10 @@ def sweep_1d(parameter: str, values: Sequence[float],
     ``backend="batched"`` solves every point as one lane of a stacked
     ensemble Newton solve (``metric_fn`` must then be a
     :class:`~repro.spice.batch.BatchedOpSweep` spec, which is also a
-    plain callable for the serial path).  ``matrix_backend`` overrides
-    the built circuit's dense/sparse preference for the stacked solve
-    (``"sparse"``/``"auto"`` route thousand-unknown sweeps through the
-    shared-pattern sparse ensemble path).
+    plain callable for the serial path).  The stacked solve runs on the
+    built circuit's own ``matrix_backend`` (``"sparse"``, or ``"auto"``
+    at 500 unknowns and up, routes the sweep through the shared-pattern
+    sparse ensemble path).
     """
     if on_error not in ("raise", "skip"):
         raise AnalysisError(
@@ -97,9 +94,6 @@ def sweep_1d(parameter: str, values: Sequence[float],
     if backend not in ("serial", "batched"):
         raise AnalysisError(
             f"backend must be 'serial' or 'batched', got {backend!r}")
-    if matrix_backend is not None and backend != "batched":
-        raise AnalysisError(
-            "matrix_backend overrides apply to backend='batched' only")
     values_array = np.asarray(list(values), dtype=float)
     if values_array.size == 0:
         raise AnalysisError("empty sweep")
@@ -110,7 +104,7 @@ def sweep_1d(parameter: str, values: Sequence[float],
                         backend=backend,
                         n_points=int(values_array.size)) as tspan:
         if backend == "batched":
-            outcomes = _batched_outcomes(values, metric_fn, matrix_backend)
+            outcomes = _batched_outcomes(values, metric_fn)
         else:
             outcomes = run_items(metric_fn, values,
                                  [(f"point-{index}", {"value": value})

@@ -147,9 +147,6 @@ class FaultCampaign:
             ``metric_fn`` receives the solved
             :class:`~repro.spice.results.OpResult` (for batched lanes
             and structural faults alike) instead of the raw target.
-        matrix_backend: Dense/sparse override (``backend="batched"``
-            only) for this campaign's solves -- the stacked lanes and
-            the structural faults' serial solves alike.
         analysis: ``"op"`` (default) measures DC operating points.
             ``"transient"`` (``backend="batched"`` only) integrates the
             baseline and every lane-expressible fault as one lockstep
@@ -167,7 +164,6 @@ class FaultCampaign:
                  faults: Sequence[FaultModel],
                  n_workers: int | None = None,
                  backend: str = "serial",
-                 matrix_backend: str | None = None,
                  analysis: str = "op",
                  t_stop: float | None = None,
                  tran_options=None) -> None:
@@ -191,15 +187,11 @@ class FaultCampaign:
             raise AnalysisError(
                 "backend='batched' replaces the process pool; "
                 "leave n_workers unset")
-        if matrix_backend is not None and backend != "batched":
-            raise AnalysisError(
-                "matrix_backend overrides apply to backend='batched' only")
         self.build = build
         self.metric_fn = metric_fn
         self.faults = list(faults)
         self.n_workers = validate_workers(n_workers)
         self.backend = backend
-        self.matrix_backend = matrix_backend
         self.analysis = analysis
         self.t_stop = t_stop
         self.tran_options = tran_options
@@ -209,19 +201,16 @@ class FaultCampaign:
 
     def _structural_metrics(self, fault: FaultModel) -> dict[str, float]:
         """Metrics of a fault no lane can express: rebuild, apply, and
-        solve the faulted circuit serially -- under the campaign's
-        ``matrix_backend`` -- so ``metric_fn`` still receives a solved
-        result."""
-        from ..spice.batch import matrix_backend_override
+        solve the faulted circuit serially, on its own backend, so
+        ``metric_fn`` still receives a solved result."""
         from ..spice.dc import operating_point
         from ..spice.transient import transient
 
         faulted = fault.apply(self.build())
-        with matrix_backend_override(faulted, self.matrix_backend):
-            if self.analysis == "transient":
-                solved = transient(faulted, self.t_stop, self.tran_options)
-            else:
-                solved = operating_point(faulted)
+        if self.analysis == "transient":
+            solved = transient(faulted, self.t_stop, self.tran_options)
+        else:
+            solved = operating_point(faulted)
         return self._evaluate(solved)
 
     def _batched_outcomes(self) -> tuple[dict[str, float], list[tuple]]:
@@ -255,8 +244,7 @@ class FaultCampaign:
         lane_outcomes = run_lanes(
             circuit, lanes, self._evaluate,
             t_stop=self.t_stop if tran else None,
-            options=self.tran_options if tran else None,
-            matrix_backend=self.matrix_backend)
+            options=self.tran_options if tran else None)
         status, baseline = lane_outcomes[0]
         if status == "error":
             raise baseline  # baseline failures always propagate

@@ -199,9 +199,10 @@ def _phase_batched_transient(circuit: Circuit,
     contract: lanes that leave the shared grid must surface as recorded
     clean failures (never a hang -- the wall budget threads into the
     stacked Newton loop and the serial fallbacks alike), and every lane
-    that does converge must return finite waveforms.  Circuits the
-    batched assembler rejects (foreign or controlled-source elements)
-    skip the phase; the serial transient phase already covered them.
+    that does converge must return finite waveforms.  A run the batched
+    engine refuses with :class:`~repro.errors.AnalysisError` (a lane it
+    cannot realize on the case) skips the phase; the serial transient
+    phase already covered the circuit.
     """
     from ..errors import AnalysisError
     from ..spice.batch import LaneSpec, batch_transient

@@ -8,10 +8,14 @@ authors (see DESIGN.md section 2).  It supports:
 * small-signal AC analysis (complex MNA linearised at the DC point),
 * transient analysis (trapezoidal / backward-Euler with adaptive steps),
 
-over ideal passives, independent and controlled sources, junction diodes
-and the EKV MOS model of :mod:`repro.devices`.  Circuits of the size the
-paper evaluates (an STSCL gate, a pre-amplifier, a replica bias loop) have
-a few dozen unknowns, which dense numpy linear algebra handles easily.
+over ideal passives, independent and controlled sources, junction diodes,
+the EKV MOS model of :mod:`repro.devices` and instances of subcircuits.
+One vectorized assembler (:mod:`repro.spice.assembly`) stamps every
+analysis's system; it knows exactly these element types, and compiling
+a circuit with any other fails.  Circuits of the size the paper
+evaluates (an STSCL gate, a pre-amplifier, a replica bias loop) have a
+few dozen unknowns, which dense numpy linear algebra handles easily;
+larger ones go to sparse LU (see ``Circuit.matrix_backend``).
 """
 
 from .netlist import Circuit, GROUND_NAMES

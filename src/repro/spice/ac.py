@@ -1,9 +1,10 @@
 """Small-signal AC analysis.
 
-The circuit is linearised at its DC operating point: the static Jacobian
-G comes from each element's ``stamp_ac`` (independent sources zeroed,
-their topology kept), the susceptance matrix C from the derivatives of
-the charge terms.  For each frequency the complex system
+The circuit is linearised at its DC operating point: G is the static
+Jacobian :class:`~repro.spice.assembly.CircuitAssembler` assembles there
+(independent sources enter only the residual, so their topology stays
+and their values drop out), and the susceptance matrix C holds the
+derivatives of the charges.  For each frequency the complex system
 
     (G + j 2 pi f C) v = b
 
@@ -92,29 +93,11 @@ def _ac_system(circuit: Circuit, op: OpResult | None,
         raise AnalysisError("operating point lacks a raw solution vector")
     compiled = circuit.compile()
     x_op = op.x
-
-    # Static small-signal matrix.
-    st = Stamper(compiled.size)
-    for element in circuit.elements:
-        element.stamp_ac(st, x_op)
-    g_matrix = st.jac.copy()
-
-    # Susceptance matrix from charge-term derivatives: one vectorized
-    # scatter when every element uses the stock charge API, otherwise
-    # the generic per-term loop.
     assembler = compiled.prepare()
-    if assembler.charges_vectorized:
-        c_matrix = assembler.susceptance_matrix(x_op)
-    else:
-        c_matrix = np.zeros((compiled.size, compiled.size))
-        for term in compiled.charge_terms(x_op):
-            for col, dqdv in term.derivs:
-                if col < 0:
-                    continue
-                if term.pos >= 0:
-                    c_matrix[term.pos, col] += dqdv
-                if term.neg >= 0:
-                    c_matrix[term.neg, col] -= dqdv
+    st = Stamper(compiled.size)
+    assembler.assemble(st, x_op, None)
+    g_matrix = st.jac
+    c_matrix = assembler.susceptance_matrix(x_op)
 
     # Excitation vector.
     b = np.zeros(compiled.size, dtype=complex)

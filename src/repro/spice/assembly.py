@@ -1,8 +1,8 @@
 """Vectorized MNA assembly: constant linear part + array-valued restamp.
 
 A :class:`CircuitAssembler` is built once per :class:`CompiledCircuit`
-and replaces the per-element Python stamping loop on the Newton hot
-path.  It splits the system into
+and stamps the whole MNA system with a few numpy calls per Newton
+iteration.  It splits the system into
 
 * a **constant linear part** -- resistors, controlled sources and the
   incidence/branch topology of independent sources -- kept as triplets
@@ -16,10 +16,11 @@ path.  It splits the system into
   of the circuit is grouped into a :class:`~repro.devices.mosfet.MosBank`
   / :class:`~repro.devices.diode.DiodeBank` and evaluated with one
   array-valued model call per iteration, scattered into the Jacobian
-  through precomputed flat index arrays;
-* a **fallback list** -- any element type the assembler does not know
-  (user subclasses of :class:`~repro.spice.elements.Element`) keeps the
-  classic per-element ``stamp`` call, so extensibility is preserved.
+  through precomputed flat index arrays.
+
+This is the only MNA stamp: DC, transient, AC and the batched engines
+all assemble through it, and a circuit holding an element type it does
+not know is refused at compile time.
 
 The assembler also owns the vectorized *charge* system used by the
 transient engine: linear capacitors contribute a constant scatter
@@ -63,7 +64,6 @@ from .elements import (
     Capacitor,
     CurrentSource,
     DiodeElement,
-    Element,
     MosElement,
     Resistor,
     Vccs,
@@ -282,8 +282,9 @@ class CircuitAssembler:
     # -- structure ------------------------------------------------------
 
     def _partition(self) -> None:
-        """Split elements by type; structure is fixed for the lifetime
-        of the compiled circuit (structural edits recompile)."""
+        """Split elements by type (compilation has refused any other);
+        structure is fixed for the lifetime of the compiled circuit
+        (structural edits recompile)."""
         self._resistors: list[Resistor] = []
         self._vsources: list[VoltageSource] = []
         self._isources: list[CurrentSource] = []
@@ -293,7 +294,6 @@ class CircuitAssembler:
         self._diodes: list[DiodeElement] = []
         self._mos: list[MosElement] = []
         self._instances: list[Instance] = []
-        self._fallback: list = []
         for element in self.compiled.circuit.elements:
             if isinstance(element, Resistor):
                 self._resistors.append(element)
@@ -313,8 +313,6 @@ class CircuitAssembler:
                 self._mos.append(element)
             elif isinstance(element, Instance):
                 self._instances.append(element)
-            else:
-                self._fallback.append(element)
         # Instances of the same subcircuit share one compiled cell plan;
         # grouping them lets every build pass tile the cell's index
         # arrays across all K placements with vectorized arithmetic.
@@ -509,8 +507,8 @@ class CircuitAssembler:
         self._mos_current = _current_scatter((d, s), (1.0, -1.0),
                                              self.size)
         # Rows (d, s) x cols (d, g, s, b) over the packed partials
-        # [p_d | p_g | p_s | p_b], the source-row block negated -- the
-        # exact entries of MosElement.stamp.
+        # [p_d | p_g | p_s | p_b], the source-row block negated: the
+        # drain current leaves the drain and enters the source.
         self._mos_jacobian = _jacobian_scatter(
             (d, d, d, d, s, s, s, s), (d, g, s, b) * 2, (0, 1, 2, 3) * 2,
             (1.0,) * 4 + (-1.0,) * 4, 4 * len(mos), self.size)
@@ -540,16 +538,10 @@ class CircuitAssembler:
     def _build_charges(self) -> None:
         """Vectorized charge system (transient companion models).
 
-        Term order matches ``CompiledCircuit.charge_terms``: element
-        insertion order, one term per capacitor / diode.  An unknown
-        element subclass overriding ``charge_terms`` cannot be
-        vectorized blindly; its presence disables this fast path
-        (``charges_vectorized`` False) and the transient engine falls
-        back to the per-element API.
+        One charge term per capacitor / diode, in element insertion
+        order; an instance contributes its template's terms, in the
+        template's order, as one contiguous block.
         """
-        self.charges_vectorized = all(
-            type(e).charge_terms is Element.charge_terms
-            for e in self._fallback)
         slot = 0
         cap_slots, cap_pos, cap_neg, cap_c = [], [], [], []
         dio_slots = []
@@ -608,15 +600,6 @@ class CircuitAssembler:
         return self._g_const
 
     # -- sparse twin ----------------------------------------------------
-
-    @property
-    def sparse_eligible(self) -> bool:
-        """Whether every element of the circuit stamps through a known
-        scatter pattern.  Foreign :class:`Element` subclasses stamp
-        imperatively through the dense ``add_j`` API, which has no
-        triplet twin, so their presence pins the circuit to the dense
-        backend."""
-        return not self._fallback
 
     def _sparse_segments(self) -> dict:
         """The triplet segment patterns of :meth:`sparse_system`, as a
@@ -733,9 +716,9 @@ class CircuitAssembler:
         mode: ``target`` holds the triplet values of a pattern and
         ``segments`` its segment slices; the linear part's residual goes
         through one cached CSR matvec.  ``target`` and ``res`` must be
-        C-contiguous.  Per row, every contribution lands in the order of
-        a per-element stamping loop, so a lane row is bit-identical to
-        the vector assembly of that lane.
+        C-contiguous.  Every row takes its contributions in the same
+        order, so a lane row is bit-identical to the vector assembly of
+        that lane.
         """
         rows = None if X.ndim == 1 else X.shape[0]
         if segments is None:
@@ -808,12 +791,10 @@ class CircuitAssembler:
     def assemble(self, st, x: np.ndarray, time: float | None) -> None:
         """Overwrite stamper ``st`` with the full static system at the
         vector ``x`` -- a dense :class:`~repro.spice.elements.Stamper`
-        or a :class:`~repro.spice.sparse.SparseStamper` -- then stamp
-        the elements the assembler does not know, one by one."""
+        or a :class:`~repro.spice.sparse.SparseStamper`.  Its Jacobian
+        at the operating point is also AC's small-signal G."""
         target, segments = _target(st)
         self._stamp_static(target, st.res, x, None, time, segments)
-        for element in self._fallback:
-            element.stamp(st, x, time)
 
     def stamp_charges(self, st, x: np.ndarray, c0: float,
                       rhs: np.ndarray) -> None:
@@ -867,12 +848,7 @@ class CircuitAssembler:
     def susceptance_matrix(self, x: np.ndarray) -> np.ndarray:
         """Dense small-signal C matrix (dq/dv of every charge term) at
         ``x`` -- the ``jωC`` part of the AC system, assembled by the
-        same scatter patterns as the charge companions (``c0 = 1``).
-
-        Only valid when :attr:`charges_vectorized` is set; the AC
-        engine falls back to the per-term ``charge_terms`` loop
-        otherwise.
-        """
+        same scatter patterns as the charge companions (``c0 = 1``)."""
         c_matrix = np.zeros((self.size, self.size))
         c_flat = c_matrix.ravel()
         if self._cap_slots.idx.size:

@@ -62,7 +62,6 @@ from __future__ import annotations
 
 import dataclasses
 import time as _time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
@@ -77,6 +76,7 @@ from .strategies import (DEFAULT_LADDER, NewtonOptions,
                          StageReport, pseudo_transient_lanes, run_ladder,
                          step_converged)
 from .assembly import CircuitAssembler, LazyDeviceOps, _two_terminal
+from .dc import _nan_point, _package, operating_point
 from .results import TranResult
 from .transient import (TransientOptions, _Stepper, _check_options,
                         transient)
@@ -274,11 +274,6 @@ class BatchAssembler(CircuitAssembler):
     share the patterns' stacked index forms), then derives the lane
     overlays from them.  A :meth:`sync` that rebuilds rebuilds this
     assembler's arrays alone, and its lane overlays with them.
-
-    Circuits containing element types the assembler does not know
-    (user subclasses stamped through the per-element fallback) cannot
-    be batched; constructing a :class:`BatchAssembler` for one raises
-    :class:`~repro.errors.AnalysisError` -- use the serial backend.
     """
 
     def __init__(self, compiled: "CompiledCircuit",
@@ -286,12 +281,6 @@ class BatchAssembler(CircuitAssembler):
         # The synced arrays and patterns of the compiled circuit's own
         # assembler become this one's: no build pass runs here.
         vars(self).update(vars(compiled.prepare()))
-        if self._fallback:
-            kinds = sorted({type(e).__name__ for e in self._fallback})
-            raise AnalysisError(
-                f"circuit {compiled.circuit.name!r} contains element "
-                f"types the batched assembler cannot vectorize "
-                f"({', '.join(kinds)}); use the serial backend")
         self.lanes = list(lanes)
         self.batch = len(self.lanes)
         if self.batch == 0:
@@ -765,14 +754,14 @@ def batch_pseudo_transient(assembler: BatchAssembler, X: np.ndarray,
     def solve(active, g, anchor):
         nonlocal rounds
 
-        def stamp(target, res, Xa, idx):
+        def stamp_anchors(target, res, Xa, idx):
             g_lane = g[idx][:, None]
             target[diag] += g_lane
             res[:, :n_nodes] += g_lane * (Xa[:, :n_nodes]
                                           - anchor[idx, :n_nodes])
 
         outcome = _newton_rounds(assembler, X, active, options,
-                                 active_history, extra=stamp)
+                                 active_history, extra=stamp_anchors)
         rounds += outcome.n_iterations
         return (outcome.converged[active], outcome.iterations[active],
                 outcome.reasons)
@@ -856,7 +845,6 @@ def batch_operating_point(circuit: "Circuit",
                           strategies=None,
                           on_error: str = "raise",
                           x0: np.ndarray | None = None,
-                          matrix_backend: str | None = None,
                           ) -> BatchOpResult:
     """Solve one DC operating point per lane, stacked.
 
@@ -870,13 +858,10 @@ def batch_operating_point(circuit: "Circuit",
     forensic diagnostics of lanes that fail everything -- is identical
     to the serial path.
 
-    ``matrix_backend``, when given, overrides the circuit's own
-    setting for this call only (same ``"auto"``/``"dense"``/
-    ``"sparse"`` vocabulary as :class:`~repro.spice.netlist.Circuit`;
-    see :func:`matrix_backend_override`); a circuit resolving to the
-    sparse backend runs the stacked Newton loop over one shared sparsity
-    pattern and column ordering with per-lane numeric refactorization,
-    instead of dense ``(B, N, N)`` tensors.
+    A circuit whose :attr:`~repro.spice.netlist.Circuit.matrix_backend`
+    resolves to the sparse backend runs the stacked Newton loop over one
+    shared sparsity pattern and column ordering with per-lane numeric
+    refactorization, instead of dense ``(B, N, N)`` tensors.
 
     ``on_error="raise"`` propagates the first failed lane's
     :class:`~repro.errors.ConvergenceError`; ``"skip"`` records NaN
@@ -887,50 +872,15 @@ def batch_operating_point(circuit: "Circuit",
             f"on_error must be 'raise' or 'skip', got {on_error!r}")
     options = options or NewtonOptions()
     lanes = list(lanes)
-    with matrix_backend_override(circuit, matrix_backend), \
-            telemetry.span("batch-operating-point", circuit=circuit.name,
-                           batch=len(lanes)) as tspan:
+    with telemetry.span("batch-operating-point", circuit=circuit.name,
+                        batch=len(lanes)) as tspan:
         return _batch_op(circuit, lanes, options, strategies, on_error,
                          x0, tspan)
 
 
-@contextmanager
-def matrix_backend_override(circuit: "Circuit",
-                            matrix_backend: str | None):
-    """Resolve ``circuit`` to ``matrix_backend`` for the ``with`` body.
-
-    None leaves the circuit's own setting alone.  Otherwise the setting
-    and the backend resolution cached on the compiled circuit are
-    swapped for the body -- no recompile of unchanged structure -- and
-    restored on exit, exceptions included, so later serial solves of
-    the caller's circuit never inherit a per-call override.
-    """
-    if matrix_backend is not None and \
-            matrix_backend not in circuit.MATRIX_BACKENDS:
-        raise NetlistError(
-            f"unknown matrix backend {matrix_backend!r}, expected "
-            f"one of {circuit.MATRIX_BACKENDS}")
-    if matrix_backend is None or matrix_backend == circuit.matrix_backend:
-        yield
-        return
-    saved = circuit.matrix_backend
-    compiled = circuit._compiled
-    resolved = compiled._solver_backend if compiled is not None else None
-    circuit.matrix_backend = matrix_backend
-    if compiled is not None:
-        compiled._solver_backend = None
-    try:
-        yield
-    finally:
-        circuit.matrix_backend = saved
-        if circuit._compiled is not None:
-            circuit._compiled._solver_backend = (
-                resolved if circuit._compiled is compiled else None)
-
-
 def pilot_solution(circuit: "Circuit", lane: LaneSpec,
-                   options: NewtonOptions | None, strategies,
-                   matrix_backend: str | None) -> np.ndarray | None:
+                   options: NewtonOptions | None,
+                   strategies) -> np.ndarray | None:
     """Warm start for a batched solve: ``lane`` through the serial
     ladder.
 
@@ -940,8 +890,8 @@ def pilot_solution(circuit: "Circuit", lane: LaneSpec,
     can solve cold (the bistable adder latches, say) run as stacked
     ensembles, and lets sweep lanes converge in a few stacked
     iterations.  The lane is applied, solved by
-    :func:`~repro.spice.dc.operating_point` under ``matrix_backend``
-    (the backend the batch will run on) and undone.
+    :func:`~repro.spice.dc.operating_point` on the circuit's own
+    backend (the one the batch will run on) and undone.
 
     Returns the solution, recording a ``pilot-warm-start`` event on the
     current span, or None after a ``pilot-failed-flat-start`` event
@@ -949,18 +899,16 @@ def pilot_solution(circuit: "Circuit", lane: LaneSpec,
     its own initial guess, and the pilot lane gets a second chance
     inside it.
     """
-    from .dc import operating_point  # local: avoids import cycle
     tspan = telemetry.current_span()
-    with matrix_backend_override(circuit, matrix_backend):
-        undo = apply_lane(circuit, lane)
-        try:
-            x0 = operating_point(circuit, options, strategies=strategies).x
-        except ConvergenceError as error:
-            tspan.event("pilot-failed-flat-start", lane=lane.label,
-                        why=str(error))
-            return None
-        finally:
-            undo()
+    undo = apply_lane(circuit, lane)
+    try:
+        x0 = operating_point(circuit, options, strategies=strategies).x
+    except ConvergenceError as error:
+        tspan.event("pilot-failed-flat-start", lane=lane.label,
+                    why=str(error))
+        return None
+    finally:
+        undo()
     tspan.event("pilot-warm-start", lane=lane.label)
     return x0
 
@@ -968,8 +916,7 @@ def pilot_solution(circuit: "Circuit", lane: LaneSpec,
 def run_lanes(circuit: "Circuit", lanes: Sequence[LaneSpec],
               measure: Callable[[object], object], *,
               t_stop: float | None = None, options=None, strategies=None,
-              warm_start: bool = False,
-              matrix_backend: str | None = None) -> list[tuple]:
+              warm_start: bool = False) -> list[tuple]:
     """One outcome per lane, in lane order, from one stacked solve.
 
     The batched producer of the population outcome stream (the process
@@ -990,18 +937,15 @@ def run_lanes(circuit: "Circuit", lanes: Sequence[LaneSpec],
     if not lanes:
         return []
     if t_stop is None:
-        x0 = (pilot_solution(circuit, lanes[0], options, strategies,
-                             matrix_backend)
+        x0 = (pilot_solution(circuit, lanes[0], options, strategies)
               if warm_start and len(lanes) > 1 else None)
         batch = batch_operating_point(circuit, lanes, options=options,
                                       strategies=strategies,
-                                      on_error="skip", x0=x0,
-                                      matrix_backend=matrix_backend)
+                                      on_error="skip", x0=x0)
         solved = batch.points
     else:
         batch = batch_transient(circuit, lanes, t_stop, options,
-                                on_error="skip",
-                                matrix_backend=matrix_backend)
+                                on_error="skip")
         solved = batch.results
     failed = dict(batch.failures)
     return [("error", failed[k]) if k in failed else evaluate(measure, point)
@@ -1011,8 +955,6 @@ def run_lanes(circuit: "Circuit", lanes: Sequence[LaneSpec],
 def _batch_op(circuit: "Circuit", lanes: list[LaneSpec],
               options: NewtonOptions, strategies, on_error: str,
               x0: np.ndarray | None, tspan) -> BatchOpResult:
-    from .dc import _nan_point, _package  # local: avoids import cycle
-
     start = _time.perf_counter()
     if options.max_wall_time is not None and options.deadline is None:
         # One absolute deadline covers both stacked phases and the
@@ -1164,6 +1106,19 @@ def _batch_op(circuit: "Circuit", lanes: list[LaneSpec],
 # -- analysis-layer specs -------------------------------------------------
 
 
+def _measure_lane(circuit: "Circuit", lane: LaneSpec, measure, solve,
+                  *args, **kwargs) -> dict[str, float]:
+    """The serial call of a spec: ``measure`` of ``solve(circuit, *args,
+    **kwargs)`` with ``lane`` applied, as floats; the lane is undone
+    afterwards, exceptions included."""
+    undo = apply_lane(circuit, lane)
+    try:
+        result = solve(circuit, *args, **kwargs)
+        return {name: float(value) for name, value in measure(result).items()}
+    finally:
+        undo()
+
+
 @dataclass(frozen=True)
 class BatchedOpMetric:
     """A Monte-Carlo metric whose evaluation is one DC operating point.
@@ -1191,17 +1146,10 @@ class BatchedOpMetric:
     strategies: tuple | None = None
 
     def __call__(self, seed: int) -> dict[str, float]:
-        from .dc import operating_point
         circuit = self.build()
-        lane = self.draw(seed, circuit)
-        undo = apply_lane(circuit, lane)
-        try:
-            result = operating_point(circuit, self.options,
-                                     strategies=self.strategies)
-            return {name: float(value)
-                    for name, value in self.measure(result).items()}
-        finally:
-            undo()
+        return _measure_lane(circuit, self.draw(seed, circuit),
+                             self.measure, operating_point, self.options,
+                             strategies=self.strategies)
 
     def plan(self) -> "PlannedOpMetric":
         """Materialize the spec into a reusable, shippable plan.
@@ -1241,16 +1189,9 @@ class PlannedOpMetric:
     strategies: tuple | None = None
 
     def __call__(self, seed: int) -> dict[str, float]:
-        from .dc import operating_point
-        lane = self.draw(seed, self.circuit)
-        undo = apply_lane(self.circuit, lane)
-        try:
-            result = operating_point(self.circuit, self.options,
-                                     strategies=self.strategies)
-            return {name: float(value)
-                    for name, value in self.measure(result).items()}
-        finally:
-            undo()
+        return _measure_lane(self.circuit, self.draw(seed, self.circuit),
+                             self.measure, operating_point, self.options,
+                             strategies=self.strategies)
 
 
 # -- batched transient ----------------------------------------------------
@@ -1332,7 +1273,6 @@ def batch_transient(circuit: "Circuit", lanes: Sequence[LaneSpec],
                     options: TransientOptions | None = None,
                     on_error: str = "raise",
                     scopes: Sequence | None = None,
-                    matrix_backend: str | None = None,
                     lane_rejection_budget: int = 24) -> BatchTranResult:
     """Integrate every lane from t = 0 to ``t_stop`` in lockstep.
 
@@ -1360,10 +1300,6 @@ def batch_transient(circuit: "Circuit", lanes: Sequence[LaneSpec],
     as the serial engine would (t = 0 included), and a kicked-out
     lane's session is reset and handed to its serial fallback run.
 
-    ``matrix_backend``, when given, overrides the circuit's own
-    dense/sparse setting for this call only, serial fallbacks included
-    (see :func:`matrix_backend_override`).
-
     ``on_error="raise"`` propagates the first failed lane's error;
     ``"skip"`` records None results and keeps going.  Telemetry: the
     run counts ``batch_transient_steps`` (one per accepted shared
@@ -1382,10 +1318,9 @@ def batch_transient(circuit: "Circuit", lanes: Sequence[LaneSpec],
             raise AnalysisError(
                 f"scopes must be one session (or None) per lane: got "
                 f"{len(scopes)} for {len(lanes)} lanes")
-    with matrix_backend_override(circuit, matrix_backend), \
-            telemetry.span("batch-transient", circuit=circuit.name,
-                           batch=len(lanes), t_stop=t_stop,
-                           method=options.method) as tspan:
+    with telemetry.span("batch-transient", circuit=circuit.name,
+                        batch=len(lanes), t_stop=t_stop,
+                        method=options.method) as tspan:
         stepper = _LockstepStepper(circuit, lanes, t_stop, options, tspan,
                                    scopes or [None] * len(lanes),
                                    lane_rejection_budget)
@@ -1553,17 +1488,10 @@ class BatchedOpSweep:
     strategies: tuple | None = None
 
     def __call__(self, value: float) -> dict[str, float]:
-        from .dc import operating_point
         circuit = self.build()
-        spec = self.lane(float(value), circuit)
-        undo = apply_lane(circuit, spec)
-        try:
-            result = operating_point(circuit, self.options,
-                                     strategies=self.strategies)
-            return {name: float(v)
-                    for name, v in self.measure(result).items()}
-        finally:
-            undo()
+        return _measure_lane(circuit, self.lane(float(value), circuit),
+                             self.measure, operating_point, self.options,
+                             strategies=self.strategies)
 
 
 @dataclass(frozen=True)
@@ -1598,11 +1526,6 @@ class BatchedTranMetric:
 
     def __call__(self, seed: int) -> dict[str, float]:
         circuit = self.build()
-        lane = self.draw(seed, circuit)
-        undo = apply_lane(circuit, lane)
-        try:
-            result = transient(circuit, self.t_stop, self.options)
-            return {name: float(value)
-                    for name, value in self.measure(result).items()}
-        finally:
-            undo()
+        return _measure_lane(circuit, self.draw(seed, circuit),
+                             self.measure, transient, self.t_stop,
+                             self.options)

@@ -93,8 +93,7 @@ def dc_sweep(circuit: Circuit, source_name: str,
              options: NewtonOptions | None = None,
              strategies: Sequence[SolveStrategy] | None = None,
              on_error: str = "raise",
-             backend: str = "serial",
-             matrix_backend: str | None = None) -> SweepResult:
+             backend: str = "serial") -> SweepResult:
     """Sweep the DC value of an independent source.
 
     Each point warm-starts from the previous solution, which is both
@@ -118,9 +117,8 @@ def dc_sweep(circuit: Circuit, source_name: str,
     (see :mod:`repro.spice.batch`): every point becomes a lane of one
     multi-lane Newton solve with per-point convergence masking, and
     points the stacked loop cannot converge fall back to the serial
-    strategy ladder individually.  ``matrix_backend`` (batched only)
-    overrides the circuit's dense/sparse preference for the stacked
-    solve.
+    strategy ladder individually.  Both backends solve on the circuit's
+    own :attr:`~repro.spice.netlist.Circuit.matrix_backend`.
     """
     if on_error not in ("raise", "skip"):
         raise NetlistError(
@@ -128,9 +126,6 @@ def dc_sweep(circuit: Circuit, source_name: str,
     if backend not in ("serial", "batched"):
         raise NetlistError(
             f"backend must be 'serial' or 'batched', got {backend!r}")
-    if matrix_backend is not None and backend != "batched":
-        raise NetlistError(
-            "matrix_backend overrides apply to backend='batched' only")
     options = options or NewtonOptions()
     element = circuit.element(source_name)
     if not isinstance(element, (VoltageSource, CurrentSource)):
@@ -149,7 +144,7 @@ def dc_sweep(circuit: Circuit, source_name: str,
                  for value in values]
         outcomes = run_lanes(circuit, lanes, lambda point: point,
                              options=options, strategies=strategies,
-                             warm_start=True, matrix_backend=matrix_backend)
+                             warm_start=True)
         for index, (status, payload) in enumerate(outcomes):
             if status == "error":
                 if on_error == "raise":

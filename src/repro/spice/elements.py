@@ -1,27 +1,27 @@
-"""MNA element stamps.
+"""MNA circuit elements: named values on named nodes.
 
-Every element knows how to contribute to the nonlinear system
-``f(x) = 0`` whose unknowns are the node voltages plus one auxiliary
-branch current per voltage-defined element.  The residual convention is:
+An element holds its values (a resistance, a waveform, a device model)
+and, once compiled, its MNA row and column indices.  It stamps nothing
+itself: :class:`~repro.spice.assembly.CircuitAssembler` turns each
+element type into a scatter pattern over the nonlinear system
+``f(x) = 0``, whose unknowns are the node voltages plus one auxiliary
+branch current per voltage-defined element.  The residual convention
+is:
 
 * ``f[node]`` accumulates the total current *leaving* the node;
 * ``f[aux]`` holds the element's branch (voltage) equation.
 
-Dynamic behaviour is expressed through *charge terms*: an element may
-report charges ``q(x)`` flowing between a node pair; the transient engine
-differentiates them with its integration formula and the AC engine stamps
-``dq/dv`` into the susceptance matrix.
+Capacitors and diode junctions also carry a charge ``q(x)``: the
+transient engine differentiates it with its integration formula and the
+AC engine stamps ``dq/dv`` into the susceptance matrix.
 """
 
 from __future__ import annotations
 
-import abc
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from ..devices.diode import Diode
-from ..devices.mosfet import Mosfet, MosOperatingPoint
+from ..devices.mosfet import Mosfet
 from ..errors import NetlistError
 from .waveforms import Waveform, dc_wave
 
@@ -38,10 +38,6 @@ class Stamper:
         self.res = np.zeros(size)
         self._diag: np.ndarray | None = None
 
-    def reset(self) -> None:
-        self.jac.fill(0.0)
-        self.res.fill(0.0)
-
     def add_diagonal(self, g, n_nodes: int) -> None:
         """Add ``g`` (scalar or per-node array) to the first ``n_nodes``
         diagonal entries -- the gmin shunt / pseudo-transient anchor
@@ -52,39 +48,12 @@ class Stamper:
             diag = self._diag = np.arange(n_nodes)
         self.jac[diag, diag] += g
 
-    def add_j(self, row: int, col: int, value: float) -> None:
-        if row >= 0 and col >= 0:
-            self.jac[row, col] += value
 
-    def add_f(self, row: int, value: float) -> None:
-        if row >= 0:
-            self.res[row] += value
-
-
-@dataclass(frozen=True)
-class ChargeTerm:
-    """A charge q flowing from ``pos`` into ``neg`` when increasing.
-
-    Attributes:
-        pos: Row index receiving +dq/dt (ground = -1).
-        neg: Row index receiving -dq/dt.
-        q: Charge value at the evaluation point [C].
-        derivs: Sequence of (column index, dq/dv) pairs.
-    """
-
-    pos: int
-    neg: int
-    q: float
-    derivs: tuple[tuple[int, float], ...]
-
-
-def _voltage(x: np.ndarray, idx: int) -> float:
-    """Node voltage from the solution vector; ground reads as 0."""
-    return 0.0 if idx < 0 else float(x[idx])
-
-
-class Element(abc.ABC):
-    """Base class for all circuit elements."""
+class Element:
+    """Base class of the circuit elements.  Only the types
+    :class:`~repro.spice.assembly.CircuitAssembler` knows can be
+    compiled; :meth:`~repro.spice.netlist.Circuit.compile` refuses any
+    other."""
 
     n_aux = 0
 
@@ -106,24 +75,6 @@ class Element(abc.ABC):
         self._idx = node_indices
         self._aux = aux_indices
 
-    @abc.abstractmethod
-    def stamp(self, st: Stamper, x: np.ndarray, time: float | None) -> None:
-        """Add static (resistive/source) contributions at solution ``x``.
-
-        ``time`` is None for DC analyses: time-dependent sources must then
-        use their DC/initial value.
-        """
-
-    def charge_terms(self, x: np.ndarray) -> list[ChargeTerm]:
-        """Dynamic (charge) contributions; default none."""
-        return []
-
-    def stamp_ac(self, st: Stamper, x: np.ndarray) -> None:
-        """Small-signal static stamp (defaults to the large-signal stamp
-        evaluated at the operating point with sources zeroed; elements
-        with independent sources override)."""
-        self.stamp(st, x, None)
-
 
 class Resistor(Element):
     """Ideal linear resistor."""
@@ -136,17 +87,6 @@ class Resistor(Element):
                                f"got {resistance}")
         self.resistance = resistance
 
-    def stamp(self, st: Stamper, x: np.ndarray, time: float | None) -> None:
-        a, b = self._idx
-        g = 1.0 / self.resistance
-        current = g * (_voltage(x, a) - _voltage(x, b))
-        st.add_f(a, current)
-        st.add_f(b, -current)
-        st.add_j(a, a, g)
-        st.add_j(a, b, -g)
-        st.add_j(b, a, -g)
-        st.add_j(b, b, g)
-
 
 class Capacitor(Element):
     """Ideal linear capacitor (open in DC, charge term in transient/AC)."""
@@ -158,16 +98,6 @@ class Capacitor(Element):
             raise NetlistError(f"{name}: capacitance must be >= 0, "
                                f"got {capacitance}")
         self.capacitance = capacitance
-
-    def stamp(self, st: Stamper, x: np.ndarray, time: float | None) -> None:
-        return  # open circuit in DC
-
-    def charge_terms(self, x: np.ndarray) -> list[ChargeTerm]:
-        a, b = self._idx
-        v = _voltage(x, a) - _voltage(x, b)
-        c = self.capacitance
-        return [ChargeTerm(pos=a, neg=b, q=c * v,
-                           derivs=((a, c), (b, -c)))]
 
 
 class VoltageSource(Element):
@@ -191,28 +121,6 @@ class VoltageSource(Element):
     def value_at(self, time: float | None) -> float:
         return self.waveform(0.0 if time is None else time)
 
-    def stamp(self, st: Stamper, x: np.ndarray, time: float | None) -> None:
-        p, n = self._idx
-        (br,) = self._aux
-        i_branch = float(x[br])
-        st.add_f(p, i_branch)
-        st.add_f(n, -i_branch)
-        st.add_j(p, br, 1.0)
-        st.add_j(n, br, -1.0)
-        st.add_f(br, _voltage(x, p) - _voltage(x, n) - self.value_at(time))
-        st.add_j(br, p, 1.0)
-        st.add_j(br, n, -1.0)
-
-    def stamp_ac(self, st: Stamper, x: np.ndarray) -> None:
-        p, n = self._idx
-        (br,) = self._aux
-        st.add_j(p, br, 1.0)
-        st.add_j(n, br, -1.0)
-        st.add_j(br, p, 1.0)
-        st.add_j(br, n, -1.0)
-        # The AC excitation itself is applied by the AC engine as a RHS
-        # entry of magnitude ac_mag on the branch row.
-
 
 class CurrentSource(Element):
     """Independent current source.
@@ -234,15 +142,6 @@ class CurrentSource(Element):
     def value_at(self, time: float | None) -> float:
         return self.waveform(0.0 if time is None else time)
 
-    def stamp(self, st: Stamper, x: np.ndarray, time: float | None) -> None:
-        p, n = self._idx
-        value = self.value_at(time)
-        st.add_f(p, value)
-        st.add_f(n, -value)
-
-    def stamp_ac(self, st: Stamper, x: np.ndarray) -> None:
-        return  # excitation handled by the AC engine RHS
-
 
 class Vcvs(Element):
     """Voltage-controlled voltage source E: v(p,n) = gain * v(cp,cn).
@@ -258,21 +157,6 @@ class Vcvs(Element):
         super().__init__(name, (node_pos, node_neg, ctrl_pos, ctrl_neg))
         self.gain = gain
 
-    def stamp(self, st: Stamper, x: np.ndarray, time: float | None) -> None:
-        p, n, cp, cn = self._idx
-        (br,) = self._aux
-        i_branch = float(x[br])
-        st.add_f(p, i_branch)
-        st.add_f(n, -i_branch)
-        st.add_j(p, br, 1.0)
-        st.add_j(n, br, -1.0)
-        st.add_f(br, _voltage(x, p) - _voltage(x, n)
-                 - self.gain * (_voltage(x, cp) - _voltage(x, cn)))
-        st.add_j(br, p, 1.0)
-        st.add_j(br, n, -1.0)
-        st.add_j(br, cp, -self.gain)
-        st.add_j(br, cn, self.gain)
-
 
 class Vccs(Element):
     """Voltage-controlled current source G: i(p->n) = gm * v(cp,cn)."""
@@ -281,17 +165,6 @@ class Vccs(Element):
                  ctrl_pos: str, ctrl_neg: str, gm: float) -> None:
         super().__init__(name, (node_pos, node_neg, ctrl_pos, ctrl_neg))
         self.gm = gm
-
-    def stamp(self, st: Stamper, x: np.ndarray, time: float | None) -> None:
-        p, n, cp, cn = self._idx
-        v_ctrl = _voltage(x, cp) - _voltage(x, cn)
-        i = self.gm * v_ctrl
-        st.add_f(p, i)
-        st.add_f(n, -i)
-        st.add_j(p, cp, self.gm)
-        st.add_j(p, cn, -self.gm)
-        st.add_j(n, cp, -self.gm)
-        st.add_j(n, cn, self.gm)
 
 
 class DiodeElement(Element):
@@ -302,25 +175,6 @@ class DiodeElement(Element):
         super().__init__(name, (anode, cathode))
         self.diode = diode
         self.temperature = temperature
-
-    def stamp(self, st: Stamper, x: np.ndarray, time: float | None) -> None:
-        a, c = self._idx
-        v_ak = _voltage(x, a) - _voltage(x, c)
-        current, conductance = self.diode.current(v_ak, self.temperature)
-        st.add_f(a, current)
-        st.add_f(c, -current)
-        st.add_j(a, a, conductance)
-        st.add_j(a, c, -conductance)
-        st.add_j(c, a, -conductance)
-        st.add_j(c, c, conductance)
-
-    def charge_terms(self, x: np.ndarray) -> list[ChargeTerm]:
-        a, c = self._idx
-        v_ak = _voltage(x, a) - _voltage(x, c)
-        q = self.diode.charge(v_ak)
-        cap = self.diode.capacitance(v_ak)
-        return [ChargeTerm(pos=a, neg=c, q=q,
-                           derivs=((a, cap), (c, -cap)))]
 
 
 class MosElement(Element):
@@ -336,20 +190,3 @@ class MosElement(Element):
         super().__init__(name, (drain, gate, source, bulk))
         self.device = device
         self.temperature = temperature
-
-    def operating_point(self, x: np.ndarray) -> MosOperatingPoint:
-        """Evaluate the device model at solution vector ``x``."""
-        d, g, s, b = self._idx
-        return self.device.evaluate(
-            _voltage(x, d), _voltage(x, g), _voltage(x, s), _voltage(x, b),
-            self.temperature)
-
-    def stamp(self, st: Stamper, x: np.ndarray, time: float | None) -> None:
-        d, g, s, b = self._idx
-        op = self.operating_point(x)
-        st.add_f(d, op.ids)
-        st.add_f(s, -op.ids)
-        for col, key in zip((d, g, s, b), ("d", "g", "s", "b")):
-            partial = op.partials[key]
-            st.add_j(d, col, partial)
-            st.add_j(s, col, -partial)

@@ -30,10 +30,17 @@ from .elements import (
     Vcvs,
     VoltageSource,
 )
+from .sparse import SPARSE_AUTO_THRESHOLD, SparseStamper
 from .waveforms import Waveform
 
 #: Names treated as the ground reference.
 GROUND_NAMES = frozenset({"0", "gnd"})
+
+#: The element types :class:`~repro.spice.assembly.CircuitAssembler`
+#: stamps (with subcircuit instances); :meth:`Circuit.compile` refuses
+#: any other.
+STAMPED_TYPES = (Resistor, Capacitor, VoltageSource, CurrentSource, Vcvs,
+                 Vccs, DiodeElement, MosElement)
 
 
 def is_ground(node: str) -> bool:
@@ -59,45 +66,23 @@ class CompiledCircuit:
 
     def __post_init__(self) -> None:
         self._assembler = None
-        self._solver_backend: str | None = None
 
     def solver_backend(self) -> str:
         """``"dense"`` or ``"sparse"`` -- the linear-algebra backend the
-        Newton kernel uses for this compiled circuit.
-
-        Resolved once from :attr:`Circuit.matrix_backend`:
-
-        * ``"dense"`` always stays dense;
-        * ``"sparse"`` demands the sparse backend and raises
-          :class:`~repro.errors.NetlistError` when it cannot be honored
-          (foreign elements whose imperative stamps have no triplet
-          twin);
-        * ``"auto"`` (default) picks sparse when the system has at
-          least :data:`~repro.spice.sparse.SPARSE_AUTO_THRESHOLD`
-          unknowns and the circuit is sparse-eligible.
+        Newton kernel uses for this compiled circuit, read from
+        :attr:`Circuit.matrix_backend` on every call, so a setting
+        changed after a compile applies from the next solve.
+        ``"auto"`` picks sparse when the system has at least
+        :data:`~repro.spice.sparse.SPARSE_AUTO_THRESHOLD` unknowns.
         """
-        if self._solver_backend is None:
-            from .sparse import SPARSE_AUTO_THRESHOLD
-            requested = getattr(self.circuit, "matrix_backend", "auto")
-            if requested == "dense":
-                self._solver_backend = "dense"
-            elif requested == "sparse":
-                if not self.assembler.sparse_eligible:
-                    raise NetlistError(
-                        f"{self.circuit.name}: matrix_backend='sparse' "
-                        f"cannot stamp foreign element types; use "
-                        f"'dense' or 'auto'")
-                self._solver_backend = "sparse"
-            else:
-                self._solver_backend = (
-                    "sparse" if self.size >= SPARSE_AUTO_THRESHOLD
-                    and self.assembler.sparse_eligible else "dense")
-        return self._solver_backend
+        requested = self.circuit.matrix_backend
+        if requested != "auto":
+            return requested
+        return "sparse" if self.size >= SPARSE_AUTO_THRESHOLD else "dense"
 
     def new_stamper(self):
         """A fresh stamper of the backend-appropriate type."""
         if self.solver_backend() == "sparse":
-            from .sparse import SparseStamper
             return SparseStamper(self.assembler.sparse_system())
         return Stamper(self.size)
 
@@ -131,13 +116,6 @@ class CompiledCircuit:
         assembler.sync()
         return assembler
 
-    def charge_terms(self, x: np.ndarray):
-        """All dynamic charge terms at solution ``x`` (stable order)."""
-        terms = []
-        for element in self.circuit.elements:
-            terms.extend(element.charge_terms(x))
-        return terms
-
 
 class Circuit:
     """A netlist under construction.
@@ -158,12 +136,6 @@ class Circuit:
                  matrix_backend: str = "auto") -> None:
         self.name = name
         self.temperature = temperature
-        if matrix_backend not in self.MATRIX_BACKENDS:
-            raise NetlistError(
-                f"matrix_backend must be one of {self.MATRIX_BACKENDS}, "
-                f"got {matrix_backend!r}")
-        #: Linear-algebra backend request resolved at solve time by
-        #: :meth:`CompiledCircuit.solver_backend`.
         self.matrix_backend = matrix_backend
         self.elements: list[Element] = []
         self._names: set[str] = set()
@@ -180,6 +152,22 @@ class Circuit:
         #: on; circuits that are *deliberately* degenerate (singular-
         #: matrix robustness tests) can opt out per instance.
         self.validate_on_compile = True
+
+    @property
+    def matrix_backend(self) -> str:
+        """The linear-algebra backend request, one of
+        :attr:`MATRIX_BACKENDS`, resolved at every solve by
+        :meth:`CompiledCircuit.solver_backend`.  Validated when set, at
+        construction and on assignment alike."""
+        return self._matrix_backend
+
+    @matrix_backend.setter
+    def matrix_backend(self, value: str) -> None:
+        if value not in self.MATRIX_BACKENDS:
+            raise NetlistError(
+                f"matrix_backend must be one of {self.MATRIX_BACKENDS}, "
+                f"got {value!r}")
+        self._matrix_backend = value
 
     # -- construction ---------------------------------------------------
 
@@ -334,7 +322,10 @@ class Circuit:
         :class:`CompiledCircuit` -- and therefore the same vectorized
         assembler -- until a structural mutation invalidates it.
 
-        Every fresh compilation first runs the structural validator
+        A fresh compilation first refuses, with
+        :class:`~repro.errors.NetlistError` naming the type, any element
+        whose type is not in :data:`STAMPED_TYPES` or a subcircuit
+        instance.  It then runs the structural validator
         (:func:`repro.spice.validate.validate_structure`): floating
         nets, sense-only (gate-only) nets and rail-disconnected
         subgraphs raise :class:`~repro.errors.NetlistError` naming the
@@ -349,6 +340,13 @@ class Circuit:
             return self._compiled
         if not self.elements:
             raise NetlistError(f"circuit {self.name!r} has no elements")
+        from .subckt import Instance
+        foreign = sorted({type(e).__name__ for e in self.elements
+                          if not isinstance(e, (*STAMPED_TYPES, Instance))})
+        if foreign:
+            raise NetlistError(
+                f"circuit {self.name!r}: the assembler cannot stamp "
+                f"element type(s) {', '.join(foreign)}")
         if validate if validate is not None else self.validate_on_compile:
             from .validate import validate_structure
             validate_structure(self)

@@ -30,11 +30,12 @@ resolve differently from a per-call COLAMD run (solutions agree to
 iteration factors the Jacobian it just assembled.
 
 Backend selection lives in
-:meth:`~repro.spice.netlist.CompiledCircuit.solver_backend`: explicit
-``Circuit(matrix_backend="sparse")`` forces it, ``"dense"`` forbids it,
-and the default ``"auto"`` switches at :data:`SPARSE_AUTO_THRESHOLD`
-unknowns -- around where one dense LAPACK factorization starts losing
-to SuperLU on MNA-sparsity matrices.
+:meth:`~repro.spice.netlist.CompiledCircuit.solver_backend`, which
+reads :attr:`~repro.spice.netlist.Circuit.matrix_backend` at every
+solve: ``"sparse"`` forces it, ``"dense"`` forbids it, and the default
+``"auto"`` switches at :data:`SPARSE_AUTO_THRESHOLD` unknowns -- around
+where one dense LAPACK factorization starts losing to SuperLU on
+MNA-sparsity matrices.
 """
 
 from __future__ import annotations
@@ -284,9 +285,9 @@ class SparseStamper:
     """Sparse counterpart of :class:`~repro.spice.elements.Stamper`.
 
     The residual stays a dense vector; the Jacobian is the triplet
-    values vector of a :class:`SparseSystem`.  Only assembler-known
-    patterns can stamp -- circuits with fallback (foreign) elements are
-    not sparse-eligible, which the backend selection enforces.
+    values vector of a :class:`SparseSystem`, which
+    :meth:`~repro.spice.assembly.CircuitAssembler.assemble` overwrites
+    segment by segment.
     """
 
     def __init__(self, system: SparseSystem) -> None:
@@ -295,10 +296,6 @@ class SparseStamper:
         self.res = np.zeros(system.size)
         self.vals = np.zeros(system.n_triplets)
         self._diag = system.segment_slices["diag"]
-
-    def reset(self) -> None:
-        self.vals.fill(0.0)
-        self.res.fill(0.0)
 
     def add_diagonal(self, g, n_nodes: int) -> None:
         """Add ``g`` (scalar or per-node array) to the node-row diagonal
@@ -309,10 +306,6 @@ class SparseStamper:
                 f"diagonal segment holds {diag.stop - diag.start} slots, "
                 f"caller expected {n_nodes}")
         self.vals[diag] += g
-
-    def segment(self, name: str) -> np.ndarray:
-        """Writable values view of one scatter segment."""
-        return self.vals[self.system.segment_slices[name]]
 
     def matrix(self):
         """The assembled CSC Jacobian at the current values."""

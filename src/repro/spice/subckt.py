@@ -28,8 +28,6 @@ Deliberate scope limits (documented in docs/architecture.md):
 
 * one level of hierarchy -- a template may not itself contain
   instances;
-* template elements must be assembler-known types (no foreign
-  :class:`~.elements.Element` subclasses);
 * instances of one subcircuit share the template's element values --
   sweeps and fault/Monte-Carlo overlays address top-level elements
   only.
@@ -44,13 +42,10 @@ import numpy as np
 from ..errors import NetlistError
 from .elements import (
     Capacitor,
-    ChargeTerm,
     CurrentSource,
     DiodeElement,
     Element,
     GROUND_INDEX,
-    MosElement,
-    Stamper,
     VoltageSource,
 )
 from .validate import cell_structure
@@ -73,11 +68,6 @@ class CellPlan:
         template = subcircuit.template
         compiled = template.compile(validate=False)
         assembler = compiled.assembler
-        if assembler._fallback:
-            kinds = sorted({type(e).__name__ for e in assembler._fallback})
-            raise NetlistError(
-                f"subcircuit {subcircuit.name!r}: template contains "
-                f"element types the assembler cannot expand: {kinds}")
         self.subcircuit = subcircuit
         self.compiled = compiled
         self.assembler = assembler
@@ -213,44 +203,6 @@ class Instance(Element):
         lut[plan.n_nodes:plan.size] = aux_indices
         lut[plan.size] = GROUND_INDEX
         self.lut = lut
-
-    # -- generic per-element fallback paths ------------------------------
-    #
-    # The vectorized assembler expands instances into its own arrays and
-    # never calls these; they serve the per-element APIs (AC's stamp_ac
-    # walk, the transient engine's non-vectorized charge loop) so an
-    # Instance behaves like any other element there, at per-element
-    # speed.
-
-    def _local_x(self, x: np.ndarray, plan: CellPlan) -> np.ndarray:
-        xg = np.append(x, 0.0)
-        return xg[self.lut[:plan.size]]
-
-    def stamp(self, st: Stamper, x: np.ndarray, time: float | None) -> None:
-        plan = self.subcircuit.plan()
-        plan.assembler.sync()
-        local = Stamper(plan.size)
-        plan.assembler.assemble(local, self._local_x(x, plan), time)
-        rows = self.lut[:plan.size]
-        valid = rows >= 0
-        np.add.at(st.res, rows[valid], local.res[valid])
-        gi, gj = np.meshgrid(rows, rows, indexing="ij")
-        mask = valid[:, None] & valid[None, :]
-        np.add.at(st.jac, (gi[mask], gj[mask]), local.jac[mask])
-
-    def charge_terms(self, x: np.ndarray) -> list[ChargeTerm]:
-        plan = self.subcircuit.plan()
-        xl = self._local_x(x, plan)
-        lut = self.lut
-        terms: list[ChargeTerm] = []
-        for element in self.subcircuit.template.elements:
-            for term in element.charge_terms(xl):
-                terms.append(ChargeTerm(
-                    pos=int(lut[term.pos]), neg=int(lut[term.neg]),
-                    q=term.q,
-                    derivs=tuple((int(lut[col]), dqdv)
-                                 for col, dqdv in term.derivs)))
-        return terms
 
     def waveform_sources(self) -> list[VoltageSource | CurrentSource]:
         """The template's independent sources (for breakpoint

@@ -631,29 +631,13 @@ class _SerialStepper(_Stepper):
                  options: TransientOptions, tspan, scope) -> None:
         super().__init__(circuit, t_stop, options, tspan, [scope])
         self.assembler = self.compiled.prepare()
-        # The vectorized charge system is used whenever no foreign
-        # element subclass overrides charge_terms (then: per-element
-        # fallback).
-        self.vectorized = self.assembler.charges_vectorized
 
     def solve(self, X, t_new, c0, rhs):
         rhs = rhs[0]
-        if self.vectorized:
-            assembler = self.assembler
+        assembler = self.assembler
 
-            def dynamic_stamp(st: Stamper, xv: np.ndarray) -> None:
-                assembler.stamp_charges(st, xv, c0, rhs)
-        else:
-            compiled = self.compiled
-
-            def dynamic_stamp(st: Stamper, xv: np.ndarray) -> None:
-                for k, term in enumerate(compiled.charge_terms(xv)):
-                    i_k = c0 * term.q + rhs[k]
-                    st.add_f(term.pos, i_k)
-                    st.add_f(term.neg, -i_k)
-                    for col, dqdv in term.derivs:
-                        st.add_j(term.pos, col, c0 * dqdv)
-                        st.add_j(term.neg, col, -c0 * dqdv)
+        def dynamic_stamp(st: Stamper, xv: np.ndarray) -> None:
+            assembler.stamp_charges(st, xv, c0, rhs)
 
         try:
             x_new, iterations = newton_solve(
@@ -666,10 +650,7 @@ class _SerialStepper(_Stepper):
         return x_new[None], (iterations,), {}
 
     def charges(self, X):
-        if self.vectorized:
-            return self.assembler.charge_vector(X[0])[None]
-        return np.array([[term.q
-                          for term in self.compiled.charge_terms(X[0])]])
+        return self.assembler.charge_vector(X[0])[None]
 
     def leave(self, lane, reason, t):
         raise self._error("dt-min", f"stalled at t={t:.3e}s with the "

@@ -25,9 +25,11 @@ Three structural defects are detected (in order of specificity):
   current source or a VCCS output fall in this class too: current
   injection without conductance contributes nothing to the Jacobian.
 
-The classification of each element type mirrors what it stamps (see
-:mod:`repro.spice.elements`): an edge counts as conductive exactly when
-the element couples its terminals in the DC Jacobian.
+The classification of each element type mirrors what
+:class:`~repro.spice.assembly.CircuitAssembler` stamps for it: an edge
+counts as conductive exactly when the element couples its terminals in
+the DC Jacobian.  Compilation refuses any other element type before it
+validates.
 
 Hierarchy is validated as if flat, at the cost of its instances rather
 than of its elements: each subcircuit template is classified once
@@ -42,8 +44,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from ..errors import NetlistError
-from .elements import (Capacitor, CurrentSource, DiodeElement, Element,
-                       MosElement, Resistor, Vccs, Vcvs, VoltageSource)
+from .elements import (CurrentSource, DiodeElement, Element, MosElement,
+                       Resistor, Vccs, Vcvs, VoltageSource)
 from .netlist import is_ground
 
 #: Issue kinds reported by :func:`structural_report`.
@@ -93,19 +95,10 @@ def _conductive_pairs(element: Element) -> list[tuple[str, str]]:
     if isinstance(element, MosElement):
         drain, _gate, source, _bulk = element.nodes
         return [(drain, source)]
-    if isinstance(element, (Capacitor, CurrentSource)):
-        # Explicitly DC-decoupled: a capacitor is open at DC and a
-        # current source injects without conductance, so neither
-        # couples its terminals in the DC Jacobian.  (Listed instead of
-        # falling through so the conservative unknown-element branch
-        # below cannot silently absorb them.)
-        return []
-    # Unknown element subclass: assume it couples all its terminals.
-    # Mirrors the `_current_terminals` policy -- a foreign element with
-    # an imperative stamp must never be false-flagged as leaving its
-    # nets rail-disconnected.
-    nodes = element.nodes
-    return [(nodes[i], nodes[i + 1]) for i in range(len(nodes) - 1)]
+    # Capacitor or current source: a capacitor is open at DC and a
+    # current source injects without conductance, so neither couples
+    # its terminals in the DC Jacobian.
+    return []
 
 
 def _current_terminals(element: Element) -> list[str]:
@@ -123,11 +116,7 @@ def _current_terminals(element: Element) -> list[str]:
     if isinstance(element, MosElement):
         drain, _gate, source, _bulk = element.nodes
         return [drain, source]
-    if isinstance(element, Capacitor):
-        return []  # DC-open
-    # Unknown element subclass: assume every terminal carries current
-    # (never produce a false alarm for a foreign element type).
-    return list(element.nodes)
+    return []  # a capacitor: DC-open
 
 
 class _UnionFind:

@@ -383,115 +383,108 @@ class TestPilotWarmStart:
         assert not mc_span.events_of("pilot-warm-start")
 
 
-def _shared_inverter(design) -> Circuit:
-    circuit, _ = stscl_inverter_circuit(design, 0.4)
+def _backend_diode(backend: str) -> Circuit:
+    """:func:`_diode_build` on ``backend``."""
+    circuit = _diode_build()
+    circuit.matrix_backend = backend
     return circuit
 
 
-def _pilot_backend(trace) -> str:
-    """The backend the first serial operating point of a trace -- the
-    pilot -- factored its Jacobians on."""
-    pilot = trace.root.find("operating-point")
-    assert pilot is not None and pilot.total_counter(
-        "jacobian_factorizations") > 0
-    return ("sparse" if pilot.total_counter("sparse_factorizations")
-            else "dense")
+def _backend_pulse_rc(backend: str) -> Circuit:
+    """A pulse through RC into a diode clamp, on ``backend``."""
+    from repro.spice import pulse_wave
+
+    circuit = Circuit("pulse_rc", matrix_backend=backend)
+    circuit.add_vsource("V1", "in", "0", waveform=pulse_wave(
+        0.0, 1.0, 1e-6, 1e-7, 1e-7, 2e-6, 4e-6))
+    circuit.add_resistor("RS", "in", "a", 1e3)
+    circuit.add_capacitor("C1", "a", "0", 1e-9)
+    circuit.add_diode("D1", "a", "0", Diode(DiodeParameters(
+        name="junction", i_s=1e-16, cj0=1e-12)))
+    return circuit
 
 
-class TestMatrixBackendOverride:
-    """A per-call ``matrix_backend=`` applies to that call -- pilot,
-    stacked lanes and serial fallbacks -- and never sticks to the
-    caller's circuit."""
+class TestOwnBackend:
+    """Every batched front-end solves on the circuit's own
+    ``matrix_backend``: its pilot, its stacked lanes and its serial
+    fallbacks.  Each front-end's population holds one member the stacked
+    solver hands to a serial fallback: the 8 V walk a Newton-only TIGHT
+    ladder loses (DC), a stiff lane Newton loses on a fixed grid
+    (transient), a structural fault (campaign)."""
 
-    @staticmethod
-    def _mismatch_draw(seed, circuit):
-        rng = np.random.default_rng(seed)
-        return LaneSpec.mismatch(
-            rng.normal(0.0, 2e-3, len(circuit.mos_elements())),
-            label=f"seed-{seed}")
+    def _run_front_end(self, name, backend) -> tuple[str | None, str]:
+        """Run ``name`` traced; returns (the span the pilot solves in or
+        None, the span a serial fallback solves in)."""
+        from functools import partial
 
-    def _run_front_end(self, name, circuit, override):
-        from repro.faults import FaultCampaign, ResistorDrift
+        from repro.faults import BridgedNodes, FaultCampaign, ResistorDrift
         from repro.spice import TransientOptions
         from repro.spice.batch import BatchedTranMetric
 
-        def build():
-            return circuit
-
-        if name == "montecarlo":
-            spec = BatchedOpMetric(
-                build=build, draw=self._mismatch_draw,
-                measure=lambda r: {"v": r.vdiff("outp", "outn")})
-            MonteCarlo(spec, n_runs=3, backend="batched",
-                       matrix_backend=override).run()
-        elif name == "montecarlo-transient":
+        build = partial(_backend_diode, backend)
+        if name == "mc":
+            MonteCarlo(BatchedOpMetric(
+                build=build, draw=_flaky_draw, measure=_diode_measure,
+                options=TIGHT, strategies=(NewtonStrategy(),)),
+                n_runs=3, on_error="skip", backend="batched").run()
+            return "operating-point", "strategy:newton"
+        if name == "mc_tran":
+            # Six Newton iterations per step on a 100-step grid: the
+            # nominal lane keeps up, the stiff lane (RS / 1e4) leaves
+            # the grid and fails its serial rerun the same way.
+            dt = 8e-8
             spec = BatchedTranMetric(
-                build=build, draw=self._mismatch_draw,
-                measure=lambda r: {"v": float(r.voltage("outp")[-1])},
-                t_stop=1e-6, options=TransientOptions(dt_initial=5e-8,
-                                                      dt_max=5e-8))
-            MonteCarlo(spec, n_runs=2, backend="batched",
-                       analysis="transient", matrix_backend=override).run()
-        elif name == "sweep_1d":
-            spec = BatchedOpSweep(
+                build=partial(_backend_pulse_rc, backend),
+                draw=lambda seed, _: LaneSpec(
+                    resistor_scale=(("RS", 1e-4 if seed else 1.0),)),
+                measure=lambda r: {"v": float(r.voltage("a")[-1])},
+                t_stop=8e-6, options=TransientOptions(
+                    dt_initial=dt, dt_min=dt, dt_max=dt,
+                    newton=NewtonOptions(max_iterations=6)))
+            run = MonteCarlo(spec, n_runs=2, on_error="skip",
+                             backend="batched", analysis="transient").run()
+            assert [seed for seed, _ in run.failed_seeds] == [1]
+            return None, "transient"
+        if name == "sweep_1d":
+            sweep_1d("v_in", [0.5, 8.0, 0.7], BatchedOpSweep(
                 build=build,
-                lane=lambda v, _: LaneSpec.source("vinp", v, label=f"{v}"),
-                measure=lambda r: {"v": r.vdiff("outp", "outn")})
-            sweep_1d("v_in", [0.1, 0.2, 0.3], spec, backend="batched",
-                     matrix_backend=override)
-        elif name == "dc_sweep":
-            dc_sweep(circuit, "vinp", [0.1, 0.2, 0.3], backend="batched",
-                     matrix_backend=override)
-        else:
-            FaultCampaign(build=build,
-                          metric_fn=lambda r: {"v": r.voltage("outp")},
-                          faults=[ResistorDrift("rlp", 1.5)],
-                          backend="batched",
-                          matrix_backend=override).run()
+                lane=lambda v, _: LaneSpec.source("V1", v, label=f"{v}"),
+                measure=_diode_measure, options=TIGHT,
+                strategies=(NewtonStrategy(),)),
+                on_error="skip", backend="batched")
+            return "operating-point", "strategy:newton"
+        if name == "dc_sweep":
+            dc_sweep(build(), "V1", [0.5, 8.0, 0.7], options=TIGHT,
+                     strategies=(NewtonStrategy(),), on_error="skip",
+                     backend="batched")
+            return "operating-point", "strategy:newton"
+        FaultCampaign(build=build,
+                      metric_fn=lambda r: {"v": r.voltage("a")},
+                      faults=[ResistorDrift("RS", 1.5),
+                              BridgedNodes("a", "0", resistance=1e3)],
+                      backend="batched").run()
+        return None, "fault-bridge-a-0"
 
+    @pytest.mark.parametrize("backend", ["dense", "sparse"])
     @pytest.mark.parametrize("front_end", [
-        "montecarlo", "montecarlo-transient", "sweep_1d", "dc_sweep",
-        "fault_campaign"])
-    def test_override_does_not_leak(self, default_design, front_end):
-        from repro import telemetry
-        from repro.spice import operating_point
-
-        circuit = _shared_inverter(default_design)
-        operating_point(circuit)  # resolve and cache the own backend
-        assert circuit.compile().solver_backend() == "dense"
-        with telemetry.tracing("override") as trace:
-            self._run_front_end(front_end, circuit, "sparse")
-        assert circuit.matrix_backend == "auto"
-        assert circuit.compile().solver_backend() == "dense"
-        batched = (trace.root.find("batch-operating-point")
-                   or trace.root.find("batch-transient"))
-        assert batched.attrs["matrix_backend"] == "sparse"
-        if front_end in ("montecarlo", "sweep_1d", "dc_sweep"):
-            assert _pilot_backend(trace) == "sparse"
-
-    def test_dense_override_of_a_sparse_circuit(self, default_design):
+        "mc", "mc_tran", "sweep_1d", "dc_sweep", "faults"])
+    def test_on_own_backend(self, front_end, backend):
         from repro import telemetry
 
-        circuit = _shared_inverter(default_design)
-        circuit.matrix_backend = "sparse"
-        assert circuit.compile().solver_backend() == "sparse"
-        with telemetry.tracing("override") as trace:
-            self._run_front_end("montecarlo", circuit, "dense")
-        assert _pilot_backend(trace) == "dense"
-        assert "matrix_backend" not in trace.root.find(
-            "batch-operating-point").attrs
-        assert circuit.matrix_backend == "sparse"
-        assert circuit.compile().solver_backend() == "sparse"
-
-    def test_override_restored_when_the_batch_raises(self):
-        from repro.errors import ConvergenceError
-        from repro.spice import batch_operating_point
-
-        circuit = _diode_build()
-        assert circuit.compile().solver_backend() == "dense"
-        with pytest.raises(ConvergenceError):
-            batch_operating_point(
-                circuit, [LaneSpec.source("V1", 8.0)], options=TIGHT,
-                strategies=(NewtonStrategy(),), matrix_backend="sparse")
-        assert circuit.matrix_backend == "auto"
-        assert circuit.compile().solver_backend() == "dense"
+        with telemetry.tracing("own-backend") as trace:
+            pilot, fallback = self._run_front_end(front_end, backend)
+        batched = (trace.root.find("batch-transient")
+                   or trace.root.find("batch-operating-point"))
+        fell_back = batched.find(fallback) or trace.root.find(fallback)
+        solves = [batched.counter("jacobian_factorizations"),
+                  fell_back.total_counter("jacobian_factorizations")]
+        if pilot is not None:
+            first = next(span for span in trace.root.walk()
+                         if span.name in (pilot, batched.name))
+            assert first.name == pilot  # the pilot solves first
+            solves.append(first.total_counter("jacobian_factorizations"))
+        assert min(solves) > 0
+        for span in trace.root.walk():
+            factored = span.counter("jacobian_factorizations")
+            assert span.counter("sparse_factorizations") == (
+                factored if backend == "sparse" else 0), span.name

@@ -296,9 +296,18 @@ def tran_mid_reference(circuit: Circuit) -> dict[str, float]:
                                       TestTransientCampaign._grid()))
 
 
+def _sparse(build):
+    """``build`` with the built circuit set to the sparse backend."""
+    def build_sparse() -> Circuit:
+        circuit = build()
+        circuit.matrix_backend = "sparse"
+        return circuit
+    return build_sparse
+
+
 class TestStructuralFaultBackend:
-    """A batched campaign's ``matrix_backend`` override reaches the
-    serial solves of its structural faults, not just the lanes."""
+    """A batched campaign's structural faults solve serially on the
+    built circuit's own ``matrix_backend``, as its lanes do."""
 
     FAULTS = [ResistorDrift("R2", 3.0),
               BridgedNodes("mid", "0", resistance=1e3)]  # structural
@@ -307,12 +316,15 @@ class TestStructuralFaultBackend:
         from repro import telemetry
 
         with telemetry.tracing("structural") as trace:
-            report = FaultCampaign(build=build, metric_fn=metric_fn,
-                                   faults=self.FAULTS, backend="batched",
-                                   matrix_backend="sparse", **kwargs).run()
+            report = FaultCampaign(build=_sparse(build),
+                                   metric_fn=metric_fn, faults=self.FAULTS,
+                                   backend="batched", **kwargs).run()
         bridge = trace.root.find("fault-bridge-mid-0")
         assert bridge.attrs["batched"] is False
         assert bridge.total_counter("sparse_factorizations") > 0
+        assert trace.root.find("fault-campaign").total_counter(
+            "sparse_factorizations") == trace.root.find(
+            "fault-campaign").total_counter("jacobian_factorizations")
         serial = FaultCampaign(build=build, metric_fn=serial_metric_fn,
                                faults=self.FAULTS).run()
         for key, value in serial.baseline.items():

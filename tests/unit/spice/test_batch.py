@@ -325,22 +325,23 @@ class TestDiagnosticsAndTelemetry:
 
 class TestUnsupportedCircuits:
     def test_foreign_elements_are_diagnosed(self):
-        """An element type outside the vectorized banks (a user
-        subclass stamped per-element) cannot ride the stacked path; the
-        error says so instead of silently mis-solving."""
+        """An element type the assembler does not stamp is refused when
+        its circuit compiles, with its type named, by serial and batched
+        solves alike.  The backend and subcircuit-template routes of the
+        same refusal are checked in test_sparse and test_subckt."""
         from repro.spice.elements import Element
 
         class Shunt(Element):
-            def __init__(self):
-                super().__init__("X1", ("in", "0"))
-
-            def stamp(self, st, x, time):
-                st.add_conductance(self._idx[0], self._idx[1], 1e-6)
+            pass
 
         circuit = diode_circuit()
-        circuit._register(Shunt())
-        with pytest.raises(AnalysisError, match="batched"):
-            batch_operating_point(circuit, source_lanes([1.0]))
+        circuit._register(Shunt("X1", ("in", "0")))
+        for solve in (lambda: circuit.compile(validate=False),
+                      lambda: operating_point(circuit),
+                      lambda: batch_operating_point(circuit,
+                                                    source_lanes([1.0]))):
+            with pytest.raises(NetlistError, match="Shunt"):
+                solve()
 
 
 class TestSingularLanes:

@@ -1,7 +1,7 @@
 """Sparse batched ensembles: one symbolic factorization, B lanes.
 
-The contract under test: ``matrix_backend="sparse"`` on a batched
-ensemble produces the same per-lane solutions as the dense stacked
+The contract under test: a circuit set to ``matrix_backend="sparse"``
+solved as a batched ensemble produces the same per-lane solutions as the dense stacked
 solver and the serial sparse path (to 1e-9), while the COLAMD symbolic
 analysis runs exactly **once** per campaign -- every lane and every
 Newton iteration reuses the shared ``indices``/``indptr`` structure.
@@ -86,14 +86,17 @@ class TestSparseDenseEquivalence:
                 assert point.voltages[node] == pytest.approx(
                     value, rel=1e-9, abs=1e-12)
 
-    def test_matrix_backend_override_validated(self):
-        circuit, _ = stscl_inverter_circuit(
-            pytest.importorskip("repro.stscl").StsclGateDesign.default(
-                1e-9), 0.4)
-        with pytest.raises(NetlistError, match="matrix backend"):
-            batch_operating_point(
-                circuit, [LaneSpec.source("vdd", 0.4)],
-                matrix_backend="banded")
+    def test_matrix_backend_override_validated(self, default_design):
+        """The circuit's own setting is the one backend switch: an
+        unknown value is refused on assignment, and the batch runs on
+        the setting the circuit kept."""
+        circuit = _inverter(default_design, "sparse")
+        with pytest.raises(NetlistError, match="matrix_backend"):
+            circuit.matrix_backend = "banded"
+        with telemetry.tracing("kept") as trace:
+            batch_operating_point(circuit, [LaneSpec.source("vvdd", 0.4)])
+        assert trace.root.find("batch-operating-point").attrs[
+            "matrix_backend"] == "sparse"
 
 
 class TestSymbolicReuse:

@@ -58,9 +58,9 @@ class TestFixedGridEquivalence:
     @pytest.mark.parametrize("matrix_backend", ["dense", "sparse"])
     def test_matches_serial_within_1e9(self, matrix_backend):
         circuit = pulse_rc_diode()
+        circuit.matrix_backend = matrix_backend
         lanes = resistor_lanes([0.5, 1.0, 2.0, 4.0])
-        batch = batch_transient(circuit, lanes, T_STOP, fixed_grid(),
-                                matrix_backend=matrix_backend)
+        batch = batch_transient(circuit, lanes, T_STOP, fixed_grid())
         assert batch.n_failed == 0
         for lane, result in zip(lanes, batch.results):
             undo = apply_lane(circuit, lane)

@@ -142,30 +142,48 @@ class TestBackendSelection:
             Circuit("bad", matrix_backend="banded")
 
     def test_foreign_element_pins_to_dense(self):
-        """An imperative (fallback) stamp has no triplet twin: auto
-        degrades to dense, explicit sparse refuses loudly."""
+        """A foreign element once pinned ``auto`` to dense; now no
+        backend takes it: every setting refuses it at compile, before a
+        backend is chosen, with its type named."""
 
         class Gyrator(Element):
-            def __init__(self):
-                super().__init__("GY1", ("p", "q"))
+            pass
 
-            def stamp(self, st, x, time):
-                p, q = self.node_indices
-                st.add_j(p, p, 1e-3)
-                st.add_j(q, q, 1e-3)
-                st.res[p] += 1e-3 * x[p]
-                st.res[q] += 1e-3 * x[q]
-
-        def build(backend):
+        for backend in ("auto", "dense", "sparse"):
             circuit = Circuit("foreign", matrix_backend=backend)
             circuit.add_vsource("V1", "p", "0", 1.0)
             circuit.add_resistor("R1", "p", "q", 1e3)
-            circuit._register(Gyrator())
-            return circuit
+            circuit._register(Gyrator("GY1", ("p", "q")))
+            with pytest.raises(NetlistError, match="Gyrator"):
+                circuit.compile()
 
-        assert build("auto").compile().solver_backend() == "dense"
-        with pytest.raises(NetlistError, match="sparse"):
-            build("sparse").compile().solver_backend()
+    def test_unknown_backend_rejected_on_assignment(self):
+        """Assignment is validated like construction, and a refused
+        value leaves the setting as it was."""
+        circuit = mixed_circuit("dense")
+        with pytest.raises(NetlistError, match="matrix_backend"):
+            circuit.matrix_backend = "banded"
+        assert circuit.matrix_backend == "dense"
+        assert circuit.compile().solver_backend() == "dense"
+
+    def test_backend_set_after_a_compile_applies_from_the_next_solve(self):
+        from repro import telemetry
+
+        circuit = Circuit("divider")
+        circuit.add_vsource("V1", "in", "0", 1.0)
+        circuit.add_resistor("R1", "in", "mid", 10e3)
+        circuit.add_resistor("R2", "mid", "0", 10e3)
+        dense = operating_point(circuit)
+        assert circuit.compile().solver_backend() == "dense"
+        circuit.matrix_backend = "sparse"
+        assert circuit.compile().solver_backend() == "sparse"
+        with telemetry.tracing("switched") as trace:
+            sparse = operating_point(circuit)
+        counters = trace.total_counters()
+        assert counters["sparse_factorizations"] \
+            == counters["jacobian_factorizations"] > 0
+        assert sparse.voltages["mid"] == pytest.approx(
+            dense.voltages["mid"], abs=1e-12)
 
 
 class TestSparseSystem:

@@ -285,16 +285,20 @@ class TestScopeLimits:
             Subcircuit("bad", template, ("x",))
 
     def test_foreign_template_elements_rejected(self):
+        """A template element the assembler does not stamp is refused
+        when the cell plan compiles, with its type named."""
+
         class Weird(Element):
-            def stamp(self, st, x, time):  # pragma: no cover
-                pass
+            pass
 
         template = Circuit("t")
         template.add_resistor("r1", "a", "0", 1.0)
         template._register(Weird("w1", ("a",)))
         cell = Subcircuit("bad", template, ("a",))
-        with pytest.raises(NetlistError, match="cannot expand"):
+        with pytest.raises(NetlistError, match="Weird"):
             cell.plan()
+        with pytest.raises(NetlistError, match="Weird"):
+            Circuit("parent").add_instance("u1", cell, {"a": "x"})
 
     def test_port_map_mismatch_rejected(self):
         cell = rc_cell()
@@ -304,18 +308,3 @@ class TestScopeLimits:
         with pytest.raises(NetlistError, match="port map"):
             circuit.add_instance("u2", cell,
                                  {"a": "x", "b": "y", "c": "z"})
-
-
-class TestChargeTerms:
-    def test_per_element_terms_match_assembler_vector(self, default_design):
-        """The generic Instance.charge_terms fallback (per-element API)
-        and the assembler's vectorized charge_vector agree term for
-        term -- same count, same total charge."""
-        circuit = mos_chain(True, default_design)
-        op = operating_point(circuit)
-        compiled = circuit.compile()
-        terms = compiled.charge_terms(op.x)
-        vector = compiled.assembler.charge_vector(op.x)
-        assert len(terms) == vector.size
-        assert sum(t.q for t in terms) == pytest.approx(vector.sum(),
-                                                        rel=1e-12)
