@@ -119,9 +119,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 #: Scenarios the ``trace`` subcommand can run (bench cases + faults;
 #: ``ac`` is the stacked-frequency ``ac_sweep`` bench case,
-#: ``batched_tran`` the lockstep ``batched_transient_montecarlo`` one).
+#: ``batched_tran`` the lockstep ``batched_transient_montecarlo`` one,
+#: ``scope`` the triggered ``scope_capture`` one).
 TRACE_SCENARIOS = ("op_chain", "dc_sweep", "transient", "transient_lte",
-                   "ac", "montecarlo", "batched_tran", "faults")
+                   "ac", "montecarlo", "batched_tran", "faults", "scope")
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
@@ -143,6 +144,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     scenarios["faults"] = faults_case
     scenarios["ac"] = scenarios["ac_sweep"]
     scenarios["batched_tran"] = scenarios["batched_transient_montecarlo"]
+    scenarios["scope"] = scenarios["scope_capture"]
     case = scenarios[args.scenario]
     with telemetry.tracing(f"scenario-{args.scenario}",
                            scenario=args.scenario) as trace:
@@ -162,6 +164,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 def _cmd_scope(args: argparse.Namespace) -> int:
     from .stscl import StsclGateDesign, buffer_chain_capture, characterize_gate
+    from .stscl.testbench import DELAY_TESTBENCH_T_STOP
     from .units import parse_quantity as pq
 
     design = StsclGateDesign.default(pq(args.iss))
@@ -173,6 +176,14 @@ def _cmd_scope(args: argparse.Namespace) -> int:
     print(f"  window   : {len(segment)} samples "
           f"({segment.nbytes} bytes), trigger at "
           f"{format_quantity(segment.trigger_time, 's')}")
+    # The session sees t = 0 and every committed step, and the run ends
+    # on the window's last sample once that sample closes it.
+    t_stop = DELAY_TESTBENCH_T_STOP * design.delay()
+    t_end = float(segment.time[-1])
+    print(f"  run      : ended at t_end {format_quantity(t_end, 's')} "
+          f"after {session.samples_seen - 1} steps "
+          f"({t_end / t_stop:.0%} of t_stop "
+          f"{format_quantity(t_stop, 's')})")
     report = characterize_gate(design, vdd, segment=segment)
     print(f"  delay    : {report.delay.describe()}")
     print(f"  slew     : {report.rise.describe()}")

@@ -484,19 +484,27 @@ def _bench_scope_capture(quick: bool) -> Callable[[], dict]:
 
     Times the whole ``replace_dense`` path -- per-sample trigger
     evaluation, ring-buffer pre-history, windowed post-capture -- on
-    top of the transient it instruments, and records how many committed
-    samples the session saw versus stored (the O(window) bound).
+    top of the transient it instruments, which ends on the sample that
+    closes the window.  The meta records the window and its memory, the
+    steps the run took and where it ended as a fraction of the
+    testbench's ``t_stop``.  Samples seen equal samples stored here:
+    the ring holds every pre-trigger sample and nothing comes after the
+    window.
     """
     n_stages = 2 if quick else 3
 
     def case() -> dict:
-        from ..stscl.testbench import buffer_chain_capture
-        session = buffer_chain_capture(_design(), _VDD,
-                                       n_stages=n_stages)
+        from ..stscl.testbench import (DELAY_TESTBENCH_T_STOP,
+                                       buffer_chain_capture)
+        design = _design()
+        session = buffer_chain_capture(design, _VDD, n_stages=n_stages)
         segment = session.segment()
+        t_stop = DELAY_TESTBENCH_T_STOP * design.delay()
         return {"n_stages": n_stages,
                 "samples_seen": session.samples_seen,
                 "samples_stored": session.samples_stored,
+                "steps_accepted": session.samples_seen - 1,
+                "t_end_over_t_stop": float(segment.time[-1]) / t_stop,
                 "window": len(segment),
                 "window_bytes": segment.nbytes}
     return case

@@ -394,7 +394,13 @@ class ScopeSession:
     skip its own dense full-history record: the returned
     :class:`~repro.spice.results.TranResult` then carries the time axis
     and telemetry but no waveform arrays, and the session's windows are
-    the only (bounded) waveform storage of the run.
+    the only (bounded) waveform storage of the run.  With a trigger,
+    such a session is *complete* once it takes no further window (the
+    single-shot window closed, or the ``max_segments``-th one): nothing
+    observes a later step, so the engine ends the run on that closing
+    sample -- ``t_stop`` becomes an upper bound, and the result's time
+    axis stops there.  Every step up to the close is the one a full run
+    takes, so the windows are unchanged.
     """
 
     def __init__(self, probes: Sequence[Probe | str],
@@ -599,6 +605,13 @@ class ScopeSession:
             self._armed = True
         else:
             self._armed = False
+
+    def _complete(self) -> bool:
+        """True once the run owes this session nothing more: it replaces
+        the dense record and its trigger takes no further window (the
+        single-shot window closed, or the ``max_segments``-th did)."""
+        return (self.replace_dense and self.trigger is not None
+                and not self._armed)
 
     def _finish(self) -> None:
         """End of run: close open windows, flush counters."""

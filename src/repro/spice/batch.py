@@ -1298,7 +1298,11 @@ def batch_transient(circuit: "Circuit", lanes: Sequence[LaneSpec],
     :class:`~repro.scope.capture.ScopeSession` (or None) per lane;
     every committed shared sample is fed to the lane's session exactly
     as the serial engine would (t = 0 included), and a kicked-out
-    lane's session is reset and handed to its serial fallback run.
+    lane's session is reset and handed to its serial fallback run.  The
+    lockstep run ends early, as a serial one does, only once every lane
+    still on the grid has a complete ``replace_dense`` capture: one
+    lane without one keeps the shared grid going to ``t_stop``.  A
+    fallback run stops at its own window.
 
     ``on_error="raise"`` propagates the first failed lane's error;
     ``"skip"`` records None results and keeps going.  Telemetry: the

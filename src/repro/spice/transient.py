@@ -376,7 +376,8 @@ class _Stepper:
 
     def run(self, X: np.ndarray, lanes: list[int]) -> list:
         """Integrate lane rows ``X`` (A, N) from their t = 0 operating
-        points to ``t_stop``; fills :attr:`results` for every lane still
+        points to ``t_stop``, or only to the sample that completes the
+        last lane's capture; fills :attr:`results` for every lane still
         on the grid at the end."""
         options = self.options
         t_stop = self.t_stop
@@ -424,6 +425,15 @@ class _Stepper:
         # in ``t`` must not leave a ~1e-16*t_stop residue to be
         # "stepped" over (it would pollute the smallest committed step).
         while self.lanes and t < t_stop * (1.0 - 1e-12):
+            # Once every lane on the grid has a complete capture, no
+            # dense record and no window observes a further step: the
+            # run ends on the closing sample instead of at t_stop.
+            if all(scopes[lane] is not None and scopes[lane]._complete()
+                   for lane in self.lanes):
+                tspan.event("capture-complete", t=t, t_stop=t_stop,
+                            steps=self.steps_accepted)
+                tspan.annotate(t_end=t)
+                break
             self._check_deadline(t)
             # Snap the step onto the next breakpoint or the stop time.
             while (bp_cursor < len(breakpoints)
@@ -681,7 +691,13 @@ def transient(circuit: Circuit, t_stop: float,
     skips its own dense full-history record entirely -- the returned
     result then carries the time axis and telemetry but an empty
     ``voltages`` dict, and the session's bounded windows are the only
-    waveform storage of the run (O(window), not O(steps)).
+    waveform storage of the run (O(window), not O(steps)).  Once such a
+    triggered session takes no further window, the run ends on its
+    closing sample, so ``t_stop`` is an upper bound: the span records a
+    ``capture-complete`` event and a ``t_end`` annotation, and the
+    result's time axis ends there.  A run without a session, with a
+    dense record, streaming (no trigger) or not yet triggered still
+    integrates to ``t_stop``.
     """
     options = options or TransientOptions()
     if max_wall_time is not None:

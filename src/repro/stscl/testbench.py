@@ -33,6 +33,11 @@ from .netlist_gen import (
     stscl_ring_oscillator_circuit,
 )
 
+#: Length of the delay testbench's transient, in analytic delays t_d:
+#: an upper bound, because a ``replace_dense`` capture ends the run on
+#: the sample that closes its window (about 16.6 t_d).
+DELAY_TESTBENCH_T_STOP = 25.0
+
 
 @dataclass(frozen=True)
 class GateCharacterization:
@@ -77,9 +82,14 @@ def buffer_chain_capture(design: StsclGateDesign, vdd: float,
     on the last two stages and the trigger is the second-to-last
     stage's differential zero crossing -- so the window holds exactly
     the edge whose stage-to-stage delay is the gate's t_pd, plus the
-    single-ended last-stage output for slew/swing extraction.  With
-    ``replace_dense`` (default) the run's waveform memory is just this
-    window, however long the transient.
+    single-ended last-stage output for slew/swing extraction.
+
+    The transient runs for at most :data:`DELAY_TESTBENCH_T_STOP`
+    analytic delays.  With ``replace_dense`` (default) the window is the
+    run's only waveform storage and nothing observes a later step, so
+    the run ends on the sample that closes the window; without it the
+    engine keeps its dense record and integrates the full span.  The
+    window is bitwise the same either way.
     """
     if n_stages < 2:
         raise DesignError(
@@ -94,7 +104,7 @@ def buffer_chain_capture(design: StsclGateDesign, vdd: float,
         trigger=EdgeTrigger("y_prev", level=0.0, direction="either"),
         pre_samples=64, post_samples=192,
         replace_dense=replace_dense)
-    transient(circuit, 25.0 * t_d,
+    transient(circuit, DELAY_TESTBENCH_T_STOP * t_d,
               TransientOptions(dt_max=t_d / 25.0), scope=session)
     return session
 
@@ -118,7 +128,8 @@ def characterize_gate(design: StsclGateDesign, vdd: float = 1.0,
     """Delay + slew + swing of one gate from a single captured window.
 
     ``segment`` reuses an existing :func:`buffer_chain_capture` window
-    instead of re-running the testbench transient.
+    instead of re-running the testbench transient, which otherwise ends
+    on the sample that closes that window.
     """
     seg = (buffer_chain_capture(design, vdd).segment()
            if segment is None else segment)

@@ -52,6 +52,30 @@ def lane_sample_violations(trace: Trace | Span) -> list[str]:
     return violations
 
 
+def scope_sample_violations(trace: Trace | Span) -> list[str]:
+    """Check every serial ``transient`` span that fed a scope session.
+
+    The engine offers the session the t = 0 sample and every committed
+    step, and nothing else -- a run that a complete capture ends early
+    included -- so ``scope_samples_seen == transient_steps_accepted +
+    1`` on the span's own counters.  A span without scope counters (no
+    session, or a run that raised before finishing it) is skipped.
+    """
+    root = trace.root if isinstance(trace, Trace) else trace
+    violations = []
+    for span in root.find_all("transient"):
+        if "scope_samples_seen" not in span.counters:
+            continue
+        seen = span.counter("scope_samples_seen")
+        expected = span.counter("transient_steps_accepted") + 1
+        if seen != expected:
+            violations.append(
+                f"transient span of {span.attrs.get('circuit')!r}: "
+                f"scope_samples_seen is {seen}, expected "
+                f"transient_steps_accepted + 1 = {expected}")
+    return violations
+
+
 def factorization_violations(trace: Trace | Span) -> list[str]:
     """Check that the Newton kernels counted every SuperLU factorization.
 
@@ -75,4 +99,5 @@ def factorization_violations(trace: Trace | Span) -> list[str]:
 
 def violations(trace: Trace | Span) -> list[str]:
     """The messages of every check in this module, in order."""
-    return lane_sample_violations(trace) + factorization_violations(trace)
+    return (lane_sample_violations(trace) + scope_sample_violations(trace)
+            + factorization_violations(trace))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.errors import AnalysisError
 from repro.scope import (
     EdgeTrigger,
@@ -245,6 +246,111 @@ class TestReplaceDense:
                               dense.voltage("out")[window])
 
 
+def sine_circuit():
+    ckt = Circuit("sine")
+    ckt.add_vsource("V1", "in", "0", sine_wave(0.0, 1.0, 1e6))
+    ckt.add_resistor("R1", "in", "0", 1e3)
+    return ckt
+
+
+def edge_session(**kwargs):
+    return ScopeSession(probes=[Probe("out")],
+                        trigger=EdgeTrigger("out", level=0.5),
+                        pre_samples=8, post_samples=16, **kwargs)
+
+
+class TestCompleteCaptureEndsTheRun:
+    """A replace_dense session that takes no further window leaves the
+    run without an observer, so the engine stops on the closing
+    sample; every other run still integrates to t_stop."""
+
+    def test_single_shot_run_ends_on_its_closing_sample(self):
+        session = edge_session(replace_dense=True)
+        with telemetry.tracing("capture-ends-run") as trace:
+            result = run_scoped(session)
+        twin = edge_session()
+        dense = run_scoped(twin)
+        seg = session.segment()
+        assert result.time[-1] == seg.time[-1]
+        assert result.time[-1] < 0.5 * dense.time[-1]
+        assert dense.time[-1] == pytest.approx(10e-6, rel=1e-12)
+        assert result.telemetry.steps_accepted == session.samples_seen - 1
+        # Every step up to the close is the full run's, so the window is
+        # the dense twin's, bit for bit.
+        assert np.array_equal(result.time, dense.time[:result.time.size])
+        assert np.array_equal(seg.time, twin.segment().time)
+        assert np.array_equal(seg.values, twin.segment().values)
+        span = trace.root.find("transient")
+        assert span.events_of("capture-complete") == [{
+            "kind": "capture-complete", "t": result.time[-1],
+            "t_stop": 10e-6, "steps": result.telemetry.steps_accepted}]
+        assert span.attrs["t_end"] == result.time[-1]
+        assert span.attrs["steps_accepted"] == \
+            result.telemetry.steps_accepted
+
+    def test_window_closing_on_the_first_sample_takes_no_step(self):
+        session = ScopeSession(probes=[Probe("in")],
+                               trigger=LevelTrigger("in", level=-1.0),
+                               pre_samples=4, post_samples=0,
+                               replace_dense=True)
+        with telemetry.tracing("no-step") as trace:
+            result = run_scoped(session)
+        assert np.array_equal(result.time, [0.0])
+        assert result.telemetry.steps_accepted == 0
+        assert session.samples_seen == 1
+        assert np.array_equal(session.segment().time, [0.0])
+        span = trace.root.find("transient")
+        assert span.events_of("capture-complete") == [{
+            "kind": "capture-complete", "t": 0.0, "t_stop": 10e-6,
+            "steps": 0}]
+        assert span.counter("transient_steps_accepted") == 0
+        assert span.counter("transient_steps_rejected") == 0
+
+    def test_normal_mode_ends_once_max_segments_are_taken(self):
+        def session(replace_dense):
+            return ScopeSession(probes=[Probe("in")],
+                                trigger=EdgeTrigger("in", level=0.0),
+                                pre_samples=2, post_samples=2,
+                                mode="normal", max_segments=3,
+                                replace_dense=replace_dense)
+
+        capture, twin = session(True), session(False)
+        result = run_scoped(capture, dt_max=1e-8, circuit=sine_circuit())
+        dense = run_scoped(twin, dt_max=1e-8, circuit=sine_circuit())
+        assert len(capture.segments) == len(twin.segments) == 3
+        assert result.time[-1] == capture.segments[-1].time[-1]
+        assert result.time[-1] < 0.5 * dense.time[-1]
+        for mine, theirs in zip(capture.segments, twin.segments):
+            assert np.array_equal(mine.time, theirs.time)
+            assert np.array_equal(mine.values, theirs.values)
+
+    @pytest.mark.parametrize("name", [
+        "dense-record", "streaming", "never-fires", "normal-rearmed"])
+    def test_a_run_with_an_observer_left_reaches_t_stop(self, name):
+        session = {
+            "dense-record": lambda: edge_session(),
+            "streaming": lambda: ScopeSession(probes=[Probe("out")],
+                                              replace_dense=True),
+            "never-fires": lambda: ScopeSession(
+                probes=[Probe("out")],
+                trigger=EdgeTrigger("out", level=99.0),
+                replace_dense=True),
+            # The RC output crosses 0.5 V once: the re-armed trigger
+            # waits for a second edge until t_stop.
+            "normal-rearmed": lambda: edge_session(
+                mode="normal", max_segments=2, replace_dense=True),
+        }[name]()
+        with telemetry.tracing("observed") as trace:
+            result = run_scoped(session)
+        plain = transient(rc_circuit(), 10e-6,
+                          TransientOptions(dt_max=1e-7))
+        assert np.array_equal(result.time, plain.time)
+        assert session.samples_seen == plain.time.size
+        span = trace.root.find("transient")
+        assert span.events_of("capture-complete") == []
+        assert "t_end" not in span.attrs
+
+
 class TestDecimation:
     def test_stride_keeps_every_nth_stream_sample(self):
         full = ScopeSession(probes=[Probe("out")])
@@ -353,6 +459,25 @@ class TestTelemetryCounters:
         assert counters["scope_samples_stored"] == session.samples_stored
         assert counters["scope_triggers"] == 1
         assert session.samples_stored < session.samples_seen
+
+    def test_sample_check_reports_a_drifted_counter(self):
+        """The session saw t = 0 and every committed step of a run its
+        capture ended early; a step counted but never offered to it
+        breaks the identity."""
+        from repro.telemetry.invariants import (scope_sample_violations,
+                                                violations)
+
+        with telemetry.tracing("scope-drift") as trace:
+            run_scoped(edge_session(replace_dense=True))
+        assert violations(trace) == []
+        span = trace.root.find("transient")
+        seen = span.counter("scope_samples_seen")
+        span.inc("transient_steps_accepted")
+        [message] = scope_sample_violations(trace)
+        assert message == (
+            f"transient span of 'rc': scope_samples_seen is {seen}, "
+            f"expected transient_steps_accepted + 1 = {seen + 1}")
+        assert violations(trace) == [message]
 
 
 class TestClone:

@@ -271,6 +271,42 @@ class TestStsclTestbench:
         assert report.swing.swing == pytest.approx(design.v_sw, rel=0.1)
         assert 1.0 < report.delay_ratio < 2.0
 
+    @pytest.mark.parametrize("i_ss", [1e-10, 1e-9, 1e-8],
+                             ids=lambda i_ss: f"{i_ss:.3g}")
+    def test_capture_ending_the_run_measures_what_the_full_run_does(
+            self, i_ss):
+        """The replace_dense testbench ends on the window's last sample,
+        well short of its t_stop; the dense-record twin integrates all
+        of it.  Window and report are the same bits either way."""
+        from repro import telemetry
+        from repro.stscl import StsclGateDesign
+        from repro.stscl.testbench import (DELAY_TESTBENCH_T_STOP,
+                                           buffer_chain_capture,
+                                           characterize_gate)
+
+        design = StsclGateDesign.default(i_ss)
+        t_stop = DELAY_TESTBENCH_T_STOP * design.delay()
+        runs = {}
+        for replace_dense in (True, False):
+            with telemetry.tracing("delay-testbench") as trace:
+                session = buffer_chain_capture(
+                    design, 0.4, replace_dense=replace_dense)
+            runs[replace_dense] = (session.segment(),
+                                   trace.root.find("transient"))
+        (short, ended), (full, complete) = runs[True], runs[False]
+        assert np.array_equal(short.time, full.time)
+        assert np.array_equal(short.values, full.values)
+        assert ended.attrs["t_end"] == short.time[-1] < 0.8 * t_stop
+        assert "t_end" not in complete.attrs
+        assert complete.attrs["t_stop"] == t_stop
+        assert complete.attrs["steps_accepted"] > \
+            1.3 * ended.attrs["steps_accepted"]
+        mine = characterize_gate(design, 0.4, segment=short)
+        theirs = characterize_gate(design, 0.4, segment=full)
+        assert mine.delay == theirs.delay
+        assert mine.rise == theirs.rise
+        assert mine.swing == theirs.swing
+
     def test_single_stage_chain_rejected(self, default_design):
         from repro.errors import DesignError
         from repro.stscl.testbench import buffer_chain_capture

@@ -87,6 +87,33 @@ class TestCommands:
         assert trace.root.find("batch-transient") is not None
         assert lane_sample_violations(trace) == []
 
+    def test_trace_scope_scenario_checks_the_scope_samples(self, capsys,
+                                                          tmp_path):
+        from repro.telemetry import read_jsonl
+        from repro.telemetry.invariants import scope_sample_violations
+
+        out = tmp_path / "scope.jsonl"
+        assert main(["trace", "--scenario", "scope", "--output", str(out),
+                     "--max-depth", "1"]) == 0
+        assert "t_end_over_t_stop=" in capsys.readouterr().out
+        trace = read_jsonl(out)
+        run = trace.root.find("transient")
+        assert run.events_of("capture-complete")
+        assert run.counter("scope_samples_seen") == \
+            run.counter("transient_steps_accepted") + 1
+        assert scope_sample_violations(trace) == []
+
+    def test_scope_prints_where_the_run_ended(self, capsys):
+        import re
+
+        assert main(["scope", "--iss", "1n"]) == 0
+        printed = capsys.readouterr().out
+        match = re.search(r"run +: ended at t_end \S+ after (\d+) steps "
+                          r"\((\d+)% of t_stop \S+\)", printed)
+        assert match is not None, printed
+        assert int(match.group(1)) > 0
+        assert 50 < int(match.group(2)) < 100
+
     def test_trace_exits_1_on_a_violated_identity(self, capsys, tmp_path,
                                                   monkeypatch):
         from repro.telemetry import invariants
