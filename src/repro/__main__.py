@@ -120,9 +120,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 #: Scenarios the ``trace`` subcommand can run (bench cases + faults;
 #: ``ac`` is the stacked-frequency ``ac_sweep`` bench case,
 #: ``batched_tran`` the lockstep ``batched_transient_montecarlo`` one,
-#: ``scope`` the triggered ``scope_capture`` one).
+#: ``scope`` the triggered ``scope_capture`` one, ``sparse_mc`` the
+#: sparse adder ensemble ``sparse_batched_montecarlo``).
 TRACE_SCENARIOS = ("op_chain", "dc_sweep", "transient", "transient_lte",
-                   "ac", "montecarlo", "batched_tran", "faults", "scope")
+                   "ac", "montecarlo", "batched_tran", "faults", "scope",
+                   "sparse_mc")
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
@@ -145,6 +147,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     scenarios["ac"] = scenarios["ac_sweep"]
     scenarios["batched_tran"] = scenarios["batched_transient_montecarlo"]
     scenarios["scope"] = scenarios["scope_capture"]
+    scenarios["sparse_mc"] = scenarios["sparse_batched_montecarlo"]
     case = scenarios[args.scenario]
     with telemetry.tracing(f"scenario-{args.scenario}",
                            scenario=args.scenario) as trace:

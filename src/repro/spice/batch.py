@@ -887,8 +887,8 @@ def pilot_solution(circuit: "Circuit", lane: LaneSpec,
     Population members are small perturbations of one circuit, so one
     member's operating point puts the whole stack in the converged
     basin -- which is what lets circuits only the full homotopy ladder
-    can solve cold (the bistable adder latches, say) run as stacked
-    ensembles, and lets sweep lanes converge in a few stacked
+    can solve cold (the 316 pA delay-testbench chain, say) run as
+    stacked ensembles, and lets every lane converge in a few stacked
     iterations.  The lane is applied, solved by
     :func:`~repro.spice.dc.operating_point` on the circuit's own
     backend (the one the batch will run on) and undone.

@@ -23,7 +23,7 @@ from ..errors import ConvergenceError, NetlistError
 from .assembly import LazyDeviceOps
 from .elements import CurrentSource, VoltageSource
 from .netlist import Circuit, CompiledCircuit
-from .results import OpResult, SweepResult
+from .results import NodeVoltages, OpResult, SweepResult
 from .strategies import (NewtonOptions, SolveStrategy, SolverDiagnostics,
                          run_ladder)
 from .waveforms import dc_wave
@@ -32,14 +32,14 @@ from .waveforms import dc_wave
 def _package(compiled: CompiledCircuit, x: np.ndarray, iterations: int,
              diagnostics: SolverDiagnostics | None = None) -> OpResult:
     circuit = compiled.circuit
-    voltages = {name: float(x[i]) for name, i in compiled.node_index.items()}
     branch = {}
     for element in circuit.elements:
         aux = compiled.aux_index.get(element.name, ())
         if aux:
             branch[element.name] = float(x[aux[0]])
     x = x.copy()
-    return OpResult(voltages=voltages, branch_currents=branch,
+    return OpResult(voltages=NodeVoltages(compiled.node_index, x),
+                    branch_currents=branch,
                     device_ops=LazyDeviceOps(compiled.assembler, x),
                     iterations=iterations, x=x,
                     diagnostics=diagnostics)
@@ -48,7 +48,8 @@ def _package(compiled: CompiledCircuit, x: np.ndarray, iterations: int,
 def _nan_point(compiled: CompiledCircuit,
                diagnostics: SolverDiagnostics | None = None) -> OpResult:
     """Placeholder result for a sweep point that never converged."""
-    voltages = {name: float("nan") for name in compiled.node_index}
+    voltages = NodeVoltages(compiled.node_index,
+                            np.full(compiled.size, np.nan))
     branch = {element.name: float("nan")
               for element in compiled.circuit.elements
               if compiled.aux_index.get(element.name, ())}

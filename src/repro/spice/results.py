@@ -6,6 +6,7 @@ code never touches MNA indices.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -13,12 +14,41 @@ import numpy as np
 from ..errors import AnalysisError
 
 
+class NodeVoltages(Mapping):
+    """Read-only ``node -> voltage`` view of one solution vector.
+
+    Reads ``x[node_index[node]]`` as a Python float on access, so a
+    result holds its solution vector and the compiled circuit's shared
+    node index instead of a dict with one entry per node.  Compares,
+    iterates and pickles like the dict it replaces.
+    """
+
+    __slots__ = ("_index", "_x")
+
+    def __init__(self, node_index: dict[str, int], x: np.ndarray) -> None:
+        self._index = node_index
+        self._x = x
+
+    def __getitem__(self, node: str) -> float:
+        return float(self._x[self._index[node]])
+
+    def __iter__(self):
+        return iter(self._index)
+
+    def __len__(self) -> int:
+        return len(self._index)
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
+
+
 @dataclass
 class OpResult:
     """A DC operating point.
 
     Attributes:
-        voltages: Node name -> voltage [V] (ground omitted).
+        voltages: Node name -> voltage [V] (ground omitted); a solved
+            point's is a :class:`NodeVoltages` view of ``x``.
         branch_currents: Name of voltage-defined element -> branch
             current [A] (positive from + node through the element).
         device_ops: MOS element name -> :class:`MosOperatingPoint`.
@@ -31,7 +61,7 @@ class OpResult:
             and residual trajectories.
     """
 
-    voltages: dict[str, float]
+    voltages: Mapping[str, float]
     branch_currents: dict[str, float]
     device_ops: dict[str, object] = field(default_factory=dict)
     iterations: int = 0

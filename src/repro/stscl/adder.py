@@ -157,28 +157,32 @@ def full_adder_cell(design: StsclGateDesign, vdd: float,
 
     Template nodesets encode the all-zero-operand polarity (every
     output at logic 0); :func:`adder_chain_circuit` overrides them per
-    bit from the expected sum/carry pattern.
+    bit from the expected sum/carry pattern.  The source-coupled nodes
+    -- both trees' tails and steering nodes, both latches' ``tail``,
+    ``ns`` and ``nh`` -- start at
+    :func:`~repro.stscl.netlist_gen.pair_source_voltage`, which is what
+    lets a cold solve of the chain converge in the Newton rung.
     """
     from ..spice.netlist import Circuit
     from ..spice.subckt import Subcircuit
-    from .netlist_gen import add_stscl_latch, add_stscl_tree
+    from .netlist_gen import (add_stscl_latch, add_stscl_tree,
+                              pair_source_voltage)
 
     tpl = Circuit("stscl_fa_slice", temperature=design.temperature)
     inputs = [("ap", "an"), ("bp", "bn"), ("cp", "cn")]
-    xs = add_stscl_tree(tpl, "xs_", design, _parity3, inputs,
+    xs = add_stscl_tree(tpl, "xs_", design, vdd, _parity3, inputs,
                         with_dwell=with_dwell)
-    mc = add_stscl_tree(tpl, "mc_", design, _majority3, inputs,
+    mc = add_stscl_tree(tpl, "mc_", design, vdd, _majority3, inputs,
                         with_dwell=with_dwell)
-    tpl.nodeset("xs_tail", 0.1)
-    tpl.nodeset("mc_tail", 0.1)
     if with_latches:
         sum_out = add_stscl_latch(tpl, "sl_", design, xs[0], xs[1],
                                   "ckp", "ckn", with_dwell=with_dwell)
         carry_out = add_stscl_latch(tpl, "kl_", design, mc[0], mc[1],
                                     "ckp", "ckn", with_dwell=with_dwell)
+        v_source = pair_source_voltage(design, vdd)
         for prefix in ("sl_", "kl_"):
             for node in ("tail", "ns", "nh"):
-                tpl.nodeset(f"{prefix}{node}", 0.1)
+                tpl.nodeset(f"{prefix}{node}", v_source)
     else:
         sum_out, carry_out = xs, mc
 

@@ -173,8 +173,25 @@ def replica_bias_circuit(design: StsclGateDesign,
     return circuit, ports
 
 
+def pair_source_voltage(design: StsclGateDesign, vdd: float) -> float:
+    """Source voltage of a pair device carrying the full I_SS with its
+    gate at the high logic level (``vdd``) and its bulk at ground [V].
+
+    The weak-inversion law is bulk referenced: the gate moves the
+    pinch-off voltage by 1/n of its own swing, and the source settles
+    where the pinch-off-to-source drop carries I_SS.  So the source
+    sits at (V_DD - V_GS)/n, with V_GS the gate voltage that carries
+    I_SS at a grounded source -- not at V_DD - V_GS, which neglects the
+    body effect.  Every conducting node of a steering tree or latch
+    stack (the tail and the sources above it) sits near this value, so
+    the steering trees and the adder cell's latches start those nodes
+    there.
+    """
+    return (vdd - design.pair_gate_overdrive()) / design.tech.nmos.n
+
+
 def add_stscl_tree(circuit: Circuit, prefix: str,
-                   design: StsclGateDesign,
+                   design: StsclGateDesign, vdd: float,
                    function: Callable[[tuple[bool, ...]], bool],
                    input_pairs: Sequence[tuple[str, str]],
                    with_dwell: bool = False) -> tuple[str, str]:
@@ -183,6 +200,8 @@ def add_stscl_tree(circuit: Circuit, prefix: str,
     ``input_pairs`` names the (positive, negative) gate nets of each
     input, bottom level first.  All the tree's own nets and elements
     are namespaced under ``prefix``; returns the output node pair.
+    The tail and every internal steering node start at
+    :func:`pair_source_voltage` for supply ``vdd``.
     This is the composable core behind :func:`stscl_tree_circuit` and
     the full-adder bit-slice cell of :mod:`repro.stscl.adder`.
     """
@@ -193,6 +212,8 @@ def add_stscl_tree(circuit: Circuit, prefix: str,
     out_p, out_n = _add_output_stage(circuit, design, prefix, with_dwell)
     circuit.add_isource(f"{prefix}itail", f"{prefix}tail", "0",
                         design.i_ss)
+    v_source = pair_source_voltage(design, vdd)
+    circuit.nodeset(f"{prefix}tail", v_source)
     pair = design.pair_device()
     counter = itertools.count()
 
@@ -208,7 +229,7 @@ def add_stscl_tree(circuit: Circuit, prefix: str,
                 drain = out_n if function(new_assignment) else out_p
             else:
                 drain = f"{prefix}b{next(counter)}"
-                circuit.nodeset(drain, 0.15 * (level + 1))
+                circuit.nodeset(drain, v_source)
             circuit.add_mosfet(
                 f"{prefix}m{level}_{next(counter)}", drain=drain,
                 gate=gate_node, source=source_node, bulk="0", device=pair)
@@ -278,7 +299,7 @@ def stscl_tree_circuit(
         circuit.add_vsource(f"vin{k}n", f"in{k}n", "0", v_n)
 
     out_p, out_n = add_stscl_tree(
-        circuit, "", design, function,
+        circuit, "", design, vdd, function,
         [(f"in{k}p", f"in{k}n") for k in range(n_inputs)],
         with_dwell=with_dwell)
     circuit.nodeset(out_p, vdd)

@@ -12,12 +12,41 @@ import pytest
 from repro.adc import FaiAdc
 from repro.digital.encoder import EncoderSpec, build_fai_encoder
 from repro.stscl import StsclGateDesign
+from repro.stscl.adder import adder_chain_circuit
+
+#: Fixed starts for the adder cell's source-coupled nodes that keep a
+#: cold solve out of the Newton rung: steering-tree nodes at 0.15 V per
+#: level, tails and latch sources at 0.1 V.  From these, damped Newton
+#: stalls and the ladder needs pseudo-transient continuation.
+LADDER_HARD_HINTS = {
+    **{f"{tree}_{node}": volts for tree in ("xs", "mc")
+       for node, volts in (("tail", 0.1), ("b0", 0.15), ("b10", 0.15),
+                           ("b2", 0.30), ("b6", 0.30), ("b12", 0.30),
+                           ("b16", 0.30))},
+    **{f"{latch}_{node}": 0.1 for latch in ("sl", "kl")
+       for node in ("tail", "ns", "nh")},
+}
 
 
 @pytest.fixture(scope="session")
 def default_design() -> StsclGateDesign:
     """The repo-standard STSCL gate at 1 nA."""
     return StsclGateDesign.default(i_ss=1e-9)
+
+
+@pytest.fixture(scope="session")
+def ladder_hard_adder():
+    """``adder_chain_circuit`` with every bit slice's source-coupled
+    nodes started at :data:`LADDER_HARD_HINTS`, for tests that need a
+    cold adder solve to walk both rungs of the ladder."""
+    def build(*args, **kwargs):
+        circuit, ports = adder_chain_circuit(*args, **kwargs)
+        for node in list(circuit.nodesets):
+            hint = LADDER_HARD_HINTS.get(node.partition(".")[2])
+            if hint is not None:
+                circuit.nodeset(node, hint)
+        return circuit, ports
+    return build
 
 
 @pytest.fixture(scope="session")

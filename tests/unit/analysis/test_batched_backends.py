@@ -324,18 +324,19 @@ class TestPilotWarmStart:
 
     N_RUNS = 4
 
-    def test_lanes_bitwise_match_serial_pilot(self, default_design):
-        """On an adder that only the pseudo-transient rung solves cold,
-        the Monte-Carlo lanes equal the explicit recipe bit for bit --
+    def test_lanes_bitwise_match_serial_pilot(self, default_design,
+                                              ladder_hard_adder):
+        """On an adder that only the pseudo-transient rung solves cold
+        (its source-coupled nodes started where Newton stalls), the
+        Monte-Carlo lanes equal the explicit recipe bit for bit --
         lane 0 through the serial ladder, its solution as ``x0``, then
         the batch -- without an extra pilot lane."""
         from repro import telemetry
         from repro.spice import (apply_lane, batch_operating_point,
                                  operating_point)
-        from repro.stscl.adder import adder_chain_circuit
 
-        circuit, _ = adder_chain_circuit(default_design, 0.4, width=2,
-                                         a=1, b=2, carry_in=True)
+        circuit, _ = ladder_hard_adder(default_design, 0.4, width=2,
+                                       a=1, b=2, carry_in=True)
         circuit.matrix_backend = "sparse"
         n_bank = circuit.compile().assembler._mos_bank.n_devices
         lanes = [LaneSpec.mismatch(

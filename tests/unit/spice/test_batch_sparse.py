@@ -208,11 +208,11 @@ class TestOrderingReuse:
     ordering; a fresh per-call COLAMD ``splu`` is the oracle."""
 
     def test_every_ladder_jacobian_matches_fresh_colamd(
-            self, default_design, monkeypatch):
+            self, default_design, ladder_hard_adder, monkeypatch):
         """Every Jacobian a cold serial ladder solve of a sparse 4-bit
-        adder factors -- Newton and pseudo-transient rungs alike --
-        solves as a fresh COLAMD factorization does, within 1e-12
-        relative."""
+        adder factors -- Newton and pseudo-transient rungs alike, its
+        source-coupled nodes started where Newton stalls -- solves as a
+        fresh COLAMD factorization does, within 1e-12 relative."""
         from scipy.sparse.linalg import splu
 
         factored = []
@@ -224,8 +224,8 @@ class TestOrderingReuse:
             return handle
 
         monkeypatch.setattr(SparseSystem, "factorize", recording)
-        circuit, _ = adder_chain_circuit(default_design, 0.4, width=4,
-                                         a=1, b=2, carry_in=True)
+        circuit, _ = ladder_hard_adder(default_design, 0.4, width=4,
+                                       a=1, b=2, carry_in=True)
         circuit.matrix_backend = "sparse"
         with telemetry.tracing("ladder") as trace:
             result = operating_point(circuit)
@@ -466,12 +466,13 @@ class TestColumnByColumn:
     FILL_DRIFT_BOUND = 12
 
     def test_adder16_newton_steps_match_dense_with_unchanged_fill(
-            self, default_design, monkeypatch):
+            self, default_design, ladder_hard_adder, monkeypatch):
         """On the 588-unknown 16-bit adder, the Newton steps of a cold
-        sparse solve agree with ``np.linalg.solve`` on the same
-        Jacobian to 1e-12 relative, and every factorization has the
-        nnz(L) and nnz(U) of SuperLU's default settings to within
-        :attr:`FILL_DRIFT_BOUND` entries."""
+        sparse solve through both rungs (its source-coupled nodes
+        started where Newton stalls) agree with ``np.linalg.solve`` on
+        the same Jacobian to 1e-12 relative, and every factorization
+        has the nnz(L) and nnz(U) of SuperLU's default settings to
+        within :attr:`FILL_DRIFT_BOUND` entries."""
         from scipy.sparse.linalg import splu
 
         factors = []
@@ -500,8 +501,8 @@ class TestColumnByColumn:
 
         monkeypatch.setattr(sparse, "_splu", stand_in)
         monkeypatch.setattr(SparseSystem, "factorize", recording)
-        circuit, _ = adder_chain_circuit(default_design, 0.4, width=16,
-                                         a=0x1234, b=0xBEEF, carry_in=True)
+        circuit, _ = ladder_hard_adder(default_design, 0.4, width=16,
+                                       a=0x1234, b=0xBEEF, carry_in=True)
         assert circuit.compile().solver_backend() == "sparse"
         assert circuit.compile().size == 588
         operating_point(circuit)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.errors import AnalysisError
-from repro.spice.results import AcResult, OpResult, TranResult
+from repro.spice.results import (AcResult, NodeVoltages, OpResult,
+                                 TranResult)
 
 
 class TestOpResult:
@@ -27,6 +28,57 @@ class TestOpResult:
         assert op.current("V1") == -1e-6
         with pytest.raises(AnalysisError):
             op.current("V2")
+
+
+class TestNodeVoltages:
+    """A solved point's ``voltages`` is a read-only view of its own
+    solution vector, built on access rather than per result."""
+
+    def _solved(self):
+        from repro.spice import Circuit, operating_point
+
+        circuit = Circuit("divider")
+        circuit.add_vsource("v1", "in", "0", 1.0)
+        circuit.add_resistor("r1", "in", "mid", 1e3)
+        circuit.add_resistor("r2", "mid", "0", 3e3)
+        return circuit.compile(), operating_point(circuit)
+
+    def test_reads_the_solution_bit_for_bit(self):
+        compiled, op = self._solved()
+        assert isinstance(op.voltages, NodeVoltages)
+        expected = {name: float(op.x[row])
+                    for name, row in compiled.node_index.items()}
+        assert dict(op.voltages) == expected
+        assert op.voltages == expected
+        assert list(op.voltages) == list(compiled.node_index)
+        assert len(op.voltages) == 2 and "mid" in op.voltages
+        assert "nope" not in op.voltages
+        assert type(op.voltages["mid"]) is float
+        assert op.voltages["mid"] == pytest.approx(0.75)
+        assert repr(op.voltages) == repr(expected)
+
+    def test_is_read_only(self):
+        _, op = self._solved()
+        with pytest.raises(TypeError):
+            op.voltages["mid"] = 0.0
+
+    def test_pickles_with_its_result(self):
+        import pickle
+
+        _, op = self._solved()
+        clone = pickle.loads(pickle.dumps(op))
+        assert isinstance(clone.voltages, NodeVoltages)
+        assert clone.voltages == op.voltages
+        assert clone.voltages._x is clone.x
+
+    def test_nan_placeholder_covers_every_node(self):
+        from repro.spice.dc import _nan_point
+
+        compiled, _ = self._solved()
+        point = _nan_point(compiled)
+        assert point.x is None and not point.converged
+        assert list(point.voltages) == list(compiled.node_index)
+        assert all(np.isnan(v) for v in point.voltages.values())
 
 
 class TestAcResult:

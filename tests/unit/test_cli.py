@@ -103,6 +103,30 @@ class TestCommands:
             run.counter("transient_steps_accepted") + 1
         assert scope_sample_violations(trace) == []
 
+    def test_trace_sparse_mc_reconciles_pilot_and_stacked_phase(
+            self, capsys, tmp_path):
+        """The sparse ensemble scenario factors in the serial pilot and
+        in the stacked phase, every factorization through one COLAMD
+        ordering, and the printed tree names the pilot's rung."""
+        from repro.telemetry import read_jsonl
+        from repro.telemetry.invariants import factorization_violations
+
+        out = tmp_path / "sparse.jsonl"
+        assert main(["trace", "--scenario", "sparse_mc",
+                     "--output", str(out)]) == 0
+        trace = read_jsonl(out)
+        campaign = trace.root.find("montecarlo")
+        pilot = campaign.find("operating-point")
+        assert f"converged_via={pilot.attrs['converged_via']}" in \
+            capsys.readouterr().out
+        stacked = campaign.find("batch-operating-point")
+        assert stacked.attrs["matrix_backend"] == "sparse"
+        for phase in (pilot, stacked):
+            assert phase.total_counter("sparse_numeric_refactorizations") \
+                == phase.total_counter("sparse_factorizations") > 0
+        assert campaign.total_counter("sparse_symbolic_factorizations") == 1
+        assert factorization_violations(trace) == []
+
     def test_scope_prints_where_the_run_ended(self, capsys):
         import re
 
