@@ -120,7 +120,7 @@ class MonteCarlo:
     is also a plain callable, so the same spec runs under every
     backend).  Each seed's mismatch draw becomes one lane of a
     :func:`~repro.spice.batch.batch_operating_point`; lanes the batched
-    loop cannot converge fall back to the serial strategy ladder, so
+    loop cannot converge fall back to the serial ladder, so
     summaries, failed-seed records and their ordering match the serial
     backend (to float tolerance far inside 1e-9).
 
@@ -173,7 +173,7 @@ class MonteCarlo:
 
         Each seed's lane draw is a pure function of the seed (the spec
         contract), so the population is the one the serial loop would
-        have evaluated; lanes that fail every strategy surface as the
+        have evaluated; lanes that fail every rung surface as the
         same ``("error", ConvergenceError)`` records, in seed order.
         A DC population warm-starts from a serial ladder solve of the
         first seed's lane; a transient one integrates every lane from
@@ -204,7 +204,7 @@ class MonteCarlo:
             return run_lanes(circuit, lanes, spec.measure,
                              t_stop=spec.t_stop, options=spec.options)
         return run_lanes(circuit, lanes, spec.measure, options=spec.options,
-                         strategies=spec.strategies, warm_start=True)
+                         warm_start=True)
 
     def run(self) -> MonteCarloRun:
         """Execute all runs; returns per-metric summaries (a dict) with

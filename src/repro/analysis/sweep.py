@@ -53,7 +53,7 @@ def _batched_outcomes(values: list[float], spec) -> list[tuple]:
     ``spec`` must be a :class:`~repro.spice.batch.BatchedOpSweep`;
     every swept value becomes one lane of
     :func:`~repro.spice.batch.run_lanes`, warm-started from a serial
-    ladder solve of the first point.  A lane that fails every strategy
+    ladder solve of the first point.  A lane that fails every rung
     surfaces with the same error record -- and, under
     ``on_error="raise"``, the same (lowest-index) exception -- as the
     serial loop.
@@ -67,7 +67,7 @@ def _batched_outcomes(values: list[float], spec) -> list[tuple]:
     circuit = spec.build()
     lanes = [spec.lane(value, circuit) for value in values]
     return run_lanes(circuit, lanes, spec.measure, options=spec.options,
-                     strategies=spec.strategies, warm_start=True)
+                     warm_start=True)
 
 
 def sweep_1d(parameter: str, values: Sequence[float],

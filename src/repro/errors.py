@@ -54,7 +54,7 @@ class ConvergenceError(ReproError, RuntimeError):
             ladder failures, a
             :class:`repro.spice.transient.TransientTelemetry` for
             transient stalls.
-        stage: Name of the last strategy / phase attempted.
+        stage: Name of the last rung / phase attempted.
     """
 
     def __init__(self, message: str, iterations: int | None = None,
@@ -76,7 +76,7 @@ class ConvergenceError(ReproError, RuntimeError):
         ``residual`` / ``diagnostics`` / ``stage`` exactly -- relying
         on ``BaseException``'s default reduction makes that an
         implementation detail.  A diagnostics object that itself cannot
-        pickle (a foreign strategy's report holding a lambda, say) must
+        pickle (a caller-built report holding a lambda, say) must
         not poison the transport and take the whole pool down with an
         obscure mid-IPC ``PicklingError``: it degrades to its ``repr``
         string, keeping the exception -- and every other attribute --

@@ -32,14 +32,7 @@ from .elements import (
 )
 from .waveforms import dc_wave, pulse_wave, sine_wave, pwl_wave, step_wave
 from .dc import operating_point, dc_sweep, NewtonOptions
-from .strategies import (
-    DEFAULT_LADDER,
-    NewtonStrategy,
-    PseudoTransientStrategy,
-    SolveStrategy,
-    SolverDiagnostics,
-    StageReport,
-)
+from .strategies import SolverDiagnostics, StageReport
 from .batch import (
     BatchAssembler,
     BatchDiagnostics,
@@ -65,8 +58,7 @@ __all__ = [
     "Vcvs", "Vccs", "DiodeElement", "MosElement",
     "dc_wave", "pulse_wave", "sine_wave", "pwl_wave", "step_wave",
     "operating_point", "dc_sweep", "NewtonOptions",
-    "SolveStrategy", "NewtonStrategy", "PseudoTransientStrategy",
-    "SolverDiagnostics", "StageReport", "DEFAULT_LADDER",
+    "SolverDiagnostics", "StageReport",
     "LaneSpec", "BatchAssembler", "BatchOpResult", "BatchDiagnostics",
     "batch_operating_point", "BatchedOpMetric", "BatchedOpSweep",
     "apply_lane",

@@ -22,7 +22,7 @@ whole population as one stacked system instead:
   work per iteration shrinks as the population converges;
 * :func:`batch_operating_point` orchestrates the whole solve and
   re-runs every lane the batched loop could not converge *individually*
-  through the existing strategy ladder
+  through the serial ladder
   (:func:`~repro.spice.strategies.run_ladder`), from the same initial
   guess a serial solve would use -- robustness is never worse than
   serial, and failed lanes carry the identical forensic
@@ -71,8 +71,7 @@ from .. import telemetry
 from ..errors import AnalysisError, ConvergenceError, NetlistError, evaluate
 from .elements import CurrentSource, Resistor, VoltageSource
 from .sparse import SparseSystem
-from .strategies import (DEFAULT_LADDER, NewtonOptions,
-                         PseudoTransientStrategy, SolverDiagnostics,
+from .strategies import (STALL_WINDOW, NewtonOptions, SolverDiagnostics,
                          StageReport, pseudo_transient_lanes, run_ladder,
                          step_converged)
 from .assembly import CircuitAssembler, LazyDeviceOps, _two_terminal
@@ -514,7 +513,7 @@ class BatchDiagnostics:
             directly.
         n_converged_pseudo_transient: Lanes the batched
             pseudo-transient continuation rescued.
-        n_fallback: Lanes re-solved individually through the strategy
+        n_fallback: Lanes re-solved individually through the serial
             ladder.
         n_failed: Lanes that failed the ladder too.
         fallback_lanes: ``(lane index, reason)`` per handed-off lane.
@@ -646,8 +645,7 @@ def _newton_rounds(assembler: BatchAssembler, X: np.ndarray,
         # Per-lane residual norms feed the stall detector (mirroring
         # the serial kernel); only window boundaries read them.
         res_norm = None
-        if iteration == 1 or (options.stall_window > 0 and
-                              iteration % options.stall_window == 0):
+        if iteration == 1 or iteration % STALL_WINDOW == 0:
             res_norm = np.abs(res).max(axis=1)
         dX = (_solve_stacked_sparse(system, vals, res) if use_sparse
               else _solve_stacked(jac, res))
@@ -690,8 +688,7 @@ def _newton_rounds(assembler: BatchAssembler, X: np.ndarray,
                         max_step_norm=float(step_norm.max(initial=0.0)))
         keep = ~conv
         converged[active[conv]] = True
-        if options.stall_window > 0 and \
-                iteration % options.stall_window == 0:
+        if iteration % STALL_WINDOW == 0:
             stalled = (step_norm > 0.5 * stall_checkpoint[active]) \
                 & (res_norm > 0.5 * stall_residual[active])
             stalled &= keep
@@ -702,8 +699,7 @@ def _newton_rounds(assembler: BatchAssembler, X: np.ndarray,
                     f"Newton stalled after {iteration} iterations in "
                     f"{compiled.circuit.name} (neither the update norm "
                     f"{norm:.3e} nor the residual {rnorm:.3e} halved "
-                    f"over the last "
-                    f"{options.stall_window} iterations)")
+                    f"over the last {STALL_WINDOW} iterations)")
             keep &= ~stalled
             stall_checkpoint[active] = step_norm
             stall_residual[active] = res_norm
@@ -728,9 +724,7 @@ def batch_newton(assembler: BatchAssembler, X: np.ndarray,
 
 
 def batch_pseudo_transient(assembler: BatchAssembler, X: np.ndarray,
-                           lanes_idx: np.ndarray,
-                           rung: PseudoTransientStrategy,
-                           options: NewtonOptions,
+                           lanes_idx: np.ndarray, options: NewtonOptions,
                            active_history: list[int],
                            ) -> _BatchNewtonOutcome:
     """Stacked pseudo-transient continuation over ``lanes_idx``, in place.
@@ -748,7 +742,6 @@ def batch_pseudo_transient(assembler: BatchAssembler, X: np.ndarray,
     diag = ((slice(None),
              assembler.sparse_batch_system().segment_slices["diag"])
             if assembler.use_sparse else (slice(None), nodes, nodes))
-    options = rung._options(options)
     rounds = 0
 
     def solve(active, g, anchor):
@@ -767,7 +760,7 @@ def batch_pseudo_transient(assembler: BatchAssembler, X: np.ndarray,
                 outcome.reasons)
 
     converged, iterations, reasons = pseudo_transient_lanes(
-        X, lanes_idx, rung, options, solve)
+        X, lanes_idx, options, solve)
     return _BatchNewtonOutcome(converged, iterations, reasons, rounds)
 
 
@@ -823,7 +816,7 @@ class BatchOpResult:
     Attributes:
         points: One :class:`~repro.spice.results.OpResult` per lane, in
             lane order (NaN placeholders for lanes that failed every
-            strategy, recorded under ``on_error="skip"``).
+            rung, recorded under ``on_error="skip"``).
         failures: ``(lane index, error)`` per failed lane; the stored
             :class:`~repro.errors.ConvergenceError` carries the full
             ladder diagnostics.
@@ -842,7 +835,6 @@ class BatchOpResult:
 def batch_operating_point(circuit: "Circuit",
                           lanes: Sequence[LaneSpec],
                           options: NewtonOptions | None = None,
-                          strategies=None,
                           on_error: str = "raise",
                           x0: np.ndarray | None = None,
                           ) -> BatchOpResult:
@@ -853,7 +845,7 @@ def batch_operating_point(circuit: "Circuit",
     would (:meth:`~repro.spice.netlist.Circuit.initial_guess` with the
     lane's source overrides), or from ``x0``.  Lanes the batched Newton
     loop cannot converge are re-solved individually through the serial
-    strategy ladder with the lane perturbation applied to the circuit
+    ladder with the lane perturbation applied to the circuit
     (and reverted afterwards), so the failure behaviour -- and the
     forensic diagnostics of lanes that fail everything -- is identical
     to the serial path.
@@ -874,13 +866,11 @@ def batch_operating_point(circuit: "Circuit",
     lanes = list(lanes)
     with telemetry.span("batch-operating-point", circuit=circuit.name,
                         batch=len(lanes)) as tspan:
-        return _batch_op(circuit, lanes, options, strategies, on_error,
-                         x0, tspan)
+        return _batch_op(circuit, lanes, options, on_error, x0, tspan)
 
 
 def pilot_solution(circuit: "Circuit", lane: LaneSpec,
-                   options: NewtonOptions | None,
-                   strategies) -> np.ndarray | None:
+                   options: NewtonOptions | None) -> np.ndarray | None:
     """Warm start for a batched solve: ``lane`` through the serial
     ladder.
 
@@ -902,7 +892,7 @@ def pilot_solution(circuit: "Circuit", lane: LaneSpec,
     tspan = telemetry.current_span()
     undo = apply_lane(circuit, lane)
     try:
-        x0 = operating_point(circuit, options, strategies=strategies).x
+        x0 = operating_point(circuit, options).x
     except ConvergenceError as error:
         tspan.event("pilot-failed-flat-start", lane=lane.label,
                     why=str(error))
@@ -915,7 +905,7 @@ def pilot_solution(circuit: "Circuit", lane: LaneSpec,
 
 def run_lanes(circuit: "Circuit", lanes: Sequence[LaneSpec],
               measure: Callable[[object], object], *,
-              t_stop: float | None = None, options=None, strategies=None,
+              t_stop: float | None = None, options=None,
               warm_start: bool = False) -> list[tuple]:
     """One outcome per lane, in lane order, from one stacked solve.
 
@@ -924,12 +914,12 @@ def run_lanes(circuit: "Circuit", lanes: Sequence[LaneSpec],
     :func:`batch_operating_point` -- or, with ``t_stop`` set, one
     :func:`batch_transient` to ``t_stop`` -- solves every lane under
     ``on_error="skip"``.  ``options`` are the call's
-    :class:`NewtonOptions` or :class:`TransientOptions` accordingly;
-    ``strategies`` applies to the DC ladder only.  With ``warm_start``,
-    a DC population of more than one lane first solves lane 0 through
-    :func:`pilot_solution` and starts every lane from it.
+    :class:`NewtonOptions` or :class:`TransientOptions` accordingly.
+    With ``warm_start``, a DC population of more than one lane first
+    solves lane 0 through :func:`pilot_solution` and starts every lane
+    from it.
 
-    A lane that failed every strategy yields ``("error",
+    A lane that failed every rung yields ``("error",
     ConvergenceError)``; every other lane yields
     ``evaluate(measure, point)`` (see :func:`~repro.errors.evaluate`).
     No lanes, no solve.
@@ -937,10 +927,9 @@ def run_lanes(circuit: "Circuit", lanes: Sequence[LaneSpec],
     if not lanes:
         return []
     if t_stop is None:
-        x0 = (pilot_solution(circuit, lanes[0], options, strategies)
+        x0 = (pilot_solution(circuit, lanes[0], options)
               if warm_start and len(lanes) > 1 else None)
         batch = batch_operating_point(circuit, lanes, options=options,
-                                      strategies=strategies,
                                       on_error="skip", x0=x0)
         solved = batch.points
     else:
@@ -953,7 +942,7 @@ def run_lanes(circuit: "Circuit", lanes: Sequence[LaneSpec],
 
 
 def _batch_op(circuit: "Circuit", lanes: list[LaneSpec],
-              options: NewtonOptions, strategies, on_error: str,
+              options: NewtonOptions, on_error: str,
               x0: np.ndarray | None, tspan) -> BatchOpResult:
     start = _time.perf_counter()
     if options.max_wall_time is not None and options.deadline is None:
@@ -985,24 +974,17 @@ def _batch_op(circuit: "Circuit", lanes: list[LaneSpec],
     X = starts.copy()
     tspan.inc("batch_lanes", len(lanes))
     active_history: list[int] = []
-    # Phase 1: plain batched Newton, the analogue of NewtonStrategy.
+    # Phase 1: plain batched Newton, the ladder's Newton rung.
     phase1 = batch_newton(assembler, X, options, active_history)
     phases = [(BATCHED_STAGE, phase1)]
     # Phase 2: stacked pseudo-transient for the lanes plain Newton lost
     # -- restarted from each lane's start, exactly like the serial
-    # ladder's second rung.  Only when the caller's ladder carries a
-    # pseudo-transient rung (the default ladder does): a custom
-    # ``strategies`` without one must fail the same lanes serially and
-    # batched, so the stacked phase runs that rung's own schedule and
-    # iteration budget -- or does not run at all.
-    rung = next((strategy for strategy in
-                 (DEFAULT_LADDER if strategies is None else strategies)
-                 if isinstance(strategy, PseudoTransientStrategy)), None)
+    # ladder's second rung.
     pending1 = np.nonzero(~phase1.converged)[0]
-    if pending1.size and rung is not None:
+    if pending1.size:
         X[pending1] = starts[pending1]
         phases.append((BATCHED_PSEUDO_TRANSIENT_STAGE, batch_pseudo_transient(
-            assembler, X, pending1, rung, options, active_history)))
+            assembler, X, pending1, options, active_history)))
     converged = np.logical_or.reduce(
         [outcome.converged for _, outcome in phases])
     diagnostics = BatchDiagnostics(
@@ -1069,7 +1051,7 @@ def _batch_op(circuit: "Circuit", lanes: list[LaneSpec],
         try:
             x, lane_diag = run_ladder(circuit, compiled,
                                       starts[lane_index].copy(), None,
-                                      options, strategies)
+                                      options)
         except ConvergenceError as error:
             if error.diagnostics is not None:
                 error.diagnostics.stages[0:0] = batched_stages
@@ -1136,20 +1118,18 @@ class BatchedOpMetric:
             of the seed (same seed, same draw -- the batched and serial
             backends both rely on it).
         measure: ``OpResult -> {metric: value}``.
-        options / strategies: Solver overrides shared by both paths.
+        options: Solver options shared by both paths.
     """
 
     build: Callable[[], "Circuit"]
     draw: Callable[[int, "Circuit"], LaneSpec]
     measure: Callable[["OpResult"], Mapping[str, float]]
     options: NewtonOptions | None = None
-    strategies: tuple | None = None
 
     def __call__(self, seed: int) -> dict[str, float]:
         circuit = self.build()
         return _measure_lane(circuit, self.draw(seed, circuit),
-                             self.measure, operating_point, self.options,
-                             strategies=self.strategies)
+                             self.measure, operating_point, self.options)
 
     def plan(self) -> "PlannedOpMetric":
         """Materialize the spec into a reusable, shippable plan.
@@ -1165,8 +1145,7 @@ class BatchedOpMetric:
         circuit = self.build()
         circuit.compile()
         return PlannedOpMetric(circuit=circuit, draw=self.draw,
-                               measure=self.measure, options=self.options,
-                               strategies=self.strategies)
+                               measure=self.measure, options=self.options)
 
 
 @dataclass(frozen=True)
@@ -1186,12 +1165,10 @@ class PlannedOpMetric:
     draw: Callable[[int, "Circuit"], LaneSpec]
     measure: Callable[["OpResult"], Mapping[str, float]]
     options: NewtonOptions | None = None
-    strategies: tuple | None = None
 
     def __call__(self, seed: int) -> dict[str, float]:
         return _measure_lane(self.circuit, self.draw(seed, self.circuit),
-                             self.measure, operating_point, self.options,
-                             strategies=self.strategies)
+                             self.measure, operating_point, self.options)
 
 
 # -- batched transient ----------------------------------------------------
@@ -1431,7 +1408,7 @@ class _LockstepStepper(_Stepper):
 
     def integrate(self, on_error: str) -> BatchTranResult:
         # Initial DC point per lane, stacked; a lane that fails every DC
-        # strategy never enters the grid (serial transient would have
+        # rung never enters the grid (serial transient would have
         # raised before its first step too).
         dc = batch_operating_point(self.circuit, self.specs,
                                    options=self.newton_options,
@@ -1489,13 +1466,11 @@ class BatchedOpSweep:
     lane: Callable[[float, "Circuit"], LaneSpec]
     measure: Callable[["OpResult"], Mapping[str, float]]
     options: NewtonOptions | None = None
-    strategies: tuple | None = None
 
     def __call__(self, value: float) -> dict[str, float]:
         circuit = self.build()
         return _measure_lane(circuit, self.lane(float(value), circuit),
-                             self.measure, operating_point, self.options,
-                             strategies=self.strategies)
+                             self.measure, operating_point, self.options)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ every device is an exponential.  The solver therefore
 * converges on the *update* norm (residuals at pA levels sit near the
   noise floor of double precision),
 * falls back to pseudo-transient continuation when plain Newton
-  diverges -- a pluggable ladder of strategies, see
+  diverges -- a fixed two-rung ladder, see
   :mod:`repro.spice.strategies` -- recording a
   :class:`~repro.spice.strategies.SolverDiagnostics` either way.
 """
@@ -23,23 +23,16 @@ from ..errors import ConvergenceError, NetlistError
 from .assembly import LazyDeviceOps
 from .elements import CurrentSource, VoltageSource
 from .netlist import Circuit, CompiledCircuit
-from .results import NodeVoltages, OpResult, SweepResult
-from .strategies import (NewtonOptions, SolveStrategy, SolverDiagnostics,
-                         run_ladder)
+from .results import OpResult, SolutionView, SweepResult
+from .strategies import NewtonOptions, SolverDiagnostics, run_ladder
 from .waveforms import dc_wave
 
 
 def _package(compiled: CompiledCircuit, x: np.ndarray, iterations: int,
              diagnostics: SolverDiagnostics | None = None) -> OpResult:
-    circuit = compiled.circuit
-    branch = {}
-    for element in circuit.elements:
-        aux = compiled.aux_index.get(element.name, ())
-        if aux:
-            branch[element.name] = float(x[aux[0]])
     x = x.copy()
-    return OpResult(voltages=NodeVoltages(compiled.node_index, x),
-                    branch_currents=branch,
+    return OpResult(voltages=SolutionView(compiled.node_index, x),
+                    branch_currents=SolutionView(compiled.branch_index, x),
                     device_ops=LazyDeviceOps(compiled.assembler, x),
                     iterations=iterations, x=x,
                     diagnostics=diagnostics)
@@ -48,28 +41,23 @@ def _package(compiled: CompiledCircuit, x: np.ndarray, iterations: int,
 def _nan_point(compiled: CompiledCircuit,
                diagnostics: SolverDiagnostics | None = None) -> OpResult:
     """Placeholder result for a sweep point that never converged."""
-    voltages = NodeVoltages(compiled.node_index,
-                            np.full(compiled.size, np.nan))
-    branch = {element.name: float("nan")
-              for element in compiled.circuit.elements
-              if compiled.aux_index.get(element.name, ())}
-    return OpResult(voltages=voltages, branch_currents=branch,
+    nan = np.full(compiled.size, np.nan)
+    return OpResult(voltages=SolutionView(compiled.node_index, nan),
+                    branch_currents=SolutionView(compiled.branch_index, nan),
                     device_ops={}, iterations=0, x=None,
                     diagnostics=diagnostics)
 
 
 def operating_point(circuit: Circuit,
                     options: NewtonOptions | None = None,
-                    x0: np.ndarray | None = None,
-                    strategies: Sequence[SolveStrategy] | None = None,
-                    ) -> OpResult:
+                    x0: np.ndarray | None = None) -> OpResult:
     """Compute the DC operating point of ``circuit``.
 
     ``x0`` (e.g. a previous solution) warm-starts the solve; otherwise it
     starts from :meth:`~repro.spice.netlist.Circuit.initial_guess`
-    (grounded sources' nodes on their values, nodesets on top).
-    ``strategies`` overrides the default homotopy ladder (see
-    :data:`repro.spice.strategies.DEFAULT_LADDER`).  The returned
+    (grounded sources' nodes on their values, nodesets on top), and
+    climbs the Newton, then pseudo-transient ladder
+    (:func:`~repro.spice.strategies.run_ladder`).  The returned
     :class:`~repro.spice.results.OpResult` carries the full
     :class:`~repro.spice.strategies.SolverDiagnostics` of the solve.
     """
@@ -82,7 +70,7 @@ def operating_point(circuit: Circuit,
                 f"warm-start vector has wrong size {x0.shape}, "
                 f"expected ({compiled.size},)")
         x, diagnostics = run_ladder(circuit, compiled, start, None,
-                                    options, strategies)
+                                    options)
         tspan.annotate(converged_via=diagnostics.rescued_by,
                        iterations=diagnostics.total_iterations,
                        warm_start=x0 is not None)
@@ -92,7 +80,6 @@ def operating_point(circuit: Circuit,
 def dc_sweep(circuit: Circuit, source_name: str,
              values: Sequence[float],
              options: NewtonOptions | None = None,
-             strategies: Sequence[SolveStrategy] | None = None,
              on_error: str = "raise",
              backend: str = "serial") -> SweepResult:
     """Sweep the DC value of an independent source.
@@ -118,7 +105,7 @@ def dc_sweep(circuit: Circuit, source_name: str,
     (see :mod:`repro.spice.batch`): every point becomes a lane of one
     multi-lane Newton solve with per-point convergence masking, and
     points the stacked loop cannot converge fall back to the serial
-    strategy ladder individually.  Both backends solve on the circuit's
+    ladder individually.  Both backends solve on the circuit's
     own :attr:`~repro.spice.netlist.Circuit.matrix_backend`.
     """
     if on_error not in ("raise", "skip"):
@@ -144,8 +131,7 @@ def dc_sweep(circuit: Circuit, source_name: str,
         lanes = [LaneSpec.source(source_name, value, label=f"{value:g}")
                  for value in values]
         outcomes = run_lanes(circuit, lanes, lambda point: point,
-                             options=options, strategies=strategies,
-                             warm_start=True)
+                             options=options, warm_start=True)
         for index, (status, payload) in enumerate(outcomes):
             if status == "error":
                 if on_error == "raise":
@@ -165,8 +151,7 @@ def dc_sweep(circuit: Circuit, source_name: str,
             for index, value in enumerate(values):
                 element.waveform = dc_wave(value)
                 try:
-                    result = operating_point(circuit, options, x0=x_prev,
-                                             strategies=strategies)
+                    result = operating_point(circuit, options, x0=x_prev)
                 except ConvergenceError as error:
                     result = None
                     if x_prev is not None:
@@ -175,9 +160,7 @@ def dc_sweep(circuit: Circuit, source_name: str,
                         tspan.event("cold-restart", index=index,
                                     value=value)
                         try:
-                            result = operating_point(circuit, options,
-                                                     x0=None,
-                                                     strategies=strategies)
+                            result = operating_point(circuit, options)
                         except ConvergenceError as cold_error:
                             error = cold_error
                     if result is None:

@@ -56,12 +56,16 @@ class CompiledCircuit:
         circuit: The source circuit.
         node_index: Map of non-ground node name -> MNA row.
         aux_index: Map of element name -> tuple of auxiliary rows.
+        branch_index: Map of top-level :class:`VoltageSource` /
+            :class:`Vcvs` name -> its branch-current row (a subcircuit
+            instance's auxiliary rows are internal and not listed).
         size: Total number of unknowns.
     """
 
     circuit: "Circuit"
     node_index: dict[str, int]
     aux_index: dict[str, tuple[int, ...]]
+    branch_index: dict[str, int]
     size: int
 
     def __post_init__(self) -> None:
@@ -355,10 +359,13 @@ class Circuit:
         node_index = {name: i for i, name in enumerate(self._node_order)}
         next_row = len(self._node_order)
         aux_index: dict[str, tuple[int, ...]] = {}
+        branch_index: dict[str, int] = {}
         for element in self.elements:
             aux = tuple(range(next_row, next_row + element.n_aux))
             next_row += element.n_aux
             aux_index[element.name] = aux
+            if isinstance(element, (VoltageSource, Vcvs)):
+                branch_index[element.name] = aux[0]
             indices = tuple(
                 GROUND_INDEX if is_ground(n) else node_index[n]
                 for n in element.nodes)
@@ -366,6 +373,7 @@ class Circuit:
         self._compiled = CompiledCircuit(circuit=self,
                                          node_index=node_index,
                                          aux_index=aux_index,
+                                         branch_index=branch_index,
                                          size=next_row)
         self.compile_count += 1
         return self._compiled

@@ -14,23 +14,24 @@ import numpy as np
 from ..errors import AnalysisError
 
 
-class NodeVoltages(Mapping):
-    """Read-only ``node -> voltage`` view of one solution vector.
+class SolutionView(Mapping):
+    """Read-only ``name -> x[row]`` view of one solution vector.
 
-    Reads ``x[node_index[node]]`` as a Python float on access, so a
-    result holds its solution vector and the compiled circuit's shared
-    node index instead of a dict with one entry per node.  Compares,
-    iterates and pickles like the dict it replaces.
+    Reads ``x[index[name]]`` as a Python float on access, so a result
+    holds its solution vector and one of the compiled circuit's shared
+    indices (node voltages, branch currents) instead of a dict with one
+    entry per name.  Compares, iterates and pickles like the dict it
+    replaces.
     """
 
     __slots__ = ("_index", "_x")
 
-    def __init__(self, node_index: dict[str, int], x: np.ndarray) -> None:
-        self._index = node_index
+    def __init__(self, index: dict[str, int], x: np.ndarray) -> None:
+        self._index = index
         self._x = x
 
-    def __getitem__(self, node: str) -> float:
-        return float(self._x[self._index[node]])
+    def __getitem__(self, name: str) -> float:
+        return float(self._x[self._index[name]])
 
     def __iter__(self):
         return iter(self._index)
@@ -48,9 +49,11 @@ class OpResult:
 
     Attributes:
         voltages: Node name -> voltage [V] (ground omitted); a solved
-            point's is a :class:`NodeVoltages` view of ``x``.
-        branch_currents: Name of voltage-defined element -> branch
-            current [A] (positive from + node through the element).
+            point's is a :class:`SolutionView` of ``x``.
+        branch_currents: Name of top-level voltage-defined element
+            (independent voltage source, VCVS) -> branch current [A]
+            (positive from + node through the element); a solved
+            point's is a :class:`SolutionView` of ``x``.
         device_ops: MOS element name -> :class:`MosOperatingPoint`.
         iterations: Newton iterations used.
         x: Raw solution vector (for warm starts); None for a failed
@@ -62,7 +65,7 @@ class OpResult:
     """
 
     voltages: Mapping[str, float]
-    branch_currents: dict[str, float]
+    branch_currents: Mapping[str, float]
     device_ops: dict[str, object] = field(default_factory=dict)
     iterations: int = 0
     x: np.ndarray | None = None

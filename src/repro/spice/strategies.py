@@ -1,14 +1,14 @@
-"""Pluggable DC solve strategies, the homotopy ladder, and diagnostics.
+"""The DC solve ladder, its two rungs, and diagnostics.
 
-The nonlinear DC solve is organised as a *ladder* of
-:class:`SolveStrategy` objects tried in order until one converges.  The
-default ladder has two rungs:
+The nonlinear DC solve climbs a fixed *ladder* of two rungs, tried in
+order until one converges:
 
-1. :class:`NewtonStrategy` -- plain damped Newton from the initial guess;
-2. :class:`PseudoTransientStrategy` -- anchor each solve to the last
-   accepted state through a decaying conductance, mimicking the damping
-   of a transient run settling to DC (continuation in pseudo-time), with
-   a step that backs off where the circuit resists.
+1. ``newton`` -- plain damped Newton from the initial guess
+   (:func:`newton_solve`);
+2. ``pseudo-transient`` -- anchor each solve to the last accepted state
+   through a decaying conductance, mimicking the damping of a transient
+   run settling to DC (continuation in pseudo-time), with a step that
+   backs off where the circuit resists (:func:`pseudo_transient`).
 
 The pseudo-transient schedule is written once over lanes
 (:func:`pseudo_transient_lanes`): the serial rung runs it for one lane,
@@ -21,15 +21,10 @@ Every rung, successful or not, is recorded in a
 :class:`~repro.errors.ConvergenceError` when the whole ladder fails --
 so a non-converging Monte-Carlo seed or sweep point can be diagnosed
 from its forensic record instead of re-run under a debugger.
-
-Continuation stages commonly need a different per-solve iteration
-budget than plain Newton (SPICE's ITL1 vs ITL6 distinction); each
-strategy therefore takes an optional ``max_iterations`` override.
 """
 
 from __future__ import annotations
 
-import abc
 import time as _time
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
@@ -61,15 +56,6 @@ class NewtonOptions:
         max_step: Maximum voltage change applied per iteration [V].
         gmin: Conductance from every node to ground [S]; small enough not
             to disturb pA-level circuits.
-        stall_window: Bail out of a Newton solve early when the damped
-            update norm fails to at least halve across a window of this
-            many iterations.  A converging solve shrinks its updates
-            far faster; a *stalled* rung (the classic failure mode on
-            exponential circuits: updates creeping by fractions of a
-            percent per iteration, never meeting tolerance) would waste
-            its whole iteration budget before the next homotopy rung --
-            which converges such cases quickly -- gets a turn.  0
-            disables the detector.
         max_wall_time: Wall-clock budget [s] for one whole ladder solve
             (every rung included).  When exhausted, the solve aborts
             with a :class:`~repro.errors.ConvergenceError` carrying the
@@ -87,9 +73,19 @@ class NewtonOptions:
     reltol: float = 1.0e-4
     max_step: float = 0.3
     gmin: float = 1.0e-15
-    stall_window: int = 25
     max_wall_time: float | None = None
     deadline: float | None = None
+
+
+#: Newton stall window: a solve ends early when neither the damped
+#: update norm nor the residual at least halves across this many
+#: iterations.  A converging solve shrinks its updates far faster; a
+#: *stalled* rung (the classic failure mode on exponential circuits:
+#: updates creeping by fractions of a percent per iteration, never
+#: meeting tolerance) would waste its whole iteration budget before the
+#: pseudo-transient rung -- which converges such cases quickly -- gets a
+#: turn.
+STALL_WINDOW = 25
 
 
 def step_converged(step_norm, v_max, options: NewtonOptions):
@@ -199,9 +195,7 @@ def _newton_kernel(compiled: "CompiledCircuit", x0: np.ndarray,
         # Only observers and the stall detector's window boundaries
         # read the residual norm; skip it on plain hot-path iterations.
         residual = None
-        if observing or iteration == 1 or (
-                options.stall_window > 0
-                and iteration % options.stall_window == 0):
+        if observing or iteration == 1 or iteration % STALL_WINDOW == 0:
             residual = float(np.abs(st.res).max())
         if trace is not None:
             trace.append(residual)
@@ -230,7 +224,7 @@ def _newton_kernel(compiled: "CompiledCircuit", x0: np.ndarray,
         if iteration == 1:
             # Seed the stall detector with the opening update norm and
             # residual so the first window is already armed: a solve
-            # where *neither* has halved by iteration ``stall_window``
+            # where *neither* has halved by iteration ``STALL_WINDOW``
             # is the limit-cycle failure mode, and waiting a second
             # full window just delays the homotopy rung that will
             # actually converge it.  A solve whose updates are pinned
@@ -251,20 +245,19 @@ def _newton_kernel(compiled: "CompiledCircuit", x0: np.ndarray,
                 float(np.abs(x[:n_nodes]).max() if n_nodes else 0.0),
                 options):
             return x, iteration
-        if options.stall_window > 0 and \
-                iteration % options.stall_window == 0:
+        if iteration % STALL_WINDOW == 0:
             if step_norm > 0.5 * stall_checkpoint and \
                     residual > 0.5 * stall_residual:
                 if tspan is not None:
                     tspan.event("stall", iteration=iteration,
                                 update_norm=step_norm,
-                                window=options.stall_window)
+                                window=STALL_WINDOW)
                 raise ConvergenceError(
                     f"Newton stalled after {iteration} iterations in "
                     f"{compiled.circuit.name} (neither the update norm "
                     f"{step_norm:.3e} nor the residual {residual:.3e} "
                     f"halved over the last "
-                    f"{options.stall_window} iterations)",
+                    f"{STALL_WINDOW} iterations)",
                     iterations=iteration, residual=residual)
             stall_checkpoint = step_norm
             stall_residual = residual
@@ -283,7 +276,8 @@ class StageReport:
     """Forensic record of one ladder rung.
 
     Attributes:
-        strategy: Strategy name (e.g. ``"pseudo-transient"``).
+        strategy: Rung name (``"newton"``, ``"pseudo-transient"``, or
+            a batched phase).
         converged: Whether this rung produced the solution.
         iterations: Newton iterations spent inside the rung.
         wall_time: Seconds spent inside the rung.
@@ -359,121 +353,82 @@ class SolverDiagnostics:
         return "\n".join(lines)
 
 
-# -- strategies ----------------------------------------------------------
+# -- the rungs -----------------------------------------------------------
 
 
-class SolveStrategy(abc.ABC):
-    """One rung of the DC homotopy ladder."""
+#: Anchor conductance of the first pseudo-transient step [S]: a small
+#: pseudo-timestep, strongly damped.
+G_START = 1.0e-3
 
-    #: Stable identifier used in diagnostics (subclasses override).
-    name = "strategy"
-
-    def __init__(self, max_iterations: int | None = None) -> None:
-        #: Per-Newton-solve iteration override for this rung (None
-        #: inherits ``NewtonOptions.max_iterations``).
-        self.max_iterations = max_iterations
-
-    def _options(self, options: NewtonOptions) -> NewtonOptions:
-        if self.max_iterations is None:
-            return options
-        return replace(options, max_iterations=self.max_iterations)
-
-    @abc.abstractmethod
-    def solve(self, circuit: "Circuit", compiled: "CompiledCircuit",
-              x0: np.ndarray, time: float | None, options: NewtonOptions,
-              trace: list[float]) -> tuple[np.ndarray, int]:
-        """Return (solution, total iterations) or raise ConvergenceError.
-
-        ``trace`` accumulates the residual trajectory for diagnostics.
-        """
-
-
-class NewtonStrategy(SolveStrategy):
-    """Plain damped Newton from the supplied initial guess."""
-
-    name = "newton"
-
-    def solve(self, circuit, compiled, x0, time, options, trace):
-        options = self._options(options)
-        return newton_solve(compiled, x0, time, options, trace=trace)
-
+#: First (and largest) pseudo-transient step ratio: ``g`` falls by this
+#: factor per accepted step while no step fails.
+SHRINK = 10.0
 
 #: Smallest step ratio the adaptive pseudo-transient schedule backs off
 #: to: a lane whose ratio is square-rooted below it fails the rung.
 MIN_STEP_RATIO = 1.1
 
 
-class PseudoTransientStrategy(SolveStrategy):
-    """Pseudo-transient continuation with an adaptive step.
+def pseudo_transient(compiled: "CompiledCircuit", x0: np.ndarray,
+                     time: float | None, options: NewtonOptions,
+                     trace: list[float] | None = None,
+                     ) -> tuple[np.ndarray, int]:
+    """Pseudo-transient continuation from ``x0``; return (solution,
+    iterations) or raise :class:`~repro.errors.ConvergenceError`.
 
     Each step solves the circuit with an extra conductance ``g`` from
     every node to its last accepted voltage -- the resistive analogue
     of a capacitor to the old state, i.e. one implicit-Euler step of a
-    fictitious transient.  ``g`` starts heavy (``g_start``: a small
-    pseudo-timestep, strongly damped) and falls by the step ratio per
-    accepted step until it reaches ``options.gmin``, after which a
-    plain Newton solve polishes the answer.  The ratio starts at
-    ``shrink``; a failed step restarts from the last accepted state
-    with the ratio square-rooted, and an accepted step squares it back
-    up to ``shrink`` (see :func:`pseudo_transient_lanes`).  The anchor
-    carries no bias toward ground, so the solve keeps the state the
-    nodesets name on bistable circuits.
+    fictitious transient.  ``g`` starts at :data:`G_START` and falls by
+    the step ratio per accepted step until it reaches ``options.gmin``,
+    after which a plain Newton solve polishes the answer.  The ratio
+    starts at :data:`SHRINK`; a failed step restarts from the last
+    accepted state with the ratio square-rooted, and an accepted step
+    squares it back up to :data:`SHRINK` (see
+    :func:`pseudo_transient_lanes`).  The anchor carries no bias toward
+    ground, so the solve keeps the state the nodesets name on bistable
+    circuits.  ``trace`` accumulates the residual trajectory of every
+    Newton iteration, as in :func:`newton_solve`.
     """
+    n_nodes = len(compiled.node_index)
+    X = x0.copy()[None, :]
 
-    name = "pseudo-transient"
+    def solve_lane(active, g, anchor):
+        def extra(st, xv, g=g[0], x_prev=anchor[0]) -> None:
+            st.add_diagonal(g, n_nodes)
+            st.res[:n_nodes] += g * (xv[:n_nodes] - x_prev[:n_nodes])
 
-    def __init__(self, g_start: float = 1.0e-3, shrink: float = 10.0,
-                 max_iterations: int | None = None) -> None:
-        super().__init__(max_iterations)
-        if g_start <= 0.0:
-            raise ValueError(f"g_start must be positive: {g_start}")
-        if shrink <= 1.0:
-            raise ValueError(f"shrink must exceed 1: {shrink}")
-        self.g_start = g_start
-        self.shrink = shrink
+        try:
+            X[0], iters = newton_solve(compiled, X[0], time, options,
+                                       extra_stamp=extra, trace=trace)
+        except ConvergenceError as error:
+            return [False], [error.iterations or 0], {0: str(error)}
+        return [True], [iters], {}
 
-    def solve(self, circuit, compiled, x0, time, options, trace):
-        options = self._options(options)
-        n_nodes = len(compiled.node_index)
-        X = x0.copy()[None, :]
-
-        def solve_lane(active, g, anchor):
-            def extra(st, xv, g=g[0], x_prev=anchor[0]) -> None:
-                st.add_diagonal(g, n_nodes)
-                st.res[:n_nodes] += g * (xv[:n_nodes] - x_prev[:n_nodes])
-
-            try:
-                X[0], iters = newton_solve(compiled, X[0], time, options,
-                                           extra_stamp=extra, trace=trace)
-            except ConvergenceError as error:
-                return [False], [error.iterations or 0], {0: str(error)}
-            return [True], [iters], {}
-
-        converged, iterations, reasons = pseudo_transient_lanes(
-            X, np.zeros(1, dtype=np.intp), self, options, solve_lane)
-        if not converged[0]:
-            raise ConvergenceError(reasons[0], iterations=int(iterations[0]))
-        return X[0], int(iterations[0])
+    converged, iterations, reasons = pseudo_transient_lanes(
+        X, np.zeros(1, dtype=np.intp), options, solve_lane)
+    if not converged[0]:
+        raise ConvergenceError(reasons[0], iterations=int(iterations[0]))
+    return X[0], int(iterations[0])
 
 
 def pseudo_transient_lanes(X: np.ndarray, lanes: np.ndarray,
-                           rung: PseudoTransientStrategy,
                            options: NewtonOptions, solve,
                            ) -> tuple[np.ndarray, np.ndarray, dict[int, str]]:
     """Run the adaptive pseudo-transient schedule on rows ``lanes`` of
     ``X`` (in place); return ``(converged, iterations, reasons)``.
 
-    Every lane carries its anchor conductance ``g`` (``rung.g_start``
-    at first), its step ratio (``rung.shrink`` at first) and its last
+    Every lane carries its anchor conductance ``g`` (:data:`G_START`
+    at first), its step ratio (:data:`SHRINK` at first) and its last
     accepted state, which anchors its next step:
 
     * an accepted step records its state, squares the ratio (capped at
-      ``rung.shrink``) and divides ``g`` by it; once ``g`` would reach
+      :data:`SHRINK`) and divides ``g`` by it; once ``g`` would reach
       ``options.gmin`` the lane's next solve is the plain polish;
     * a failed step restarts from the last accepted state with the
       ratio square-rooted -- ``g`` is the last accepted one divided by
       the new ratio -- and records a ``pseudo-transient-backoff`` event;
-    * a lane fails the rung when its first step (from ``g_start``)
+    * a lane fails the rung when its first step (from :data:`G_START`)
       fails, when its ratio falls below :data:`MIN_STEP_RATIO`, when its
       polish fails, or once the wall-clock deadline has passed.
 
@@ -481,14 +436,14 @@ def pseudo_transient_lanes(X: np.ndarray, lanes: np.ndarray,
     ``active`` from its row of ``X``, in place, with ``g[lane]`` from
     every node to ``anchor[lane]`` (``g[lane] == 0``: the plain
     polish), and returns ``(converged, iterations, reasons)`` for those
-    lanes in order, ``reasons`` keyed by lane.  The serial strategy
+    lanes in order, ``reasons`` keyed by lane.  The serial rung
     passes one lane through :func:`newton_solve`; the batched engine
     passes the stacked lanes through its own kernel.
     """
     B = X.shape[0]
-    g = np.full(B, rung.g_start)
+    g = np.full(B, G_START)
     g_accepted = np.zeros(B)
-    ratio = np.full(B, rung.shrink)
+    ratio = np.full(B, SHRINK)
     anchor = X.copy()
     converged = np.zeros(B, dtype=bool)
     iterations = np.zeros(B, dtype=int)
@@ -508,7 +463,7 @@ def pseudo_transient_lanes(X: np.ndarray, lanes: np.ndarray,
                                g=float(g[lane]), iterations=int(iters[k]))
                 anchor[lane] = X[lane]
                 g_accepted[lane] = g[lane]
-                ratio[lane] = min(ratio[lane] ** 2, rung.shrink)
+                ratio[lane] = min(ratio[lane] ** 2, SHRINK)
                 g[lane] = g[lane] / ratio[lane]
                 if g[lane] <= options.gmin:
                     g[lane] = 0.0
@@ -529,25 +484,16 @@ def pseudo_transient_lanes(X: np.ndarray, lanes: np.ndarray,
     return converged, iterations, reasons
 
 
-#: The ladder ``operating_point`` climbs by default.
-DEFAULT_LADDER: tuple[SolveStrategy, ...] = (
-    NewtonStrategy(),
-    PseudoTransientStrategy(),
-)
-
-
 def run_ladder(circuit: "Circuit", compiled: "CompiledCircuit",
                x0: np.ndarray, time: float | None, options: NewtonOptions,
-               strategies=None) -> tuple[np.ndarray, SolverDiagnostics]:
-    """Try each strategy in order; return solution plus diagnostics.
+               ) -> tuple[np.ndarray, SolverDiagnostics]:
+    """Try the Newton rung, then the pseudo-transient rung, each from
+    ``x0``; return solution plus diagnostics.
 
     Raises :class:`~repro.errors.ConvergenceError` -- with the full
     :class:`SolverDiagnostics` attached as ``.diagnostics`` -- when
-    every rung fails.
+    both rungs fail.
     """
-    strategies = DEFAULT_LADDER if strategies is None else tuple(strategies)
-    if not strategies:
-        raise ValueError("empty strategy ladder")
     # One value-sync per solve: picks up element mutations (aged
     # resistors, swapped devices) without paying per-iteration checks.
     compiled.prepare()
@@ -561,15 +507,18 @@ def run_ladder(circuit: "Circuit", compiled: "CompiledCircuit",
         options = replace(options,
                           deadline=ladder_start + options.max_wall_time)
     deadline_hit = False
-    for strategy in strategies:
+    # Both rungs are looked up when the ladder runs, not at import, so
+    # a wrapper bound over the module's ``newton_solve`` sees every
+    # Newton solve of the ladder.
+    for name, solve in (("newton", newton_solve),
+                        ("pseudo-transient", pseudo_transient)):
         trace: list[float] = []
         stage_start = _time.perf_counter()
         error: ConvergenceError | None = None
-        with telemetry.span(f"strategy:{strategy.name}",
-                            strategy=strategy.name) as sspan:
+        with telemetry.span(f"strategy:{name}", strategy=name) as sspan:
             try:
-                x, iterations = strategy.solve(circuit, compiled, x0,
-                                               time, options, trace)
+                x, iterations = solve(compiled, x0, time, options,
+                                      trace=trace)
             except ConvergenceError as exc:
                 error = exc
                 sspan.annotate(converged=False, iterations=len(trace),
@@ -577,12 +526,10 @@ def run_ladder(circuit: "Circuit", compiled: "CompiledCircuit",
             else:
                 sspan.annotate(converged=True, iterations=iterations)
         if error is not None:
-            ladder.event("ladder-rung", strategy=strategy.name,
-                         converged=False, iterations=len(trace),
-                         why=str(error))
+            ladder.event("ladder-rung", strategy=name, converged=False,
+                         iterations=len(trace), why=str(error))
             diagnostics.stages.append(StageReport(
-                strategy=strategy.name, converged=False,
-                iterations=len(trace),
+                strategy=name, converged=False, iterations=len(trace),
                 wall_time=_time.perf_counter() - stage_start,
                 residuals=tuple(trace[-RESIDUAL_TRACE_LIMIT:]),
                 detail=str(error)))
@@ -590,19 +537,18 @@ def run_ladder(circuit: "Circuit", compiled: "CompiledCircuit",
             if options.deadline is not None and \
                     _time.perf_counter() >= options.deadline:
                 deadline_hit = True
-                ladder.event("ladder-deadline", strategy=strategy.name,
+                ladder.event("ladder-deadline", strategy=name,
                              budget=options.max_wall_time)
                 break
             continue
-        ladder.event("ladder-rung", strategy=strategy.name,
-                     converged=True, iterations=iterations,
-                     why="converged")
+        ladder.event("ladder-rung", strategy=name, converged=True,
+                     iterations=iterations, why="converged")
         diagnostics.stages.append(StageReport(
-            strategy=strategy.name, converged=True, iterations=iterations,
+            strategy=name, converged=True, iterations=iterations,
             wall_time=_time.perf_counter() - stage_start,
             residuals=tuple(trace[-RESIDUAL_TRACE_LIMIT:])))
         diagnostics.total_iterations += iterations
-        diagnostics.rescued_by = strategy.name
+        diagnostics.rescued_by = name
         diagnostics.wall_time = _time.perf_counter() - ladder_start
         return x, diagnostics
     diagnostics.wall_time = _time.perf_counter() - ladder_start

@@ -68,9 +68,6 @@ class TransientOptions:
             down to ``dt_min``.
         reltol: Relative waveform-error target per step (LTE control).
         abstol: Absolute waveform-error floor per step [V].
-        trtol: Truncation-error overestimation divisor (SPICE's TRTOL).
-            The divided-difference LTE estimate is conservative by
-            roughly this factor on smooth waveforms.
         max_wall_time: Wall-clock budget [s] for the whole run (initial
             operating point included).  When exceeded, the run aborts
             with :class:`~repro.errors.ConvergenceError` carrying the
@@ -87,7 +84,6 @@ class TransientOptions:
     max_rejections: int | None = None
     reltol: float = 1.0e-3
     abstol: float = 1.0e-6
-    trtol: float = 7.0
     max_wall_time: float | None = None
 
 
@@ -184,6 +180,11 @@ def _breakpoints(circuit: Circuit, t_stop: float) -> list[float]:
     return merged
 
 
+#: Truncation-error overestimation divisor (SPICE's TRTOL): the
+#: divided-difference LTE estimate is conservative by roughly this
+#: factor on smooth waveforms.
+TRTOL = 7.0
+
 #: Step-growth cap, shrink floor and safety factor of the LTE
 #: controller (standard embedded-error-controller constants).
 _LTE_MAX_GROWTH = 3.0
@@ -239,7 +240,7 @@ def _lte_norm(t_new: float, X_new: np.ndarray, X_pred: np.ndarray,
         lte = err * (dt ** 2) / w
     tol = options.abstol + options.reltol * np.maximum(
         np.abs(X_new[:, :n_nodes]), np.abs(X_last[:, :n_nodes]))
-    return np.max(lte / (options.trtol * tol), axis=1)
+    return np.max(lte / (TRTOL * tol), axis=1)
 
 
 def _lte_factor(err_norm: float, order: int, low: float,
@@ -673,7 +674,6 @@ class _SerialStepper(_Stepper):
 def transient(circuit: Circuit, t_stop: float,
               options: TransientOptions | None = None,
               initial_op: OpResult | None = None,
-              max_wall_time: float | None = None,
               scope: "ScopeSession | None" = None) -> TranResult:
     """Integrate ``circuit`` from t = 0 (DC operating point) to ``t_stop``.
 
@@ -681,9 +681,6 @@ def transient(circuit: Circuit, t_stop: float,
     ``transient`` span: step-acceptance counters, one ``step-rejected``
     event per shrink (annotated with its cause, ``newton`` or ``lte``),
     and the per-step Newton spans of the inner solver nest underneath.
-
-    ``max_wall_time`` is a convenience override for
-    :attr:`TransientOptions.max_wall_time`.
 
     ``scope`` attaches a :class:`repro.scope.capture.ScopeSession`: the
     session sees every committed sample (t = 0 included) for triggered
@@ -700,8 +697,6 @@ def transient(circuit: Circuit, t_stop: float,
     integrates to ``t_stop``.
     """
     options = options or TransientOptions()
-    if max_wall_time is not None:
-        options = replace(options, max_wall_time=max_wall_time)
     _check_options(t_stop, options)
     with telemetry.span("transient", circuit=circuit.name,
                         t_stop=t_stop, method=options.method) as tspan:

@@ -20,7 +20,6 @@ from repro.spice import (
     Circuit,
     LaneSpec,
     NewtonOptions,
-    NewtonStrategy,
     dc_sweep,
 )
 from repro.stscl.netlist_gen import stscl_inverter_circuit
@@ -48,16 +47,15 @@ def _diode_measure(result):
 
 
 def _flaky_draw(seed, circuit):
-    """Odd seeds demand the 8 V walk that defeats a Newton-only TIGHT
-    ladder -- a deterministic, *deliberately* non-convergent sample."""
+    """Odd seeds demand the 8 V walk that defeats both rungs under
+    TIGHT -- a deterministic, *deliberately* non-convergent sample."""
     value = 8.0 if seed % 2 else 0.5 + 0.1 * seed
     return LaneSpec.source("V1", value, label=f"seed-{seed}")
 
 
 #: Serial call and batched lane both fail odd seeds the same way.
 FLAKY_SPEC = BatchedOpMetric(build=_diode_build, draw=_flaky_draw,
-                             measure=_diode_measure, options=TIGHT,
-                             strategies=(NewtonStrategy(),))
+                             measure=_diode_measure, options=TIGHT)
 
 
 class TestMonteCarloBatched:
@@ -132,8 +130,7 @@ SWEEP_SPEC = BatchedOpSweep(build=_diode_build, lane=_sweep_lane,
                             measure=_diode_measure)
 
 FLAKY_SWEEP_SPEC = BatchedOpSweep(build=_diode_build, lane=_sweep_lane,
-                                  measure=_diode_measure, options=TIGHT,
-                                  strategies=(NewtonStrategy(),))
+                                  measure=_diode_measure, options=TIGHT)
 
 
 class TestSweepBatched:
@@ -206,9 +203,8 @@ class TestDcSweepBatched:
         circuit = _diode_build()
         values = [0.5, 8.0]
         serial = dc_sweep(circuit, "V1", values, options=TIGHT,
-                          strategies=(NewtonStrategy(),), on_error="skip")
+                          on_error="skip")
         batched = dc_sweep(circuit, "V1", values, options=TIGHT,
-                           strategies=(NewtonStrategy(),),
                            on_error="skip", backend="batched")
         assert [k for k, _ in serial.failures] == [1]
         assert ([k for k, _ in batched.failures]
@@ -409,8 +405,8 @@ class TestOwnBackend:
     """Every batched front-end solves on the circuit's own
     ``matrix_backend``: its pilot, its stacked lanes and its serial
     fallbacks.  Each front-end's population holds one member the stacked
-    solver hands to a serial fallback: the 8 V walk a Newton-only TIGHT
-    ladder loses (DC), a stiff lane Newton loses on a fixed grid
+    solver hands to a serial fallback: the 8 V walk both rungs lose
+    under TIGHT (DC), a stiff lane Newton loses on a fixed grid
     (transient), a structural fault (campaign)."""
 
     def _run_front_end(self, name, backend) -> tuple[str | None, str]:
@@ -426,7 +422,7 @@ class TestOwnBackend:
         if name == "mc":
             MonteCarlo(BatchedOpMetric(
                 build=build, draw=_flaky_draw, measure=_diode_measure,
-                options=TIGHT, strategies=(NewtonStrategy(),)),
+                options=TIGHT),
                 n_runs=3, on_error="skip", backend="batched").run()
             return "operating-point", "strategy:newton"
         if name == "mc_tran":
@@ -450,14 +446,12 @@ class TestOwnBackend:
             sweep_1d("v_in", [0.5, 8.0, 0.7], BatchedOpSweep(
                 build=build,
                 lane=lambda v, _: LaneSpec.source("V1", v, label=f"{v}"),
-                measure=_diode_measure, options=TIGHT,
-                strategies=(NewtonStrategy(),)),
+                measure=_diode_measure, options=TIGHT),
                 on_error="skip", backend="batched")
             return "operating-point", "strategy:newton"
         if name == "dc_sweep":
             dc_sweep(build(), "V1", [0.5, 8.0, 0.7], options=TIGHT,
-                     strategies=(NewtonStrategy(),), on_error="skip",
-                     backend="batched")
+                     on_error="skip", backend="batched")
             return "operating-point", "strategy:newton"
         FaultCampaign(build=build,
                       metric_fn=lambda r: {"v": r.voltage("a")},

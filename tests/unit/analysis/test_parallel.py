@@ -81,19 +81,18 @@ class TestChunkedMonteCarlo:
 
 
 def _failing_metric(seed):
-    """Module-level Monte-Carlo metric that fails a hard solve: the
-    worker catches the ConvergenceError and ships it back as data."""
+    """Module-level Monte-Carlo metric that fails a hard solve (five
+    iterations per solve defeat both rungs): the worker catches the
+    ConvergenceError and ships it back as data."""
     from repro.devices.diode import Diode, DiodeParameters
     from repro.spice import Circuit, NewtonOptions, operating_point
-    from repro.spice.strategies import NewtonStrategy
 
     ckt = Circuit(f"hard_diode_{seed}")
     ckt.add_vsource("V1", "in", "0", 8.0)
     ckt.add_resistor("RS", "in", "a", 10.0)
     ckt.add_diode("D1", "a", "0",
                   Diode(DiodeParameters(name="j", i_s=1e-16)))
-    operating_point(ckt, NewtonOptions(max_iterations=5),
-                    strategies=(NewtonStrategy(),))
+    operating_point(ckt, NewtonOptions(max_iterations=5))
     return {"v": 0.0}  # unreachable
 
 
@@ -150,10 +149,11 @@ class TestExceptionFidelity:
         with pytest.raises(ConvergenceError) as excinfo:
             MonteCarlo(_failing_metric, n_runs=4, n_workers=2).run()
         error = excinfo.value
-        assert error.stage == "newton"
+        assert error.stage == "pseudo-transient"
         assert error.iterations is not None
         assert error.diagnostics is not None
-        assert error.diagnostics.stages
+        assert [s.strategy for s in error.diagnostics.stages] == [
+            "newton", "pseudo-transient"]
         assert error.diagnostics.stages[0].residuals
 
 

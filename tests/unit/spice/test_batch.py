@@ -17,7 +17,6 @@ from repro.spice import (
     Circuit,
     LaneSpec,
     NewtonOptions,
-    NewtonStrategy,
     apply_lane,
     batch_operating_point,
     operating_point,
@@ -200,17 +199,14 @@ class TestEquivalence:
 
 class TestLadderSemantics:
     def test_stacked_rescue_respects_a_newton_only_ladder(self):
-        """A ladder without a pseudo-transient rung must fail the same
-        lanes batched as serially -- the stacked continuation phase may
-        not rescue lanes the caller's ladder could not."""
-        lanes = source_lanes([0.5, 8.0])  # 8 V walk defeats TIGHT Newton
+        """Batched and serial solves climb the same two rungs, so they
+        fail the same lanes -- the stacked continuation phase may not
+        rescue a lane the serial ladder could not."""
+        lanes = source_lanes([0.5, 8.0])  # 8 V walk defeats both rungs
         with pytest.raises(ConvergenceError):
-            operating_point(diode_circuit(8.0), TIGHT,
-                            strategies=(NewtonStrategy(),))
+            operating_point(diode_circuit(8.0), TIGHT)
         batch = batch_operating_point(diode_circuit(), lanes,
-                                      options=TIGHT,
-                                      strategies=(NewtonStrategy(),),
-                                      on_error="skip")
+                                      options=TIGHT, on_error="skip")
         assert [index for index, _ in batch.failures] == [1]
         assert batch.points[0].converged
         assert not batch.points[1].converged
@@ -218,23 +214,20 @@ class TestLadderSemantics:
     def test_failed_lane_gets_nan_placeholder_and_diagnostics(self):
         batch = batch_operating_point(diode_circuit(),
                                       source_lanes([8.0]),
-                                      options=TIGHT,
-                                      strategies=(NewtonStrategy(),),
-                                      on_error="skip")
+                                      options=TIGHT, on_error="skip")
         point = batch.points[0]
         assert all(np.isnan(v) for v in point.voltages.values())
         _, error = batch.failures[0]
-        # Forensics: the batched attempt is on record ahead of the
-        # serial ladder stages it fell back to.
+        # Forensics: both stacked phases are on record ahead of the
+        # serial ladder stages the lane fell back to.
         stages = [s.strategy for s in error.diagnostics.stages]
-        assert stages[0] == BATCHED_STAGE
-        assert "newton" in stages
+        assert stages == [BATCHED_STAGE, BATCHED_PSEUDO_TRANSIENT_STAGE,
+                          "newton", "pseudo-transient"]
 
     def test_on_error_raise_propagates_the_first_failure(self):
         with pytest.raises(ConvergenceError):
             batch_operating_point(diode_circuit(), source_lanes([8.0]),
-                                  options=TIGHT,
-                                  strategies=(NewtonStrategy(),))
+                                  options=TIGHT)
 
     def test_fallback_rescues_via_the_full_ladder(self):
         """Stacked Newton stalls on the 316 pA delay chain; the lanes
@@ -305,7 +298,6 @@ class TestDiagnosticsAndTelemetry:
         lanes = source_lanes([0.5, 8.0])
         with telemetry.tracing("batch-test") as trace:
             batch_operating_point(diode_circuit(), lanes, options=TIGHT,
-                                  strategies=(NewtonStrategy(),),
                                   on_error="skip")
         counters = trace.total_counters()
         assert counters["batch_lanes"] == 2

@@ -46,19 +46,14 @@ class TestCompileCache:
     def test_sweep_with_skipped_point_still_compiles_once(self):
         """The NaN placeholder of a skipped point also goes through
         ``circuit.compile()`` -- it must hit the cache, not rebuild."""
-        from repro.errors import ConvergenceError
-        from repro.spice import NewtonOptions, SolveStrategy
+        from repro.spice import NewtonOptions
 
-        class _Hopeless(SolveStrategy):
-            name = "hopeless"
-
-            def solve(self, circuit, compiled, x0, time, options,
-                      trace):
-                raise ConvergenceError("engineered failure")
-
+        # One Newton iteration per solve fails every rung at every
+        # point (at 0 V the start would already be the solution).
         circuit = diode_divider()
-        sweep = dc_sweep(circuit, "V1", [0.0, 0.5, 1.0],
-                         strategies=[_Hopeless()], on_error="skip")
+        sweep = dc_sweep(circuit, "V1", [0.25, 0.5, 1.0],
+                         options=NewtonOptions(max_iterations=1),
+                         on_error="skip")
         assert len(sweep.failures) == 3
         assert all(p.x is None for p in sweep.points)
         assert circuit.compile_count == 1

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import AnalysisError
-from repro.spice.results import (AcResult, NodeVoltages, OpResult,
+from repro.spice.results import (AcResult, OpResult, SolutionView,
                                  TranResult)
 
 
@@ -45,7 +45,7 @@ class TestNodeVoltages:
 
     def test_reads_the_solution_bit_for_bit(self):
         compiled, op = self._solved()
-        assert isinstance(op.voltages, NodeVoltages)
+        assert isinstance(op.voltages, SolutionView)
         expected = {name: float(op.x[row])
                     for name, row in compiled.node_index.items()}
         assert dict(op.voltages) == expected
@@ -67,7 +67,7 @@ class TestNodeVoltages:
 
         _, op = self._solved()
         clone = pickle.loads(pickle.dumps(op))
-        assert isinstance(clone.voltages, NodeVoltages)
+        assert isinstance(clone.voltages, SolutionView)
         assert clone.voltages == op.voltages
         assert clone.voltages._x is clone.x
 
@@ -79,6 +79,64 @@ class TestNodeVoltages:
         assert point.x is None and not point.converged
         assert list(point.voltages) == list(compiled.node_index)
         assert all(np.isnan(v) for v in point.voltages.values())
+
+
+class TestBranchCurrents:
+    """A solved point's ``branch_currents`` is the same read-only view
+    of ``x``, over the top-level voltage sources and VCVSs only."""
+
+    def _cell_circuit(self):
+        """A cell holding its own 0.3 V source behind 1 kohm, driven at
+        1 V from the top level, next to a top-level VCVS."""
+        from repro.spice import Circuit
+        from repro.spice.subckt import Subcircuit
+
+        template = Circuit("cell")
+        template.add_vsource("vb", "b", "0", 0.3)
+        template.add_resistor("r1", "a", "b", 1e3)
+        circuit = Circuit("top")
+        circuit.add_vsource("v1", "in", "0", 1.0)
+        circuit.add_instance("x1", Subcircuit("cell", template, ["a"]),
+                             {"a": "in"})
+        circuit.add_vcvs("e1", "out", "0", "in", "0", 2.0)
+        circuit.add_resistor("rl", "out", "0", 1e3)
+        return circuit
+
+    def test_instances_carry_no_branch_current(self):
+        from repro.spice import operating_point
+
+        circuit = self._cell_circuit()
+        op = operating_point(circuit)
+        compiled = circuit.compile()
+        assert isinstance(op.branch_currents, SolutionView)
+        assert list(op.branch_currents) == ["v1", "e1"]
+        assert op.branch_currents == {
+            name: float(op.x[compiled.aux_index[name][0]])
+            for name in ("v1", "e1")}
+        assert op.current("v1") == pytest.approx(-0.7e-3)
+        # The cell's own source is internal to x1, not x1's current.
+        with pytest.raises(AnalysisError):
+            op.current("x1")
+        with pytest.raises(TypeError):
+            op.branch_currents["v1"] = 0.0
+
+    def test_nan_placeholder_covers_every_branch(self):
+        from repro.spice.dc import _nan_point
+
+        point = _nan_point(self._cell_circuit().compile())
+        assert list(point.branch_currents) == ["v1", "e1"]
+        assert all(np.isnan(i) for i in point.branch_currents.values())
+
+    def test_pickles_with_its_result(self):
+        import pickle
+
+        from repro.spice import operating_point
+
+        op = operating_point(self._cell_circuit())
+        clone = pickle.loads(pickle.dumps(op))
+        assert isinstance(clone.branch_currents, SolutionView)
+        assert clone.branch_currents == op.branch_currents
+        assert clone.branch_currents._x is clone.x
 
 
 class TestAcResult:

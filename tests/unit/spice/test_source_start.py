@@ -17,14 +17,13 @@ from repro.spice import (
     Circuit,
     LaneSpec,
     NewtonOptions,
-    NewtonStrategy,
-    PseudoTransientStrategy,
     apply_lane,
     batch_operating_point,
     operating_point,
     pulse_wave,
 )
 from repro.spice import batch
+from repro.spice.strategies import pseudo_transient
 from repro.stscl import (StsclGateDesign, stscl_buffer_chain_circuit,
                          stscl_inverter_circuit, stscl_latch_circuit)
 
@@ -128,12 +127,15 @@ class TestColdGatesTakeNewton:
         assert newton.diagnostics.rescued_by == "newton"
         assert [s.strategy for s in newton.diagnostics.stages] == [
             "newton"]
-        continued = operating_point(build(design), strategies=(
-            PseudoTransientStrategy(),))
-        assert continued.diagnostics.rescued_by == "pseudo-transient"
+        # The pseudo-transient rung alone, from the same start.
+        circuit = build(design)
+        compiled = circuit.compile()
+        continued, _ = pseudo_transient(
+            compiled, circuit.initial_guess(compiled), None,
+            NewtonOptions())
         vntol = NewtonOptions().vntol
-        for node, value in continued.voltages.items():
-            assert newton.voltages[node] == pytest.approx(value,
+        for node, row in compiled.node_index.items():
+            assert newton.voltages[node] == pytest.approx(continued[row],
                                                           abs=vntol)
         if build is _latch:
             # The bistable latch keeps the state its nodesets name.
@@ -150,29 +152,28 @@ def _diode() -> Circuit:
     return circuit
 
 
-def _serial_twin(circuit: Circuit, lane: LaneSpec, options, strategies):
+def _serial_twin(circuit: Circuit, lane: LaneSpec, options):
     undo = apply_lane(circuit, lane)
     try:
-        return operating_point(circuit, options, strategies=strategies)
+        return operating_point(circuit, options)
     finally:
         undo()
 
 
 class TestSourceLaneStart:
     def test_an_8v_lane_matches_its_serial_twin(self):
-        """The 8 V lane of the 1 V diode circuit converges under a
-        20-iteration Newton-only ladder serially, so it must batched
-        too, to the same solution."""
-        strategies = (NewtonStrategy(),)
+        """The 8 V lane of the 1 V diode circuit converges in the
+        Newton rung under 20 iterations serially, so it must in the
+        stacked Newton phase too, to the same solution."""
         lanes = [LaneSpec.source("V1", v, label=f"{v:g}")
                  for v in (0.5, 8.0)]
         result = batch_operating_point(_diode(), lanes, options=TIGHT,
-                                       strategies=strategies,
                                        on_error="skip")
         assert result.failures == []
         assert result.diagnostics.n_fallback == 0
+        assert result.diagnostics.n_converged_batched == 2
         for lane, point in zip(lanes, result.points):
-            serial = _serial_twin(_diode(), lane, TIGHT, strategies)
+            serial = _serial_twin(_diode(), lane, TIGHT)
             assert serial.diagnostics.rescued_by == "newton"
             assert point.converged
             for node, value in serial.voltages.items():
@@ -211,8 +212,6 @@ class TestSourceLaneStart:
                  LaneSpec.source("V1", 3.0)]
         result = batch_operating_point(
             circuit, lanes, options=NewtonOptions(max_iterations=2),
-            strategies=(NewtonStrategy(),
-                        PseudoTransientStrategy(max_iterations=2)),
             on_error="skip")
         assert [k for k, _ in result.failures] == [0, 1, 2]
         compiled = circuit.compile()

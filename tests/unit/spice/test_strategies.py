@@ -1,4 +1,4 @@
-"""The homotopy ladder: pathological circuits, diagnostics, recovery.
+"""The DC ladder: pathological circuits, diagnostics, recovery.
 
 One fixture circuit drives a diode hard through a tiny series resistor
 from an 8 V source.  A nodeset starts the source node at 0 V, and with
@@ -7,7 +7,8 @@ the damped Newton of this solver it must then *walk* to 8 V at
 plain Newton deterministically.  The rescue
 fixture is the paper's delay testbench at I_SS = 10^-9.5 A: plain
 Newton stalls on it under the default budget, and pseudo-transient
-continuation converges it only by backing its step off.
+continuation converges it only by backing its step off.  Tests that
+need one rung alone call it directly, from the circuit's initial guess.
 """
 
 import numpy as np
@@ -16,16 +17,9 @@ import pytest
 from repro import telemetry
 from repro.devices.diode import Diode, DiodeParameters
 from repro.errors import ConvergenceError
-from repro.spice import (
-    Circuit,
-    NewtonOptions,
-    NewtonStrategy,
-    PseudoTransientStrategy,
-    SolveStrategy,
-    dc_sweep,
-    operating_point,
-)
-from repro.spice.strategies import MIN_STEP_RATIO, pseudo_transient_lanes
+from repro.spice import Circuit, NewtonOptions, dc_sweep, operating_point
+from repro.spice.strategies import (MIN_STEP_RATIO, newton_solve,
+                                    pseudo_transient, pseudo_transient_lanes)
 from repro.stscl import StsclGateDesign, delay_chain_circuit
 
 DIODE = Diode(DiodeParameters(name="junction", i_s=1e-16))
@@ -53,6 +47,15 @@ def delay_chain() -> Circuit:
     return delay_chain_circuit(StsclGateDesign.default(10.0 ** -9.5), 0.4)
 
 
+def solve_rung(circuit: Circuit, rung, options: NewtonOptions
+               ) -> dict[str, float]:
+    """Node voltages of ``rung`` alone (``newton_solve`` or
+    ``pseudo_transient``) run from the circuit's initial guess."""
+    compiled = circuit.compile()
+    x, _ = rung(compiled, circuit.initial_guess(compiled), None, options)
+    return {node: float(x[row]) for node, row in compiled.node_index.items()}
+
+
 def divider() -> Circuit:
     circuit = Circuit("divider")
     circuit.add_vsource("V1", "in", "0", 1.0)
@@ -63,9 +66,10 @@ def divider() -> Circuit:
 
 class TestLadderRescue:
     def test_plain_newton_alone_is_defeated(self):
+        """The Newton rung alone cannot finish the 8 V walk in TIGHT's
+        20 iterations."""
         with pytest.raises(ConvergenceError):
-            operating_point(hard_diode(), TIGHT,
-                            strategies=(NewtonStrategy(),))
+            solve_rung(hard_diode(), newton_solve, TIGHT)
 
     def test_default_ladder_rescues_and_names_the_stage(self):
         op = operating_point(delay_chain())
@@ -108,18 +112,19 @@ class TestLadderRescue:
                    for g in steps)
 
     def test_pseudo_transient_is_a_viable_final_fallback(self):
-        op = operating_point(hard_diode(), TIGHT, strategies=(
-            NewtonStrategy(), PseudoTransientStrategy(max_iterations=80)))
-        assert op.diagnostics.rescued_by == "pseudo-transient"
-        assert 0.7 < op.voltage("a") < 1.1
+        """The pseudo-transient rung alone, with 80 iterations per
+        solve, finishes the walk that defeats TIGHT Newton."""
+        voltages = solve_rung(hard_diode(), pseudo_transient,
+                              NewtonOptions(max_iterations=80))
+        assert 0.7 < voltages["a"] < 1.1
 
     def test_all_strategies_agree_on_the_solution(self):
+        """Each rung alone, under the default budget, reaches the
+        ladder's answer."""
         reference = operating_point(hard_diode()).voltage("a")
-        for strategies in (
-                (NewtonStrategy(),),
-                (PseudoTransientStrategy(),)):
-            op = operating_point(hard_diode(), strategies=strategies)
-            assert op.voltage("a") == pytest.approx(reference, abs=1e-5)
+        for rung in (newton_solve, pseudo_transient):
+            voltages = solve_rung(hard_diode(), rung, NewtonOptions())
+            assert voltages["a"] == pytest.approx(reference, abs=1e-5)
 
 
 class TestPseudoTransientSchedule:
@@ -136,8 +141,8 @@ class TestPseudoTransientSchedule:
             return [ok], [1], ({} if ok else {0: "stub failure"})
 
         converged, iterations, reasons = pseudo_transient_lanes(
-            np.zeros((1, 2)), np.zeros(1, dtype=np.intp),
-            PseudoTransientStrategy(), NewtonOptions(), solve)
+            np.zeros((1, 2)), np.zeros(1, dtype=np.intp), NewtonOptions(),
+            solve)
         return bool(converged[0]), int(iterations[0]), reasons, calls
 
     def test_decade_steps_end_in_a_plain_polish(self):
@@ -214,48 +219,27 @@ class TestDiagnostics:
         assert diag.wall_time > 0.0
         assert all(s.wall_time >= 0.0 for s in diag.stages)
 
-    def test_empty_ladder_is_rejected(self):
-        with pytest.raises(ValueError):
-            operating_point(divider(), strategies=())
-
-
-class _WarmStartAllergic(SolveStrategy):
-    """Fails any solve that does not start from the nodeset guess --
-    a deterministic stand-in for warm starts landing in a bad basin."""
-
-    name = "warm-allergic"
-
-    def __init__(self):
-        super().__init__()
-        self.cold_calls = 0
-        self.warm_rejections = 0
-
-    def solve(self, circuit, compiled, x0, time, options, trace):
-        if not np.array_equal(x0, circuit.initial_guess(compiled)):
-            self.warm_rejections += 1
-            raise ConvergenceError("warm start rejected")
-        self.cold_calls += 1
-        return NewtonStrategy().solve(circuit, compiled, x0, time,
-                                      options, trace)
-
 
 class TestSweepRecovery:
     def test_warm_start_failure_is_retried_from_nodesets(self):
         """One diverging warm start must not abort the sweep: the point
-        is re-seeded from the circuit's nodeset initial guess."""
-        strategy = _WarmStartAllergic()
-        result = dc_sweep(divider(), "V1", [0.2, 0.6, 1.0],
-                          strategies=(strategy,))
-        assert strategy.warm_rejections == 2   # points 1 and 2
-        assert strategy.cold_calls == 3        # every point solved cold
+        is re-seeded from the circuit's initial guess.  Without its
+        ``in`` nodeset the 8 V diode starts on its source, so a cold
+        solve converges under TIGHT; warm-started from the 0.5 V point
+        it must walk 7.5 V and loses both rungs."""
+        circuit = hard_diode()
+        del circuit.nodesets["in"]
+        with telemetry.tracing("sweep") as trace:
+            result = dc_sweep(circuit, "V1", [0.5, 8.0], options=TIGHT)
+        restarts = trace.root.find("dc-sweep").events_of("cold-restart")
+        assert [event["index"] for event in restarts] == [1]
         assert not result.failures
-        np.testing.assert_allclose(result.voltage("mid"),
-                                   [0.1, 0.3, 0.5], atol=1e-6)
+        cold = operating_point(circuit, TIGHT)
+        assert result.voltage("a")[1] == cold.voltage("a")
 
     def test_on_error_skip_records_nan_and_continues(self):
         result = dc_sweep(hard_diode(), "V1", [0.5, 8.0, 0.55],
                           options=NewtonOptions(max_iterations=8),
-                          strategies=(NewtonStrategy(),),
                           on_error="skip")
         assert result.failed_indices == [1]
         (index, message), = result.failures
@@ -269,30 +253,20 @@ class TestSweepRecovery:
     def test_on_error_raise_is_the_default(self):
         with pytest.raises(ConvergenceError):
             dc_sweep(hard_diode(), "V1", [0.5, 8.0],
-                     options=NewtonOptions(max_iterations=8),
-                     strategies=(NewtonStrategy(),))
+                     options=NewtonOptions(max_iterations=8))
 
     def test_sweep_restores_the_source_after_skips(self):
         circuit = hard_diode()
         element = circuit.element("V1")
         saved = element.waveform
         dc_sweep(circuit, "V1", [0.5, 8.0, 0.55],
-                 options=NewtonOptions(max_iterations=8),
-                 strategies=(NewtonStrategy(),), on_error="skip")
+                 options=NewtonOptions(max_iterations=8), on_error="skip")
         assert element.waveform is saved
 
     def test_unknown_policy_is_rejected(self):
         from repro.errors import NetlistError
         with pytest.raises(NetlistError):
             dc_sweep(divider(), "V1", [1.0], on_error="ignore")
-
-
-class TestStrategyValidation:
-    def test_pseudo_transient_parameters(self):
-        with pytest.raises(ValueError):
-            PseudoTransientStrategy(g_start=-1.0)
-        with pytest.raises(ValueError):
-            PseudoTransientStrategy(shrink=0.5)
 
 
 class TestWallClockBudget:
@@ -313,8 +287,8 @@ class TestWallClockBudget:
         assert result.voltage("mid") == pytest.approx(0.5)
 
     def test_budget_covers_the_whole_ladder(self):
-        """The deadline is absolute across rungs: every strategy shares
-        one budget instead of each getting its own."""
+        """The deadline is absolute across rungs: both rungs share one
+        budget instead of each getting its own."""
         with pytest.raises(ConvergenceError) as excinfo:
             operating_point(hard_diode(), NewtonOptions(
                 max_iterations=20, max_wall_time=0.0))

@@ -371,19 +371,10 @@ class TestWallClockBudget:
         assert isinstance(error.diagnostics, TransientTelemetry)
         assert "wall-clock budget" in str(error)
 
-    def test_kwarg_overrides_options(self):
-        from repro.errors import ConvergenceError
-        from repro.spice import operating_point
-
-        ckt = rc_circuit()
-        op = operating_point(ckt)
-        with pytest.raises(ConvergenceError) as excinfo:
-            transient(ckt, 4e-6, initial_op=op, max_wall_time=0.0)
-        assert excinfo.value.stage == "wall-clock"
-
     def test_generous_budget_is_invisible(self):
         baseline = transient(rc_circuit(), 4e-6)
-        budgeted = transient(rc_circuit(), 4e-6, max_wall_time=3600.0)
+        budgeted = transient(rc_circuit(), 4e-6,
+                             TransientOptions(max_wall_time=3600.0))
         np.testing.assert_allclose(budgeted.voltage("out"),
                                    baseline.voltage("out"))
         assert len(budgeted.time) == len(baseline.time)

@@ -39,3 +39,39 @@ def test_install_binds_every_entry_point_and_uninstall_restores_it():
     assert patches
     for site, name, original in patches:
         assert vars(site)[name] is original, (site, name)
+
+
+def _inverter():
+    from repro.stscl import StsclGateDesign, stscl_inverter_circuit
+    return stscl_inverter_circuit(StsclGateDesign.default(1e-9), 0.4)[0]
+
+
+def _delay_chain():
+    from repro.stscl import StsclGateDesign, delay_chain_circuit
+    return delay_chain_circuit(StsclGateDesign.default(10.0 ** -9.5), 0.4)
+
+
+@pytest.mark.parametrize("build, rescued_by", [
+    (_inverter, "newton"),
+    (_delay_chain, "pseudo-transient"),
+], ids=["inverter-1nA", "delay-chain-316pA"])
+def test_the_wrappers_see_every_rung_newton_solve(build, rescued_by):
+    """The ledger must count every Newton solve of both rungs: a rung
+    that reached ``newton_solve`` through a reference taken at import
+    would bypass the wrapper and leave its layer's time unattributed."""
+    from repro import telemetry
+    from repro.spice import operating_point
+
+    circuit = build()
+    layers = _load_layers()
+    ledger = layers.Ledger()
+    try:
+        ledger.install()
+        with telemetry.tracing("ladder") as trace:
+            op = operating_point(circuit)
+    finally:
+        ledger.uninstall()
+    assert op.diagnostics.rescued_by == rescued_by
+    assert ledger.calls["repro.spice.strategies:run_ladder"] == 1
+    assert ledger.calls["repro.spice.strategies:newton_solve"] == len(
+        trace.root.find_all("newton"))
