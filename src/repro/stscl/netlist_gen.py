@@ -64,6 +64,22 @@ def _add_output_stage(circuit: Circuit, design: StsclGateDesign,
     return out_p, out_n
 
 
+def _input_high(circuit: Circuit) -> bool:
+    """Whether the ``vinp``/``vinn`` input reads logic 1 at t = 0 (a
+    tie reads 1)."""
+    return (circuit.element("vinp").value_at(0.0)
+            >= circuit.element("vinn").value_at(0.0))
+
+
+def _hint_outputs(circuit: Circuit, design: StsclGateDesign, vdd: float,
+                  out_p: str, out_n: str, high: bool) -> None:
+    """Start an output pair at the logic levels of ``high``: the side
+    that carries no current at V_DD, the other V_SW below it."""
+    high_v, low_v = vdd, vdd - design.v_sw
+    circuit.nodeset(out_p, high_v if high else low_v)
+    circuit.nodeset(out_n, low_v if high else high_v)
+
+
 def stscl_inverter_circuit(
         design: StsclGateDesign, vdd: float,
         in_p: Waveform | float | None = None,
@@ -75,7 +91,9 @@ def stscl_inverter_circuit(
     Input defaults: a DC high (V_DD) on the positive side and a DC low
     (V_DD - V_SW) on the negative side.  An ideal tail sink keeps the
     experiment focused on the gate; the replica-solved V_BP biases the
-    loads unless overridden.
+    loads unless overridden.  A cold solve starts the outputs at the
+    logic value of the input's t = 0 level and the tail at
+    :func:`pair_source_voltage`.
     """
     circuit = Circuit("stscl_inverter", temperature=design.temperature)
     circuit.add_vsource("vvdd", "vdd", "0", vdd)
@@ -99,9 +117,8 @@ def stscl_inverter_circuit(
                        bulk="0", device=pair)
     circuit.add_isource("itail", "tail", "0", design.i_ss)
 
-    circuit.nodeset(out_p, vdd)
-    circuit.nodeset(out_n, vdd - design.v_sw)
-    circuit.nodeset("tail", 0.1)
+    _hint_outputs(circuit, design, vdd, out_p, out_n, _input_high(circuit))
+    circuit.nodeset("tail", pair_source_voltage(design, vdd))
 
     ports = GatePorts(inputs={"a": ("inp", "inn")},
                       outputs={"y": (out_p, out_n)})
@@ -115,7 +132,9 @@ def stscl_buffer_chain_circuit(
     """A chain of ``n_stages`` buffers for propagation-delay extraction.
 
     Stage k's differential output drives stage k+1's input; every stage
-    carries its own loads, tail and explicit C_L.
+    carries its own loads, tail and explicit C_L.  A cold solve starts
+    every stage's outputs at the logic value of the input's t = 0 level
+    and every tail at :func:`pair_source_voltage`.
     """
     if n_stages < 1:
         raise DesignError(f"need at least one stage, got {n_stages}")
@@ -126,6 +145,8 @@ def stscl_buffer_chain_circuit(
     circuit.add_vsource("vinn", "s0_outn", "0", in_n)
 
     pair = design.pair_device()
+    high = _input_high(circuit)  # buffers do not invert
+    v_tail = pair_source_voltage(design, vdd)
     outputs = {}
     for k in range(1, n_stages + 1):
         prefix = f"s{k}_"
@@ -138,9 +159,8 @@ def stscl_buffer_chain_circuit(
                            source=f"{prefix}tail", bulk="0", device=pair)
         circuit.add_isource(f"{prefix}itail", f"{prefix}tail", "0",
                             design.i_ss)
-        circuit.nodeset(out_p, vdd)
-        circuit.nodeset(out_n, vdd - design.v_sw)
-        circuit.nodeset(f"{prefix}tail", 0.1)
+        _hint_outputs(circuit, design, vdd, out_p, out_n, high)
+        circuit.nodeset(f"{prefix}tail", v_tail)
         outputs[f"y{k}"] = (out_p, out_n)
 
     ports = GatePorts(inputs={"a": ("s0_outp", "s0_outn")},
@@ -184,8 +204,10 @@ def pair_source_voltage(design: StsclGateDesign, vdd: float) -> float:
     I_SS at a grounded source -- not at V_DD - V_GS, which neglects the
     body effect.  Every conducting node of a steering tree or latch
     stack (the tail and the sources above it) sits near this value, so
-    the steering trees and the adder cell's latches start those nodes
-    there.
+    the steering trees, the adder cell's latches and the tails of the
+    inverter and the buffer chain start there.  The stand-alone latch
+    and the ring keep 0.1 V hints (docs/architecture.md gives the
+    measurements).
     """
     return (vdd - design.pair_gate_overdrive()) / design.tech.nmos.n
 
@@ -302,8 +324,7 @@ def stscl_tree_circuit(
         circuit, "", design, vdd, function,
         [(f"in{k}p", f"in{k}n") for k in range(n_inputs)],
         with_dwell=with_dwell)
-    circuit.nodeset(out_p, vdd)
-    circuit.nodeset(out_n, vdd - design.v_sw)
+    _hint_outputs(circuit, design, vdd, out_p, out_n, True)
     ports = GatePorts(
         inputs={f"in{k}": (f"in{k}p", f"in{k}n")
                 for k in range(n_inputs)},
@@ -352,7 +373,6 @@ def stscl_ring_oscillator_circuit(
     circuit.add_vsource("vvdd", "vdd", "0", vdd)
     circuit.add_vsource("vvbp", "vbp", "0", _load_bias(design, vdd))
     pair = design.pair_device()
-    high, low = vdd, vdd - design.v_sw
     for k in range(1, n_stages + 1):
         prefix = f"s{k}_"
         out_p, out_n = _add_output_stage(circuit, design, prefix,
@@ -370,9 +390,7 @@ def stscl_ring_oscillator_circuit(
         circuit.add_isource(f"{prefix}itail", f"{prefix}tail", "0",
                             design.i_ss)
         # Stagger the initial state around the loop to start it up.
-        phase = k % 2 == 0
-        circuit.nodeset(out_p, high if phase else low)
-        circuit.nodeset(out_n, low if phase else high)
+        _hint_outputs(circuit, design, vdd, out_p, out_n, k % 2 == 0)
         circuit.nodeset(f"{prefix}tail", 0.1)
     # The ring's only DC solution is the metastable balance point, so a
     # noiseless transient would sit there forever.  Kick stage 1 with a
@@ -413,8 +431,7 @@ def stscl_latch_circuit(
     out_p, out_n = add_stscl_latch(circuit, "", design, "dp", "dn",
                                    "ckp", "ckn", with_dwell=with_dwell)
 
-    circuit.nodeset(out_p, vdd)
-    circuit.nodeset(out_n, vdd - design.v_sw)
+    _hint_outputs(circuit, design, vdd, out_p, out_n, True)
     for node in ("tail", "ns", "nh"):
         circuit.nodeset(node, 0.1)
 

@@ -35,8 +35,20 @@ from .netlist_gen import (
 
 #: Length of the delay testbench's transient, in analytic delays t_d:
 #: an upper bound, because a ``replace_dense`` capture ends the run on
-#: the sample that closes its window (about 16.6 t_d).
+#: the sample that closes its window (about 12.6 t_d).  It also sets
+#: the first step (t_stop / 1000) and so the grid that lands on the
+#: input edge, which sets the grid after it: changing it moves the
+#: window's samples.
 DELAY_TESTBENCH_T_STOP = 25.0
+
+#: Time of the delay testbench's input step, in analytic delays t_d.
+#: The run lands on it with a 0.03 t_d step.  The first step after a
+#: corner is the landing step or an eighth of the t_d/10 rise, whichever
+#: is shorter, so while the landing step is at least t_d/80 every step
+#: after the edge (and the window) is that of an edge a whole number of
+#: ``dt_max`` steps later, shifted.  An edge at 0.5 t_d lands with a
+#: 0.01 t_d step and moves the delays.
+DELAY_TESTBENCH_EDGE = 1.0
 
 
 @dataclass(frozen=True)
@@ -62,14 +74,16 @@ class GateCharacterization:
 def delay_chain_circuit(design: StsclGateDesign, vdd: float,
                         n_stages: int = 3) -> Circuit:
     """The delay testbench's circuit: an ``n_stages`` buffer chain
-    driven by a differential step at 5 t_d (see
+    driven by a differential step from logic 0 to logic 1 at
+    :data:`DELAY_TESTBENCH_EDGE` t_d, rising over t_d/10 (see
     :func:`buffer_chain_capture`)."""
     t_d = design.delay()
     high, low = vdd, vdd - design.v_sw
+    t_edge = DELAY_TESTBENCH_EDGE * t_d
     circuit, _ports = stscl_buffer_chain_circuit(
         design, vdd, n_stages,
-        in_p=step_wave(low, high, 5.0 * t_d, t_d / 10.0),
-        in_n=step_wave(high, low, 5.0 * t_d, t_d / 10.0))
+        in_p=step_wave(low, high, t_edge, t_d / 10.0),
+        in_n=step_wave(high, low, t_edge, t_d / 10.0))
     return circuit
 
 
@@ -87,9 +101,10 @@ def buffer_chain_capture(design: StsclGateDesign, vdd: float,
     The transient runs for at most :data:`DELAY_TESTBENCH_T_STOP`
     analytic delays.  With ``replace_dense`` (default) the window is the
     run's only waveform storage and nothing observes a later step, so
-    the run ends on the sample that closes the window; without it the
-    engine keeps its dense record and integrates the full span.  The
-    window is bitwise the same either way.
+    the run ends on the sample that closes the window, at about
+    12.6 t_d; without it the engine keeps its dense record and
+    integrates the full span.  The window is bitwise the same either
+    way.
     """
     if n_stages < 2:
         raise DesignError(

@@ -11,7 +11,8 @@ import pytest
 
 from repro.adc import FaiAdc
 from repro.digital.encoder import EncoderSpec, build_fai_encoder
-from repro.stscl import StsclGateDesign
+from repro.spice import Circuit
+from repro.stscl import StsclGateDesign, delay_chain_circuit
 from repro.stscl.adder import adder_chain_circuit
 
 #: Fixed starts for the adder cell's source-coupled nodes that keep a
@@ -47,6 +48,32 @@ def ladder_hard_adder():
                 circuit.nodeset(node, hint)
         return circuit, ports
     return build
+
+
+def fixed_hint_start(circuit: Circuit, design: StsclGateDesign,
+                     vdd: float) -> Circuit:
+    """Re-start an inverter or buffer chain from the fixed hints its
+    generator used before the logic-value start: every output pair at
+    logic 1 (``outp`` at V_DD, ``outn`` at V_DD - V_SW) whatever the
+    input, and every tail at 0.1 V."""
+    for node in list(circuit.nodesets):
+        if node.endswith("outp"):
+            circuit.nodeset(node, vdd)
+        elif node.endswith("outn"):
+            circuit.nodeset(node, vdd - design.v_sw)
+        elif node.endswith("tail"):
+            circuit.nodeset(node, 0.1)
+    return circuit
+
+
+def ladder_hard_delay_chain() -> Circuit:
+    """gate_char's 3-stage delay testbench at 316 pA, V_DD 0.4 V, from
+    :func:`fixed_hint_start`.  Its input starts at logic 0, so every
+    stage starts in the wrong state: plain Newton stalls, and
+    pseudo-transient continuation converges it only by backing its
+    step off (the decade step g = 1e-9 -> 1e-10 stalls)."""
+    design = StsclGateDesign.default(10.0 ** -9.5)
+    return fixed_hint_start(delay_chain_circuit(design, 0.4), design, 0.4)
 
 
 @pytest.fixture(scope="session")

@@ -261,8 +261,7 @@ class TestStsclTestbench:
                              ids=lambda i_ss: f"{i_ss:.3g}")
     def test_characterization_covers_the_designer_grid(self, i_ss):
         """gate_char's nine tail currents, 100 pA .. 10 nA: the delay
-        testbench's cold operating point converges at every one (at
-        316 pA only by backing the pseudo-transient step off)."""
+        testbench's cold operating point converges at every one."""
         from repro.stscl import StsclGateDesign
         from repro.stscl.testbench import characterize_gate
 

@@ -22,8 +22,8 @@ from repro.spice import (
     operating_point,
 )
 from repro.spice.batch import BATCHED_PSEUDO_TRANSIENT_STAGE, BATCHED_STAGE
-from repro.stscl import (StsclGateDesign, delay_chain_circuit,
-                         stscl_latch_circuit)
+from repro.stscl import StsclGateDesign, stscl_latch_circuit
+from tests.conftest import ladder_hard_delay_chain
 
 DIODE = Diode(DiodeParameters(name="junction", i_s=1e-16))
 
@@ -43,11 +43,6 @@ def diode_circuit(v_in: float = 1.0) -> Circuit:
     circuit.add_diode("D1", "a", "0", DIODE)
     circuit.nodeset("in", 0.0)
     return circuit
-
-
-def delay_chain() -> Circuit:
-    """gate_char's 3-stage delay testbench at 316 pA, VDD 0.4 V."""
-    return delay_chain_circuit(StsclGateDesign.default(10.0 ** -9.5), 0.4)
 
 
 def hold_latch(i_ss: float) -> Circuit:
@@ -230,11 +225,12 @@ class TestLadderSemantics:
                                   options=TIGHT)
 
     def test_fallback_rescues_via_the_full_ladder(self):
-        """Stacked Newton stalls on the 316 pA delay chain; the lanes
-        fall back to the ladder's pseudo-transient rung, run stacked,
-        which rescues every one of them -- with a backoff, since the
-        decade step g = 1e-9 -> 1e-10 stalls."""
-        circuit = delay_chain()
+        """Stacked Newton stalls on the 316 pA delay chain started from
+        the fixed hints; the lanes fall back to the ladder's
+        pseudo-transient rung, run stacked, which rescues every one of
+        them -- with a backoff, since the decade step g = 1e-9 -> 1e-10
+        stalls."""
+        circuit = ladder_hard_delay_chain()
         with telemetry.tracing("rescue") as trace:
             batch = batch_operating_point(circuit,
                                           mismatch_lanes(circuit, 4))

@@ -159,14 +159,13 @@ class TestSymbolicReuse:
     def test_factorization_check_reports_a_drifted_counter(self):
         """The library identity holds over a serial solve and a stacked
         ensemble that needs the pseudo-transient rung (the 3-stage delay
-        testbench at 316 pA), and names both counters once one
-        drifts."""
-        from repro.stscl import StsclGateDesign, delay_chain_circuit
+        testbench at 316 pA from the fixed hints), and names both
+        counters once one drifts."""
         from repro.telemetry.invariants import factorization_violations
+        from tests.conftest import ladder_hard_delay_chain
 
         with telemetry.tracing("sparse-identity") as trace:
-            circuit = delay_chain_circuit(
-                StsclGateDesign.default(10.0 ** -9.5), 0.4)
+            circuit = ladder_hard_delay_chain()
             circuit.matrix_backend = "sparse"
             operating_point(circuit)
             batch = batch_operating_point(

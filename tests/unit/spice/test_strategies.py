@@ -4,8 +4,9 @@ One fixture circuit drives a diode hard through a tiny series resistor
 from an 8 V source.  A nodeset starts the source node at 0 V, and with
 the damped Newton of this solver it must then *walk* to 8 V at
 ``max_step`` volts per iteration, so a tight iteration budget defeats
-plain Newton deterministically.  The rescue
-fixture is the paper's delay testbench at I_SS = 10^-9.5 A: plain
+plain Newton deterministically.  The rescue fixture is the paper's
+delay testbench at I_SS = 10^-9.5 A started from fixed hints that put
+every stage in the wrong state (``ladder_hard_delay_chain``): plain
 Newton stalls on it under the default budget, and pseudo-transient
 continuation converges it only by backing its step off.  Tests that
 need one rung alone call it directly, from the circuit's initial guess.
@@ -20,7 +21,8 @@ from repro.errors import ConvergenceError
 from repro.spice import Circuit, NewtonOptions, dc_sweep, operating_point
 from repro.spice.strategies import (MIN_STEP_RATIO, newton_solve,
                                     pseudo_transient, pseudo_transient_lanes)
-from repro.stscl import StsclGateDesign, delay_chain_circuit
+from repro.stscl import StsclGateDesign
+from tests.conftest import ladder_hard_delay_chain
 
 DIODE = Diode(DiodeParameters(name="junction", i_s=1e-16))
 
@@ -40,11 +42,6 @@ def hard_diode(nodesets: dict[str, float] | None = None) -> Circuit:
     for node, voltage in {"in": 0.0, **(nodesets or {})}.items():
         circuit.nodeset(node, voltage)
     return circuit
-
-
-def delay_chain() -> Circuit:
-    """gate_char's 3-stage delay testbench at 316 pA, VDD 0.4 V."""
-    return delay_chain_circuit(StsclGateDesign.default(10.0 ** -9.5), 0.4)
 
 
 def solve_rung(circuit: Circuit, rung, options: NewtonOptions
@@ -72,7 +69,7 @@ class TestLadderRescue:
             solve_rung(hard_diode(), newton_solve, TIGHT)
 
     def test_default_ladder_rescues_and_names_the_stage(self):
-        op = operating_point(delay_chain())
+        op = operating_point(ladder_hard_delay_chain())
         diag = op.diagnostics
         assert diag.converged
         assert diag.rescue_needed
@@ -95,7 +92,7 @@ class TestLadderRescue:
         rung restarts from the last accepted state with the ratio
         square-rooted, then squares it back up."""
         with telemetry.tracing("backoff") as trace:
-            op = operating_point(delay_chain())
+            op = operating_point(ladder_hard_delay_chain())
         assert op.diagnostics.rescued_by == "pseudo-transient"
         rung = trace.root.find("strategy:pseudo-transient")
         backoffs = rung.events_of("pseudo-transient-backoff")
@@ -208,13 +205,13 @@ class TestDiagnostics:
         assert error.iterations == diag.total_iterations
 
     def test_describe_names_every_stage(self):
-        op = operating_point(delay_chain())
+        op = operating_point(ladder_hard_delay_chain())
         text = op.diagnostics.describe()
         assert "newton" in text and "pseudo-transient" in text
         assert "failed" in text and "ok" in text
 
     def test_wall_time_is_accounted(self):
-        diag = operating_point(delay_chain()).diagnostics
+        diag = operating_point(ladder_hard_delay_chain()).diagnostics
         assert len(diag.stages) == 2
         assert diag.wall_time > 0.0
         assert all(s.wall_time >= 0.0 for s in diag.stages)

@@ -18,7 +18,7 @@ from repro.spice.transient import TransientOptions, transient
 from repro.spice.waveforms import pulse_wave
 from repro.stscl.gate_model import StsclGateDesign
 from repro.stscl.netlist_gen import stscl_inverter_circuit
-from repro.stscl.testbench import delay_chain_circuit
+from tests.conftest import ladder_hard_delay_chain
 
 
 @pytest.fixture(autouse=True)
@@ -66,8 +66,7 @@ class TestOperatingPointTrace:
             assert key in events[0]
 
     def test_ladder_events_name_the_rescuing_strategy(self):
-        circuit = delay_chain_circuit(StsclGateDesign.default(10.0 ** -9.5),
-                                      0.4)
+        circuit = ladder_hard_delay_chain()
         with telemetry.tracing("op") as trace:
             result = operating_point(circuit)
         op = trace.root.find("operating-point")
@@ -75,8 +74,8 @@ class TestOperatingPointTrace:
         assert rungs
         winner = [r for r in rungs if r["converged"]]
         assert winner[-1]["strategy"] == result.diagnostics.rescued_by
-        # The 3-stage delay testbench at 316 pA needs the
-        # pseudo-transient rung from a cold start: its strategy span
+        # The 3-stage delay testbench at 316 pA from the fixed hints
+        # needs the pseudo-transient rung: its strategy span
         # records the step schedule.
         assert result.diagnostics.rescued_by == "pseudo-transient"
         rung = op.find("strategy:pseudo-transient")

@@ -12,6 +12,8 @@ from pathlib import Path
 
 import pytest
 
+from tests.conftest import ladder_hard_delay_chain
+
 LAYERS_PY = (Path(__file__).resolve().parents[2]
              / "benchmarks" / "e2e" / "layers.py")
 
@@ -46,14 +48,9 @@ def _inverter():
     return stscl_inverter_circuit(StsclGateDesign.default(1e-9), 0.4)[0]
 
 
-def _delay_chain():
-    from repro.stscl import StsclGateDesign, delay_chain_circuit
-    return delay_chain_circuit(StsclGateDesign.default(10.0 ** -9.5), 0.4)
-
-
 @pytest.mark.parametrize("build, rescued_by", [
     (_inverter, "newton"),
-    (_delay_chain, "pseudo-transient"),
+    (ladder_hard_delay_chain, "pseudo-transient"),
 ], ids=["inverter-1nA", "delay-chain-316pA"])
 def test_the_wrappers_see_every_rung_newton_solve(build, rescued_by):
     """The ledger must count every Newton solve of both rungs: a rung
