@@ -10,7 +10,7 @@ logarithmic in current).
 Blocks: transconductor, the current-mode folder and interpolator of
 Fig. 5, the pre-amplifier with the D_Well-decoupling load trick of
 Fig. 6, the regenerative comparator, the tunable high-value PMOS
-resistor ladder of Fig. 7, and the bias-distribution tree.
+resistor ladder of Fig. 7, and the gm-C biquad.
 """
 
 from .transconductor import SubthresholdTransconductor
@@ -19,7 +19,6 @@ from .interpolator import CurrentInterpolator
 from .preamp import Preamp, preamp_output_circuit
 from .comparator import Comparator, ComparatorBank
 from .ladder import PmosResistor, ResistorLadder, LadderBiasScheme
-from .bias import CurrentMirror, BiasTree
 from .filters import GmCBiquad, gm_c_biquad_circuit
 
 __all__ = [
@@ -29,6 +28,5 @@ __all__ = [
     "Preamp", "preamp_output_circuit",
     "Comparator", "ComparatorBank",
     "PmosResistor", "ResistorLadder", "LadderBiasScheme",
-    "CurrentMirror", "BiasTree",
     "GmCBiquad", "gm_c_biquad_circuit",
 ]

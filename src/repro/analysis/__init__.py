@@ -1,5 +1,5 @@
-"""Statistical analysis machinery: Monte-Carlo, sweeps, sensitivity,
-yield.
+"""Statistical analysis machinery: Monte-Carlo, sweeps, yield and the
+noise budget.
 
 These drive the PVT and mismatch experiments (E4, E6) and are generic
 enough to reuse on any model in the library.
@@ -7,7 +7,6 @@ enough to reuse on any model in the library.
 
 from .montecarlo import MonteCarlo, MonteCarloRun, MonteCarloSummary
 from .sweep import sweep_1d, SweepTable
-from .sensitivity import finite_difference_sensitivity
 from .yield_est import estimate_yield, YieldReport
 from .noise import (
     StageNoise,
@@ -19,7 +18,6 @@ from .noise import (
 __all__ = [
     "MonteCarlo", "MonteCarloRun", "MonteCarloSummary",
     "sweep_1d", "SweepTable",
-    "finite_difference_sensitivity",
     "estimate_yield", "YieldReport",
     "StageNoise", "adc_noise_budget", "chain_input_noise",
     "scl_stage_noise",

@@ -119,10 +119,10 @@ class MonteCarlo:
     then be a :class:`~repro.spice.batch.BatchedOpMetric` spec (which
     is also a plain callable, so the same spec runs under every
     backend).  Each seed's mismatch draw becomes one lane of a
-    :func:`~repro.spice.batch.batch_operating_point`; lanes the batched
-    loop cannot converge fall back to the serial ladder, so
-    summaries, failed-seed records and their ordering match the serial
-    backend (to float tolerance far inside 1e-9).
+    :func:`~repro.spice.batch.batch_operating_point`, which climbs the
+    serial ladder's two rungs stacked, so summaries, failed-seed
+    records and their ordering match the serial backend (to float
+    tolerance far inside 1e-9).
 
     ``analysis="transient"`` evaluates each seed as a waveform instead
     of a DC point: ``metric_fn`` is then a
@@ -130,7 +130,7 @@ class MonteCarlo:
     :class:`~repro.spice.results.TranResult`.  Under
     ``backend="batched"`` the whole population integrates as **one**
     lockstep :func:`~repro.spice.batch.batch_transient` campaign
-    (shared adaptive grid, per-lane LTE, serial fallback for lanes
+    (shared adaptive grid, per-lane LTE, serial reruns for lanes
     that leave the grid); under ``backend="serial"`` the spec is
     simply called per seed.
     """

@@ -1,4 +1,4 @@
-"""Device models: EKV MOS transistors, diodes, passives, process/PVT.
+"""Device models: EKV MOS transistors, diodes, process/PVT, mismatch.
 
 This package is the foundation the whole platform rests on.  The paper's
 circuits live in the subthreshold (weak-inversion) region where the MOS
@@ -26,7 +26,6 @@ from .ekv import (
 )
 from .mosfet import Mosfet, MosOperatingPoint
 from .diode import Diode, DiodeParameters, NWELL_DIODE_180
-from .passives import resistor_current, capacitor_charge
 from .process import ProcessCorner, CornerSpec, CORNERS, PvtPoint, apply_pvt
 from .mismatch import MismatchModel, MismatchSample, PELGROM_180NM
 
@@ -37,7 +36,6 @@ __all__ = [
     "normalized_currents",
     "Mosfet", "MosOperatingPoint",
     "Diode", "DiodeParameters", "NWELL_DIODE_180",
-    "resistor_current", "capacitor_charge",
     "ProcessCorner", "CornerSpec", "CORNERS", "PvtPoint", "apply_pvt",
     "MismatchModel", "MismatchSample", "PELGROM_180NM",
 ]

@@ -26,12 +26,6 @@ from .encoder import (
     thermometer_to_gray_taps,
 )
 from .cmos_baseline import CmosGateModel, CmosSystemModel
-from .registers import (
-    build_accumulator,
-    build_binary_counter,
-    build_johnson_counter,
-    build_shift_register,
-)
 from .vcd import dump_vcd
 
 __all__ = [
@@ -43,7 +37,5 @@ __all__ = [
     "encoder_output_value", "reference_encode",
     "thermometer_to_gray_taps",
     "CmosGateModel", "CmosSystemModel",
-    "build_accumulator", "build_binary_counter",
-    "build_johnson_counter", "build_shift_register",
     "dump_vcd",
 ]

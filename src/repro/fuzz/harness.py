@@ -282,13 +282,11 @@ def characterize_survivor(circuit: Circuit,
     """Corners x supply smoke for a circuit that passed the gauntlet.
 
     Two supply corners x two global-VT corners solved as one batched
-    ensemble (falling back to serial solves for circuits the batched
-    assembler rejects -- controlled-source elements, say).  The same
-    converge-or-diagnose invariant applies: every corner either
-    converges with finite voltages or is a recorded clean failure.
+    ensemble.  The same converge-or-diagnose invariant applies: every
+    corner either converges with finite voltages or is a recorded clean
+    failure.
     """
-    from ..errors import AnalysisError
-    from ..spice.batch import LaneSpec, apply_lane, batch_operating_point
+    from ..spice.batch import LaneSpec, batch_operating_point
 
     supply = _first_source(circuit)
     if supply is None:
@@ -302,24 +300,11 @@ def characterize_survivor(circuit: Circuit,
                 vt_delta=(np.full(n_mos, vt_shift) if n_mos else None),
                 source_values=((supply.name, nominal * supply_scale),),
                 label=f"vdd{supply_scale:g}/vt{vt_shift:+g}"))
-    options = budgets.newton(budgets.op_wall)
-    try:
-        batch = batch_operating_point(circuit, lanes, options=options,
-                                      on_error="skip")
-        points = batch.points
-    except AnalysisError:
-        # Foreign/controlled elements: same corners, serial ladder.
-        points = []
-        for lane in lanes:
-            undo = apply_lane(circuit, lane)
-            try:
-                points.append(operating_point(circuit, options))
-            except ConvergenceError:
-                points.append(None)
-            finally:
-                undo()
-    for point in points:
-        if point is not None and point.converged:
+    batch = batch_operating_point(circuit, lanes,
+                                  options=budgets.newton(budgets.op_wall),
+                                  on_error="skip")
+    for point in batch.points:
+        if point.converged:
             _check_finite(point.voltages.values(), "characterization")
 
 
@@ -367,7 +352,7 @@ def run_case(circuit: Circuit, budgets: FuzzBudgets | None = None,
         except InvariantViolation as violation:
             return finish("violation", phase, str(violation))
         except ConvergenceError as error:
-            if error.diagnostics is None and phase != "characterize":
+            if error.diagnostics is None:
                 return finish(
                     "violation", phase,
                     f"ConvergenceError without diagnostics: {error}")

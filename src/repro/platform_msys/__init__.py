@@ -9,16 +9,8 @@
 
 from .platform import MixedSignalPlatform, PlatformReport
 from .optimizer import DesignPoint, optimize_gate_design
-from .energy import (
-    AcquisitionPlan,
-    average_power,
-    battery_lifetime,
-    sustainable_duty,
-)
 
 __all__ = [
     "MixedSignalPlatform", "PlatformReport",
     "DesignPoint", "optimize_gate_design",
-    "AcquisitionPlan", "average_power", "battery_lifetime",
-    "sustainable_duty",
 ]

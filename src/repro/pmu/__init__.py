@@ -4,15 +4,13 @@ Fig. 1's architecture: a PLL (or an external reference) defines the
 operating frequency; one control current derived from it biases the
 analog blocks, and a fixed fraction of it biases the STSCL replica
 generator -- so the *entire* mixed-signal system scales with one knob.
-This package provides the behavioural PLL, the bias-current DAC, the
-PMU proper, and energy-harvesting supply profiles for the
-supply-insensitivity experiments (E7).
+This package provides the behavioural PLL, the PMU proper, and
+energy-harvesting supply profiles for the supply-insensitivity
+experiments (E7).
 """
 
 from .controller import PmuOperatingPoint, PowerManagementUnit
-from .governor import DvfsGovernor
 from .pll import BehavioralPll, PllReport
-from .bias_dac import BiasCurrentDac
 from .harvesting import (
     HarvestingProfile,
     solar_profile,
@@ -22,9 +20,7 @@ from .harvesting import (
 
 __all__ = [
     "PmuOperatingPoint", "PowerManagementUnit",
-    "DvfsGovernor",
     "BehavioralPll", "PllReport",
-    "BiasCurrentDac",
     "HarvestingProfile", "solar_profile", "vibration_profile",
     "supply_excursion_ok",
 ]

@@ -20,12 +20,10 @@ whole population as one stacked system instead:
   batched path) -- with per-lane damping, convergence and stall
   detection.  Converged lanes freeze and leave the active set, so the
   work per iteration shrinks as the population converges;
-* :func:`batch_operating_point` orchestrates the whole solve and
-  re-runs every lane the batched loop could not converge *individually*
-  through the serial ladder
-  (:func:`~repro.spice.strategies.run_ladder`), from the same initial
-  guess a serial solve would use -- robustness is never worse than
-  serial, and failed lanes carry the identical forensic
+* :func:`batch_operating_point` orchestrates the whole solve: stacked
+  Newton, then the stacked pseudo-transient rung for the lanes Newton
+  lost, each lane from the start a serial solve would use.  A lane both
+  phases lose fails with their stage reports as its forensic
   :class:`~repro.spice.strategies.SolverDiagnostics`.
 
 The per-lane Newton math mirrors the serial kernel exactly (same
@@ -72,8 +70,8 @@ from ..errors import AnalysisError, ConvergenceError, NetlistError, evaluate
 from .elements import CurrentSource, Resistor, VoltageSource
 from .sparse import SparseSystem
 from .strategies import (STALL_WINDOW, NewtonOptions, SolverDiagnostics,
-                         StageReport, pseudo_transient_lanes, run_ladder,
-                         step_converged)
+                         StageReport, ladder_failure,
+                         pseudo_transient_lanes, step_converged)
 from .assembly import CircuitAssembler, LazyDeviceOps, _two_terminal
 from .dc import _nan_point, _package, operating_point
 from .results import TranResult
@@ -85,9 +83,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .netlist import Circuit, CompiledCircuit
     from .results import OpResult
 
-#: Stage name recorded in :class:`SolverDiagnostics` for lanes the
-#: batched loop converged (and, as a failed first stage, for lanes it
-#: handed to the serial fallback ladder).
+#: Stage name of the stacked Newton phase in :class:`SolverDiagnostics`.
 BATCHED_STAGE = "batched-newton"
 
 #: Stage name of the batched pseudo-transient continuation phase.
@@ -185,11 +181,11 @@ def apply_lane(circuit: "Circuit", lane: LaneSpec) -> Callable[[], None]:
     """Mutate ``circuit`` into the lane's perturbed twin; return an undo.
 
     This is the *serial* realization of a :class:`LaneSpec` -- the
-    per-lane fallback and the serial paths of the spec objects go
-    through it, so batched and serial evaluations perturb the circuit
-    identically.  Devices are replaced (never mutated in place): MOS
-    device objects are commonly shared between elements and only the
-    addressed element must move.
+    pilot, the transient engine's serial reruns and the serial paths of
+    the spec objects go through it, so batched and serial evaluations
+    perturb the circuit identically.  Devices are replaced (never
+    mutated in place): MOS device objects are commonly shared between
+    elements and only the addressed element must move.
 
     Mismatch arrays address the top-level ``circuit.mos_elements()``
     by default; on hierarchical circuits they may instead cover the
@@ -480,9 +476,9 @@ class BatchAssembler(CircuitAssembler):
             if self._rov_dg is None:
                 # Identical pattern to the serial assembler's (both are
                 # derived from the same compiled structure), so borrow
-                # its cached system: pilot solves, per-lane serial
-                # fallbacks and repeated ensembles over one compile all
-                # share a single structure and column ordering.
+                # its cached system: pilot solves, serial reruns and
+                # repeated ensembles over one compile all share a
+                # single structure and column ordering.
                 self._batch_sparse_system = \
                     self.compiled.assembler.sparse_system()
             else:
@@ -513,12 +509,9 @@ class BatchDiagnostics:
             directly.
         n_converged_pseudo_transient: Lanes the batched
             pseudo-transient continuation rescued.
-        n_fallback: Lanes re-solved individually through the serial
-            ladder.
-        n_failed: Lanes that failed the ladder too.
-        fallback_lanes: ``(lane index, reason)`` per handed-off lane.
-        wall_time: Seconds spent in the whole batched solve (stacked
-            loop plus fallbacks).
+        n_failed: Lanes without a solution: both stacked phases lost
+            them, or a phase "converged" them to a non-finite vector.
+        wall_time: Seconds spent in the whole batched solve.
     """
 
     circuit: str
@@ -527,9 +520,7 @@ class BatchDiagnostics:
     active_history: list[int] = field(default_factory=list)
     n_converged_batched: int = 0
     n_converged_pseudo_transient: int = 0
-    n_fallback: int = 0
     n_failed: int = 0
-    fallback_lanes: list[tuple[int, str]] = field(default_factory=list)
     wall_time: float = 0.0
 
     def describe(self) -> str:
@@ -540,8 +531,7 @@ class BatchDiagnostics:
                 f"{self.n_converged_batched} converged directly + "
                 f"{self.n_converged_pseudo_transient} via pseudo-transient "
                 f"in {self.iterations} stacked iterations "
-                f"(active {decay}), {self.n_fallback} fell back to the "
-                f"ladder, {self.n_failed} failed "
+                f"(active {decay}), {self.n_failed} failed "
                 f"({self.wall_time * 1e3:.1f} ms)")
 
 
@@ -787,8 +777,8 @@ def _solve_stacked_sparse(system: SparseSystem, vals: np.ndarray,
     :meth:`SparseSystem.factorize` (shared structure, column ordering
     computed once per pattern).  Exactly-singular and non-finite lanes
     degrade to dense least squares; a NaN-parameter lane produces a NaN
-    row that flows into the caller's non-finite kick-out, i.e. the
-    per-lane serial-ladder fallback.
+    row that flows into the caller's non-finite kick-out, so the lane
+    fails with a diagnosed error.
     """
     data = system.batch_data(vals)
     dX = np.empty_like(res)
@@ -843,12 +833,14 @@ def batch_operating_point(circuit: "Circuit",
     Every lane starts where a cold serial
     :func:`~repro.spice.dc.operating_point` of its perturbed twin
     would (:meth:`~repro.spice.netlist.Circuit.initial_guess` with the
-    lane's source overrides), or from ``x0``.  Lanes the batched Newton
-    loop cannot converge are re-solved individually through the serial
-    ladder with the lane perturbation applied to the circuit
-    (and reverted afterwards), so the failure behaviour -- and the
-    forensic diagnostics of lanes that fail everything -- is identical
-    to the serial path.
+    lane's source overrides), or from ``x0``.  Stacked Newton runs
+    first; the lanes it loses restart from their starts in the stacked
+    pseudo-transient rung -- the two rungs of the serial ladder, with
+    the serial kernel's math per lane.  A lane both phases lose, or
+    whose converged vector is non-finite, fails with a
+    :class:`~repro.errors.ConvergenceError` whose diagnostics are its
+    stacked stage reports; its stage is the last phase's name, or
+    ``"wall-clock"`` once ``options.max_wall_time`` has run out.
 
     A circuit whose :attr:`~repro.spice.netlist.Circuit.matrix_backend`
     resolves to the sparse backend runs the stacked Newton loop over one
@@ -876,10 +868,10 @@ def pilot_solution(circuit: "Circuit", lane: LaneSpec,
 
     Population members are small perturbations of one circuit, so one
     member's operating point puts the whole stack in the converged
-    basin -- which is what lets circuits only the full homotopy ladder
-    can solve cold (the 316 pA delay-testbench chain, say) run as
-    stacked ensembles, and lets every lane converge in a few stacked
-    iterations.  The lane is applied, solved by
+    basin: every lane then converges in a few stacked Newton iterations
+    (the mismatch lanes of the transistor-level adder, say), and a
+    circuit that only the pseudo-transient rung solves cold still runs
+    as a stacked ensemble.  The lane is applied, solved by
     :func:`~repro.spice.dc.operating_point` on the circuit's own
     backend (the one the batch will run on) and undone.
 
@@ -946,9 +938,8 @@ def _batch_op(circuit: "Circuit", lanes: list[LaneSpec],
               x0: np.ndarray | None, tspan) -> BatchOpResult:
     start = _time.perf_counter()
     if options.max_wall_time is not None and options.deadline is None:
-        # One absolute deadline covers both stacked phases and the
-        # per-lane ladder fallback (run_ladder reuses a preset
-        # deadline), mirroring the serial wall-clock semantics.
+        # One absolute deadline covers both stacked phases, mirroring
+        # the serial wall-clock semantics.
         options = dataclasses.replace(
             options, deadline=start + options.max_wall_time)
     compiled = circuit.compile()
@@ -985,19 +976,12 @@ def _batch_op(circuit: "Circuit", lanes: list[LaneSpec],
         X[pending1] = starts[pending1]
         phases.append((BATCHED_PSEUDO_TRANSIENT_STAGE, batch_pseudo_transient(
             assembler, X, pending1, options, active_history)))
-    converged = np.logical_or.reduce(
-        [outcome.converged for _, outcome in phases])
-    diagnostics = BatchDiagnostics(
-        circuit=circuit.name, batch=len(lanes),
-        iterations=sum(outcome.n_iterations for _, outcome in phases),
-        active_history=active_history,
-        n_converged_batched=int(phase1.converged.sum()),
-        n_converged_pseudo_transient=int(
-            (converged & ~phase1.converged).sum()))
-
-    def _lane_stages(lane_index: int) -> list[StageReport]:
-        """The batched stages lane ``lane_index`` went through, as
-        serial-style stage reports (converged flag per phase)."""
+    converged = np.zeros(len(lanes), dtype=bool)
+    points: list = [None] * len(lanes)
+    failures: list[tuple[int, ConvergenceError]] = []
+    for lane_index in range(len(lanes)):
+        # The stacked stages the lane went through, as serial-style
+        # stage reports, up to the one that converged it.
         stages = []
         for name, outcome in phases:
             stages.append(StageReport(
@@ -1006,81 +990,48 @@ def _batch_op(circuit: "Circuit", lanes: list[LaneSpec],
                 wall_time=0.0, detail=outcome.reasons.get(lane_index, "")))
             if stages[-1].converged:
                 break
-        return stages
-
-    points: list = [None] * len(lanes)
-    failures: list[tuple[int, ConvergenceError]] = []
-    for lane_index in np.nonzero(converged)[0]:
-        lane_index = int(lane_index)
-        if not np.all(np.isfinite(X[lane_index])):
-            # A lane must never be *packaged* with NaN/inf in its
-            # solution vector, whatever the convergence bookkeeping
-            # says -- demote it to the serial fallback below, which
-            # either produces a real solution or a diagnosed failure.
-            converged[lane_index] = False
-            for _, outcome in phases:
-                if outcome.converged[lane_index]:
-                    outcome.reasons[lane_index] = (
-                        "non-finite solution vector after batched "
-                        "convergence")
+        if stages[-1].converged and not np.all(np.isfinite(X[lane_index])):
+            # A lane is never *packaged* with NaN/inf in its solution
+            # vector, whatever the convergence bookkeeping says.
+            stages[-1] = dataclasses.replace(
+                stages[-1], converged=False,
+                detail="non-finite solution vector after batched "
+                       "convergence")
             tspan.event("lane-nonfinite", lane=lane_index)
-            continue
-        stages = _lane_stages(lane_index)
-        total = sum(s.iterations for s in stages)
         lane_diag = SolverDiagnostics(
             circuit=circuit.name, stages=stages,
-            rescued_by=stages[-1].strategy, total_iterations=total)
-        result = _package(compiled, X[lane_index], total, lane_diag)
-        result.device_ops = LazyDeviceOps(assembler, result.x, lane_index)
-        points[lane_index] = result
-
-    # Per-lane fallback: anything the stacked phases could not converge
-    # re-runs the full serial ladder from the same cold start.
-    pending = [k for k in range(len(lanes)) if points[k] is None]
-    diagnostics.n_fallback = len(pending)
-    diagnostics.fallback_lanes = [(k, _lane_stages(k)[-1].detail)
-                                  for k in pending]
-    if pending:
-        tspan.inc("batch_lane_fallbacks", len(pending))
-    first_error: ConvergenceError | None = None
-    for lane_index in pending:
-        lane = lanes[lane_index]
-        batched_stages = _lane_stages(lane_index)
-        batched_iters = sum(s.iterations for s in batched_stages)
-        undo = apply_lane(circuit, lane)
-        try:
-            x, lane_diag = run_ladder(circuit, compiled,
-                                      starts[lane_index].copy(), None,
-                                      options)
-        except ConvergenceError as error:
-            if error.diagnostics is not None:
-                error.diagnostics.stages[0:0] = batched_stages
-                error.diagnostics.total_iterations += batched_iters
-            failures.append((lane_index, error))
-            points[lane_index] = _nan_point(compiled, error.diagnostics)
-            tspan.event("lane-failed", lane=lane_index,
-                        label=lane.label, why=str(error))
-            if first_error is None:
-                first_error = error
+            total_iterations=sum(s.iterations for s in stages))
+        if stages[-1].converged:
+            converged[lane_index] = True
+            lane_diag.rescued_by = stages[-1].strategy
+            result = _package(compiled, X[lane_index],
+                              lane_diag.total_iterations, lane_diag)
+            result.device_ops = LazyDeviceOps(assembler, result.x,
+                                              lane_index)
+            points[lane_index] = result
             continue
-        finally:
-            undo()
-        lane_diag.stages[0:0] = batched_stages
-        lane_diag.total_iterations += batched_iters
-        result = _package(compiled, x, lane_diag.total_iterations,
-                          lane_diag)
-        result.device_ops = LazyDeviceOps(assembler, result.x, lane_index)
-        points[lane_index] = result
-    diagnostics.n_failed = len(failures)
-    diagnostics.wall_time = _time.perf_counter() - start
+        lane_diag.wall_time = _time.perf_counter() - start
+        error = ladder_failure(lane_diag, options)
+        failures.append((lane_index, error))
+        points[lane_index] = _nan_point(compiled, lane_diag)
+        tspan.event("lane-failed", lane=lane_index,
+                    label=lanes[lane_index].label, why=str(error))
+    diagnostics = BatchDiagnostics(
+        circuit=circuit.name, batch=len(lanes),
+        iterations=sum(outcome.n_iterations for _, outcome in phases),
+        active_history=active_history,
+        n_converged_batched=int((converged & phase1.converged).sum()),
+        n_converged_pseudo_transient=int(
+            (converged & ~phase1.converged).sum()),
+        n_failed=len(failures),
+        wall_time=_time.perf_counter() - start)
     tspan.annotate(n_converged_batched=diagnostics.n_converged_batched,
                    n_converged_pseudo_transient=(
                        diagnostics.n_converged_pseudo_transient),
-                   n_fallback=diagnostics.n_fallback,
                    n_failed=diagnostics.n_failed,
                    iterations=diagnostics.iterations)
     if failures and on_error == "raise":
-        raise first_error
+        raise failures[0][1]
     return BatchOpResult(points=points, failures=failures,
                          diagnostics=diagnostics)
 
@@ -1174,6 +1125,11 @@ class PlannedOpMetric:
 # -- batched transient ----------------------------------------------------
 
 
+#: Attributed rejections a lane may take on the lockstep grid; one more
+#: and it leaves the grid for a serial rerun.
+LANE_REJECTION_BUDGET = 24
+
+
 @dataclass
 class BatchTranDiagnostics:
     """Population-level record of one lockstep transient run.
@@ -1192,9 +1148,10 @@ class BatchTranDiagnostics:
             (the lanes whose Newton failure or LTE estimate forced the
             shared shrink) -- the kick-out budget counts these.
         fallback_lanes: ``(lane index, reason)`` per lane that left the
-            lockstep grid for the serial path (initial-DC failures
-            included).
-        n_failed: Lanes without a result (serial fallback failed too).
+            lockstep grid for the serial path, and per lane whose
+            initial DC point failed.
+        n_failed: Lanes without a result: the initial DC point or the
+            serial rerun failed.
         dt_smallest: Smallest shared step committed [s].
         wall_time: Whole-run wall time [s].
     """
@@ -1228,10 +1185,9 @@ class BatchTranResult:
 
     Attributes:
         results: One :class:`~repro.spice.results.TranResult` per lane
-            in lane order (None for lanes that failed even the serial
-            fallback, recorded under ``on_error="skip"``).  Lockstep
-            lanes share one time axis; serial-fallback lanes carry
-            their own adaptive grid.
+            in lane order (None for failed lanes, recorded under
+            ``on_error="skip"``).  Lockstep lanes share one time axis;
+            lanes rerun serially carry their own adaptive grid.
         failures: ``(lane index, error)`` per failed lane.
         diagnostics: The population-level :class:`BatchTranDiagnostics`.
     """
@@ -1249,8 +1205,7 @@ def batch_transient(circuit: "Circuit", lanes: Sequence[LaneSpec],
                     t_stop: float,
                     options: TransientOptions | None = None,
                     on_error: str = "raise",
-                    scopes: Sequence | None = None,
-                    lane_rejection_budget: int = 24) -> BatchTranResult:
+                    scopes: Sequence | None = None) -> BatchTranResult:
     """Integrate every lane from t = 0 to ``t_stop`` in lockstep.
 
     All lanes advance on one shared adaptive grid, driven by the same
@@ -1263,23 +1218,24 @@ def batch_transient(circuit: "Circuit", lanes: Sequence[LaneSpec],
     the step for everyone, and the accepted-growth factor is the most
     conservative lane's ask.
 
-    Per-lane kick-out mirrors the batched-DC fallback contract: a lane
-    that fails its initial DC point, fails Newton with the step floored
-    at ``dt_min``, or accumulates more than ``lane_rejection_budget``
-    attributed rejections leaves the grid and re-runs the full serial
-    ladder + serial :func:`~repro.spice.transient.transient` with its
-    perturbation applied -- robustness is never worse than serial, and
-    lanes that fail everything carry a failed-lane record.
+    The initial DC points come from one stacked
+    :func:`batch_operating_point`; a lane that fails it never enters the
+    grid and carries that failure record.  A lane that fails Newton
+    with the step floored at ``dt_min``, or accumulates more than
+    :data:`LANE_REJECTION_BUDGET` attributed rejections, leaves the
+    grid and reruns through the serial
+    :func:`~repro.spice.transient.transient` with its perturbation
+    applied.
 
     ``scopes``, when given, is one
     :class:`~repro.scope.capture.ScopeSession` (or None) per lane;
     every committed shared sample is fed to the lane's session exactly
     as the serial engine would (t = 0 included), and a kicked-out
-    lane's session is reset and handed to its serial fallback run.  The
+    lane's session is reset and handed to its serial rerun.  The
     lockstep run ends early, as a serial one does, only once every lane
     still on the grid has a complete ``replace_dense`` capture: one
     lane without one keeps the shared grid going to ``t_stop``.  A
-    fallback run stops at its own window.
+    serial rerun stops at its own window.
 
     ``on_error="raise"`` propagates the first failed lane's error;
     ``"skip"`` records None results and keeps going.  Telemetry: the
@@ -1304,7 +1260,7 @@ def batch_transient(circuit: "Circuit", lanes: Sequence[LaneSpec],
                         method=options.method) as tspan:
         stepper = _LockstepStepper(circuit, lanes, t_stop, options, tspan,
                                    scopes or [None] * len(lanes),
-                                   lane_rejection_budget)
+                                   LANE_REJECTION_BUDGET)
         return stepper.integrate(on_error)
 
 
@@ -1321,7 +1277,7 @@ class _LockstepStepper(_Stepper):
 
     def __init__(self, circuit: "Circuit", specs: list[LaneSpec],
                  t_stop: float, options: TransientOptions, tspan,
-                 scopes: list, lane_budget: int) -> None:
+                 scopes: list, lane_budget: int | None) -> None:
         super().__init__(circuit, t_stop, options, tspan, scopes,
                          lane_budget)
         self.specs = specs

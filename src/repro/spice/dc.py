@@ -103,10 +103,11 @@ def dc_sweep(circuit: Circuit, source_name: str,
 
     ``backend="batched"`` solves all points as one stacked ensemble
     (see :mod:`repro.spice.batch`): every point becomes a lane of one
-    multi-lane Newton solve with per-point convergence masking, and
-    points the stacked loop cannot converge fall back to the serial
-    ladder individually.  Both backends solve on the circuit's
-    own :attr:`~repro.spice.netlist.Circuit.matrix_backend`.
+    multi-lane Newton solve with per-point convergence masking, then
+    the stacked pseudo-transient rung for the points Newton lost; a
+    point both lose is a failure under ``on_error``.  Both backends
+    solve on the circuit's own
+    :attr:`~repro.spice.netlist.Circuit.matrix_backend`.
     """
     if on_error not in ("raise", "skip"):
         raise NetlistError(

@@ -506,7 +506,6 @@ def run_ladder(circuit: "Circuit", compiled: "CompiledCircuit",
         # stops climbing once it has passed.
         options = replace(options,
                           deadline=ladder_start + options.max_wall_time)
-    deadline_hit = False
     # Both rungs are looked up when the ladder runs, not at import, so
     # a wrapper bound over the module's ``newton_solve`` sees every
     # Newton solve of the ladder.
@@ -536,7 +535,6 @@ def run_ladder(circuit: "Circuit", compiled: "CompiledCircuit",
             diagnostics.total_iterations += len(trace)
             if options.deadline is not None and \
                     _time.perf_counter() >= options.deadline:
-                deadline_hit = True
                 ladder.event("ladder-deadline", strategy=name,
                              budget=options.max_wall_time)
                 break
@@ -552,21 +550,32 @@ def run_ladder(circuit: "Circuit", compiled: "CompiledCircuit",
         diagnostics.wall_time = _time.perf_counter() - ladder_start
         return x, diagnostics
     diagnostics.wall_time = _time.perf_counter() - ladder_start
+    raise ladder_failure(diagnostics, options)
+
+
+def ladder_failure(diagnostics: SolverDiagnostics,
+                   options: NewtonOptions) -> ConvergenceError:
+    """The error of a solve that lost every stage ``diagnostics`` lists.
+
+    Its stage is the last stage's name, or ``"wall-clock"`` once
+    ``options.deadline`` has passed.  :func:`run_ladder` raises it, and
+    the batched engine records it for a lane both stacked phases lost.
+    """
     last = diagnostics.stages[-1]
-    if deadline_hit:
+    tried = ", ".join(s.strategy for s in diagnostics.stages)
+    residual = last.residuals[-1] if last.residuals else None
+    if options.deadline is not None and \
+            _time.perf_counter() >= options.deadline:
         budget = (f"{options.max_wall_time:.3g}s"
                   if options.max_wall_time is not None else "deadline")
-        raise ConvergenceError(
-            f"wall-clock budget of {budget} "
-            f"exhausted for {circuit.name!r} after "
-            f"{', '.join(s.strategy for s in diagnostics.stages)} "
+        return ConvergenceError(
+            f"wall-clock budget of {budget} exhausted for "
+            f"{diagnostics.circuit!r} after {tried} "
             f"({diagnostics.wall_time:.3g}s spent)",
-            iterations=diagnostics.total_iterations,
-            residual=last.residuals[-1] if last.residuals else None,
+            iterations=diagnostics.total_iterations, residual=residual,
             diagnostics=diagnostics, stage="wall-clock")
-    raise ConvergenceError(
-        f"every solve strategy failed for {circuit.name!r} "
-        f"(tried {', '.join(s.strategy for s in diagnostics.stages)})",
-        iterations=diagnostics.total_iterations,
-        residual=last.residuals[-1] if last.residuals else None,
+    return ConvergenceError(
+        f"every solve strategy failed for {diagnostics.circuit!r} "
+        f"(tried {tried})",
+        iterations=diagnostics.total_iterations, residual=residual,
         diagnostics=diagnostics, stage=last.strategy)

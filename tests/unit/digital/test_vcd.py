@@ -4,15 +4,30 @@ import io
 
 import pytest
 
-from repro.digital.registers import build_binary_counter
+from repro.digital.netlist import GateNetlist
 from repro.digital.vcd import _identifier, dump_vcd
 from repro.errors import AnalysisError
 from repro.stscl import StsclGateDesign
 
 
+def toggle_chain(width: int) -> GateNetlist:
+    """A toggle flop ``q0 = q0 XOR en``, which flips on every enabled
+    cycle, feeding ``width - 1`` registered buffers ``q1``, ``q2``, ...
+    Every ``q`` is an output."""
+    netlist = GateNetlist(f"toggle{width}")
+    netlist.add_input("en")
+    netlist.add_gate("tff", "XOR2_PIPE", ["q0", "en"], "q0")
+    for k in range(1, width):
+        netlist.add_gate(f"ff{k}", "BUF_PIPE", [f"q{k - 1}"], f"q{k}")
+    for k in range(width):
+        netlist.mark_output(f"q{k}")
+    netlist.validate()
+    return netlist
+
+
 @pytest.fixture(scope="module")
-def counter_vcd():
-    netlist = build_binary_counter(3)
+def toggle_vcd():
+    netlist = toggle_chain(3)
     stimulus = [{"en": True}] * 10
     return netlist, dump_vcd(netlist, stimulus)
 
@@ -28,26 +43,26 @@ class TestIdentifiers:
 
 
 class TestStructure:
-    def test_header_sections(self, counter_vcd):
-        _netlist, text = counter_vcd
+    def test_header_sections(self, toggle_vcd):
+        _netlist, text = toggle_vcd
         for token in ("$timescale", "$scope", "$enddefinitions",
                       "$upscope"):
             assert token in text
 
-    def test_declares_expected_signals(self, counter_vcd):
-        _netlist, text = counter_vcd
+    def test_declares_expected_signals(self, toggle_vcd):
+        _netlist, text = toggle_vcd
         for net in ("en", "q0", "q1", "q2"):
             assert f" {net} $end" in text
 
     def test_stream_argument(self):
-        netlist = build_binary_counter(2)
+        netlist = toggle_chain(2)
         buffer = io.StringIO()
         text = dump_vcd(netlist, [{"en": True}] * 3, stream=buffer)
         assert buffer.getvalue() == text
 
     def test_empty_stimulus_rejected(self):
         with pytest.raises(AnalysisError):
-            dump_vcd(build_binary_counter(2), [])
+            dump_vcd(toggle_chain(2), [])
 
 
 class TestValueChanges:
@@ -56,8 +71,8 @@ class TestValueChanges:
                 if line.endswith(identifier)
                 and line[0] in "01"]
 
-    def test_lsb_toggles_every_cycle(self, counter_vcd):
-        _netlist, text = counter_vcd
+    def test_lsb_toggles_every_cycle(self, toggle_vcd):
+        _netlist, text = toggle_vcd
         # Find q0's identifier from its declaration line.
         declaration = next(line for line in text.splitlines()
                            if line.endswith(" q0 $end"))
@@ -73,7 +88,7 @@ class TestValueChanges:
         the non-integer period without rounding."""
         from repro.scope.vcd import parse_vcd, timescale_seconds
 
-        netlist = build_binary_counter(2)
+        netlist = toggle_chain(2)
         design = StsclGateDesign.default(1e-9)  # f_max ~103 kHz
         text = dump_vcd(netlist, [{"en": True}] * 2, design=design)
         document = parse_vcd(text)
@@ -95,7 +110,7 @@ class TestValueChanges:
         assert (label, ticks) == ("100ps", 5)
 
     def test_net_filter(self):
-        netlist = build_binary_counter(3)
+        netlist = toggle_chain(3)
         text = dump_vcd(netlist, [{"en": True}] * 4, nets=["q2"])
         assert " q2 $end" in text
         assert " q0 $end" not in text

@@ -1,4 +1,4 @@
-"""Batched ensemble Newton: lanes, equivalence, fallback, telemetry.
+"""Batched ensemble Newton: lanes, equivalence, failures, telemetry.
 
 The contract under test: a :func:`batch_operating_point` over B lanes
 is *indistinguishable* from B serial :func:`operating_point` calls with
@@ -213,11 +213,63 @@ class TestLadderSemantics:
         point = batch.points[0]
         assert all(np.isnan(v) for v in point.voltages.values())
         _, error = batch.failures[0]
-        # Forensics: both stacked phases are on record ahead of the
-        # serial ladder stages the lane fell back to.
+        # Forensics: both stacked phases are on record, and the lane
+        # was not rerun.
         stages = [s.strategy for s in error.diagnostics.stages]
-        assert stages == [BATCHED_STAGE, BATCHED_PSEUDO_TRANSIENT_STAGE,
-                          "newton", "pseudo-transient"]
+        assert stages == [BATCHED_STAGE, BATCHED_PSEUDO_TRANSIENT_STAGE]
+        assert error.diagnostics.rescued_by is None
+        assert point.diagnostics is error.diagnostics
+
+    def test_stacked_failure_matches_its_serial_twin_stage_by_stage(self):
+        """Both stacked phases lose the 8 V lane exactly as the serial
+        ladder's two rungs lose its twin: the same iterations and
+        failure details, stage by stage, under the batched names."""
+        batch = batch_operating_point(diode_circuit(),
+                                      source_lanes([8.0]),
+                                      options=TIGHT, on_error="skip")
+        [(_, stacked)] = batch.failures
+        with pytest.raises(ConvergenceError) as raised:
+            operating_point(diode_circuit(8.0), TIGHT)
+        serial = raised.value
+        serial_name = {BATCHED_STAGE: "newton",
+                       BATCHED_PSEUDO_TRANSIENT_STAGE: "pseudo-transient"}
+        assert [(serial_name[s.strategy], s.converged, s.iterations,
+                 s.detail) for s in stacked.diagnostics.stages] == [
+            (s.strategy, s.converged, s.iterations, s.detail)
+            for s in serial.diagnostics.stages]
+        assert [s.iterations for s in stacked.diagnostics.stages] == [20, 20]
+        assert stacked.diagnostics.stages[1].detail == (
+            "pseudo-transient step at g=0.001: Newton failed after 20 "
+            "iterations in batch_diode")
+        assert stacked.stage == BATCHED_PSEUDO_TRANSIENT_STAGE
+        assert serial.stage == "pseudo-transient"
+        assert stacked.iterations == serial.iterations == 40
+
+    def test_an_exhausted_wall_clock_fails_every_unconverged_lane(self):
+        """A batch that runs out of ``max_wall_time`` fails each lane it
+        has not converged at stage "wall-clock", with both stacked
+        stage reports, and ``on_error="raise"`` raises that error.  A
+        1 ns budget is gone before the first stacked iteration, so no
+        lane converges."""
+        options = NewtonOptions(max_wall_time=1e-9)
+        lanes = source_lanes(np.linspace(0.5, 8.0, 64))
+        batch = batch_operating_point(diode_circuit(), lanes,
+                                      options=options, on_error="skip")
+        assert [index for index, _ in batch.failures] == list(range(64))
+        assert batch.diagnostics.n_failed == 64
+        for _, error in batch.failures:
+            assert error.stage == "wall-clock"
+            assert [(s.strategy, s.converged)
+                    for s in error.diagnostics.stages] == [
+                (BATCHED_STAGE, False),
+                (BATCHED_PSEUDO_TRANSIENT_STAGE, False)]
+            assert error.diagnostics.wall_time > 0.0
+            assert str(error).startswith("wall-clock budget of 1e-09s")
+        with pytest.raises(ConvergenceError) as raised:
+            batch_operating_point(diode_circuit(), lanes, options=options)
+        assert raised.value.stage == "wall-clock"
+        assert [s.strategy for s in raised.value.diagnostics.stages] == [
+            BATCHED_STAGE, BATCHED_PSEUDO_TRANSIENT_STAGE]
 
     def test_on_error_raise_propagates_the_first_failure(self):
         with pytest.raises(ConvergenceError):
@@ -237,7 +289,7 @@ class TestLadderSemantics:
         diagnostics = batch.diagnostics
         assert diagnostics.n_converged_batched == 0
         assert diagnostics.n_converged_pseudo_transient == 4
-        assert diagnostics.n_fallback == 0
+        assert diagnostics.n_failed == 0
         assert "4 via pseudo-transient" in diagnostics.describe()
         span = trace.root.find("batch-operating-point")
         assert span.attrs["n_converged_pseudo_transient"] == 4
@@ -277,7 +329,7 @@ class TestBistableNodesets:
     def test_batched_lanes_keep_the_named_state(self, i_ss):
         circuit = hold_latch(i_ss)
         batch = batch_operating_point(circuit, mismatch_lanes(circuit, 4))
-        assert batch.diagnostics.n_fallback == 0
+        assert batch.diagnostics.n_failed == 0
         for point in batch.points:
             assert point.voltage("outp") - point.voltage("outn") > 0.0
 
@@ -297,9 +349,12 @@ class TestDiagnosticsAndTelemetry:
                                   on_error="skip")
         counters = trace.total_counters()
         assert counters["batch_lanes"] == 2
-        assert counters["batch_lane_fallbacks"] == 1
         assert counters["jacobian_factorizations"] > 0
         assert counters["device_bank_evals"] > 0
+        span = trace.root.find("batch-operating-point")
+        assert span.attrs["n_failed"] == 1
+        assert [event["lane"] for event in
+                span.events_of("lane-failed")] == [1]
 
     def test_active_mask_decays_as_lanes_converge(self):
         """Easy and hard lanes in one batch: the active population must
@@ -334,8 +389,8 @@ class TestUnsupportedCircuits:
 
 class TestSingularLanes:
     """A degenerate lane must never poison its batch neighbours: it
-    falls back to the serial ladder and fails (or is rescued) there,
-    while every other lane's solution stays bit-identical."""
+    fails with a diagnosed error, while every other lane's solution
+    stays bit-identical."""
 
     def _mos_circuit(self) -> Circuit:
         from repro.devices.mosfet import Mosfet
@@ -395,11 +450,10 @@ class TestSingularLanes:
         # step instead of poisoning the whole stacked call.
         assert np.all(np.isfinite(dX[1]))
 
-    def test_nonfinite_converged_lane_is_demoted_to_fallback(
-            self, monkeypatch):
+    def test_nonfinite_converged_lane_fails_diagnosed(self, monkeypatch):
         """Whatever the convergence bookkeeping claims, a lane whose
-        solution vector holds NaN must re-run serially, never package.
-        (Defence in depth for the stacked phases.)"""
+        solution vector holds NaN fails with a diagnosed error and is
+        never packaged.  (Defence in depth for the stacked phases.)"""
         import repro.spice.batch as batch_mod
 
         real = batch_mod.batch_newton
@@ -411,11 +465,18 @@ class TestSingularLanes:
 
         monkeypatch.setattr(batch_mod, "batch_newton", poisoned)
         batch = batch_operating_point(diode_circuit(),
-                                      source_lanes([0.5, 1.0]))
-        assert batch.diagnostics.n_fallback >= 1
-        assert batch.diagnostics.fallback_lanes[0][0] == 0
-        assert "non-finite solution" in \
-            batch.diagnostics.fallback_lanes[0][1]
-        point = batch.points[0]  # rescued by the serial ladder
-        assert point.converged
-        assert all(np.isfinite(v) for v in point.voltages.values())
+                                      source_lanes([0.5, 1.0]),
+                                      on_error="skip")
+        assert batch.diagnostics.n_failed == 1
+        assert batch.diagnostics.n_converged_batched == 1
+        [(index, error)] = batch.failures
+        assert index == 0
+        [stage] = error.diagnostics.stages
+        assert (stage.strategy, stage.converged) == (BATCHED_STAGE, False)
+        assert stage.detail == ("non-finite solution vector after "
+                                "batched convergence")
+        assert error.stage == BATCHED_STAGE
+        assert error.diagnostics.rescued_by is None
+        assert not batch.points[0].converged
+        assert batch.points[1].converged
+        assert all(np.isfinite(v) for v in batch.points[1].voltages.values())

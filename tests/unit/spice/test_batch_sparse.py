@@ -5,8 +5,8 @@ solved as a batched ensemble produces the same per-lane solutions as the dense s
 solver and the serial sparse path (to 1e-9), while the COLAMD symbolic
 analysis runs exactly **once** per campaign -- every lane and every
 Newton iteration reuses the shared ``indices``/``indptr`` structure.
-Degenerate lanes (exactly singular, NaN parameters) must degrade to
-the per-lane serial-ladder fallback without poisoning neighbours.
+Degenerate lanes (exactly singular, NaN parameters) must fail with a
+diagnosed error without poisoning neighbours.
 
 Every factorization runs SuperLU column by column, refilling one
 column-permuted container per pattern; a pickled circuit carries
@@ -31,6 +31,7 @@ from repro.spice import (
 )
 from repro.spice import assembly, sparse
 from repro.spice.sparse import SparseSystem
+from repro.spice.batch import BATCHED_PSEUDO_TRANSIENT_STAGE, BATCHED_STAGE
 from repro.stscl.adder import adder_chain_circuit
 from repro.stscl.netlist_gen import stscl_inverter_circuit
 
@@ -268,7 +269,7 @@ class TestOrderingReuse:
 
 
 class TestSparseDegradation:
-    """Degenerate lanes fall back per-lane; neighbours stay exact."""
+    """Degenerate lanes fail per lane; neighbours stay exact."""
 
     def _mos_circuit(self) -> Circuit:
         from repro.devices.mosfet import Mosfet
@@ -286,8 +287,8 @@ class TestSparseDegradation:
         "ignore:invalid value encountered:RuntimeWarning")
     def test_nan_lane_demoted_to_serial_fallback(self):
         """A NaN-parameter lane in a *sparse* batch produces a NaN data
-        row, is kicked out to the serial ladder, fails there with full
-        diagnostics -- and its neighbours match their serial twins."""
+        row, is kicked out of both stacked phases and fails with their
+        stage reports -- and its neighbours match their serial twins."""
         ckt = self._mos_circuit()
         lanes = [LaneSpec.mismatch([0.0], label="clean-0"),
                  LaneSpec.mismatch([float("nan")], label="poison"),
@@ -297,8 +298,10 @@ class TestSparseDegradation:
         assert [index for index, _ in batch.failures] == [1]
         _, error = batch.failures[0]
         assert error.diagnostics is not None
-        assert any(index == 1
-                   for index, _ in batch.diagnostics.fallback_lanes)
+        assert batch.diagnostics.n_failed == 1
+        assert [(s.strategy, s.converged)
+                for s in error.diagnostics.stages] == [
+            (BATCHED_STAGE, False), (BATCHED_PSEUDO_TRANSIENT_STAGE, False)]
         assert all(np.isnan(v)
                    for v in batch.points[1].voltages.values())
         for index in (0, 2):

@@ -1,12 +1,11 @@
-"""Lockstep batched transient: equivalence, LTE min-rule, fallback.
+"""Lockstep batched transient: equivalence, LTE min-rule, serial reruns.
 
 The contract under test: :func:`batch_transient` over B lanes on a
 *fixed* shared grid is numerically indistinguishable (max deviation
 far inside 1e-9) from B serial :func:`transient` calls with the lane
 perturbation applied; on adaptive grids the shared step obeys the
 min-rule over per-lane LTE, and lanes that cannot live on the shared
-grid are kicked out to the full serial ladder with recorded reasons
--- the batched-DC fallback contract, extended over time.
+grid are kicked out to a serial rerun with recorded reasons.
 """
 
 import numpy as np
@@ -24,6 +23,7 @@ from repro.spice import (
     pulse_wave,
     transient,
 )
+import repro.spice.batch as batch_module
 from repro.spice.batch import BatchedTranMetric
 from repro.telemetry.invariants import lane_sample_violations
 
@@ -144,17 +144,17 @@ class TestLaneFallback:
         with pytest.raises(ConvergenceError):
             batch_transient(circuit, lanes, T_STOP, fixed_grid(100))
 
-    def test_zero_budget_kicks_stiff_lane_to_serial(self):
+    def test_zero_budget_kicks_stiff_lane_to_serial(self, monkeypatch):
         """With no rejection allowance, the stiff lane is kicked off
         the grid at its first rejection -- and still produces a full
-        serial-fallback waveform, with the kick recorded."""
+        serial-rerun waveform, with the kick recorded."""
+        monkeypatch.setattr(batch_module, "LANE_REJECTION_BUDGET", 0)
         circuit = pulse_rc_diode()
         lanes = resistor_lanes([1.0]) + [
             LaneSpec(resistor_scale=(("RS", 1e-4),), label="stiff")]
         with telemetry.tracing("kick") as trace:
             batch = batch_transient(circuit, lanes, T_STOP,
-                                    TransientOptions(),
-                                    lane_rejection_budget=0)
+                                    TransientOptions())
         assert batch.n_failed == 0
         assert [i for i, _ in batch.diagnostics.fallback_lanes] == [1]
         reason = batch.diagnostics.fallback_lanes[0][1]
@@ -166,17 +166,17 @@ class TestLaneFallback:
         counters = trace.root.total_counters()
         assert counters["batch_lane_fallbacks"] == 1
 
-    def test_lane_samples_reconcile_with_shared_steps(self):
+    def test_lane_samples_reconcile_with_shared_steps(self, monkeypatch):
         """The telemetry identity ``python -m repro trace`` checks:
         lane_samples == steps_accepted * lanes_lockstep
-        + fallback_serial_steps, with a serial fallback in play."""
+        + fallback_serial_steps, with a serial rerun in play."""
+        monkeypatch.setattr(batch_module, "LANE_REJECTION_BUDGET", 0)
         circuit = pulse_rc_diode()
         lanes = resistor_lanes([1.0, 2.0]) + [
             LaneSpec(resistor_scale=(("RS", 1e-4),), label="stiff")]
         with telemetry.tracing("recon") as trace:
             batch = batch_transient(circuit, lanes, T_STOP,
-                                    TransientOptions(),
-                                    lane_rejection_budget=0)
+                                    TransientOptions())
         assert batch.n_failed == 0
         attrs = trace.root.find("batch-transient").attrs
         assert attrs["fallback_serial_steps"] > 0
@@ -278,18 +278,19 @@ class TestScopes:
         assert span.events_of("capture-complete") == []
         assert "t_end" not in span.attrs
 
-    def test_kicked_out_lane_rerun_stops_at_its_own_window(self):
+    def test_kicked_out_lane_rerun_stops_at_its_own_window(
+            self, monkeypatch):
         """Only the stiff lane carries a capture: the lockstep lanes keep
         the grid going until the stiff lane's rejection kicks it out,
         and its serial rerun then ends on its own window's last
         sample."""
+        monkeypatch.setattr(batch_module, "LANE_REJECTION_BUDGET", 0)
         lanes = resistor_lanes([1.0, 2.0]) + [
             LaneSpec(resistor_scale=(("RS", 1e-4),), label="stiff")]
         scopes = [None, None, self._capture()]
         with telemetry.tracing("kicked-capture") as trace:
             batch = batch_transient(pulse_rc_diode(), lanes, T_STOP,
-                                    TransientOptions(), scopes=scopes,
-                                    lane_rejection_budget=0)
+                                    TransientOptions(), scopes=scopes)
         assert batch.n_failed == 0
         assert [lane for lane, _ in
                 batch.diagnostics.fallback_lanes] == [2]

@@ -170,7 +170,7 @@ class TestSourceLaneStart:
         result = batch_operating_point(_diode(), lanes, options=TIGHT,
                                        on_error="skip")
         assert result.failures == []
-        assert result.diagnostics.n_fallback == 0
+        assert result.diagnostics.n_failed == 0
         assert result.diagnostics.n_converged_batched == 2
         for lane, point in zip(lanes, result.points):
             serial = _serial_twin(_diode(), lane, TIGHT)
@@ -182,14 +182,13 @@ class TestSourceLaneStart:
 
     def test_every_phase_starts_a_lane_from_its_serial_twin(
             self, monkeypatch):
-        """Stacked Newton, the stacked pseudo-transient restart and the
-        per-lane serial fallback each start a source lane from the
-        vector ``apply_lane`` + ``initial_guess`` builds.  Two-iteration
-        budgets make every lane fail every phase, so all three run."""
+        """Stacked Newton and the stacked pseudo-transient restart each
+        start a source lane from the vector ``apply_lane`` +
+        ``initial_guess`` builds.  Two-iteration budgets make every lane
+        fail both phases, so both run."""
         seen = {}
         real_newton = batch.batch_newton
         real_continuation = batch.batch_pseudo_transient
-        real_ladder = batch.run_ladder
 
         def newton(assembler, X, *args):
             seen["newton"] = X.copy()
@@ -200,13 +199,8 @@ class TestSourceLaneStart:
                                                 X[lanes].copy()))
             return real_continuation(assembler, X, lanes, *args)
 
-        def ladder(circuit, compiled, x0, *args):
-            seen.setdefault("fallback", []).append(x0.copy())
-            return real_ladder(circuit, compiled, x0, *args)
-
         monkeypatch.setattr(batch, "batch_newton", newton)
         monkeypatch.setattr(batch, "batch_pseudo_transient", continuation)
-        monkeypatch.setattr(batch, "run_ladder", ladder)
         circuit = _diode()
         lanes = [LaneSpec.source("V1", 8.0), LaneSpec(),
                  LaneSpec.source("V1", 3.0)]
@@ -226,5 +220,4 @@ class TestSourceLaneStart:
         assert sorted(seen["pseudo-transient"]) == [0, 1, 2]
         for k, start in seen["pseudo-transient"].items():
             np.testing.assert_array_equal(start, twins[k])
-        np.testing.assert_array_equal(seen["fallback"], twins)
         assert twins[0][compiled.node_index["in"]] == 8.0
