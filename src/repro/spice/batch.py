@@ -1147,11 +1147,15 @@ class BatchTranDiagnostics:
         lane_rejections: ``(B,)`` rejections *attributed* to each lane
             (the lanes whose Newton failure or LTE estimate forced the
             shared shrink) -- the kick-out budget counts these.
+        lanes_lockstep: Lanes the shared grid carried to the end: they
+            entered it, never left it and were not stopped by a
+            run-level abort.
         fallback_lanes: ``(lane index, reason)`` per lane that left the
-            lockstep grid for the serial path, and per lane whose
-            initial DC point failed.
-        n_failed: Lanes without a result: the initial DC point or the
-            serial rerun failed.
+            lockstep grid for a serial rerun.  A lane whose initial DC
+            point failed never entered the grid; it shows only in
+            ``n_failed`` (and the result's ``failures``).
+        n_failed: Lanes without a result: the initial DC point, the
+            serial rerun or the whole run failed.
         dt_smallest: Smallest shared step committed [s].
         wall_time: Whole-run wall time [s].
     """
@@ -1162,16 +1166,16 @@ class BatchTranDiagnostics:
     steps_rejected: int = 0
     newton_iterations: int = 0
     lane_rejections: np.ndarray | None = None
+    lanes_lockstep: int = 0
     fallback_lanes: list[tuple[int, str]] = field(default_factory=list)
     n_failed: int = 0
     dt_smallest: float = float("inf")
     wall_time: float = 0.0
 
     def describe(self) -> str:
-        lockstep = self.batch - len(self.fallback_lanes)
-        text = (f"{self.circuit}: {lockstep}/{self.batch} lanes in "
-                f"lockstep, {self.steps_accepted} shared steps accepted, "
-                f"{self.steps_rejected} rejected")
+        text = (f"{self.circuit}: {self.lanes_lockstep}/{self.batch} "
+                f"lanes in lockstep, {self.steps_accepted} shared steps "
+                f"accepted, {self.steps_rejected} rejected")
         if self.fallback_lanes:
             text += f", {len(self.fallback_lanes)} serial fallbacks"
         if self.n_failed:
@@ -1359,20 +1363,18 @@ class _LockstepStepper(_Stepper):
                                      for log in self.logs)
         diag.lane_rejections = np.array(
             [log.steps_rejected for log in self.logs], dtype=int)
+        diag.lanes_lockstep = len(self.lanes)
         diag.n_failed = len(self.failures)
         return diag
 
     def integrate(self, on_error: str) -> BatchTranResult:
         # Initial DC point per lane, stacked; a lane that fails every DC
         # rung never enters the grid (serial transient would have
-        # raised before its first step too).
+        # raised before its first step too) and is no serial fallback.
         dc = batch_operating_point(self.circuit, self.specs,
                                    options=self.newton_options,
                                    on_error="skip")
-        for lane, error in dc.failures:
-            self.diag.fallback_lanes.append(
-                (lane, f"initial operating point failed: {error}"))
-            self.failures.append((lane, error))
+        self.failures.extend(dc.failures)
         if on_error == "raise" and self.failures:
             raise self.failures[0][1]
         lanes = [k for k, point in enumerate(dc.points)
@@ -1396,7 +1398,7 @@ class _LockstepStepper(_Stepper):
         self.tspan.annotate(
             steps_accepted=diag.steps_accepted,
             steps_rejected=diag.steps_rejected,
-            lanes_lockstep=len(self.lanes),
+            lanes_lockstep=diag.lanes_lockstep,
             lane_rejections=int(diag.lane_rejections.sum()),
             n_fallback=len(diag.fallback_lanes),
             n_failed=diag.n_failed,

@@ -18,6 +18,7 @@ which the E9 benchmark records against the paper value.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from ..errors import DesignError
@@ -156,12 +157,13 @@ def full_adder_cell(design: StsclGateDesign, vdd: float,
     are ports so a chain of instances shares one bias network.
 
     Template nodesets encode the all-zero-operand polarity (every
-    output at logic 0); :func:`adder_chain_circuit` overrides them per
-    bit from the expected sum/carry pattern.  The source-coupled nodes
-    -- both trees' tails and steering nodes, both latches' ``tail``,
-    ``ns`` and ``nh`` -- start at
-    :func:`~repro.stscl.netlist_gen.pair_source_voltage`, which is what
-    lets a cold solve of the chain converge in the Newton rung.
+    output at logic 0), and the source-coupled nodes -- both trees'
+    tails and steering nodes, both latches' ``tail``, ``ns`` and
+    ``nh`` -- start at
+    :func:`~repro.stscl.netlist_gen.pair_source_voltage`.  From these
+    hints :func:`adder_chain_circuit` solves one isolated slice per
+    input pattern, then starts every internal net of each bit where
+    that slice solved (:func:`_cell_starts`).
     """
     from ..spice.netlist import Circuit
     from ..spice.subckt import Subcircuit
@@ -213,6 +215,55 @@ def _expect_pair(circuit, p: str, n: str, value: bool,
     circuit.nodeset(n, low if value else high)
 
 
+def _cell_starts(cell: FullAdderCell, design: StsclGateDesign, vdd: float,
+                 with_latches: bool
+                 ) -> dict[tuple[bool, bool, bool], dict[str, float]]:
+    """Solve one isolated bit slice at each of its 8 input patterns.
+
+    The test bench holds the chain's rails and clock, drives the three
+    input pairs to STSCL logic levels and starts the outputs at the
+    pattern's sum and carry; everything else starts at the template's
+    hints.  Returns, per ``(a, b, c_in)``, the solved voltage of every
+    internal net of the slice.
+    """
+    from ..spice.dc import operating_point
+    from ..spice.netlist import Circuit
+    from ..spice.waveforms import dc_wave
+    from .netlist_gen import _load_bias
+
+    high, low = vdd, vdd - design.v_sw
+    bench = Circuit("stscl_fa_bench", temperature=design.temperature)
+    bench.add_vsource("vvdd", "vdd", "0", vdd)
+    bench.add_vsource("vvbp", "vbp", "0", _load_bias(design, vdd))
+    if with_latches:
+        bench.add_vsource("vckp", "ckp", "0", high)
+        bench.add_vsource("vckn", "ckn", "0", low)
+    inputs = ("a", "b", "c")
+    for name in inputs:
+        _drive_pair(bench, f"in_{name}", f"{name}p", f"{name}n", False,
+                    high, low)
+    bench.add_instance("x", cell.subcircuit,
+                       {port: port for port in cell.ports})
+    internal = cell.subcircuit.plan().internal_nodes
+
+    starts = {}
+    for pattern in itertools.product((False, True), repeat=3):
+        for name, value in zip(inputs, pattern):
+            bench.element(f"vin_{name}p").waveform = dc_wave(
+                high if value else low)
+            bench.element(f"vin_{name}n").waveform = dc_wave(
+                low if value else high)
+        s, k = _parity3(pattern), _majority3(pattern)
+        _expect_pair(bench, *cell.sum_out, s, high, low)
+        _expect_pair(bench, *cell.carry_out, k, high, low)
+        if with_latches:
+            _expect_pair(bench, "x.xs_outp", "x.xs_outn", s, high, low)
+            _expect_pair(bench, "x.mc_outp", "x.mc_outn", k, high, low)
+        op = operating_point(bench)
+        starts[pattern] = {net: op.voltages[f"x.{net}"] for net in internal}
+    return starts
+
+
 def adder_chain_circuit(design: StsclGateDesign, vdd: float,
                         width: int = 32, a: int = 0, b: int = 0,
                         carry_in: bool = False,
@@ -230,9 +281,12 @@ def adder_chain_circuit(design: StsclGateDesign, vdd: float,
 
     Operands ``a``/``b`` and ``carry_in`` are encoded as DC
     differential drives; the clock is held high so the latches are
-    transparent and the DC solution *is* the sum.  Nodesets follow the
-    expected bit pattern computed in Python, so Newton starts on the
-    correct side of every bistable latch.
+    transparent and the DC solution *is* the sum.  Each bit slice
+    starts where the isolated slice solves at that bit's own input
+    pattern (``a_i``, ``b_i`` and the expected carry into bit ``i``,
+    computed in Python), so Newton starts on the correct side of every
+    bistable latch and every steering node near its solved value; the
+    output ports start at the expected sum and carry levels.
 
     Returns ``(circuit, ports)`` where ``ports`` maps ``"s{i}"`` /
     ``"cout"`` to differential net pairs.
@@ -248,6 +302,7 @@ def adder_chain_circuit(design: StsclGateDesign, vdd: float,
 
     cell = full_adder_cell(design, vdd, with_latches=with_latches,
                            with_dwell=with_dwell)
+    starts = _cell_starts(cell, design, vdd, with_latches)
     high, low = vdd, vdd - design.v_sw
 
     circuit = Circuit(f"stscl_adder{width}_xtor",
@@ -281,17 +336,12 @@ def adder_chain_circuit(design: StsclGateDesign, vdd: float,
         if with_latches:
             port_map.update(ckp="ckp", ckn="ckn")
         circuit.add_instance(f"fa{i}", cell.subcircuit, port_map)
-        s_i = a_i ^ b_i ^ carry
-        carry = _majority3((a_i, b_i, carry))
-        # Repoint the replayed template nodesets at the expected bit
-        # values so Newton starts on the right side of each latch.
-        _expect_pair(circuit, *s_nets, s_i, high, low)
+        pattern = (a_i, b_i, carry)
+        for net, voltage in starts[pattern].items():
+            circuit.nodeset(f"fa{i}.{net}", voltage)
+        carry = _majority3(pattern)
+        _expect_pair(circuit, *s_nets, _parity3(pattern), high, low)
         _expect_pair(circuit, *k_nets, carry, high, low)
-        if with_latches:
-            _expect_pair(circuit, f"fa{i}.xs_outp", f"fa{i}.xs_outn",
-                         s_i, high, low)
-            _expect_pair(circuit, f"fa{i}.mc_outp", f"fa{i}.mc_outn",
-                         carry, high, low)
         outputs[f"s{i}"] = s_nets
         carry_net = k_nets
     outputs["cout"] = carry_net

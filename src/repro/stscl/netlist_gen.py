@@ -204,10 +204,10 @@ def pair_source_voltage(design: StsclGateDesign, vdd: float) -> float:
     I_SS at a grounded source -- not at V_DD - V_GS, which neglects the
     body effect.  Every conducting node of a steering tree or latch
     stack (the tail and the sources above it) sits near this value, so
-    the steering trees, the adder cell's latches and the tails of the
-    inverter and the buffer chain start there.  The stand-alone latch
-    and the ring keep 0.1 V hints (docs/architecture.md gives the
-    measurements).
+    the steering trees, the adder cell's latches, the stand-alone
+    latch's ``tail``, ``ns`` and ``nh`` and the tails of the inverter
+    and the buffer chain start there.  The ring keeps its 0.1 V tail
+    hints (docs/architecture.md gives the measurements).
     """
     return (vdd - design.pair_gate_overdrive()) / design.tech.nmos.n
 
@@ -418,7 +418,9 @@ def stscl_latch_circuit(
     Clock high steers the tail current into the input (sampling) pair;
     clock low steers it into the cross-coupled (hold) pair, freezing the
     output for the rest of the cycle so the next pipeline stage can
-    evaluate.
+    evaluate.  The outputs start at logic 1, which names the hold state
+    a cold solve with the clock low lands in; ``tail``, ``ns`` and
+    ``nh`` start at :func:`pair_source_voltage`.
     """
     circuit = Circuit("stscl_latch", temperature=design.temperature)
     circuit.add_vsource("vvdd", "vdd", "0", vdd)
@@ -432,8 +434,9 @@ def stscl_latch_circuit(
                                    "ckp", "ckn", with_dwell=with_dwell)
 
     _hint_outputs(circuit, design, vdd, out_p, out_n, True)
+    v_source = pair_source_voltage(design, vdd)
     for node in ("tail", "ns", "nh"):
-        circuit.nodeset(node, 0.1)
+        circuit.nodeset(node, v_source)
 
     ports = GatePorts(inputs={"d": ("dp", "dn"), "clk": ("ckp", "ckn")},
                       outputs={"q": (out_p, out_n)})

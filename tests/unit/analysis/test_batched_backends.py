@@ -404,14 +404,18 @@ def _backend_pulse_rc(backend: str) -> Circuit:
 class TestOwnBackend:
     """Every batched front-end solves on the circuit's own
     ``matrix_backend``: its pilot, its stacked lanes and its serial
-    fallbacks.  Each front-end's population holds one member the stacked
-    solver hands to a serial fallback: the 8 V walk both rungs lose
-    under TIGHT (DC), a stiff lane Newton loses on a fixed grid
-    (transient), a structural fault (campaign)."""
+    solves.  Each front-end's population holds one member the stacked
+    solver cannot keep: the 8 V walk both rungs lose under TIGHT (DC),
+    which fails with both stacked stages on record and is not rerun; a
+    stiff lane Newton loses on a fixed grid (transient), which reruns
+    serially; a structural fault (campaign), which is solved
+    serially."""
 
-    def _run_front_end(self, name, backend) -> tuple[str | None, str]:
+    def _run_front_end(self, name, backend) -> tuple[str | None,
+                                                     str | None]:
         """Run ``name`` traced; returns (the span the pilot solves in or
-        None, the span a serial fallback solves in)."""
+        None, the span a serial solve runs in or None when the stacked
+        solver reruns nothing)."""
         from functools import partial
 
         from repro.faults import BridgedNodes, FaultCampaign, ResistorDrift
@@ -424,7 +428,7 @@ class TestOwnBackend:
                 build=build, draw=_flaky_draw, measure=_diode_measure,
                 options=TIGHT),
                 n_runs=3, on_error="skip", backend="batched").run()
-            return "operating-point", "strategy:newton"
+            return "operating-point", None
         if name == "mc_tran":
             # Six Newton iterations per step on a 100-step grid: the
             # nominal lane keeps up, the stiff lane (RS / 1e4) leaves
@@ -448,11 +452,11 @@ class TestOwnBackend:
                 lane=lambda v, _: LaneSpec.source("V1", v, label=f"{v}"),
                 measure=_diode_measure, options=TIGHT),
                 on_error="skip", backend="batched")
-            return "operating-point", "strategy:newton"
+            return "operating-point", None
         if name == "dc_sweep":
             dc_sweep(build(), "V1", [0.5, 8.0, 0.7], options=TIGHT,
                      on_error="skip", backend="batched")
-            return "operating-point", "strategy:newton"
+            return "operating-point", None
         FaultCampaign(build=build,
                       metric_fn=lambda r: {"v": r.voltage("a")},
                       faults=[ResistorDrift("RS", 1.5),
@@ -467,12 +471,19 @@ class TestOwnBackend:
         from repro import telemetry
 
         with telemetry.tracing("own-backend") as trace:
-            pilot, fallback = self._run_front_end(front_end, backend)
+            pilot, serial = self._run_front_end(front_end, backend)
         batched = (trace.root.find("batch-transient")
                    or trace.root.find("batch-operating-point"))
-        fell_back = batched.find(fallback) or trace.root.find(fallback)
-        solves = [batched.counter("jacobian_factorizations"),
-                  fell_back.total_counter("jacobian_factorizations")]
+        solves = [batched.counter("jacobian_factorizations")]
+        if serial is None:
+            # Batched DC reruns no lane: the lost one fails with both
+            # stacked stages on record.
+            [failed] = batched.events_of("lane-failed")
+            assert ("(tried batched-newton, batched-pseudo-transient)"
+                    in failed["why"])
+        else:
+            solved = batched.find(serial) or trace.root.find(serial)
+            solves.append(solved.total_counter("jacobian_factorizations"))
         if pilot is not None:
             first = next(span for span in trace.root.walk()
                          if span.name in (pilot, batched.name))

@@ -17,6 +17,7 @@ from repro.errors import AnalysisError, ConvergenceError, NetlistError
 from repro.spice import (
     Circuit,
     LaneSpec,
+    NewtonOptions,
     TransientOptions,
     apply_lane,
     batch_transient,
@@ -143,6 +144,32 @@ class TestLaneFallback:
                  LaneSpec(source_values=(("V1", float("nan")),))]
         with pytest.raises(ConvergenceError):
             batch_transient(circuit, lanes, T_STOP, fixed_grid(100))
+
+    def test_initial_dc_failure_is_no_serial_fallback(self):
+        """A lane whose initial DC point fails never enters the grid and
+        is not rerun: it counts as failed, not as a serial fallback, and
+        the lockstep count leaves it out."""
+        circuit = Circuit("walk_diode")
+        circuit.add_vsource("V1", "in", "0", 1.0)
+        circuit.add_resistor("RS", "in", "a", 10.0)
+        circuit.add_diode("D1", "a", "0", DIODE)
+        circuit.nodeset("in", 0.0)  # the 8 V walk defeats both DC rungs
+        lanes = [LaneSpec.source("V1", volts, label=f"{volts:g}")
+                 for volts in (0.5, 8.0)]
+        options = TransientOptions(newton=NewtonOptions(max_iterations=20))
+        with telemetry.tracing("initial-dc") as trace:
+            batch = batch_transient(circuit, lanes, 1e-6, options,
+                                    on_error="skip")
+        assert [index for index, _ in batch.failures] == [1]
+        diagnostics = batch.diagnostics
+        assert diagnostics.fallback_lanes == []
+        text = diagnostics.describe()
+        assert "1/2 lanes in lockstep" in text
+        assert "1 failed" in text
+        assert "serial fallbacks" not in text
+        assert trace.root.find("batch-transient").attrs["n_fallback"] == 0
+        assert trace.root.total_counter("batch_lane_fallbacks") == 0
+        assert lane_sample_violations(trace) == []
 
     def test_zero_budget_kicks_stiff_lane_to_serial(self, monkeypatch):
         """With no rejection allowance, the stiff lane is kicked off
