@@ -20,7 +20,7 @@ ALL_CASES = {"op_chain", "dc_sweep", "transient", "transient_lte",
              "batched_sweep", "sparse_adder_chain",
              "sparse_batched_montecarlo", "pool_montecarlo",
              "scope_capture", "batched_transient_montecarlo",
-             "fai_adc_yield_smoke"}
+             "rc_ramp_adc_codes"}
 
 
 def test_quick_benchmarks_produce_all_cases(tmp_path):
@@ -82,16 +82,17 @@ def test_quick_benchmarks_produce_all_cases(tmp_path):
     # Schema v8: the lockstep transient ensemble integrates every seed
     # on one shared grid (batch_transient_steps in its campaign
     # counters), the serial Monte-Carlo case reuses one compiled chip
-    # across the population, and the FAI yield case's batched INL/DNL
-    # is bit-identical to the serial loop on the shared fixed grid.
+    # across the population, and the RC-ramp converter-codes case's
+    # batched INL/DNL is bit-identical to the serial loop on the shared
+    # fixed grid.
     btm = report["results"]["batched_transient_montecarlo"]["meta"]
     assert btm["n_failed"] == 0
     assert btm["campaign_counters"]["batch_transient_steps"] > 0
     assert (report["results"]["montecarlo"]["trace_counters"]
             ["compile_cache_misses"] == 1)
-    fai = report["results"]["fai_adc_yield_smoke"]["meta"]
-    assert fai["bit_identical_to_serial"] is True
-    assert fai["inl_max_mean"] >= 0.0
+    ramp = report["results"]["rc_ramp_adc_codes"]["meta"]
+    assert ramp["bit_identical_to_serial"] is True
+    assert ramp["inl_max_mean"] >= 0.0
     adder = report["results"]["sparse_adder_chain"]["meta"]
     assert adder["backend"] == "sparse"
     assert adder["headline_s"] > 0.0
@@ -257,13 +258,13 @@ def test_batched_transient_mc_full_case_meets_acceptance():
         f"(best of three each), expected >= 3x")
 
 
-def test_fai_adc_yield_full_case_is_bit_identical():
-    """Acceptance pin for the yield-surface workload: on the shared
-    fixed grid every lane's sampled codes -- and therefore the INL/DNL
-    surface -- must match the serial loop bit for bit."""
-    from repro.bench.perf import _bench_fai_adc_yield_smoke
+def test_rc_ramp_adc_codes_full_case_is_bit_identical():
+    """Acceptance pin for the RC-ramp converter-codes case: on the
+    shared fixed grid every lane's sampled codes -- and therefore its
+    INL/DNL -- must match the serial loop bit for bit."""
+    from repro.bench.perf import _bench_rc_ramp_adc_codes
 
-    meta = _bench_fai_adc_yield_smoke(quick=False)()
+    meta = _bench_rc_ramp_adc_codes(quick=False)()
     assert meta["n_seeds"] >= 6
     assert meta["bit_identical_to_serial"] is True
     assert meta["n_grid_steps"] >= 512

@@ -11,6 +11,7 @@ import pytest
 
 from _util import fmt, print_table
 from repro.adc import FaiAdc, dynamic_test
+from repro.analysis.noise import adc_noise_budget
 from repro.pmu import PowerManagementUnit
 
 
@@ -67,8 +68,13 @@ def test_bench_enob_across_rates(benchmark, pmu):
     enob_80k = benchmark.pedantic(measure, args=(80e3,), rounds=1,
                                   iterations=1)
     enob_800 = measure(800.0)
+    floor = adc_noise_budget()["total"]
+    fitted = pmu.adc.noise_rms
     print(f"\nENOB @80kS/s: {enob_80k:.2f}   ENOB @800S/s: {enob_800:.2f}"
-          f"   (paper: 6.5)")
+          f"   (paper: 6.5)"
+          f"\ninput noise: fitted {fitted * 1e3:.2f} mV vs first-principles"
+          f" floor {floor * 1e3:.2f} mV ({fitted / floor:.1f}x, "
+          f"known deviation 4)")
     assert enob_80k == pytest.approx(6.5, abs=0.4)
     assert enob_800 == pytest.approx(6.5, abs=0.4)
     benchmark.extra_info["enob_80k"] = float(enob_80k)

@@ -130,12 +130,13 @@ class FineFoldingPath:
     def fine_code(self, v_in: np.ndarray) -> np.ndarray:
         """Cyclic fine comparator word: shape (n_samples, n_signals)."""
         currents = self.signals(v_in)
-        offsets = (self._comp_offsets * self.i_unit)[:, None]
-        decisions = (currents + offsets) > 0.0
+        # currents > -offsets is exactly currents + offsets > 0 in IEEE
+        # arithmetic, without a second float array.
+        decisions = currents > -(self._comp_offsets * self.i_unit)[:, None]
         # XOR against the design-time polarity so the code reads 0 at
         # the bottom of the range.
-        cyclic = decisions != self._ref_positive[:, None]
-        return cyclic.T
+        decisions ^= self._ref_positive[:, None]
+        return decisions.T
 
     def crossing_voltages(self, oversample: int = 64) -> np.ndarray:
         """Measured crossing voltage of every comparator transition.

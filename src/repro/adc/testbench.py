@@ -86,8 +86,9 @@ def dynamic_test(adc: FaiAdc, f_sample: float,
     """Coherent sine test returning SNDR/SFDR/ENOB.
 
     ``use_sample_hold`` routes the stimulus through the track/hold
-    (adds its noise and jitter); otherwise the held values are ideal
-    samples, isolating converter-core errors.
+    (adds its noise and jitter when enabled); otherwise the held values
+    are ideal samples, isolating converter-core errors.  Either way the
+    converter adds its own input-referred noise.
     """
     cfg = adc.config
     f_in = coherent_frequency(f_sample, n_samples, cycles)
@@ -98,8 +99,8 @@ def dynamic_test(adc: FaiAdc, f_sample: float,
     if use_sample_hold:
         def waveform(time: float) -> float:
             return mid + amp * math.sin(2.0 * math.pi * f_in * time)
-        codes = adc.sample_and_convert(waveform, t)
+        held = adc.sample_hold.sample(waveform, t)
     else:
         held = mid + amp * np.sin(2.0 * np.pi * f_in * t)
-        codes = adc.convert_batch(held, noisy=True)
+    codes = adc.convert_batch(held, noisy=True)
     return sine_test(codes, cfg.n_bits)

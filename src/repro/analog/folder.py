@@ -32,6 +32,7 @@ exposes exactly that.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -100,25 +101,40 @@ class CurrentFolder:
             refs = refs + np.asarray(self.pair_offsets, dtype=float)
         return refs
 
-    def output_current(self, vin: np.ndarray | float) -> np.ndarray | float:
-        """Folded differential output current [A]."""
-        v = np.atleast_1d(np.asarray(vin, dtype=float))
+    @cached_property
+    def _arches(self) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                               np.ndarray]:
+        """Interior crossings plus each arch's start, width and signed
+        amplitude.
+
+        Computed once per folder, on its first evaluation.  A folder
+        whose offsets reorder the crossings raises here, at every call,
+        as nothing is cached then.
+        """
         crossings = self.crossing_positions()
-        if np.any(np.diff(crossings) <= 0.0):
+        width = np.diff(crossings)
+        if np.any(width <= 0.0):
             raise ModelError(
                 "mismatch offsets reordered the crossings; "
                 "folder is broken (offsets too large for the pitch)")
         gains = (1.0 + np.asarray(self.pair_gain_errors, dtype=float)
                  if self.pair_gain_errors
                  else np.ones(len(self.references)))
-        k = np.clip(np.searchsorted(crossings, v) - 1,
-                    0, crossings.size - 2)
-        x_lo = crossings[k]
-        x_hi = crossings[k + 1]
-        t = (v - x_lo) / (x_hi - x_lo)
-        amplitude = 0.5 * (gains[k] + gains[k + 1]) * self.i_unit
-        sign = np.where(k % 2 == 0, 1.0, -1.0)
-        result = sign * amplitude * np.sin(np.pi * t)
+        amplitude = 0.5 * (gains[:-1] + gains[1:]) * self.i_unit
+        amplitude[1::2] *= -1.0
+        return crossings[1:-1], crossings[:-1], width, amplitude
+
+    def output_current(self, vin: np.ndarray | float) -> np.ndarray | float:
+        """Folded differential output current [A]."""
+        v = np.atleast_1d(np.asarray(vin, dtype=float))
+        interior, start, width, amplitude = self._arches
+        # The arch holding v; the outer arches extend past the ends.
+        k = np.searchsorted(interior, v)
+        t = v - start[k]
+        t /= width[k]
+        t *= np.pi
+        result = np.sin(t, out=t)
+        result *= amplitude[k]
         return float(result[0]) if np.isscalar(vin) else result
 
     def outputs_1_1_2(self, vin: np.ndarray | float) -> tuple:

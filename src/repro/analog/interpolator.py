@@ -78,32 +78,39 @@ class CurrentInterpolator:
         the folded signals in crossing order; the set is treated as
         *cyclic* (past the last signal the next crossing belongs to the
         first signal inverted -- the physical wrap of a folded bank).
+        ``gains`` (see :meth:`sample_gains`) holds one (n, 2) array per
+        stage, n being the stage's signal count; any other count or
+        shape raises :class:`ModelError`.
         Returns shape (n_signals * 2**stages, ...).
         """
-        current = np.asarray(signals, dtype=float)
-        if current.ndim < 1 or current.shape[0] < 1:
+        inputs = np.asarray(signals, dtype=float)
+        if inputs.ndim < 1 or inputs.shape[0] < 1:
             raise ModelError("need at least one input signal")
         if gains is not None and len(gains) != self.stages:
             raise ModelError(
                 f"expected {self.stages} gain arrays, got {len(gains)}")
+        # One output buffer: the inputs sit on every factor-th row, and
+        # stage s fills the midpoint rows between its n * 2**s signals;
+        # the signal past the last one is the first, inverted.
+        out = np.empty((inputs.shape[0] * self.factor,) + inputs.shape[1:])
+        out[::self.factor] = inputs
         for stage in range(self.stages):
+            step = self.factor >> stage
+            current = out[::step]
+            mid = out[step // 2::step]
             n = current.shape[0]
-            stage_gains = gains[stage] if gains is not None else None
-            if stage_gains is not None and stage_gains.shape[0] != n:
+            stage_gains = (np.ones((n, 2)) if gains is None
+                           else np.asarray(gains[stage], dtype=float))
+            if stage_gains.shape != (n, 2):
                 raise ModelError(
-                    f"stage {stage} gains sized {stage_gains.shape[0]}, "
-                    f"expected {n}")
-            result = np.empty((2 * n,) + current.shape[1:])
-            for i in range(n):
-                a = current[i]
-                b = current[i + 1] if i + 1 < n else -current[0]
-                g_a = g_b = 1.0
-                if stage_gains is not None:
-                    g_a, g_b = stage_gains[i]
-                result[2 * i] = a
-                result[2 * i + 1] = 0.5 * (g_a * a + g_b * b)
-            current = result
-        return current
+                    f"stage {stage} gains shaped {stage_gains.shape}, "
+                    f"expected ({n}, 2)")
+            g_a, g_b = stage_gains.T.reshape((2, n) + (1,) * (out.ndim - 1))
+            np.multiply(g_b[:-1], current[1:], out=mid[:-1])
+            np.multiply(-g_b[-1:], current[:1], out=mid[-1:])
+            mid += g_a * current
+            mid *= 0.5
+        return out
 
     def branch_count(self, n_inputs: int) -> int:
         """Current branches (power units) of the non-merged stages."""

@@ -14,9 +14,9 @@ than being a free parameter:
   stages in RSS (independent devices).
 
 The library-level check lives in
-``tests/unit/analysis/test_noise.py``; the headline is that a
-1 nA-class chain lands at ~1 mV rms input-referred -- the right order
-for the fitted 1.5 mV.
+``tests/unit/analysis/test_noise.py``; the headline is that the
+26 nA chain lands at 0.27 mV rms input-referred, 5.6x below the fitted
+1.5 mV (EXPERIMENTS.md, E3 and known deviation 4).
 """
 
 from __future__ import annotations

@@ -52,10 +52,10 @@ from ..telemetry.invariants import violations
 #: ``shm_montecarlo``) with its fleet-wide compile accounting; v8: the
 #: lockstep ``batched_transient_montecarlo`` ensemble-waveform case
 #: with its per-seed speedup and grid accounting, and the
-#: ``fai_adc_yield_smoke`` yield-surface case whose batched INL/DNL is
-#: checked bit-for-bit against the serial loop -- plus the serial
-#: ``montecarlo`` case now reusing one compiled chip across the
-#: population).
+#: ``rc_ramp_adc_codes`` case, a lockstep RC-ramp transient whose
+#: behavioural-converter INL/DNL is checked bit-for-bit against the
+#: serial loop -- plus the serial ``montecarlo`` case now reusing one
+#: compiled chip across the population).
 BENCH_SCHEMA = "repro-bench-perf/v8"
 
 #: Environment variables that pin BLAS/OpenMP thread pools.  Recorded
@@ -581,15 +581,16 @@ def _bench_batched_transient_montecarlo(quick: bool) -> Callable[[], dict]:
     return case
 
 
-def _bench_fai_adc_yield_smoke(quick: bool) -> Callable[[], dict]:
-    """FAI ADC yield surface from batched transient waveforms.
+def _bench_rc_ramp_adc_codes(quick: bool) -> Callable[[], dict]:
+    """Converter codes from a lockstep transient of an RC ramp.
 
-    The headline workload the lockstep engine unlocks: a Monte-Carlo
-    population of testbench circuits integrates as one batched
-    transient on a *fixed* shared grid, each lane's ramp waveform is
-    sampled into held voltages and pushed through the converter
+    The testbench is a 3-unknown circuit: a PWL ramp through a resistor
+    into a capacitor, clamped by a diode.  A Monte-Carlo population of
+    it (one aged source resistor per lane) integrates as one batched
+    transient on a *fixed* shared grid; each lane's waveform is sampled
+    into held voltages and converted by the behavioural FAI model
     (:func:`~repro.adc.testbench.sampled_transient_codes`), and the
-    per-lane INL/DNL forms the yield surface.  The fixed grid makes
+    per-lane INL/DNL come from those codes.  The fixed grid makes
     batched and serial lanes share time points exactly, so the integer
     codes -- and therefore the linearity metrics -- must match the
     serial loop bit for bit; the meta records that check.
@@ -694,7 +695,7 @@ def default_cases(quick: bool = False,
         "scope_capture": _bench_scope_capture(quick),
         "batched_transient_montecarlo":
             _bench_batched_transient_montecarlo(quick),
-        "fai_adc_yield_smoke": _bench_fai_adc_yield_smoke(quick),
+        "rc_ramp_adc_codes": _bench_rc_ramp_adc_codes(quick),
     }
 
 

@@ -217,18 +217,44 @@ def coarse_thermometer(code: int, spec: EncoderSpec) -> tuple[bool, ...]:
     return tuple(i < segment for i in range(spec.n_coarse_thermo))
 
 
-def _majority_correct_batch(bits: np.ndarray, cyclic: bool) -> np.ndarray:
-    """Vectorised neighbour-majority over shape (n_samples, n_bits)."""
+def _majority_rows(bits: np.ndarray, cyclic: bool) -> np.ndarray:
+    """Vectorised neighbour-majority over (n_bits, n_samples) rows."""
+    left = np.empty_like(bits)
+    right = np.empty_like(bits)
+    left[1:] = bits[:-1]
+    right[:-1] = bits[1:]
     if cyclic:
-        left = np.roll(bits, 1, axis=1)
-        right = np.roll(bits, -1, axis=1)
+        left[0] = bits[-1]
+        right[-1] = bits[0]
     else:
-        left = np.concatenate(
-            [np.ones((bits.shape[0], 1), dtype=bool), bits[:, :-1]], axis=1)
-        right = np.concatenate(
-            [bits[:, 1:], np.zeros((bits.shape[0], 1), dtype=bool)], axis=1)
-    return (left.astype(int) + bits.astype(int)
-            + right.astype(int)) >= 2
+        left[0] = True
+        right[-1] = False
+    # maj(l, b, r) = (l & b) | (r & (l | b))
+    right &= left | bits
+    left &= bits
+    left |= right
+    return left
+
+
+def _gray_rows(thermo: np.ndarray, n_bits: int) -> np.ndarray:
+    """Gray rows (LSB first) of (length, n_samples) thermometer rows: bit
+    k is the parity of the taps (2i+1)*2^k - 1, a strided row slice."""
+    gray = np.empty((n_bits, thermo.shape[1]), dtype=bool)
+    for k in range(n_bits):
+        np.bitwise_xor.reduce(thermo[2 ** k - 1::2 ** (k + 1)], axis=0,
+                              out=gray[k])
+    return gray
+
+
+def _binary_from_gray(gray: np.ndarray) -> np.ndarray:
+    """Integer values of (n_bits, n_samples) Gray rows, LSB first."""
+    acc = np.zeros(gray.shape[1], dtype=bool)
+    value = np.zeros(gray.shape[1], dtype=np.int64)
+    for row in gray[::-1]:
+        acc ^= row
+        value <<= 1
+        value += acc
+    return value
 
 
 def encode_batch(coarse_thermo: np.ndarray, fine_thermo: np.ndarray,
@@ -247,37 +273,22 @@ def encode_batch(coarse_thermo: np.ndarray, fine_thermo: np.ndarray,
             f"coarse_thermo must be (n, {spec.n_coarse_thermo})")
     if fine.ndim != 2 or fine.shape[1] != spec.n_fine_thermo:
         raise DesignError(f"fine_thermo must be (n, {spec.n_fine_thermo})")
+    # Work on contiguous (bit, sample) rows; the fine path's words are
+    # transposed views of that layout already.
+    coarse = np.ascontiguousarray(coarse.T)
+    fine = np.ascontiguousarray(fine.T)
     if spec.bubble_correction:
-        coarse = _majority_correct_batch(coarse, cyclic=False)
+        coarse = _majority_rows(coarse, cyclic=False)
     if spec.fine_bubble_correction:
-        fine = _majority_correct_batch(fine, cyclic=True)
+        fine = _majority_rows(fine, cyclic=True)
 
-    coarse_taps = thermometer_to_gray_taps(spec.coarse_bits,
-                                           spec.n_coarse_thermo)
-    coarse_gray = np.stack(
-        [np.bitwise_xor.reduce(coarse[:, taps], axis=1)
-         for taps in coarse_taps], axis=1)
-    fine_taps = thermometer_to_gray_taps(spec.fine_bits,
-                                         spec.n_fine_thermo)
-    fine_gray = np.stack(
-        [np.bitwise_xor.reduce(fine[:, taps], axis=1)
-         for taps in fine_taps], axis=1)
-
-    def gray_to_binary_batch(gray: np.ndarray) -> np.ndarray:
-        bits = np.zeros_like(gray)
-        acc = np.zeros(gray.shape[0], dtype=bool)
-        for k in reversed(range(gray.shape[1])):
-            acc = acc != gray[:, k]
-            bits[:, k] = acc
-        weights = 1 << np.arange(gray.shape[1])
-        return bits.astype(np.int64) @ weights
-
-    coarse_value = gray_to_binary_batch(coarse_gray)
+    coarse_value = _binary_from_gray(_gray_rows(coarse, spec.coarse_bits))
+    fine_gray = _gray_rows(fine, spec.fine_bits)
 
     if spec.sync_correction and spec.coarse_bits >= 2:
         f_codes = spec.n_fine_thermo
-        x = gray_to_binary_batch(fine_gray)
-        p_all = np.bitwise_xor.reduce(fine, axis=1)
+        x = _binary_from_gray(fine_gray)
+        p_all = np.bitwise_xor.reduce(fine, axis=0)
         fold_parity = p_all != (x & 1).astype(bool)
         u_2f = np.where(fold_parity, 2 * f_codes - 1 - x, x)
         t = (f_codes * coarse_value + f_codes + f_codes // 2
@@ -285,9 +296,8 @@ def encode_batch(coarse_thermo: np.ndarray, fine_thermo: np.ndarray,
         k = t >> (spec.fine_bits + 1)
         return k * 2 * f_codes + u_2f
 
-    odd_fold = (coarse_value & 1).astype(bool)
-    fine_gray[:, -1] = fine_gray[:, -1] != odd_fold
-    fine_value = gray_to_binary_batch(fine_gray)
+    fine_gray[-1] ^= (coarse_value & 1).astype(bool)
+    fine_value = _binary_from_gray(fine_gray)
     return coarse_value * 2 ** spec.fine_bits + fine_value
 
 

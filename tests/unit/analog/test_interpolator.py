@@ -119,6 +119,14 @@ class TestValidation:
         with pytest.raises(ModelError):
             interp.interpolate(signals, [np.ones((4, 2))])
 
+    @pytest.mark.parametrize("shape", [(4, 3), (4, 1), (4,), (5, 2),
+                                       (2, 2)])
+    def test_badly_shaped_stage_gains_rejected(self, shape):
+        interp = CurrentInterpolator(stages=1, merged_first_stage=False)
+        signals, _x = staggered_sinusoids(4)
+        with pytest.raises(ModelError, match="stage 0 gains"):
+            interp.interpolate(signals, [np.ones(shape)])
+
     def test_empty_signals_rejected(self):
         with pytest.raises(ModelError):
             CurrentInterpolator(stages=1).interpolate(np.empty((0, 5)))
