@@ -161,9 +161,10 @@ class FaiAdc:
         return reference_encode(coarse, fine, self.spec)
 
     def sample_and_convert(self, waveform, t_sample: np.ndarray) -> np.ndarray:
-        """Full signal path: track/hold then convert."""
+        """Full signal path: track/hold, then convert with the
+        converter's input-referred noise."""
         held = self.sample_hold.sample(waveform, t_sample)
-        return self.convert_batch(held)
+        return self.convert_batch(held, noisy=True)
 
     # -- power accounting -----------------------------------------------------
 

@@ -1,12 +1,11 @@
-"""Statistical analysis machinery: Monte-Carlo, sweeps, yield and the
-noise budget.
+"""Statistical analysis machinery: Monte-Carlo, yield and the noise
+budget.
 
 These drive the PVT and mismatch experiments (E4, E6) and are generic
 enough to reuse on any model in the library.
 """
 
 from .montecarlo import MonteCarlo, MonteCarloRun, MonteCarloSummary
-from .sweep import sweep_1d, SweepTable
 from .yield_est import estimate_yield, YieldReport
 from .noise import (
     StageNoise,
@@ -17,7 +16,6 @@ from .noise import (
 
 __all__ = [
     "MonteCarlo", "MonteCarloRun", "MonteCarloSummary",
-    "sweep_1d", "SweepTable",
     "estimate_yield", "YieldReport",
     "StageNoise", "adc_noise_budget", "chain_input_noise",
     "scl_stage_noise",

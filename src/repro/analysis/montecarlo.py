@@ -203,8 +203,7 @@ class MonteCarlo:
         if self.analysis == "transient":
             return run_lanes(circuit, lanes, spec.measure,
                              t_stop=spec.t_stop, options=spec.options)
-        return run_lanes(circuit, lanes, spec.measure, options=spec.options,
-                         warm_start=True)
+        return run_lanes(circuit, lanes, spec.measure, options=spec.options)
 
     def run(self) -> MonteCarloRun:
         """Execute all runs; returns per-metric summaries (a dict) with

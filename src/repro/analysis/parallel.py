@@ -1,18 +1,19 @@
 """One route from a population of independent items to ordered outcomes.
 
-Monte-Carlo populations, fault campaigns and parameter sweeps evaluate
-independent (seed / fault / point) items.  :func:`run_items` turns such
-a population into one outcome per item -- ``("ok", value)`` or
-``("error", ReproError)``, see :func:`~repro.errors.evaluate` -- in
-item order, whether it runs
+Monte-Carlo populations and fault campaigns evaluate independent (seed
+/ fault) items.  :func:`run_items` turns such a population into one
+outcome per item -- ``("ok", value)`` or ``("error", ReproError)``, see
+:func:`~repro.errors.evaluate` -- in item order, whether it runs
 
 * serially: lazily, one item at a time under its own child span, so a
-  caller that stops at the first error never evaluates later items; or
-* on a process pool (:func:`run_ordered`): tasks are submitted in item
-  order and collected in that same order (never completion order), and
-  under an active trace each worker's private span tree is grafted
-  under the caller's span in item order -- exactly where the serial
-  child span would have gone.
+  caller that stops at the first error never evaluates later items
+  (the fault campaign's route); or
+* on a process pool (:func:`run_ordered`, Monte-Carlo's
+  ``n_workers``): tasks are submitted in item order and collected in
+  that same order (never completion order), and under an active trace
+  each worker's private span tree is grafted under the caller's span
+  in item order -- exactly where the serial child span would have
+  gone.
 
 Library errors travel as *data*, so the front-end applies the same
 ``on_error`` policy on either route; any other exception propagates.

@@ -480,16 +480,16 @@ def _bench_pool_montecarlo(n_seeds: int) -> Callable[[], dict]:
 
 
 def _bench_scope_capture(quick: bool) -> Callable[[], dict]:
-    """Triggered streaming capture on the buffer-chain testbench.
+    """Triggered capture on the buffer-chain testbench.
 
-    Times the whole ``replace_dense`` path -- per-sample trigger
-    evaluation, ring-buffer pre-history, windowed post-capture -- on
-    top of the transient it instruments, which ends on the sample that
-    closes the window.  The meta records the window and its memory, the
-    steps the run took and where it ended as a fraction of the
-    testbench's ``t_stop``.  Samples seen equal samples stored here:
-    the ring holds every pre-trigger sample and nothing comes after the
-    window.
+    Times the whole capture path -- per-sample trigger evaluation,
+    ring-buffer pre-history, windowed post-capture in place of the
+    dense record -- on top of the transient it instruments, which ends
+    on the sample that closes the window.  The meta records the window
+    and its memory, the steps the run took and where it ended as a
+    fraction of the testbench's ``t_stop``.  Samples seen equal samples
+    stored: the ring holds every pre-trigger sample and nothing comes
+    after the window.
     """
     n_stages = 2 if quick else 3
 

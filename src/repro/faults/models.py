@@ -31,7 +31,7 @@ import numpy as np
 
 from ..adc.fai import FaiAdc
 from ..digital.encoder import EncoderSpec, encode_batch
-from ..errors import FaultInjectionError, NetlistError
+from ..errors import FaultInjectionError
 from ..spice.elements import CurrentSource, MosElement, Resistor
 from ..spice.netlist import Circuit
 from ..spice.waveforms import dc_wave
@@ -105,20 +105,6 @@ class FaultModel(abc.ABC):
         :class:`~repro.errors.FaultInjectionError` when the fault does
         not fit the target.
         """
-
-    def lane_spec(self, circuit):
-        """This fault as a :class:`~repro.spice.batch.LaneSpec`, or
-        None.
-
-        Faults expressible as pure parameter perturbations of
-        ``circuit`` (a VT shift, a scaled resistance, an overridden
-        source value) return a lane so a batched
-        :class:`~repro.faults.campaign.FaultCampaign` can solve them as
-        one stacked system; structural faults (added elements, forced
-        comparator outputs) return None and are evaluated through the
-        classic per-fault path.  Must not mutate ``circuit``.
-        """
-        return None
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name}>"
@@ -200,19 +186,6 @@ class BiasBranchOpen(FaultModel):
         element.waveform = dc_wave(0.0)
         return target
 
-    def lane_spec(self, circuit):
-        if not isinstance(circuit, Circuit):
-            return None
-        try:
-            element = circuit.element(self.branch)
-        except NetlistError:
-            return None  # let apply() raise the canonical error
-        if not isinstance(element, CurrentSource):
-            return None
-        from ..spice.batch import LaneSpec
-        return LaneSpec(source_values=((self.branch, 0.0),),
-                        label=self.name)
-
 
 class BridgedNodes(FaultModel):
     """A resistive short (defect bridge) between two nets."""
@@ -268,18 +241,6 @@ class VtOutlier(FaultModel):
             element.device, vt_shift=element.device.vt_shift + self.shift)
         return target
 
-    def lane_spec(self, circuit):
-        if not isinstance(circuit, Circuit):
-            return None
-        mos = circuit.mos_elements()
-        names = [m.name for m in mos]
-        if self.element not in names:
-            return None  # let apply() raise the canonical error
-        from ..spice.batch import LaneSpec
-        vt_delta = np.zeros(len(mos))
-        vt_delta[names.index(self.element)] = self.shift
-        return LaneSpec(vt_delta=vt_delta, label=self.name)
-
 
 class ResistorDrift(FaultModel):
     """A resistor aged away from its drawn value by ``factor``."""
@@ -302,16 +263,3 @@ class ResistorDrift(FaultModel):
                  f"{self.element!r} is not a resistor")
         element.resistance *= self.factor
         return target
-
-    def lane_spec(self, circuit):
-        if not isinstance(circuit, Circuit):
-            return None
-        try:
-            element = circuit.element(self.element)
-        except NetlistError:
-            return None  # let apply() raise the canonical error
-        if not isinstance(element, Resistor):
-            return None
-        from ..spice.batch import LaneSpec
-        return LaneSpec(resistor_scale=((self.element, self.factor),),
-                        label=self.name)

@@ -1,18 +1,17 @@
-"""``repro.scope``: streaming waveform capture, triggers, measurements.
+"""``repro.scope``: triggered waveform capture and measurements.
 
 The platform's oscilloscope.  Three layers, modeled on litescope's
 core/frontend/host split:
 
-* **core** (:mod:`repro.scope.capture`) -- per-node probes with
-  ring-buffer storage, trigger conditions (edge / level / expression
-  over probe values) with pre/post-trigger windows, and decimation
-  (stride, min/max peak-detect).  Threaded through
-  :func:`repro.spice.transient` via its ``scope=`` parameter, it
-  bounds waveform memory to O(window) instead of O(steps) on long
-  runs.
+* **core** (:mod:`repro.scope.capture`) -- per-node probes, an edge
+  trigger and a ring buffer that holds one pre/post-trigger window.
+  Threaded through :func:`repro.spice.transient` via its ``scope=``
+  parameter, the window replaces the dense record, so waveform memory
+  is O(window) instead of O(steps), and the run ends on the sample
+  that closes the window.
 * **measure** (:mod:`repro.scope.measure`) -- propagation delay,
-  rise/fall slew, output swing, overshoot, settling time, and
-  period/duty/jitter, each returning a small report object.
+  rise/fall slew, output swing and settling time, each returning a
+  small report object.
 * **host** (:mod:`repro.scope.vcd`) -- the shared VCD writer used by
   both this analog capture layer and the digital simulator's dump, so
   mixed-signal runs land in one viewer-compatible file.
@@ -26,7 +25,7 @@ Quick taste::
         probes=[Probe("s2_outp", "s2_outn", label="y2"),
                 Probe("s3_outp", "s3_outn", label="y3")],
         trigger=EdgeTrigger("y2", level=0.0, direction="rising"),
-        pre_samples=32, post_samples=128, replace_dense=True)
+        pre_samples=32, post_samples=128)
     transient(circuit, t_stop, scope=session)
     seg = session.segment()
     report = measure.propagation_delay(
@@ -39,27 +38,17 @@ Quick taste::
 from . import measure
 from .capture import (
     CaptureSegment,
-    Decimator,
     EdgeTrigger,
-    ExpressionTrigger,
-    LevelTrigger,
-    PeakDetect,
     Probe,
     ScopeSession,
-    Stride,
-    Trigger,
 )
 from .measure import (
     DelayReport,
-    OvershootReport,
-    PeriodReport,
     SettlingReport,
     SlewReport,
     SwingReport,
     crossings,
     output_swing,
-    overshoot,
-    period_and_jitter,
     propagation_delay,
     settling_time,
     transition_time,
@@ -72,13 +61,10 @@ from .vcd import (
 )
 
 __all__ = [
-    "CaptureSegment", "Decimator", "EdgeTrigger", "ExpressionTrigger",
-    "LevelTrigger", "PeakDetect", "Probe", "ScopeSession", "Stride",
-    "Trigger",
+    "CaptureSegment", "EdgeTrigger", "Probe", "ScopeSession",
     "measure",
-    "DelayReport", "OvershootReport", "PeriodReport", "SettlingReport",
-    "SlewReport", "SwingReport",
-    "crossings", "output_swing", "overshoot", "period_and_jitter",
-    "propagation_delay", "settling_time", "transition_time",
+    "DelayReport", "SettlingReport", "SlewReport", "SwingReport",
+    "crossings", "output_swing", "propagation_delay", "settling_time",
+    "transition_time",
     "VcdDocument", "VcdWriter", "exact_timescale", "parse_vcd",
 ]

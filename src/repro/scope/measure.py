@@ -138,21 +138,6 @@ class SwingReport:
 
 
 @dataclass(frozen=True)
-class OvershootReport:
-    """Over-/undershoot of a step response, as fractions of the step."""
-
-    overshoot: float      # fraction of |step| above the final value
-    undershoot: float     # fraction of |step| below the final value
-    v_initial: float
-    v_final: float
-
-    def describe(self) -> str:
-        return (f"overshoot = {self.overshoot:.2%}, "
-                f"undershoot = {self.undershoot:.2%} "
-                f"of a {self.v_final - self.v_initial:+.4g} V step")
-
-
-@dataclass(frozen=True)
 class SettlingReport:
     """First instant after which the waveform stays inside a band."""
 
@@ -163,23 +148,6 @@ class SettlingReport:
     def describe(self) -> str:
         return (f"settled to +/-{self.band:.1%} at "
                 f"{self.t_settle:.4g} s")
-
-
-@dataclass(frozen=True)
-class PeriodReport:
-    """Period / duty / cycle-to-cycle jitter of a repetitive waveform."""
-
-    period: float         # mean period [s]
-    frequency: float      # 1 / period [Hz]
-    duty: float           # high-time fraction of the mean period
-    jitter_rms: float     # sample std-dev of the periods [s]
-    jitter_pp: float      # max - min period [s]
-    n_cycles: int
-
-    def describe(self) -> str:
-        return (f"T = {self.period:.4g} s (f = {self.frequency:.4g} Hz), "
-                f"duty {self.duty:.1%}, jitter {self.jitter_rms:.3g} s rms "
-                f"/ {self.jitter_pp:.3g} s pp over {self.n_cycles} cycles")
 
 
 # ---------------------------------------------------------------------------
@@ -274,30 +242,6 @@ def output_swing(time, value, t_from: float = 0.0) -> SwingReport:
                        v_max=float(window.max()))
 
 
-def overshoot(time, value, v_initial: float | None = None,
-              v_final: float | None = None) -> OvershootReport:
-    """Peak over-/undershoot of a step response vs. its final value.
-
-    Defaults: ``v_initial`` is the first sample, ``v_final`` the last.
-    Both are expressed as fractions of the step magnitude.
-    """
-    t, v = _validated(time, value, "overshoot")
-    if v_initial is None:
-        v_initial = float(v[0])
-    if v_final is None:
-        v_final = float(v[-1])
-    step = v_final - v_initial
-    if step == 0.0:
-        raise AnalysisError(
-            "overshoot: zero step (v_initial == v_final); pass explicit "
-            "levels for a non-step waveform")
-    over = (float(v.max()) - max(v_initial, v_final)) / abs(step)
-    under = (min(v_initial, v_final) - float(v.min())) / abs(step)
-    return OvershootReport(overshoot=max(0.0, over),
-                           undershoot=max(0.0, under),
-                           v_initial=v_initial, v_final=v_final)
-
-
 def settling_time(time, value, band: float = 0.02,
                   v_final: float | None = None,
                   v_initial: float | None = None,
@@ -337,36 +281,3 @@ def settling_time(time, value, band: float = 0.02,
     t_enter = float(t[k] + frac * (t[k + 1] - t[k]))
     return SettlingReport(t_settle=t_enter - t_reference, band=band,
                           v_final=v_final)
-
-
-def period_and_jitter(time, value,
-                      level: float | None = None) -> PeriodReport:
-    """Period, duty cycle and cycle-to-cycle jitter of an oscillation.
-
-    Periods are measured between consecutive rising crossings of
-    ``level`` (default: the record's mid-swing); duty is the mean
-    high-time fraction.  Needs at least two full cycles.
-    """
-    t, v = _validated(time, value, "period_and_jitter")
-    if level is None:
-        level = 0.5 * (float(v.min()) + float(v.max()))
-    ups = crossings(t, v, level, rising=True)
-    if ups.size < 3:
-        raise AnalysisError(
-            f"period_and_jitter: need >= 2 full cycles "
-            f"({ups.size} rising crossings of {level:.4g} V found)")
-    periods = np.diff(ups)
-    period = float(periods.mean())
-    downs = crossings(t, v, level, rising=False)
-    # High time: falling crossing following each rising one.
-    high_times = []
-    for up in ups[:-1]:
-        later = downs[downs > up]
-        if later.size:
-            high_times.append(float(later[0]) - float(up))
-    duty = (float(np.mean(high_times)) / period) if high_times else 0.0
-    jitter_rms = float(periods.std(ddof=1)) if periods.size > 1 else 0.0
-    return PeriodReport(period=period, frequency=1.0 / period,
-                        duty=duty, jitter_rms=jitter_rms,
-                        jitter_pp=float(periods.max() - periods.min()),
-                        n_cycles=int(periods.size))

@@ -40,7 +40,6 @@ from .batch import (
     BatchTranDiagnostics,
     BatchTranResult,
     BatchedOpMetric,
-    BatchedOpSweep,
     BatchedTranMetric,
     LaneSpec,
     apply_lane,
@@ -60,8 +59,7 @@ __all__ = [
     "operating_point", "dc_sweep", "NewtonOptions",
     "SolverDiagnostics", "StageReport",
     "LaneSpec", "BatchAssembler", "BatchOpResult", "BatchDiagnostics",
-    "batch_operating_point", "BatchedOpMetric", "BatchedOpSweep",
-    "apply_lane",
+    "batch_operating_point", "BatchedOpMetric", "apply_lane",
     "batch_transient", "BatchTranResult", "BatchTranDiagnostics",
     "BatchedTranMetric",
     "ac_analysis",

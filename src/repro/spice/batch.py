@@ -1,9 +1,8 @@
 """Batched ensemble Newton: many independent DC points as one tensor.
 
-Monte-Carlo populations, bias sweeps and parameter-perturbation fault
-campaigns all solve the *same* circuit topology at many independent
-points -- only per-device parameters (a mismatch draw), a source value
-(a sweep point) or a single element value (a fault) differ.  The serial
+Monte-Carlo populations and source sweeps solve the *same* circuit
+topology at many independent points -- only per-device parameters (a
+mismatch draw) or a source value (a sweep point) differ.  The serial
 path pays one full Python Newton loop per point; this module solves the
 whole population as one stacked system instead:
 
@@ -44,16 +43,14 @@ is what makes thousand-unknown mismatch campaigns (the 32-bit adder,
 the transistor-level ADC slices) feasible as ensembles instead of
 one-lane-at-a-time serial solves.
 
-:class:`BatchedOpMetric` and :class:`BatchedOpSweep` package the
+:class:`BatchedOpMetric` and :class:`BatchedTranMetric` package the
 pattern for the analysis layer: one spec object is both a plain
 callable (the serial path: build, perturb, solve, measure) and the
-vectorizable description the batched backends of
-:class:`~repro.analysis.montecarlo.MonteCarlo`,
-:func:`~repro.analysis.sweep.sweep_1d` and
-:class:`~repro.faults.campaign.FaultCampaign` consume.  Those
-backends, and the batched :func:`~repro.spice.dc.dc_sweep`, all reach
-the engine through :func:`run_lanes`, which turns a population of
-lanes into one ordered outcome per lane.
+vectorizable description the batched backend of
+:class:`~repro.analysis.montecarlo.MonteCarlo` consumes.  That backend
+and the batched :func:`~repro.spice.dc.dc_sweep` reach the engine
+through :func:`run_lanes`, which turns a population of lanes into one
+ordered outcome per lane.
 """
 
 from __future__ import annotations
@@ -96,8 +93,7 @@ class LaneSpec:
     circuit.
 
     All fields are optional; an empty ``LaneSpec()`` is the unperturbed
-    base circuit (used e.g. as the baseline lane of a batched fault
-    campaign).
+    base circuit.
 
     Attributes:
         vt_delta: Additive VT shift per MOS element [V], in
@@ -108,8 +104,7 @@ class LaneSpec:
             resistors.
         source_values: ``(name, value)`` pairs overriding the DC value
             of named independent sources.
-        label: Free-form tag for diagnostics (seed, sweep value, fault
-            name).
+        label: Free-form tag for diagnostics (seed, sweep value).
     """
 
     vt_delta: np.ndarray | None = None
@@ -897,8 +892,7 @@ def pilot_solution(circuit: "Circuit", lane: LaneSpec,
 
 def run_lanes(circuit: "Circuit", lanes: Sequence[LaneSpec],
               measure: Callable[[object], object], *,
-              t_stop: float | None = None, options=None,
-              warm_start: bool = False) -> list[tuple]:
+              t_stop: float | None = None, options=None) -> list[tuple]:
     """One outcome per lane, in lane order, from one stacked solve.
 
     The batched producer of the population outcome stream (the process
@@ -907,9 +901,8 @@ def run_lanes(circuit: "Circuit", lanes: Sequence[LaneSpec],
     :func:`batch_transient` to ``t_stop`` -- solves every lane under
     ``on_error="skip"``.  ``options`` are the call's
     :class:`NewtonOptions` or :class:`TransientOptions` accordingly.
-    With ``warm_start``, a DC population of more than one lane first
-    solves lane 0 through :func:`pilot_solution` and starts every lane
-    from it.
+    A DC population of more than one lane first solves lane 0 through
+    :func:`pilot_solution` and starts every lane from it.
 
     A lane that failed every rung yields ``("error",
     ConvergenceError)``; every other lane yields
@@ -920,7 +913,7 @@ def run_lanes(circuit: "Circuit", lanes: Sequence[LaneSpec],
         return []
     if t_stop is None:
         x0 = (pilot_solution(circuit, lanes[0], options)
-              if warm_start and len(lanes) > 1 else None)
+              if len(lanes) > 1 else None)
         batch = batch_operating_point(circuit, lanes, options=options,
                                       on_error="skip", x0=x0)
         solved = batch.points
@@ -1208,8 +1201,7 @@ class BatchTranResult:
 def batch_transient(circuit: "Circuit", lanes: Sequence[LaneSpec],
                     t_stop: float,
                     options: TransientOptions | None = None,
-                    on_error: str = "raise",
-                    scopes: Sequence | None = None) -> BatchTranResult:
+                    on_error: str = "raise") -> BatchTranResult:
     """Integrate every lane from t = 0 to ``t_stop`` in lockstep.
 
     All lanes advance on one shared adaptive grid, driven by the same
@@ -1231,16 +1223,6 @@ def batch_transient(circuit: "Circuit", lanes: Sequence[LaneSpec],
     :func:`~repro.spice.transient.transient` with its perturbation
     applied.
 
-    ``scopes``, when given, is one
-    :class:`~repro.scope.capture.ScopeSession` (or None) per lane;
-    every committed shared sample is fed to the lane's session exactly
-    as the serial engine would (t = 0 included), and a kicked-out
-    lane's session is reset and handed to its serial rerun.  The
-    lockstep run ends early, as a serial one does, only once every lane
-    still on the grid has a complete ``replace_dense`` capture: one
-    lane without one keeps the shared grid going to ``t_stop``.  A
-    serial rerun stops at its own window.
-
     ``on_error="raise"`` propagates the first failed lane's error;
     ``"skip"`` records None results and keeps going.  Telemetry: the
     run counts ``batch_transient_steps`` (one per accepted shared
@@ -1253,17 +1235,10 @@ def batch_transient(circuit: "Circuit", lanes: Sequence[LaneSpec],
         raise NetlistError(
             f"on_error must be 'raise' or 'skip', got {on_error!r}")
     lanes = list(lanes)
-    if scopes is not None:
-        scopes = list(scopes)
-        if len(scopes) != len(lanes):
-            raise AnalysisError(
-                f"scopes must be one session (or None) per lane: got "
-                f"{len(scopes)} for {len(lanes)} lanes")
     with telemetry.span("batch-transient", circuit=circuit.name,
                         batch=len(lanes), t_stop=t_stop,
                         method=options.method) as tspan:
         stepper = _LockstepStepper(circuit, lanes, t_stop, options, tspan,
-                                   scopes or [None] * len(lanes),
                                    LANE_REJECTION_BUDGET)
         return stepper.integrate(on_error)
 
@@ -1281,9 +1256,9 @@ class _LockstepStepper(_Stepper):
 
     def __init__(self, circuit: "Circuit", specs: list[LaneSpec],
                  t_stop: float, options: TransientOptions, tspan,
-                 scopes: list, lane_budget: int | None) -> None:
-        super().__init__(circuit, t_stop, options, tspan, scopes,
-                         lane_budget)
+                 lane_budget: int | None) -> None:
+        super().__init__(circuit, t_stop, options, tspan,
+                         [None] * len(specs), lane_budget)
         self.specs = specs
         self.assembler = BatchAssembler(self.compiled, specs)
         self.segment_slices = None
@@ -1333,12 +1308,6 @@ class _LockstepStepper(_Stepper):
         tspan.inc("batch_lane_fallbacks")
         tspan.event("lane-fallback", lane=lane, label=spec.label,
                     why=reason)
-        scope = self.scopes[lane]
-        if scope is not None:
-            # The session saw the lane's partial lockstep stream; the
-            # serial rerun replays the waveform from t = 0, so the
-            # session restarts clean (single-use contract preserved).
-            scope.reset()
         options = self.options
         if self.deadline is not None:
             options = dataclasses.replace(options, max_wall_time=max(
@@ -1346,7 +1315,7 @@ class _LockstepStepper(_Stepper):
         undo = apply_lane(self.circuit, spec)
         try:
             self.results[lane] = transient(self.circuit, self.t_stop,
-                                           options, scope=scope)
+                                           options)
         except ConvergenceError as error:
             self.failures.append((lane, error))
             tspan.event("lane-failed", lane=lane, label=spec.label,
@@ -1409,26 +1378,6 @@ class _LockstepStepper(_Stepper):
             raise self.failures[0][1]
         return BatchTranResult(results=self.results,
                                failures=self.failures, diagnostics=diag)
-
-
-@dataclass(frozen=True)
-class BatchedOpSweep:
-    """A 1-D sweep whose evaluation is one DC operating point per value.
-
-    Serial path (calling the spec with a value) and the batched backend
-    of :func:`~repro.analysis.sweep.sweep_1d` share ``lane`` /
-    :func:`apply_lane`, so both stamp the swept value identically.
-    """
-
-    build: Callable[[], "Circuit"]
-    lane: Callable[[float, "Circuit"], LaneSpec]
-    measure: Callable[["OpResult"], Mapping[str, float]]
-    options: NewtonOptions | None = None
-
-    def __call__(self, value: float) -> dict[str, float]:
-        circuit = self.build()
-        return _measure_lane(circuit, self.lane(float(value), circuit),
-                             self.measure, operating_point, self.options)
 
 
 @dataclass(frozen=True)

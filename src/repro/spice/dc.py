@@ -132,7 +132,7 @@ def dc_sweep(circuit: Circuit, source_name: str,
         lanes = [LaneSpec.source(source_name, value, label=f"{value:g}")
                  for value in values]
         outcomes = run_lanes(circuit, lanes, lambda point: point,
-                             options=options, warm_start=True)
+                             options=options)
         for index, (status, payload) in enumerate(outcomes):
             if status == "error":
                 if on_error == "raise":

@@ -398,16 +398,16 @@ class _Stepper:
 
         # Dense recording keeps the full MNA vector of every accepted
         # step and transposes into per-node waveforms once at the end.
-        # A lane whose scope session has replace_dense skips it: the
-        # session's bounded windows are then its only waveform storage
-        # (the scalar time axis is always kept).
+        # A lane with a scope session skips it: the session's bounded
+        # window is then its only waveform storage (the scalar time
+        # axis is always kept).
         times = [0.0]
         samples: dict[int, list] = {}
         for r, lane in enumerate(lanes):
             scope = scopes[lane]
-            if scope is None or not scope.replace_dense:
+            if scope is None:
                 samples[lane] = [X[r].copy()]
-            if scope is not None:
+            else:
                 scope._bind(self.compiled.node_index, self.circuit.name,
                             tspan)
                 scope._on_sample(0.0, X[r])
@@ -426,9 +426,9 @@ class _Stepper:
         # in ``t`` must not leave a ~1e-16*t_stop residue to be
         # "stepped" over (it would pollute the smallest committed step).
         while self.lanes and t < t_stop * (1.0 - 1e-12):
-            # Once every lane on the grid has a complete capture, no
-            # dense record and no window observes a further step: the
-            # run ends on the closing sample instead of at t_stop.
+            # Once every lane on the grid has a closed capture window,
+            # no dense record and no window observes a further step:
+            # the run ends on the closing sample instead of at t_stop.
             if all(scopes[lane] is not None and scopes[lane]._complete()
                    for lane in self.lanes):
                 tspan.event("capture-complete", t=t, t_stop=t_stop,
@@ -556,10 +556,11 @@ class _Stepper:
                 log = logs[lane]
                 log.steps_accepted += 1
                 log.dt_smallest = min(log.dt_smallest, step)
-                if lane in samples:
+                scope = scopes[lane]
+                if scope is None:
                     samples[lane].append(X[r].copy())
-                if scopes[lane] is not None:
-                    scopes[lane]._on_sample(t, X[r])
+                else:
+                    scope._on_sample(t, X[r])
 
             if (bp_cursor < len(breakpoints)
                     and t >= breakpoints[bp_cursor] * (1 - 1e-12)):
@@ -684,17 +685,15 @@ def transient(circuit: Circuit, t_stop: float,
 
     ``scope`` attaches a :class:`repro.scope.capture.ScopeSession`: the
     session sees every committed sample (t = 0 included) for triggered
-    ring-buffer capture.  With ``scope.replace_dense`` set the engine
-    skips its own dense full-history record entirely -- the returned
-    result then carries the time axis and telemetry but an empty
-    ``voltages`` dict, and the session's bounded windows are the only
-    waveform storage of the run (O(window), not O(steps)).  Once such a
-    triggered session takes no further window, the run ends on its
-    closing sample, so ``t_stop`` is an upper bound: the span records a
-    ``capture-complete`` event and a ``t_end`` annotation, and the
-    result's time axis ends there.  A run without a session, with a
-    dense record, streaming (no trigger) or not yet triggered still
-    integrates to ``t_stop``.
+    ring-buffer capture, and the engine skips its own dense
+    full-history record -- the returned result then carries the time
+    axis and telemetry but an empty ``voltages`` dict, and the
+    session's bounded window is the only waveform storage of the run
+    (O(window), not O(steps)).  Once the window closes, the run ends on
+    its closing sample, so ``t_stop`` is an upper bound: the span
+    records a ``capture-complete`` event and a ``t_end`` annotation,
+    and the result's time axis ends there.  A run without a session,
+    or whose window is still open, integrates to ``t_stop``.
     """
     options = options or TransientOptions()
     _check_options(t_stop, options)

@@ -1,13 +1,12 @@
-"""Transistor-level STSCL gate testbenches as scope measurements.
+"""The transistor-level STSCL delay testbench as scope measurements.
 
 The paper's gate-level claims -- propagation delay tracking
-ln2 * V_SW * C_L / I_SS, output swing pinned at V_SW, the ring
-oscillator's f = 1/(2 N t_d) -- are all *measurements on waveforms*.
-This module runs the standard transistor-level testbenches (buffer
-chain, ring oscillator) through the streaming capture layer and
-returns :mod:`repro.scope.measure` report objects, so integration
-tests, benchmarks and the fault harness all quote the same metrology
-instead of re-deriving crossing arithmetic inline.
+ln2 * V_SW * C_L / I_SS, output swing pinned at V_SW -- are
+*measurements on waveforms*.  This module runs the buffer-chain
+testbench through one triggered capture window and returns
+:mod:`repro.scope.measure` report objects, so integration tests,
+benchmarks and the CLI all quote the same metrology instead of
+re-deriving crossing arithmetic inline.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from ..errors import DesignError
 from ..scope import (
     DelayReport,
     EdgeTrigger,
-    PeriodReport,
     Probe,
     ScopeSession,
     SlewReport,
@@ -28,17 +26,13 @@ from ..scope import (
 from ..spice import Circuit, TransientOptions, transient
 from ..spice.waveforms import step_wave
 from .gate_model import StsclGateDesign
-from .netlist_gen import (
-    stscl_buffer_chain_circuit,
-    stscl_ring_oscillator_circuit,
-)
+from .netlist_gen import stscl_buffer_chain_circuit
 
 #: Length of the delay testbench's transient, in analytic delays t_d:
-#: an upper bound, because a ``replace_dense`` capture ends the run on
-#: the sample that closes its window (about 12.6 t_d).  It also sets
-#: the first step (t_stop / 1000) and so the grid that lands on the
-#: input edge, which sets the grid after it: changing it moves the
-#: window's samples.
+#: an upper bound, because the capture ends the run on the sample that
+#: closes its window (about 12.6 t_d).  It also sets the first step
+#: (t_stop / 1000) and so the grid that lands on the input edge, which
+#: sets the grid after it: changing it moves the window's samples.
 DELAY_TESTBENCH_T_STOP = 25.0
 
 #: Time of the delay testbench's input step, in analytic delays t_d.
@@ -88,8 +82,7 @@ def delay_chain_circuit(design: StsclGateDesign, vdd: float,
 
 
 def buffer_chain_capture(design: StsclGateDesign, vdd: float,
-                         n_stages: int = 3,
-                         replace_dense: bool = True) -> ScopeSession:
+                         n_stages: int = 3) -> ScopeSession:
     """Run the delay testbench and return its triggered capture.
 
     A step drives an ``n_stages`` buffer chain; differential probes sit
@@ -99,12 +92,11 @@ def buffer_chain_capture(design: StsclGateDesign, vdd: float,
     single-ended last-stage output for slew/swing extraction.
 
     The transient runs for at most :data:`DELAY_TESTBENCH_T_STOP`
-    analytic delays.  With ``replace_dense`` (default) the window is the
-    run's only waveform storage and nothing observes a later step, so
-    the run ends on the sample that closes the window, at about
-    12.6 t_d; without it the engine keeps its dense record and
-    integrates the full span.  The window is bitwise the same either
-    way.
+    analytic delays.  The window is the run's only waveform storage and
+    nothing observes a later step, so the run ends on the sample that
+    closes the window, at about 12.6 t_d; every step up to there is the
+    one a dense run of the full span takes, so the window is that run's
+    slice.
     """
     if n_stages < 2:
         raise DesignError(
@@ -117,8 +109,7 @@ def buffer_chain_capture(design: StsclGateDesign, vdd: float,
                 Probe(f"s{b}_outp", f"s{b}_outn", label="y_last"),
                 Probe(f"s{b}_outp", label="outp_last")],
         trigger=EdgeTrigger("y_prev", level=0.0, direction="either"),
-        pre_samples=64, post_samples=192,
-        replace_dense=replace_dense)
+        pre_samples=64, post_samples=192)
     transient(circuit, DELAY_TESTBENCH_T_STOP * t_d,
               TransientOptions(dt_max=t_d / 25.0), scope=session)
     return session
@@ -159,25 +150,3 @@ def characterize_gate(design: StsclGateDesign, vdd: float = 1.0,
     swing = measure.output_swing(seg.time, outp)
     return GateCharacterization(delay=delay, rise=slew, swing=swing,
                                 delay_analytic=design.delay())
-
-
-def measure_ring_period(design: StsclGateDesign, vdd: float = 1.0,
-                        n_stages: int = 3,
-                        n_periods: float = 12.0) -> PeriodReport:
-    """Period/duty/jitter of the STSCL ring oscillator, measured.
-
-    Streams the first ring stage's differential output for
-    ``n_periods`` ideal periods (2 N t_d each) and extracts the cycle
-    statistics -- the VCO characterization the paper's PLL rides on.
-    """
-    circuit, _ports = stscl_ring_oscillator_circuit(design, vdd,
-                                                    n_stages)
-    t_d = design.delay()
-    session = ScopeSession(
-        probes=[Probe("s1_outp", "s1_outn", label="y1")],
-        trigger=None, replace_dense=True)
-    transient(circuit, n_periods * 2.0 * n_stages * t_d,
-              TransientOptions(dt_max=t_d / 20.0), scope=session)
-    seg = session.segment()
-    return measure.period_and_jitter(seg.time, seg.signal("y1"),
-                                     level=0.0)

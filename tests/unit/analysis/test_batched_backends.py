@@ -1,22 +1,22 @@
-"""backend="batched" on the analysis runners: serial equivalence.
+"""backend="batched" on the population front-ends: serial equivalence.
 
-One spec object (:class:`BatchedOpMetric` / :class:`BatchedOpSweep`)
-drives both paths -- called per item it is the serial metric function,
-handed to a batched runner it describes the stacked solve -- so these
-tests compare the *same* population under both execution models.
+One spec object (:class:`BatchedOpMetric` / :class:`BatchedTranMetric`)
+drives both paths of :class:`MonteCarlo` -- called per seed it is the
+serial metric function, handed to the batched runner it describes the
+stacked solve -- and :func:`dc_sweep` takes the same source values on
+either backend, so these tests compare the *same* population under
+both execution models.
 """
 
 import numpy as np
 import pytest
 
 from repro.analysis import MonteCarlo
-from repro.analysis.sweep import sweep_1d
 from repro.devices.diode import Diode, DiodeParameters
 from repro.devices.mismatch import MismatchSampler
 from repro.errors import AnalysisError
 from repro.spice import (
     BatchedOpMetric,
-    BatchedOpSweep,
     Circuit,
     LaneSpec,
     NewtonOptions,
@@ -122,72 +122,6 @@ class TestMonteCarloBatched:
             mc.run()
 
 
-def _sweep_lane(value, circuit):
-    return LaneSpec.source("V1", value, label=f"{value:g}")
-
-
-SWEEP_SPEC = BatchedOpSweep(build=_diode_build, lane=_sweep_lane,
-                            measure=_diode_measure)
-
-FLAKY_SWEEP_SPEC = BatchedOpSweep(build=_diode_build, lane=_sweep_lane,
-                                  measure=_diode_measure, options=TIGHT)
-
-
-class TestSweepBatched:
-    def test_table_matches_serial(self):
-        values = [0.3, 0.6, 1.0, 2.0]
-        serial = sweep_1d("v_in", values, SWEEP_SPEC)
-        batched = sweep_1d("v_in", values, SWEEP_SPEC, backend="batched")
-        np.testing.assert_allclose(batched.column("v_a"),
-                                   serial.column("v_a"), rtol=1e-9)
-        assert batched.failures == serial.failures == ()
-
-    def test_skip_policy_nan_rows_match_serial(self):
-        """The non-convergent point surfaces as the same NaN row and
-        failure record under both backends."""
-        values = [0.5, 8.0, 1.0]
-        serial = sweep_1d("v_in", values, FLAKY_SWEEP_SPEC,
-                          on_error="skip")
-        batched = sweep_1d("v_in", values, FLAKY_SWEEP_SPEC,
-                           on_error="skip", backend="batched")
-        assert [k for k, _ in serial.failures] == [1]
-        assert ([k for k, _ in batched.failures]
-                == [k for k, _ in serial.failures])
-        assert np.isnan(batched.column("v_a")[1])
-        np.testing.assert_allclose(batched.column("v_a")[[0, 2]],
-                                   serial.column("v_a")[[0, 2]],
-                                   rtol=1e-9)
-
-    def test_pilot_failure_falls_back_to_flat_start(self):
-        """A dead *first* point must not poison the sweep: the pilot
-        warm start falls back to the flat nodeset guess and the
-        remaining points still converge and match serial."""
-        values = [8.0, 0.5, 1.0]
-        serial = sweep_1d("v_in", values, FLAKY_SWEEP_SPEC,
-                          on_error="skip")
-        batched = sweep_1d("v_in", values, FLAKY_SWEEP_SPEC,
-                           on_error="skip", backend="batched")
-        assert [k for k, _ in batched.failures] == [0]
-        assert ([k for k, _ in batched.failures]
-                == [k for k, _ in serial.failures])
-        assert np.isnan(batched.column("v_a")[0])
-        np.testing.assert_allclose(batched.column("v_a")[[1, 2]],
-                                   serial.column("v_a")[[1, 2]],
-                                   rtol=1e-9)
-
-    def test_pilot_warm_start_emits_telemetry(self):
-        from repro import telemetry
-        with telemetry.tracing("sweep-test") as trace:
-            sweep_1d("v_in", [0.3, 0.6], SWEEP_SPEC, backend="batched")
-        sweep_span = trace.root.find("sweep-1d")
-        assert sweep_span is not None
-        assert sweep_span.events_of("pilot-warm-start")
-
-    def test_plain_callable_rejected_with_guidance(self):
-        with pytest.raises(AnalysisError, match="BatchedOpSweep"):
-            sweep_1d("x", [1.0], lambda v: {"m": v}, backend="batched")
-
-
 class TestDcSweepBatched:
     def test_points_match_serial(self, default_design):
         circuit, _ = stscl_inverter_circuit(default_design, 0.4)
@@ -210,6 +144,33 @@ class TestDcSweepBatched:
         assert ([k for k, _ in batched.failures]
                 == [k for k, _ in serial.failures])
         assert not batched.points[1].converged
+
+    def test_pilot_failure_falls_back_to_flat_start(self):
+        """A dead *first* point must not poison the sweep: the pilot
+        warm start falls back to each lane's own cold start, and the
+        remaining points still converge and match serial."""
+        from repro import telemetry
+
+        values = [8.0, 0.5, 1.0]
+        serial = dc_sweep(_diode_build(), "V1", values, options=TIGHT,
+                          on_error="skip")
+        with telemetry.tracing("dead-pilot") as trace:
+            batched = dc_sweep(_diode_build(), "V1", values,
+                               options=TIGHT, on_error="skip",
+                               backend="batched")
+        [event] = [event for span in trace.root.walk()
+                   for event in span.events_of("pilot-failed-flat-start")]
+        assert event["lane"] == "8"
+        assert not any(span.events_of("pilot-warm-start")
+                       for span in trace.root.walk())
+        assert [k for k, _ in batched.failures] == [0]
+        assert ([k for k, _ in batched.failures]
+                == [k for k, _ in serial.failures])
+        assert not batched.points[0].converged
+        for k in (1, 2):
+            for node, voltage in serial.points[k].voltages.items():
+                assert batched.points[k].voltages[node] == pytest.approx(
+                    voltage, abs=1e-9)
 
     @pytest.mark.parametrize("backend", ["serial", "batched"])
     def test_empty_value_list_returns_an_empty_sweep(self, backend):
@@ -408,7 +369,6 @@ class TestOwnBackend:
     solver cannot keep: the 8 V walk both rungs lose under TIGHT (DC),
     which fails with both stacked stages on record and is not rerun; a
     stiff lane Newton loses on a fixed grid (transient), which reruns
-    serially; a structural fault (campaign), which is solved
     serially."""
 
     def _run_front_end(self, name, backend) -> tuple[str | None,
@@ -418,7 +378,6 @@ class TestOwnBackend:
         solver reruns nothing)."""
         from functools import partial
 
-        from repro.faults import BridgedNodes, FaultCampaign, ResistorDrift
         from repro.spice import TransientOptions
         from repro.spice.batch import BatchedTranMetric
 
@@ -446,27 +405,12 @@ class TestOwnBackend:
                              backend="batched", analysis="transient").run()
             assert [seed for seed, _ in run.failed_seeds] == [1]
             return None, "transient"
-        if name == "sweep_1d":
-            sweep_1d("v_in", [0.5, 8.0, 0.7], BatchedOpSweep(
-                build=build,
-                lane=lambda v, _: LaneSpec.source("V1", v, label=f"{v}"),
-                measure=_diode_measure, options=TIGHT),
-                on_error="skip", backend="batched")
-            return "operating-point", None
-        if name == "dc_sweep":
-            dc_sweep(build(), "V1", [0.5, 8.0, 0.7], options=TIGHT,
-                     on_error="skip", backend="batched")
-            return "operating-point", None
-        FaultCampaign(build=build,
-                      metric_fn=lambda r: {"v": r.voltage("a")},
-                      faults=[ResistorDrift("RS", 1.5),
-                              BridgedNodes("a", "0", resistance=1e3)],
-                      backend="batched").run()
-        return None, "fault-bridge-a-0"
+        dc_sweep(build(), "V1", [0.5, 8.0, 0.7], options=TIGHT,
+                 on_error="skip", backend="batched")
+        return "operating-point", None
 
     @pytest.mark.parametrize("backend", ["dense", "sparse"])
-    @pytest.mark.parametrize("front_end", [
-        "mc", "mc_tran", "sweep_1d", "dc_sweep", "faults"])
+    @pytest.mark.parametrize("front_end", ["mc", "mc_tran", "dc_sweep"])
     def test_on_own_backend(self, front_end, backend):
         from repro import telemetry
 

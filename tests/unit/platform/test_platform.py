@@ -47,6 +47,29 @@ class TestConversionFlow:
         assert codes.shape == (64,)
         assert codes.std() > 20
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_acquired_codes_carry_the_converter_noise(self, seed):
+        """A coherent sine acquired through the platform reads the ENOB
+        the direct-path sine test of the same tuned chip reads: both
+        include the converter's input-referred noise."""
+        from repro.adc.metrics import coherent_frequency, sine_test
+        from repro.adc.testbench import dynamic_test
+
+        f_sample, n_samples = 8e3, 2048
+        chip = MixedSignalPlatform.build(seed=seed)
+        chip.set_sample_rate(f_sample)
+        cfg = chip.adc.config
+        f_in = coherent_frequency(f_sample, n_samples, 67)
+        mid = 0.5 * (cfg.v_low + cfg.v_high)
+        amp = 0.5 * cfg.full_scale * 0.95
+        codes = chip.convert(
+            lambda t: mid + amp * math.sin(2 * math.pi * f_in * t),
+            n_samples)
+        acquired = sine_test(codes, cfg.n_bits).enob
+        direct = dynamic_test(chip.pmu.tuned_adc(f_sample), f_sample,
+                              n_samples=n_samples).enob
+        assert acquired == pytest.approx(direct, abs=0.15)
+
     def test_characterize_keys(self, platform):
         platform.set_sample_rate(80e3)
         metrics = platform.characterize(samples_per_code=4)

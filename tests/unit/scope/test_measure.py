@@ -162,27 +162,6 @@ class TestSwingOvershootSettling:
         with pytest.raises(AnalysisError, match="t_from"):
             measure.output_swing(t, v, t_from=1.0)
 
-    def test_underdamped_overshoot(self):
-        """Standard 2nd-order step: overshoot exp(-pi z / sqrt(1-z^2))."""
-        zeta, wn = 0.3, 2.0 * np.pi * 1e6
-        wd = wn * math.sqrt(1.0 - zeta**2)
-        t = np.linspace(0.0, 10e-6, 20001)
-        v = 1.0 - np.exp(-zeta * wn * t) * (
-            np.cos(wd * t) + zeta / math.sqrt(1 - zeta**2) * np.sin(wd * t))
-        expected = math.exp(-math.pi * zeta / math.sqrt(1.0 - zeta**2))
-        report = measure.overshoot(t, v)
-        assert report.overshoot == pytest.approx(expected, rel=2e-2)
-        assert report.undershoot == pytest.approx(0.0, abs=1e-6)
-
-    def test_monotonic_step_has_zero_overshoot(self):
-        t, v = rc_step()
-        report = measure.overshoot(t, v, v_initial=0.0, v_final=1.0)
-        assert report.overshoot == pytest.approx(0.0, abs=1e-3)
-
-    def test_overshoot_zero_step_rejected(self):
-        with pytest.raises(AnalysisError, match="zero step"):
-            measure.overshoot([0.0, 1.0], [1.0, 1.0])
-
     def test_rc_settling_time_is_minus_log_band_tau(self):
         t, v = rc_step(t_stop=12e-6, n=40001)
         report = measure.settling_time(t, v, band=0.02, v_initial=0.0,
@@ -202,37 +181,6 @@ class TestSwingOvershootSettling:
         report = measure.settling_time(t, v, band=0.02, v_initial=2.0,
                                        v_final=3.0)
         assert report.t_settle == 0.0
-
-
-class TestPeriodAndJitter:
-    def test_clean_sine(self):
-        f0 = 250e3
-        t = np.linspace(0.0, 20e-6, 40001)
-        v = np.sin(2.0 * np.pi * f0 * t)
-        report = measure.period_and_jitter(t, v)
-        assert report.period == pytest.approx(1.0 / f0, rel=1e-6)
-        assert report.frequency == pytest.approx(f0, rel=1e-6)
-        assert report.duty == pytest.approx(0.5, abs=1e-3)
-        assert report.jitter_rms < 1e-12
-        assert report.jitter_pp < 1e-11
-        # Rising crossings at 4/8/12/16 us (t=0 sits on the level and
-        # is not a toggle): 3 measured periods.
-        assert report.n_cycles == 3
-
-    def test_asymmetric_duty(self):
-        t = np.linspace(0.0, 10.0, 100001)
-        # 25% duty square-ish wave via a shifted sine threshold.
-        v = (np.sin(2.0 * np.pi * t) > math.cos(math.pi * 0.25)
-             ).astype(float)
-        report = measure.period_and_jitter(t, v, level=0.5)
-        assert report.period == pytest.approx(1.0, rel=1e-3)
-        assert report.duty == pytest.approx(0.25, abs=5e-3)
-
-    def test_too_few_cycles_rejected(self):
-        t = np.linspace(0.0, 1.0, 101)
-        v = np.sin(2.0 * np.pi * 1.2 * t)  # ~1 rising crossing
-        with pytest.raises(AnalysisError, match="full cycles"):
-            measure.period_and_jitter(t, v, level=0.0)
 
 
 class TestStsclTestbench:
@@ -274,30 +222,50 @@ class TestStsclTestbench:
                              ids=lambda i_ss: f"{i_ss:.3g}")
     def test_capture_ending_the_run_measures_what_the_full_run_does(
             self, i_ss):
-        """The replace_dense testbench ends on the window's last sample,
-        well short of its t_stop; the dense-record twin integrates all
-        of it.  Window and report are the same bits either way."""
+        """The testbench's capture ends the run on the window's last
+        sample, well short of its t_stop.  The reference is an unscoped
+        dense transient of the same circuit over the full span, with
+        the trigger crossing and the window cut from its record here:
+        window and report are the same bits."""
         from repro import telemetry
+        from repro.scope import CaptureSegment
+        from repro.spice import TransientOptions, transient
         from repro.stscl import StsclGateDesign
         from repro.stscl.testbench import (DELAY_TESTBENCH_T_STOP,
                                            buffer_chain_capture,
-                                           characterize_gate)
+                                           characterize_gate,
+                                           delay_chain_circuit)
 
         design = StsclGateDesign.default(i_ss)
-        t_stop = DELAY_TESTBENCH_T_STOP * design.delay()
-        runs = {}
-        for replace_dense in (True, False):
-            with telemetry.tracing("delay-testbench") as trace:
-                session = buffer_chain_capture(
-                    design, 0.4, replace_dense=replace_dense)
-            runs[replace_dense] = (session.segment(),
-                                   trace.root.find("transient"))
-        (short, ended), (full, complete) = runs[True], runs[False]
+        t_d = design.delay()
+        t_stop = DELAY_TESTBENCH_T_STOP * t_d
+        with telemetry.tracing("delay-testbench") as trace:
+            short = buffer_chain_capture(design, 0.4).segment()
+        ended = trace.root.find("transient")
+        with telemetry.tracing("dense-reference") as trace:
+            dense = transient(delay_chain_circuit(design, 0.4), t_stop,
+                              TransientOptions(dt_max=t_d / 25.0))
+        complete = trace.root.find("transient")
+        y_prev = dense.vdiff("s2_outp", "s2_outn")
+        # The first sample at which y_prev crosses 0 V either way, and
+        # 64 samples before it to 192 after it.
+        before, after = y_prev[:-1], y_prev[1:]
+        crossed = (((before < 0.0) & (after >= 0.0))
+                   | ((before > 0.0) & (after <= 0.0)))
+        k = 1 + int(np.argmax(crossed))
+        window = slice(max(k - 64, 0), k + 192 + 1)
+        full = CaptureSegment(
+            signals=short.signals, time=dense.time[window],
+            values=np.array([y_prev[window],
+                             dense.vdiff("s3_outp", "s3_outn")[window],
+                             dense.voltage("s3_outp")[window]]))
+        assert crossed.any()
+        assert short.trigger_time == dense.time[k]
         assert np.array_equal(short.time, full.time)
         assert np.array_equal(short.values, full.values)
         assert ended.attrs["t_end"] == short.time[-1] < 0.8 * t_stop
         assert "t_end" not in complete.attrs
-        assert complete.attrs["t_stop"] == t_stop
+        assert dense.time[-1] == pytest.approx(t_stop, rel=1e-12)
         assert complete.attrs["steps_accepted"] > \
             1.3 * ended.attrs["steps_accepted"]
         mine = characterize_gate(design, 0.4, segment=short)
@@ -312,14 +280,3 @@ class TestStsclTestbench:
 
         with pytest.raises(DesignError, match="2 stages"):
             buffer_chain_capture(default_design, 0.4, n_stages=1)
-
-    def test_ring_oscillator_period(self, default_design):
-        from repro.stscl.testbench import measure_ring_period
-
-        report = measure_ring_period(default_design, vdd=0.4,
-                                     n_stages=3)
-        ideal = 2.0 * 3 * default_design.delay()
-        # f = 1 / (2 N t_d) with the same self-loading factor.
-        assert ideal < report.period < 2.0 * ideal
-        assert 0.3 < report.duty < 0.7
-        assert report.n_cycles >= 5

@@ -222,154 +222,10 @@ class TestLaneFallback:
         assert "batch_transient_steps" in violations[1]
 
 
-class TestScopes:
-    def test_per_lane_scope_windows_are_bitwise_faithful(self):
-        """Each lane's triggered window replays the engine's own dense
-        record exactly -- the scope sees the committed samples, not a
-        resampled copy."""
-        from repro.scope import EdgeTrigger, Probe, ScopeSession
-
-        circuit = pulse_rc_diode()
-        lanes = resistor_lanes([0.5, 1.0, 2.0])
-        proto = ScopeSession([Probe("a")],
-                             trigger=EdgeTrigger("a", level=0.3),
-                             pre_samples=4, post_samples=16)
-        scopes = [proto.clone() for _ in lanes]
-        batch = batch_transient(circuit, lanes, T_STOP, fixed_grid(),
-                                scopes=scopes)
-        assert batch.n_failed == 0
-        for scope, result in zip(scopes, batch.results):
-            segment = scope.segments[0]
-            start = int(np.searchsorted(result.time,
-                                        segment.time[0] - 1e-18))
-            window = result.voltage("a")[start:start + len(segment)]
-            assert np.array_equal(segment.values[0], window)
-
-    @staticmethod
-    def _capture(replace_dense=True):
-        from repro.scope import EdgeTrigger, Probe, ScopeSession
-
-        return ScopeSession([Probe("a")],
-                            trigger=EdgeTrigger("a", level=0.3),
-                            pre_samples=4, post_samples=16,
-                            replace_dense=replace_dense)
-
-    def test_run_ends_once_every_lane_is_complete(self):
-        """The shared grid stops on the sample that closes the last
-        lane's window, and every window is the full run's."""
-        lanes = resistor_lanes([0.5, 1.0, 2.0])
-        scopes = [self._capture() for _ in lanes]
-        twins = [self._capture(replace_dense=False) for _ in lanes]
-        with telemetry.tracing("lockstep-capture") as trace:
-            batch = batch_transient(pulse_rc_diode(), lanes, T_STOP,
-                                    fixed_grid(), scopes=scopes)
-        full = batch_transient(pulse_rc_diode(), lanes, T_STOP,
-                               fixed_grid(), scopes=twins)
-        assert batch.n_failed == 0
-        last_close = max(scope.segments[0].time[-1] for scope in scopes)
-        closes = {scope.segments[0].time[-1] for scope in scopes}
-        assert len(closes) == len(lanes)  # the lanes close one by one
-        for scope, twin, result, dense in zip(scopes, twins,
-                                              batch.results, full.results):
-            assert result.time[-1] == last_close
-            assert np.array_equal(result.time,
-                                  dense.time[:result.time.size])
-            assert np.array_equal(scope.segments[0].time,
-                                  twin.segments[0].time)
-            assert np.array_equal(scope.segments[0].values,
-                                  twin.segments[0].values)
-        steps = batch.diagnostics.steps_accepted
-        assert steps == batch.results[0].time.size - 1
-        assert steps < 400  # the fixed grid's steps to t_stop
-        span = trace.root.find("batch-transient")
-        assert span.events_of("capture-complete") == [{
-            "kind": "capture-complete", "t": last_close, "t_stop": T_STOP,
-            "steps": steps}]
-        assert span.attrs["t_end"] == last_close
-        assert lane_sample_violations(trace) == []
-
-    def test_one_lane_without_a_session_keeps_the_grid_to_t_stop(self):
-        lanes = resistor_lanes([0.5, 1.0, 2.0])
-        scopes = [self._capture(), self._capture(), None]
-        with telemetry.tracing("one-unobserved") as trace:
-            batch = batch_transient(pulse_rc_diode(), lanes, T_STOP,
-                                    fixed_grid(), scopes=scopes)
-        plain = batch_transient(pulse_rc_diode(), lanes, T_STOP,
-                                fixed_grid())
-        assert all(scope.triggered for scope in scopes[:2])
-        for result, reference in zip(batch.results, plain.results):
-            assert np.array_equal(result.time, reference.time)
-        assert batch.results[0].time[-1] == pytest.approx(T_STOP,
-                                                          rel=1e-12)
-        span = trace.root.find("batch-transient")
-        assert span.events_of("capture-complete") == []
-        assert "t_end" not in span.attrs
-
-    def test_kicked_out_lane_rerun_stops_at_its_own_window(
-            self, monkeypatch):
-        """Only the stiff lane carries a capture: the lockstep lanes keep
-        the grid going until the stiff lane's rejection kicks it out,
-        and its serial rerun then ends on its own window's last
-        sample."""
-        monkeypatch.setattr(batch_module, "LANE_REJECTION_BUDGET", 0)
-        lanes = resistor_lanes([1.0, 2.0]) + [
-            LaneSpec(resistor_scale=(("RS", 1e-4),), label="stiff")]
-        scopes = [None, None, self._capture()]
-        with telemetry.tracing("kicked-capture") as trace:
-            batch = batch_transient(pulse_rc_diode(), lanes, T_STOP,
-                                    TransientOptions(), scopes=scopes)
-        assert batch.n_failed == 0
-        assert [lane for lane, _ in
-                batch.diagnostics.fallback_lanes] == [2]
-        window = scopes[2].segment()
-        rerun = batch.results[2]
-        assert rerun.time[-1] == window.time[-1] < 0.5 * T_STOP
-        for result in batch.results[:2]:
-            assert result.time[-1] == pytest.approx(T_STOP, rel=1e-12)
-        # The rerun's window is the one a serial run with a dense record
-        # captures.
-        twin = self._capture(replace_dense=False)
-        circuit = pulse_rc_diode()
-        undo = apply_lane(circuit, lanes[2])
-        try:
-            transient(circuit, T_STOP, TransientOptions(), scope=twin)
-        finally:
-            undo()
-        assert np.array_equal(window.time, twin.segment().time)
-        assert np.array_equal(window.values, twin.segment().values)
-        span = trace.root.find("batch-transient")
-        assert "t_end" not in span.attrs
-        [fallback] = span.find_all("transient")
-        assert fallback.attrs["t_end"] == rerun.time[-1]
-        assert lane_sample_violations(trace) == []
-
-    def test_clone_produces_fresh_session(self):
-        from repro.scope import EdgeTrigger, Probe, ScopeSession
-
-        proto = ScopeSession([Probe("a")],
-                             trigger=EdgeTrigger("a", level=0.3))
-        circuit = pulse_rc_diode()
-        transient(circuit, T_STOP, fixed_grid(100), scope=proto)
-        clone = proto.clone()
-        # The clone is unused and independently usable...
-        transient(circuit, T_STOP, fixed_grid(100), scope=clone)
-        assert np.array_equal(proto.segments[0].values,
-                              clone.segments[0].values)
-        # ...while a used session refuses to rebind.
-        with pytest.raises(AnalysisError):
-            transient(circuit, T_STOP, fixed_grid(100), scope=proto)
-
-
 class TestValidation:
     def test_rejects_nonpositive_t_stop(self):
         with pytest.raises(NetlistError):
             batch_transient(pulse_rc_diode(), [LaneSpec()], 0.0)
-
-    def test_rejects_scope_count_mismatch(self):
-        from repro.scope import Probe, ScopeSession
-        with pytest.raises(AnalysisError):
-            batch_transient(pulse_rc_diode(), [LaneSpec(), LaneSpec()],
-                            T_STOP, scopes=[ScopeSession([Probe("a")])])
 
     def test_rejects_empty_lanes(self):
         with pytest.raises(AnalysisError):

@@ -200,8 +200,7 @@ def _stacked(assembler: BatchAssembler, circuit: Circuit,
     assembler.stamp_charges_batch(target, res, Xa, C0, rhs_a,
                                   segment_slices=slices)
     stepper = _LockstepStepper(circuit, lanes, 1e-6, TransientOptions(),
-                               telemetry.current_span(),
-                               [None] * len(lanes), None)
+                               telemetry.current_span(), None)
     return Assembly(*static, target, res, stepper.charges(Xa), system)
 
 

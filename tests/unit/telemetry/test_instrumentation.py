@@ -10,8 +10,7 @@ import numpy as np
 import pytest
 
 from repro import telemetry
-from repro.analysis import MonteCarlo, sweep_1d
-from repro.faults import BridgedNodes, FaultCampaign, ResistorDrift
+from repro.analysis import MonteCarlo
 from repro.spice import Circuit, ac_analysis, operating_point
 from repro.spice.dc import dc_sweep
 from repro.spice.transient import TransientOptions, transient
@@ -162,25 +161,27 @@ class TestAnalysisSpans:
         assert node.attrs["n_frequencies"] == 7
         assert node.counter("jacobian_factorizations") == 7
 
-    def test_sweep_1d_point_spans_and_failures(self):
-        from repro.errors import ConvergenceError
 
-        def metric(x):
-            if x == 2.0:
-                raise ConvergenceError("nope")
-            return {"y": x}
+    def test_fault_campaign_spans_in_catalogue_order(self):
+        """One child span per fault, the failing fault's included, in
+        catalogue order after the baseline."""
+        from repro.faults import BridgedNodes, FaultCampaign, ResistorDrift
 
-        with telemetry.tracing("s") as trace:
-            sweep_1d("x", [1.0, 2.0, 3.0], metric, on_error="skip")
-        node = trace.root.find("sweep-1d")
-        assert node.counter("sweep_points_failed") == 1
-        (failure,) = node.events_of("point-failed")
-        assert failure["index"] == 1
-        assert len(node.children) == 3
-
-
-def _seed_metric(seed):
-    return {"value": float(seed) * 2.0}
+        faults = [ResistorDrift("R2", 3.0), ResistorDrift("V1", 2.0),
+                  BridgedNodes("mid", "0", resistance=1.0),
+                  ResistorDrift("R1", 0.5)]
+        with telemetry.tracing("faults") as trace:
+            report = FaultCampaign(build=_divider, metric_fn=_mid_voltage,
+                                   faults=faults).run()
+        assert [o.fault for o in report.failed] == ["r-drift-V1-x2"]
+        campaign = trace.root.find("fault-campaign")
+        names = [fault.name for fault in faults]
+        assert [c.name for c in campaign.children] == ["baseline"] + [
+            f"fault-{name}" for name in names]
+        assert [c.attrs["fault"] for c in campaign.children[1:]] == names
+        [failure] = campaign.events_of("fault-eval-failed")
+        assert failure["fault"] == "r-drift-V1-x2"
+        assert campaign.counter("faults_failed") == 1
 
 
 def _divider():
@@ -195,10 +196,8 @@ def _mid_voltage(circuit):
     return {"v_mid": operating_point(circuit).voltage("mid")}
 
 
-#: A pooled catalogue whose second fault fails to apply.
-POOLED_FAULTS = [ResistorDrift("R2", 3.0), ResistorDrift("V1", 2.0),
-                 BridgedNodes("mid", "0", resistance=1.0),
-                 ResistorDrift("R1", 0.5)]
+def _seed_metric(seed):
+    return {"value": float(seed) * 2.0}
 
 
 class TestMonteCarloTraceMerge:
@@ -212,22 +211,10 @@ class TestMonteCarloTraceMerge:
     def test_parallel_worker_spans_merge_in_order(self):
         with telemetry.tracing("mc") as trace:
             MonteCarlo(_seed_metric, n_runs=4, n_workers=2).run()
-            report = FaultCampaign(build=_divider, metric_fn=_mid_voltage,
-                                   faults=POOLED_FAULTS, n_workers=2).run()
         node = trace.root.find("montecarlo")
         assert [c.name for c in node.children] == [
             "seed-0", "seed-1", "seed-2", "seed-3"]
         assert [c.attrs["seed"] for c in node.children] == [0, 1, 2, 3]
-        # The fault pool merges the same way, the failing fault's span
-        # included, in catalogue order after the in-process baseline.
-        assert [o.fault for o in report.failed] == ["r-drift-V1-x2"]
-        campaign = trace.root.find("fault-campaign")
-        names = [fault.name for fault in POOLED_FAULTS]
-        assert [c.name for c in campaign.children] == ["baseline"] + [
-            f"fault-{name}" for name in names]
-        assert [c.attrs["fault"] for c in campaign.children[1:]] == names
-        [failure] = campaign.events_of("fault-eval-failed")
-        assert failure["fault"] == "r-drift-V1-x2"
 
     def test_parallel_and_serial_results_identical_when_traced(self):
         with telemetry.tracing("a"):
