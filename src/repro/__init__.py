@@ -9,22 +9,22 @@ This library reproduces, end to end, the system described in
 It contains (bottom to top):
 
 * :mod:`repro.devices` -- EKV subthreshold MOS models, diodes, mismatch,
-  PVT (substitute for the 0.18 um foundry PDK);
+  process corners (substitute for the 0.18 um foundry PDK);
 * :mod:`repro.spice` -- a from-scratch MNA circuit simulator (DC / AC /
   transient), substitute for the commercial simulator;
 * :mod:`repro.stscl` -- the STSCL gate: analytic models, cell library,
   transistor-level netlist generators, Eq. (1) power model, minimum
   supply, the pipelined adder of ref. [13];
-* :mod:`repro.digital` -- gate-level netlists, event-driven simulation,
-  STA, the ADC's 196-gate encoder, the subthreshold-CMOS baseline;
+* :mod:`repro.digital` -- gate-level netlists, cycle simulation, STA,
+  the ADC's 196-gate encoder, the subthreshold-CMOS baseline;
 * :mod:`repro.analog` -- current-mode folder / interpolator / preamp /
-  comparator / scalable reference ladder (Figs. 5-7);
+  scalable reference ladder (Figs. 5-7);
 * :mod:`repro.adc` -- the 8-bit folding-and-interpolating ADC and its
   metrology (INL / DNL / ENOB);
-* :mod:`repro.pmu` -- PLL and the single bias controller that scales
-  analog and digital together;
+* :mod:`repro.pmu` -- the single bias controller that scales analog and
+  digital together;
 * :mod:`repro.platform_msys` -- the mixed-signal platform front end;
-* :mod:`repro.analysis` -- Monte-Carlo / PVT sweep machinery.
+* :mod:`repro.analysis` -- Monte-Carlo, yield and noise-budget machinery.
 
 Quick taste (see ``examples/quickstart.py`` for the narrated version)::
 

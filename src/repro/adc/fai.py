@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..constants import LN2
-from ..digital.encoder import EncoderSpec, encode_batch, reference_encode
+from ..digital.encoder import EncoderSpec, encode_batch
 from ..errors import ModelError
 from .config import FaiAdcConfig
 from .flash import CoarseFlash
@@ -151,14 +151,6 @@ class FaiAdc:
         """
         coarse, fine = self.raw_words(v_in, noisy=noisy)
         return encode_batch(coarse, fine, self.spec)
-
-    def convert(self, v_in: float) -> int:
-        """Convert one held voltage (scalar path, uses the scalar golden
-        encoder -- bit-identical to the batch path)."""
-        coarse = self.coarse.thermometer(float(v_in))
-        fine_matrix = self.fine.fine_code(np.array([float(v_in)]))
-        fine = tuple(bool(b) for b in fine_matrix[0])
-        return reference_encode(coarse, fine, self.spec)
 
     def sample_and_convert(self, waveform, t_sample: np.ndarray) -> np.ndarray:
         """Full signal path: track/hold, then convert with the

@@ -1,4 +1,4 @@
-"""Device models: EKV MOS transistors, diodes, process/PVT, mismatch.
+"""Device models: EKV MOS transistors, diodes, process corners, mismatch.
 
 This package is the foundation the whole platform rests on.  The paper's
 circuits live in the subthreshold (weak-inversion) region where the MOS
@@ -18,24 +18,18 @@ from .parameters import (
     nmos_180_hvt,
     pmos_180_thick_oxide,
 )
-from .ekv import (
-    inversion_coefficient,
-    interp_f,
-    interp_f_derivative,
-    normalized_currents,
-)
+from .ekv import interp_f, interp_f_derivative
 from .mosfet import Mosfet, MosOperatingPoint
 from .diode import Diode, DiodeParameters, NWELL_DIODE_180
-from .process import ProcessCorner, CornerSpec, CORNERS, PvtPoint, apply_pvt
-from .mismatch import MismatchModel, MismatchSample, PELGROM_180NM
+from .process import ProcessCorner, CornerSpec, CORNERS
+from .mismatch import MismatchModel, PELGROM_180NM
 
 __all__ = [
     "MosPolarity", "MosParameters", "Technology", "GENERIC_180NM",
     "nmos_180", "pmos_180", "nmos_180_hvt", "pmos_180_thick_oxide",
-    "inversion_coefficient", "interp_f", "interp_f_derivative",
-    "normalized_currents",
+    "interp_f", "interp_f_derivative",
     "Mosfet", "MosOperatingPoint",
     "Diode", "DiodeParameters", "NWELL_DIODE_180",
-    "ProcessCorner", "CornerSpec", "CORNERS", "PvtPoint", "apply_pvt",
-    "MismatchModel", "MismatchSample", "PELGROM_180NM",
+    "ProcessCorner", "CornerSpec", "CORNERS",
+    "MismatchModel", "PELGROM_180NM",
 ]

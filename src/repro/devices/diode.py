@@ -8,13 +8,12 @@ series device M_C is experiment E5 (Fig. 6d).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from ..constants import T_NOMINAL, thermal_voltage
+from ..constants import thermal_voltage
 from ..errors import ModelError
 
 _EXP_LIMIT = 350.0
@@ -59,72 +58,25 @@ NWELL_DIODE_180 = DiodeParameters(
 
 @dataclass
 class Diode:
-    """A diode instance: anode-to-cathode exponential junction."""
+    """A diode instance: anode-to-cathode exponential junction, evaluated
+    by :class:`DiodeBank`."""
 
     params: DiodeParameters
     area: float = 1.0
-
-    def current(self, v_ak: float,
-                temperature: float = T_NOMINAL) -> tuple[float, float]:
-        """Return (current, conductance) at anode-cathode voltage ``v_ak``.
-
-        A small ohmic leakage keeps the Jacobian nonsingular in deep
-        reverse bias.
-        """
-        ut = thermal_voltage(temperature) * self.params.n
-        x = min(v_ak / ut, _EXP_LIMIT)
-        e = math.exp(x)
-        i_s = self.params.i_s * self.area
-        current = i_s * (e - 1.0)
-        conductance = i_s * e / ut
-        g_leak = 1e-15
-        return current + g_leak * v_ak, conductance + g_leak
-
-    def capacitance(self, v_ak: float) -> float:
-        """Bias-dependent junction capacitance [F].
-
-        Standard depletion formula below the built-in potential, linearised
-        above it to avoid the singularity.
-        """
-        cj0 = self.params.cj0 * self.area
-        vj, mj = self.params.vj, self.params.mj
-        fc = 0.5
-        if v_ak < fc * vj:
-            return cj0 / (1.0 - v_ak / vj) ** mj
-        # Linear extension beyond fc*vj (SPICE-style).
-        f1 = (1.0 - fc) ** (1.0 + mj)
-        return cj0 / f1 * (1.0 - fc * (1.0 + mj) + mj * v_ak / vj)
-
-    def charge(self, v_ak: float) -> float:
-        """Depletion charge [C], the analytic integral of ``capacitance``.
-
-        Having charge and capacitance analytically consistent keeps the
-        transient integrator charge-conserving.
-        """
-        cj0 = self.params.cj0 * self.area
-        vj, mj = self.params.vj, self.params.mj
-        fc = 0.5
-        v_knee = fc * vj
-        if v_ak < v_knee:
-            return cj0 * vj / (1.0 - mj) * (
-                1.0 - (1.0 - v_ak / vj) ** (1.0 - mj))
-        q_knee = cj0 * vj / (1.0 - mj) * (1.0 - (1.0 - fc) ** (1.0 - mj))
-        f1 = (1.0 - fc) ** (1.0 + mj)
-        # Integral of the linear extension from v_knee to v_ak.
-        dv = v_ak - v_knee
-        slope = cj0 / f1 * mj / vj
-        c_knee = cj0 / f1 * (1.0 - fc * (1.0 + mj) + mj * v_knee / vj)
-        return q_knee + c_knee * dv + 0.5 * slope * dv * dv
 
 
 class DiodeBank:
     """Array-valued evaluation over a fixed set of diode instances.
 
-    Mirrors :meth:`Diode.current` / :meth:`Diode.capacitance` /
-    :meth:`Diode.charge` elementwise so the MNA assembler can restamp
-    every junction of a circuit with one numpy call.  The depletion
-    branch selection is done with masked evaluation so the unused
-    branch never sees an invalid base for the fractional power.
+    The diode model itself: the MNA assembler restamps every junction
+    of a circuit with one numpy call per quantity.  Current carries a
+    small ohmic leakage that keeps the Jacobian nonsingular in deep
+    reverse bias; the depletion capacitance follows the standard
+    formula below ``FC * V_J`` and its SPICE-style linear extension
+    above, and the charge is its analytic integral, which keeps the
+    transient integrator charge-conserving.  The depletion branch
+    selection is done with masked evaluation so the unused branch never
+    sees an invalid base for the fractional power.
     """
 
     _G_LEAK = 1e-15

@@ -53,31 +53,6 @@ def interp_f_derivative(v: np.ndarray | float) -> np.ndarray | float:
     return _softplus(half) * _sigmoid(half)
 
 
-def normalized_currents(vp: np.ndarray | float,
-                        vs: np.ndarray | float,
-                        vd: np.ndarray | float,
-                        ut: float) -> tuple:
-    """Return (i_f, i_r), the normalized forward/reverse currents.
-
-    All voltages bulk-referenced, ``ut`` the thermal voltage.
-    """
-    i_f = interp_f((np.asarray(vp) - np.asarray(vs)) / ut)
-    i_r = interp_f((np.asarray(vp) - np.asarray(vd)) / ut)
-    return i_f, i_r
-
-
-def inversion_coefficient(i_d: np.ndarray | float,
-                          i_spec: float) -> np.ndarray | float:
-    """Inversion coefficient IC = I_D / I_spec.
-
-    IC < 0.1 is deep weak inversion (the paper's target region), IC ~ 1 is
-    moderate, IC > 10 strong inversion.
-    """
-    if i_spec <= 0.0:
-        raise ValueError(f"i_spec must be positive, got {i_spec}")
-    return np.asarray(i_d, dtype=float) / i_spec
-
-
 def weak_inversion_current(i_spec: float, vg: np.ndarray | float,
                            vs: np.ndarray | float, vd: np.ndarray | float,
                            vt0: float, n: float,

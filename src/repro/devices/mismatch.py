@@ -1,4 +1,4 @@
-"""Pelgrom-law local mismatch sampling.
+"""Pelgrom-law local mismatch.
 
 Static non-linearity of the paper's ADC (Fig. 11: INL 1.0 LSB, DNL
 0.4 LSB) is dominated by local device mismatch: comparator/preamp offsets,
@@ -11,7 +11,10 @@ Pelgrom model generates all of these from two technology constants:
 with W, L in um and the A coefficients in mV*um and %*um respectively.
 The paper's remedy -- "using large enough transistor sizes can minimize
 the effect of current mismatch" (Sec. III-B) -- is exactly the 1/sqrt(WL)
-scaling this module implements.
+scaling this module implements.  Draws happen where the randomness
+lives: the converter models draw their offsets and current errors from
+these sigmas with the chip seed, and Monte-Carlo populations draw
+:class:`~repro.spice.batch.LaneSpec` arrays from their own generators.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ModelError
-from .mosfet import Mosfet
 
 
 @dataclass(frozen=True)
@@ -73,58 +75,3 @@ class MismatchModel:
 
 #: Typical 0.18 um mismatch coefficients (thin oxide).
 PELGROM_180NM = MismatchModel(a_vt=4.0e-9, a_beta=1.0e-8)
-
-
-@dataclass(frozen=True)
-class MismatchSample:
-    """One sampled (dVT, dbeta) pair for a single device."""
-
-    vt_shift: float
-    beta_factor: float
-
-
-class MismatchSampler:
-    """Draws per-device mismatch with a private RNG (reproducible runs)."""
-
-    def __init__(self, model: MismatchModel = PELGROM_180NM,
-                 seed: int | None = None) -> None:
-        self.model = model
-        self._rng = np.random.default_rng(seed)
-
-    def sample(self, w: float, l: float) -> MismatchSample:
-        """Draw mismatch for one device of size W x L [m]."""
-        vt_shift = float(self._rng.normal(0.0, self.model.sigma_vt(w, l)))
-        rel = float(self._rng.normal(0.0, self.model.sigma_beta(w, l)))
-        return MismatchSample(vt_shift=vt_shift,
-                              beta_factor=max(0.1, 1.0 + rel))
-
-    def sample_bank(self, devices) -> tuple[np.ndarray, np.ndarray]:
-        """Draw mismatch for a whole device list at once.
-
-        Returns ``(vt_delta, beta_scale)`` arrays aligned with
-        ``devices`` -- the exact shape a
-        :class:`~repro.spice.batch.LaneSpec` wants.  Draws go through
-        :meth:`sample` one device at a time, so the RNG stream (and
-        therefore the population) is bit-identical to a serial loop
-        that perturbs each device individually.
-        """
-        vt_delta = np.empty(len(devices))
-        beta_scale = np.empty(len(devices))
-        for k, device in enumerate(devices):
-            draw = self.sample(device.w, device.l)
-            vt_delta[k] = draw.vt_shift
-            beta_scale[k] = draw.beta_factor
-        return vt_delta, beta_scale
-
-    def perturb(self, device: Mosfet) -> Mosfet:
-        """Return a copy of ``device`` with fresh sampled mismatch."""
-        draw = self.sample(device.w, device.l)
-        return Mosfet(params=device.params, w=device.w, l=device.l,
-                      vt_shift=device.vt_shift + draw.vt_shift,
-                      beta_factor=device.beta_factor * draw.beta_factor,
-                      m=device.m)
-
-    def pair_offset(self, w: float, l: float) -> float:
-        """Draw one input-referred offset for a differential pair [V]."""
-        return float(self._rng.normal(
-            0.0, self.model.sigma_pair_offset(w, l)))

@@ -225,9 +225,10 @@ class MosBank:
     The MNA engine's vectorized assembler groups every MOS element of a
     circuit into one bank so a Newton iteration makes a single
     array-valued model call instead of one Python call per transistor.
-    The math mirrors :meth:`Mosfet.evaluate` exactly (same
-    interpolation, CLM smoothing and chain rule), just elementwise over
-    numpy arrays.
+    The math is :meth:`Mosfet.evaluate`'s (same interpolation, CLM
+    smoothing and chain rule), elementwise over numpy arrays; the
+    packed evaluation order moves last bits, so the two agree to
+    rounding (within 1e-13 relative), not bit for bit.
     """
 
     def __init__(self, devices: Sequence[Mosfet],

@@ -1,10 +1,10 @@
-"""Process corners and PVT points.
+"""Process corners.
 
 The paper's Fig. 3 argument is that STSCL decouples performance from
 process parameters while CMOS does not.  Verifying that claim
 quantitatively (experiment E6) needs corner models: this module applies
 global VT and mobility shifts to a :class:`~repro.devices.parameters.MosParameters`
-set, plus supply and temperature, as one immutable PVT point.
+set.  Supply and temperature are arguments of the models themselves.
 """
 
 from __future__ import annotations
@@ -12,8 +12,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from ..constants import T_NOMINAL, celsius_to_kelvin
-from ..errors import ModelError
 from .parameters import MosParameters, MosPolarity, Technology
 
 
@@ -51,35 +49,6 @@ CORNERS: dict[ProcessCorner, CornerSpec] = {
 }
 
 
-@dataclass(frozen=True)
-class PvtPoint:
-    """One (process, voltage, temperature) condition.
-
-    Attributes:
-        corner: Global process corner.
-        vdd: Supply voltage [V].
-        temperature: Junction temperature [K].
-    """
-
-    corner: ProcessCorner = ProcessCorner.TT
-    vdd: float = 1.0
-    temperature: float = T_NOMINAL
-
-    def __post_init__(self) -> None:
-        if self.vdd <= 0.0:
-            raise ModelError(f"vdd must be positive, got {self.vdd}")
-        if self.temperature <= 0.0:
-            raise ModelError(
-                f"temperature must be positive, got {self.temperature}")
-
-    @classmethod
-    def at_celsius(cls, corner: ProcessCorner = ProcessCorner.TT,
-                   vdd: float = 1.0, temp_c: float = 27.0) -> "PvtPoint":
-        """Build a PVT point with the temperature given in Celsius."""
-        return cls(corner=corner, vdd=vdd,
-                   temperature=celsius_to_kelvin(temp_c))
-
-
 def apply_corner(params: MosParameters, corner: ProcessCorner) -> MosParameters:
     """Return device parameters shifted to ``corner``."""
     spec = CORNERS[corner]
@@ -88,13 +57,6 @@ def apply_corner(params: MosParameters, corner: ProcessCorner) -> MosParameters:
     else:
         vt_shift, beta = spec.pmos_vt_shift, spec.pmos_beta_factor
     return params.replace(vt0=params.vt0 + vt_shift, kp=params.kp * beta)
-
-
-def apply_pvt(params: MosParameters, pvt: PvtPoint) -> MosParameters:
-    """Corner-shift device parameters for ``pvt`` (temperature is applied
-    at evaluation time by the model itself, so only the corner matters
-    here; the function exists so call-sites read uniformly)."""
-    return apply_corner(params, pvt.corner)
 
 
 def corner_technology(tech: Technology, corner: ProcessCorner) -> Technology:

@@ -1,26 +1,19 @@
-"""Functional and timed simulation of gate netlists.
+"""Functional simulation of gate netlists.
 
-:class:`CycleSimulator` is the workhorse: synchronous, cycle-accurate
-semantics where every sequential (latch-merged) cell updates once per
-clock from the values of the *previous* cycle -- exactly the evaluate /
-hold behaviour of the Fig. 8 pipelined cells.
-
-:class:`EventSimulator` adds real time: each gate re-evaluates after its
-STSCL delay, which lets tests *measure* the critical path and confirm
-the analytic STA numbers.
+:class:`CycleSimulator` gives synchronous, cycle-accurate semantics
+where every sequential (latch-merged) cell updates once per clock from
+the values of the *previous* cycle -- exactly the evaluate / hold
+behaviour of the Fig. 8 pipelined cells.  Timing is static:
+:func:`~repro.digital.sta.analyze_timing` walks the same graph with the
+STSCL delay law.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
-from dataclasses import dataclass
-
 import networkx as nx
 
 from ..errors import AnalysisError
-from ..stscl.gate_model import StsclGateDesign
-from .netlist import Gate, GateNetlist
+from .netlist import GateNetlist
 
 
 class CycleSimulator:
@@ -75,76 +68,3 @@ class CycleSimulator:
             incoming = [best[p] for p in graph.predecessors(name)]
             best[name] = max(incoming, default=0) + weights[name]
         return max(best.values(), default=0)
-
-
-@dataclass(frozen=True)
-class _Event:
-    time: float
-    serial: int
-    net: str
-    value: bool
-
-    def __lt__(self, other: "_Event") -> bool:
-        return (self.time, self.serial) < (other.time, other.serial)
-
-
-class EventSimulator:
-    """Event-driven timed simulation of the *combinational* portion.
-
-    Gate delays follow the owning design point: ``delay_factor() *
-    design.delay()``.  Sequential cells are treated as transparent for
-    timing-measurement purposes (use :class:`CycleSimulator` for
-    functional pipelined behaviour).
-    """
-
-    def __init__(self, netlist: GateNetlist,
-                 design: StsclGateDesign) -> None:
-        netlist.validate()
-        self.netlist = netlist
-        self.design = design
-        self._fanout: dict[str, list[Gate]] = {}
-        for gate in netlist.gates:
-            for pin in gate.inputs:
-                self._fanout.setdefault(pin.net, []).append(gate)
-
-    def settle(self, inputs: dict[str, bool],
-               initial: bool = False) -> tuple[dict[str, bool], float]:
-        """Propagate ``inputs`` until quiescence.
-
-        Returns (final net values, settling time) -- the settling time of
-        the slowest cone is the measured critical-path delay.
-        """
-        values: dict[str, bool] = {}
-        for gate in self.netlist.gates:
-            values[gate.output] = initial
-        serial = itertools.count()
-        queue: list[_Event] = []
-        for net in self.netlist.primary_inputs:
-            if net not in inputs:
-                raise AnalysisError(f"missing input value for {net!r}")
-            heapq.heappush(queue, _Event(0.0, next(serial), net,
-                                         bool(inputs[net])))
-        base_delay = self.design.delay()
-        last_time = 0.0
-        guard = 0
-        while queue:
-            guard += 1
-            if guard > 1_000_000:
-                raise AnalysisError("event simulation did not settle "
-                                    "(oscillating netlist?)")
-            event = heapq.heappop(queue)
-            if values.get(event.net) == event.value and event.time > 0.0:
-                continue
-            values[event.net] = event.value
-            last_time = max(last_time, event.time)
-            for gate in self._fanout.get(event.net, ()):
-                try:
-                    new_value = gate.evaluate(values)
-                except KeyError:
-                    continue  # some input not yet defined
-                if values.get(gate.output) != new_value:
-                    delay = gate.cell.delay_factor() * base_delay
-                    heapq.heappush(queue, _Event(
-                        event.time + delay, next(serial), gate.output,
-                        new_value))
-        return values, last_time

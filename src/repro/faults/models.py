@@ -29,8 +29,8 @@ from dataclasses import replace as _dc_replace
 
 import numpy as np
 
-from ..adc.fai import FaiAdc
-from ..digital.encoder import EncoderSpec, encode_batch
+from ..adc.fai import AdcBiasPoint, FaiAdc
+from ..digital.encoder import EncoderSpec
 from ..errors import FaultInjectionError
 from ..spice.elements import CurrentSource, MosElement, Resistor
 from ..spice.netlist import Circuit
@@ -41,10 +41,12 @@ class FaultedAdc:
     """A converter with comparator outputs forced after the analog
     front end.
 
-    Drop-in for :class:`~repro.adc.fai.FaiAdc` wherever conversion is
-    concerned (``convert_batch`` / the test harnesses in
-    :mod:`repro.adc.testbench`); everything else delegates to the
-    wrapped chip.
+    Drop-in for :class:`~repro.adc.fai.FaiAdc`: every conversion
+    (``convert_batch``, ``sample_and_convert``, the test harnesses in
+    :mod:`repro.adc.testbench`) encodes this wrapper's :meth:`raw_words`,
+    and a rebiased chip (``with_bias``, so also
+    :meth:`~repro.pmu.controller.PowerManagementUnit.tuned_adc`) keeps
+    its stuck bits.  Everything else delegates to the wrapped chip.
 
     Attributes:
         adc: The healthy chip underneath.
@@ -82,10 +84,16 @@ class FaultedAdc:
             fine[:, index] = value
         return coarse, fine
 
-    def convert_batch(self, v_in: np.ndarray,
-                      noisy: bool = False) -> np.ndarray:
-        coarse, fine = self.raw_words(v_in, noisy=noisy)
-        return encode_batch(coarse, fine, self.spec)
+    def with_bias(self, bias: AdcBiasPoint) -> "FaultedAdc":
+        """The rebiased chip with the same stuck bits."""
+        return FaultedAdc(self.adc.with_bias(bias), self.stuck_fine,
+                          self.stuck_coarse, self.spec)
+
+    # The chip's own conversions, run on this wrapper: they read
+    # ``raw_words`` and ``spec`` from ``self``, so a fault has one
+    # encode route.
+    convert_batch = FaiAdc.convert_batch
+    sample_and_convert = FaiAdc.sample_and_convert
 
 
 class FaultModel(abc.ABC):

@@ -22,7 +22,6 @@ from ..digital.netlist import GateNetlist
 from ..digital.sta import analyze_timing
 from ..errors import DesignError
 from ..pmu.controller import PmuOperatingPoint, PowerManagementUnit
-from ..pmu.pll import BehavioralPll
 from ..stscl.gate_model import StsclGateDesign
 from ..stscl.supply import minimum_supply
 from ..units import format_quantity
@@ -54,14 +53,13 @@ class PlatformReport:
 
 
 class MixedSignalPlatform:
-    """ADC + encoder + PLL + PMU behind one ``set_sample_rate`` knob."""
+    """ADC + encoder + PMU behind one ``set_sample_rate`` knob."""
 
     def __init__(self, adc: FaiAdc, encoder: GateNetlist,
-                 pmu: PowerManagementUnit, pll: BehavioralPll) -> None:
+                 pmu: PowerManagementUnit) -> None:
         self.adc = adc
         self.encoder = encoder
         self.pmu = pmu
-        self.pll = pll
         self._f_sample: float | None = None
 
     @classmethod
@@ -75,8 +73,7 @@ class MixedSignalPlatform:
         pmu = PowerManagementUnit(
             adc, n_digital_tails=encoder.tail_count(),
             encoder_depth=timing.weighted_depth)
-        pll = BehavioralPll(design)
-        return cls(adc=adc, encoder=encoder, pmu=pmu, pll=pll)
+        return cls(adc=adc, encoder=encoder, pmu=pmu)
 
     @property
     def f_sample(self) -> float:
@@ -119,8 +116,3 @@ class MixedSignalPlatform:
             "enob": dynamic.enob,
             "sndr_db": dynamic.sndr_db,
         }
-
-    def lock_pll(self, f_ref: float):
-        """Lock the behavioural PLL to an external reference; returns
-        the PLL report whose control current the PMU would fan out."""
-        return self.pll.lock(f_ref)

@@ -12,9 +12,8 @@ core/frontend/host split:
 * **measure** (:mod:`repro.scope.measure`) -- propagation delay,
   rise/fall slew, output swing and settling time, each returning a
   small report object.
-* **host** (:mod:`repro.scope.vcd`) -- the shared VCD writer used by
-  both this analog capture layer and the digital simulator's dump, so
-  mixed-signal runs land in one viewer-compatible file.
+* **host** (:mod:`repro.scope.vcd`) -- the VCD writer a captured
+  window dumps through, and the reader that round-trips it.
 
 Quick taste::
 

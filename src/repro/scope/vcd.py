@@ -1,22 +1,17 @@
-"""Shared VCD (Value Change Dump) writer for analog and digital dumps.
+"""VCD (Value Change Dump) writer for captured analog windows.
 
-One :class:`VcdWriter` serves both halves of the platform: the
-event-driven digital simulator (:mod:`repro.digital.vcd`) declares
-1-bit ``wire`` variables, the analog capture layer
-(:mod:`repro.scope.capture`) declares ``real`` variables -- and because
-both go through the same writer, a mixed-signal run can land in *one*
-viewer-compatible file (GTKWave renders ``real`` traces as analog
-lanes next to the logic).
+:class:`VcdWriter` serialises the ``real`` variables of a
+:class:`~repro.scope.capture.CaptureSegment` (GTKWave and friends
+render them as analog lanes).
 
 Timescale handling is exact: :func:`exact_timescale` picks the
 *coarsest* standard VCD timescale (``{1,10,100} x {s..fs}``) at which
-every timestamp is an integer tick, so a clock period of 0.5 ns dumps
-at ``100ps`` with 5 ticks per period instead of rounding to ``1ns``
-(a 2x cursor error in the old digital exporter).  Sub-femtosecond
-residues are quantized at the 1 fs floor.
+every timestamp is an integer tick, so a 0.5 ns sample spacing dumps
+at ``100ps`` with 5 ticks per sample instead of rounding to ``1ns``.
+Sub-femtosecond residues are quantized at the 1 fs floor.
 
-A minimal :func:`parse_vcd` reader closes the loop for round-trip
-checks in tests and the CI smoke step.
+A minimal :func:`parse_vcd` reader (scalar, vector and real changes)
+closes the loop for round-trip checks in tests and the CI smoke step.
 """
 
 from __future__ import annotations
@@ -104,10 +99,8 @@ def exact_timescale(times_s: Iterable[float],
 @dataclass
 class _Var:
     ident: str
-    kind: str          # "wire" | "real"
     name: str
-    width: int
-    previous: object = None
+    previous: float | None = None
 
 
 class VcdWriter:
@@ -116,11 +109,9 @@ class VcdWriter:
     Usage::
 
         w = VcdWriter("100ps")
-        clk = w.add_wire("clk", scope="counter")
         out = w.add_real("outp", scope="analog")
-        w.change(0, clk, True)
         w.change(0, out, 0.35)
-        w.change(5, clk, False)
+        w.change(5, out, 0.12)
         text = w.render()
 
     Change times are ticks of the declared timescale and must be
@@ -142,26 +133,17 @@ class VcdWriter:
 
     # -- declarations -------------------------------------------------
 
-    def _add(self, kind: str, name: str, scope: str, width: int) -> str:
+    def add_real(self, name: str, scope: str = "top") -> str:
+        """Declare an analog (``real``) variable; returns its id."""
         ident = identifier(len(self._vars))
-        var = _Var(ident=ident, kind=kind,
-                   name=name.replace(" ", "_"), width=width)
+        var = _Var(ident=ident, name=name.replace(" ", "_"))
         self._scopes.setdefault(scope, []).append(var)
         self._vars[ident] = var
         return ident
 
-    def add_wire(self, name: str, scope: str = "top",
-                 width: int = 1) -> str:
-        """Declare a digital variable; returns its identifier."""
-        return self._add("wire", name, scope, width)
-
-    def add_real(self, name: str, scope: str = "top") -> str:
-        """Declare an analog (``real``) variable; returns its id."""
-        return self._add("real", name, scope, 64)
-
     # -- changes ------------------------------------------------------
 
-    def change(self, ticks: int, ident: str, value) -> None:
+    def change(self, ticks: int, ident: str, value: float) -> None:
         """Record ``ident`` taking ``value`` at time ``ticks``."""
         var = self._vars.get(ident)
         if var is None:
@@ -171,22 +153,14 @@ class VcdWriter:
             raise AnalysisError(
                 f"VCD change times must be non-decreasing: "
                 f"{ticks} after {self._last_ticks}")
-        if var.kind == "real":
-            value = float(value)
-            text = f"r{value!r} {ident}"
-        else:
-            value = int(bool(value)) if var.width == 1 else int(value)
-            if var.width == 1:
-                text = f"{value}{ident}"
-            else:
-                text = f"b{value:b} {ident}"
+        value = float(value)
         if var.previous == value:
             return
         var.previous = value
         if self._last_ticks != ticks or not self._changes:
             self._changes.append((ticks, []))
             self._last_ticks = ticks
-        self._changes[-1][1].append(text)
+        self._changes[-1][1].append(f"r{value!r} {ident}")
 
     def end_time(self, ticks: int) -> None:
         """Stamp the final ``#ticks`` marker closing the dump."""
@@ -206,8 +180,7 @@ class VcdWriter:
         for scope, variables in self._scopes.items():
             lines.append(f"$scope module {scope} $end")
             for var in variables:
-                lines.append(f"$var {var.kind} {var.width} "
-                             f"{var.ident} {var.name} $end")
+                lines.append(f"$var real 64 {var.ident} {var.name} $end")
             lines.append("$upscope $end")
         lines.append("$enddefinitions $end")
         for ticks, changes in self._changes:

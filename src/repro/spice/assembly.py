@@ -240,7 +240,12 @@ class LazyDeviceOps(Mapping):
     Most solutions are only read for node voltages; deferring the
     per-transistor operating-point extraction keeps it off the hot path
     while looking exactly like the dict it replaces.  ``lane`` selects a
-    batched assembler's per-lane parameter overlay.
+    batched assembler's per-lane parameter overlay.  The device bank is
+    taken at construction, when it is the one the solution was solved
+    with: a serial lane's overlay (:func:`~repro.spice.batch.apply_lane`)
+    is usually undone before anyone reads the mapping.  (A batched
+    lane's overlay derives from its own per-call assembler, which
+    nothing syncs afterwards.)
     """
 
     def __init__(self, assembler: "CircuitAssembler", x: np.ndarray,
@@ -248,11 +253,14 @@ class LazyDeviceOps(Mapping):
         self._assembler = assembler
         self._x = x
         self._lane = lane
+        self._bank = assembler._mos_bank
         self._data: dict | None = None
 
     def _materialize(self) -> dict:
         if self._data is None:
-            self._data = self._assembler.device_ops(self._x, self._lane)
+            bank = (self._bank if self._lane is None
+                    else self._assembler._lane_bank(self._lane))
+            self._data = self._assembler.device_ops(self._x, bank)
         return self._data
 
     def __getitem__(self, key):
@@ -816,14 +824,14 @@ class CircuitAssembler:
     # -- queries --------------------------------------------------------
 
     def device_ops(self, x: np.ndarray,
-                   lane: int | None = None) -> dict[str, MosOperatingPoint]:
+                   bank: MosBank | None) -> dict[str, MosOperatingPoint]:
         """MOS element name -> operating point at the vector ``x``, via
-        one bank call (under lane ``lane``'s parameter overlay on a
-        batched assembler)."""
-        if self._mos_bank is None:
+        one call of ``bank`` (this assembler's bank or a lane overlay of
+        it; None when the circuit has no MOS devices)."""
+        if bank is None:
             return {}
         vd, vg, vs, vb = self._grounded(x)[self._mos_gather.idx]
-        points = self._lane_bank(lane).operating_points(vd, vg, vs, vb)
+        points = bank.operating_points(vd, vg, vs, vb)
         return dict(zip(self._mos_names, points))
 
     def charge_vector(self, X: np.ndarray) -> np.ndarray:

@@ -154,71 +154,28 @@ def _expand_bank_arrays(lane: LaneSpec, n_top: int, n_bank: int,
     return vt, beta
 
 
-def _overlay_bank_lane(circuit: "Circuit", lane: LaneSpec,
-                       n_top: int) -> Callable[[], None]:
-    """Realize a full-bank mismatch lane on the compiled assembler's
-    device bank; returns the undo restoring the original bank."""
-    compiled = circuit.compile()
-    asm = compiled.assembler
-    asm.sync()
-    bank = asm._mos_bank
-    n_bank = bank.n_devices if bank is not None else 0
-    vt, beta = _expand_bank_arrays(lane, n_top, n_bank, circuit.name)
-    saved = bank
-    asm._mos_bank = bank.overlay(bank.vt + vt, bank.i_spec * beta)
-
-    def undo() -> None:
-        asm._mos_bank = saved
-    return undo
-
-
 def apply_lane(circuit: "Circuit", lane: LaneSpec) -> Callable[[], None]:
     """Mutate ``circuit`` into the lane's perturbed twin; return an undo.
 
     This is the *serial* realization of a :class:`LaneSpec` -- the
     pilot, the transient engine's serial reruns and the serial paths of
     the spec objects go through it, so batched and serial evaluations
-    perturb the circuit identically.  Devices are replaced (never
-    mutated in place): MOS device objects are commonly shared between
-    elements and only the addressed element must move.
+    perturb the circuit identically.
 
-    Mismatch arrays address the top-level ``circuit.mos_elements()``
-    by default; on hierarchical circuits they may instead cover the
-    *full device bank* (top-level elements followed by every
-    subcircuit instance's devices, in bank order -- the order
-    ``compiled.assembler._mos_names`` lists).  Full-bank lanes are
-    realized as a :meth:`~repro.devices.mosfet.MosBank.overlay` on the
-    compiled assembler's bank (per-instance devices share template
-    element objects, so device replacement cannot address them
-    individually), and the undo restores the original bank.
+    Resistor and source values are written first and the compiled
+    assembler synced to them; a mismatch lane then becomes a
+    :meth:`~repro.devices.mosfet.MosBank.overlay` on that assembler's
+    device bank, the same ``vt + delta`` / ``i_spec * scale`` arrays a
+    :class:`BatchAssembler` lane evaluates.  The order matters: a value
+    written after the overlay would make the next solve's ``sync()``
+    rebuild the bank and drop it.  Mismatch arrays address the
+    top-level ``circuit.mos_elements()`` (the bank's head) or, on
+    hierarchical circuits, the *full device bank* (top-level elements
+    followed by every subcircuit instance's devices, in the order
+    ``compiled.assembler._mos_names`` lists).  The undo restores the
+    original bank and values.
     """
-    mos = circuit.mos_elements()
-    n_top = len(mos)
-    bank_wide = any(
-        arr is not None and len(arr) != n_top
-        for arr in (lane.vt_delta, lane.beta_scale))
-    if bank_wide:
-        undos = [_overlay_bank_lane(circuit, lane, n_top)]
-    else:
-        undos = []
-
-        def _restore_device(element, device):
-            def undo():
-                element.device = device
-            return undo
-
-        for k, element in enumerate(mos):
-            vt = (0.0 if lane.vt_delta is None
-                  else float(lane.vt_delta[k]))
-            beta = (1.0 if lane.beta_scale is None
-                    else float(lane.beta_scale[k]))
-            if vt == 0.0 and beta == 1.0:
-                continue
-            undos.append(_restore_device(element, element.device))
-            element.device = dataclasses.replace(
-                element.device,
-                vt_shift=element.device.vt_shift + vt,
-                beta_factor=element.device.beta_factor * beta)
+    undos = []
     for name, factor in lane.resistor_scale:
         element = circuit.element(name)
         if not isinstance(element, Resistor):
@@ -239,6 +196,18 @@ def apply_lane(circuit: "Circuit", lane: LaneSpec) -> Callable[[], None]:
             element.waveform = saved
         undos.append(_restore_s)
         element.waveform = dc_wave(float(value))
+    if lane.vt_delta is not None or lane.beta_scale is not None:
+        asm = circuit.compile().prepare()
+        bank = asm._mos_bank
+        vt, beta = _expand_bank_arrays(
+            lane, len(circuit.mos_elements()),
+            0 if bank is None else bank.n_devices, circuit.name)
+        if bank is not None:
+            asm._mos_bank = bank.overlay(bank.vt + vt, bank.i_spec * beta)
+
+            def _restore_bank():
+                asm._mos_bank = bank
+            undos.append(_restore_bank)
 
     def undo_all() -> None:
         for undo in reversed(undos):
@@ -385,9 +354,9 @@ class BatchAssembler(CircuitAssembler):
 
         The overlay of the last lane set is kept: a one-entry cache
         keyed by the lane indices with their dtype and shape, so the
-        scalar lane :meth:`device_ops` passes (an ``(n,)`` bank) and a
-        one-element lane array (a ``(1, n)`` bank) never share it.  It
-        pays when consecutive stacked rounds repeat a lane set -- the
+        scalar lane a :class:`LazyDeviceOps` takes (an ``(n,)`` bank)
+        and a one-element lane array (a ``(1, n)`` bank) never share it.
+        It pays when consecutive stacked rounds repeat a lane set -- the
         lockstep transient's steps over an unchanged active set, or a
         Newton loop whose active set holds -- and saves the copy and
         the tile of ``MosBank.overlay`` (12 µs on the 16-lane latch).

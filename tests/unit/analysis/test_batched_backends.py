@@ -13,7 +13,7 @@ import pytest
 
 from repro.analysis import MonteCarlo
 from repro.devices.diode import Diode, DiodeParameters
-from repro.devices.mismatch import MismatchSampler
+from repro.devices.mismatch import PELGROM_180NM
 from repro.errors import AnalysisError
 from repro.spice import (
     BatchedOpMetric,
@@ -65,9 +65,12 @@ class TestMonteCarloBatched:
             return circuit
 
         def draw(seed, circuit):
-            sampler = MismatchSampler(seed=seed)
-            vt, beta = sampler.sample_bank(
-                [m.device for m in circuit.mos_elements()])
+            devices = [m.device for m in circuit.mos_elements()]
+            rng = np.random.default_rng(seed)
+            vt = rng.normal(0.0, [PELGROM_180NM.sigma_vt(d.w, d.l)
+                                  for d in devices])
+            beta = 1.0 + rng.normal(0.0, [PELGROM_180NM.sigma_beta(d.w, d.l)
+                                          for d in devices])
             return LaneSpec.mismatch(vt, beta, label=f"seed-{seed}")
 
         def measure(result):

@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.devices import Mosfet, nmos_180
 from repro.devices.ekv import (
     gate_voltage_for_current,
     interp_f,
     interp_f_derivative,
-    inversion_coefficient,
-    normalized_currents,
     saturation_voltage,
     transconductance_efficiency,
     weak_inversion_current,
@@ -58,13 +57,17 @@ class TestInterpolationFunction:
 
 
 class TestNormalizedCurrents:
+    """The forward/reverse currents ``Mosfet.evaluate`` reports."""
+
     def test_saturation_forward_dominates(self):
-        i_f, i_r = normalized_currents(vp=0.3, vs=0.0, vd=0.5, ut=0.026)
-        assert i_f > 100.0 * i_r
+        op = Mosfet(nmos_180(), w=1e-6, l=1e-6).evaluate(
+            vd=0.5, vg=0.6, vs=0.0, vb=0.0)
+        assert op.i_f > 100.0 * op.i_r
 
     def test_symmetric_at_equal_terminals(self):
-        i_f, i_r = normalized_currents(vp=0.2, vs=0.1, vd=0.1, ut=0.026)
-        assert i_f == pytest.approx(i_r)
+        op = Mosfet(nmos_180(), w=1e-6, l=1e-6).evaluate(
+            vd=0.1, vg=0.5, vs=0.1, vb=0.0)
+        assert op.i_f == pytest.approx(op.i_r)
 
 
 class TestWeakInversionCurrent:
@@ -120,9 +123,3 @@ class TestGmOverId:
         values = transconductance_efficiency(
             np.array([0.01, 0.1, 1.0, 10.0, 100.0]), n, ut)
         assert np.all(np.diff(values) < 0.0)
-
-
-def test_inversion_coefficient():
-    assert inversion_coefficient(1e-9, 1e-6) == pytest.approx(1e-3)
-    with pytest.raises(ValueError):
-        inversion_coefficient(1e-9, 0.0)

@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from repro.constants import thermal_voltage
-from repro.devices import Mosfet, nmos_180
-from repro.devices.mismatch import (
-    PELGROM_180NM,
-    MismatchModel,
-    MismatchSampler,
-)
+from repro.devices.mismatch import PELGROM_180NM
 from repro.errors import ModelError
 
 
@@ -39,37 +34,3 @@ class TestSigmaLaws:
     def test_rejects_bad_geometry(self):
         with pytest.raises(ModelError):
             PELGROM_180NM.sigma_vt(0.0, 1e-6)
-
-
-class TestSampler:
-    def test_reproducible_with_seed(self):
-        a = MismatchSampler(seed=5).sample(1e-6, 1e-6)
-        b = MismatchSampler(seed=5).sample(1e-6, 1e-6)
-        assert a == b
-
-    def test_distribution_width(self):
-        sampler = MismatchSampler(seed=0)
-        draws = np.array([sampler.sample(1e-6, 1e-6).vt_shift
-                          for _ in range(2000)])
-        assert draws.std() == pytest.approx(4e-3, rel=0.1)
-        assert abs(draws.mean()) < 4e-4
-
-    def test_perturb_returns_new_device(self):
-        sampler = MismatchSampler(seed=1)
-        device = Mosfet(nmos_180(), w=1e-6, l=1e-6)
-        shifted = sampler.perturb(device)
-        assert shifted is not device
-        assert shifted.vt_shift != 0.0
-        assert device.vt_shift == 0.0  # original untouched
-
-    def test_beta_factor_stays_positive(self):
-        sampler = MismatchSampler(
-            MismatchModel(a_vt=4e-9, a_beta=5e-7), seed=3)
-        for _ in range(200):
-            assert sampler.sample(0.3e-6, 0.3e-6).beta_factor > 0.0
-
-    def test_pair_offset_draw(self):
-        sampler = MismatchSampler(seed=2)
-        draws = np.array([sampler.pair_offset(1e-6, 1e-6)
-                          for _ in range(2000)])
-        assert draws.std() == pytest.approx(np.sqrt(2.0) * 4e-3, rel=0.1)

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.constants import thermal_voltage
 from repro.devices import Mosfet, nmos_180, pmos_180, nmos_180_hvt
+from repro.devices.mosfet import MosBank
 from repro.errors import ModelError
 
 
@@ -155,3 +156,34 @@ class TestHighVtFlavour:
         leak_std = standard.evaluate(1.0, 0.0, 0.0, 0.0).ids
         leak_hvt = hvt.evaluate(1.0, 0.0, 0.0, 0.0).ids
         assert leak_hvt < 0.1 * leak_std
+
+
+class TestBankAgreement:
+    """Two implementations of one EKV device: ``Mosfet.evaluate`` (the
+    analytic designs) and ``MosBank.evaluate`` (the simulator's
+    assembler).  They differ in evaluation order only, so they agree to
+    rounding."""
+
+    def test_bank_matches_the_scalar_model(self):
+        rng = np.random.default_rng(2026)
+        n = 4000
+        devices = [Mosfet((nmos_180, pmos_180)[k % 2](),
+                          w=rng.uniform(0.5e-6, 20e-6),
+                          l=rng.uniform(0.2e-6, 5e-6),
+                          vt_shift=rng.normal(0.0, 0.02),
+                          beta_factor=rng.uniform(0.8, 1.2))
+                   for k in range(n)]
+        temperatures = rng.uniform(233.15, 398.15, n)
+        vd, vg, vs, vb = rng.uniform(0.0, 1.2, (4, n))
+        bank = MosBank(devices, temperatures).evaluate(vd, vg, vs, vb)
+        fields = ("ids", "p_d", "p_g", "p_s", "p_b", "i_f", "i_r")
+        scalar = np.empty((len(fields), n))
+        for k, device in enumerate(devices):
+            op = device.evaluate(vd[k], vg[k], vs[k], vb[k],
+                                 temperature=temperatures[k])
+            scalar[:, k] = (op.ids, op.partials["d"], op.partials["g"],
+                            op.partials["s"], op.partials["b"], op.i_f,
+                            op.i_r)
+        for row, name in enumerate(fields):
+            np.testing.assert_allclose(getattr(bank, name), scalar[row],
+                                       rtol=1e-13, atol=0.0, err_msg=name)

@@ -1,18 +1,13 @@
-"""Unit tests for process corners and PVT points."""
-
-import pytest
+"""Unit tests for process corners."""
 
 from repro.devices.parameters import GENERIC_180NM
 from repro.devices.process import (
     CORNERS,
     CornerSpec,
     ProcessCorner,
-    PvtPoint,
     apply_corner,
-    apply_pvt,
     corner_technology,
 )
-from repro.errors import ModelError
 
 
 class TestCorners:
@@ -48,22 +43,3 @@ class TestCorners:
         assert slow.nmos.vt0 > GENERIC_180NM.nmos.vt0
         assert slow.nmos_hvt.vt0 > GENERIC_180NM.nmos_hvt.vt0
         assert slow.name.endswith("ss")
-
-
-class TestPvtPoint:
-    def test_defaults(self):
-        point = PvtPoint()
-        assert point.corner is ProcessCorner.TT
-
-    def test_celsius_constructor(self):
-        point = PvtPoint.at_celsius(temp_c=85.0)
-        assert point.temperature == pytest.approx(358.15)
-
-    def test_rejects_bad_vdd(self):
-        with pytest.raises(ModelError):
-            PvtPoint(vdd=0.0)
-
-    def test_apply_pvt_uses_corner(self):
-        point = PvtPoint(corner=ProcessCorner.FF)
-        shifted = apply_pvt(GENERIC_180NM.nmos, point)
-        assert shifted.vt0 < GENERIC_180NM.nmos.vt0

@@ -1,11 +1,10 @@
-"""Unit tests for the cycle-accurate and event-driven simulators."""
+"""Unit tests for the cycle-accurate simulator."""
 
 import pytest
 
 from repro.digital.netlist import GateNetlist
-from repro.digital.simulator import CycleSimulator, EventSimulator
+from repro.digital.simulator import CycleSimulator
 from repro.errors import AnalysisError
-from repro.stscl import StsclGateDesign
 
 
 def comb_netlist() -> GateNetlist:
@@ -71,33 +70,3 @@ class TestCycleSimulator:
         netlist.add_gate("g1", "BUF", [("a", True)], "y")
         sim = CycleSimulator(netlist)
         assert sim.step({"a": True})["y"] is False
-
-
-class TestEventSimulator:
-    def test_settles_to_correct_values(self, default_design):
-        sim = EventSimulator(comb_netlist(), default_design)
-        values, t_settle = sim.settle({"a": True, "b": True, "c": False})
-        assert values["y"] is True
-        assert t_settle > 0.0
-
-    def test_settling_time_tracks_depth(self, default_design):
-        netlist = GateNetlist("chain")
-        netlist.add_input("a")
-        previous = "a"
-        for k in range(5):
-            netlist.add_gate(f"g{k}", "BUF", [previous], f"x{k}")
-            previous = f"x{k}"
-        sim = EventSimulator(netlist, default_design)
-        _values, t_settle = sim.settle({"a": True})
-        assert t_settle == pytest.approx(5.0 * default_design.delay(),
-                                         rel=1e-6)
-
-    def test_faster_design_settles_faster(self):
-        slow = StsclGateDesign.default(1e-10)
-        fast = StsclGateDesign.default(1e-8)
-        netlist = comb_netlist()
-        _v, t_slow = EventSimulator(netlist, slow).settle(
-            {"a": True, "b": True, "c": True})
-        _v, t_fast = EventSimulator(netlist, fast).settle(
-            {"a": True, "b": True, "c": True})
-        assert t_slow > 50.0 * t_fast

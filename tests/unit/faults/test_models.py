@@ -122,6 +122,38 @@ class TestStuckComparator:
         assert faulted.spec is ideal.spec
         assert faulted.seed == ideal.seed
 
+    def test_sample_and_convert_keeps_the_stuck_bits(self, ideal):
+        """The track/hold route encodes the wrapper's forced words: on
+        the noiseless ideal chip it equals ``convert_batch`` of the
+        held samples, not the healthy chip's codes."""
+        cfg = ideal.config
+        t = np.arange(256) / 8e3
+        mid, amp = 0.5 * (cfg.v_low + cfg.v_high), 0.49 * cfg.full_scale
+
+        def wave(time):
+            return mid + amp * np.sin(2.0 * np.pi * 7.0 / 256.0 * 8e3 * time)
+
+        faulted = StuckComparator("coarse", 3, False).apply(ideal)
+        held = ideal.sample_hold.sample(wave, t)
+        codes = faulted.sample_and_convert(wave, t)
+        np.testing.assert_array_equal(codes, faulted.convert_batch(held))
+        assert np.any(codes != ideal.sample_and_convert(wave, t))
+
+    def test_rebiased_chip_keeps_the_stuck_bits(self, ideal):
+        """``with_bias`` (and the PMU's ``tuned_adc`` through it)
+        re-wraps the rebiased chip."""
+        from repro.pmu import PowerManagementUnit
+
+        faulted = StuckComparator("coarse", 3, False).apply(ideal)
+        tuned = PowerManagementUnit(faulted).tuned_adc(8e3)
+        assert isinstance(tuned, FaultedAdc)
+        assert tuned.stuck_coarse == {3: False}
+        assert tuned.bias == PowerManagementUnit(ideal).tuned_adc(8e3).bias
+        cfg = ideal.config
+        ramp = np.linspace(cfg.v_low + cfg.lsb, cfg.v_high - cfg.lsb, 512)
+        np.testing.assert_array_equal(tuned.convert_batch(ramp),
+                                      faulted.convert_batch(ramp))
+
     def test_faults_compose_onto_one_wrapper(self, ideal):
         once = StuckComparator("fine", 5, True).apply(ideal)
         twice = StuckComparator("coarse", 3, False).apply(once)

@@ -75,8 +75,3 @@ class TestConversionFlow:
         metrics = platform.characterize(samples_per_code=4)
         assert set(metrics) == {"inl_max", "dnl_max", "enob", "sndr_db"}
         assert 5.5 < metrics["enob"] < 8.0
-
-    def test_pll_lock_consistent_with_pmu(self, platform):
-        report = platform.lock_pll(8e3)
-        assert report.locked
-        assert report.f_out == pytest.approx(8e3, rel=5e-3)

@@ -1,4 +1,4 @@
-"""Unit tests for the shared VCD writer (repro.scope.vcd)."""
+"""Unit tests for the VCD writer and reader (repro.scope.vcd)."""
 
 import numpy as np
 import pytest
@@ -81,26 +81,6 @@ class TestExactTimescale:
 
 
 class TestWriterRoundTrip:
-    def test_mixed_wire_and_real_in_one_file(self):
-        """The tentpole property: analog and digital variables land in
-        one parseable document."""
-        writer = VcdWriter("1ns", comment="mixed")
-        clk = writer.add_wire("clk", scope="digital")
-        out = writer.add_real("outp", scope="analog")
-        writer.change(0, clk, False)
-        writer.change(0, out, 0.125)
-        writer.change(5, clk, True)
-        writer.change(5, out, 0.25)
-        writer.change(10, clk, False)
-        writer.end_time(20)
-        document = parse_vcd(writer.render())
-        assert document.timescale == "1ns"
-        assert document.variables[clk] == ("digital", "wire", "clk")
-        assert document.variables[out] == ("analog", "real", "outp")
-        assert document.values_of("clk") == [(0, 0), (5, 1), (10, 0)]
-        assert document.values_of("outp") == [(0, 0.125), (5, 0.25)]
-        assert document.end_ticks == 20
-
     def test_real_values_round_trip_exactly(self):
         """repr-based serialisation: float -> text -> float is the
         identity (the same guarantee the capture layer's bitwise
@@ -116,23 +96,25 @@ class TestWriterRoundTrip:
 
     def test_unchanged_values_are_deduplicated(self):
         writer = VcdWriter("1ns")
-        w = writer.add_wire("w")
+        w = writer.add_real("w", scope="analog")
         for ticks in range(5):
-            writer.change(ticks, w, True)
+            writer.change(ticks, w, 0.25)
+        writer.change(5, w, 0.5)
         document = parse_vcd(writer.render())
-        assert document.values_of("w") == [(0, 1)]
+        assert document.variables[w] == ("analog", "real", "w")
+        assert document.values_of("w") == [(0, 0.25), (5, 0.5)]
 
     def test_decreasing_time_rejected(self):
         writer = VcdWriter("1ns")
-        w = writer.add_wire("w")
-        writer.change(5, w, True)
+        w = writer.add_real("w")
+        writer.change(5, w, 1.0)
         with pytest.raises(AnalysisError, match="non-decreasing"):
-            writer.change(4, w, False)
+            writer.change(4, w, 0.0)
 
     def test_undeclared_identifier_rejected(self):
         writer = VcdWriter("1ns")
         with pytest.raises(AnalysisError, match="undeclared"):
-            writer.change(0, "z", True)
+            writer.change(0, "z", 1.0)
 
     def test_bad_timescale_rejected_at_construction(self):
         with pytest.raises(AnalysisError, match="timescale"):
@@ -142,11 +124,23 @@ class TestWriterRoundTrip:
         import io
 
         writer = VcdWriter("1ns")
-        w = writer.add_wire("w")
-        writer.change(0, w, True)
+        w = writer.add_real("w")
+        writer.change(0, w, 1.0)
         stream = io.StringIO()
         text = writer.render(stream)
         assert stream.getvalue() == text
+
+    def test_parser_reads_scalar_and_vector_changes(self):
+        """Dumps from other tools carry wires and buses."""
+        text = ("$timescale 10ns $end\n$scope module top $end\n"
+                "$var wire 1 a clk $end\n$var wire 4 b bus $end\n"
+                "$upscope $end\n$enddefinitions $end\n"
+                "#0\n0a\nb101 b\n#3\n1a\n#7\n")
+        document = parse_vcd(text)
+        assert document.variables["b"] == ("top", "wire", "bus")
+        assert document.values_of("clk") == [(0, 0), (3, 1)]
+        assert document.values_of("bus") == [(0, 5)]
+        assert document.end_ticks == 7
 
     def test_parser_rejects_backwards_timestamps(self):
         text = ("$timescale 1ns $end\n$var wire 1 a w $end\n"
@@ -200,27 +194,3 @@ class TestSegmentExport:
                                  values=np.empty((1, 0)))
         with pytest.raises(AnalysisError, match="empty"):
             segment.to_vcd()
-
-
-class TestDigitalTimescaleFix:
-    """The digital exporter's side of the shared-writer refactor."""
-
-    def test_fractional_period_is_exact(self):
-        from repro.digital.vcd import cycle_timescale
-
-        assert cycle_timescale(0.5e-9) == ("100ps", 5)
-        assert cycle_timescale(769e-12) == ("1ps", 769)
-        assert cycle_timescale(1e-6) == ("1us", 1)
-
-    def test_sub_fs_period_quantizes_at_the_floor(self):
-        from repro.digital.vcd import cycle_timescale
-
-        label, ticks = cycle_timescale(3.7e-16)
-        assert label == "1fs"
-        assert ticks == 1
-
-    def test_non_positive_period_rejected(self):
-        from repro.digital.vcd import cycle_timescale
-
-        with pytest.raises(AnalysisError, match="positive"):
-            cycle_timescale(0.0)

@@ -23,6 +23,8 @@ from repro.spice import (
 )
 from repro.spice.batch import BATCHED_PSEUDO_TRANSIENT_STAGE, BATCHED_STAGE
 from repro.stscl import StsclGateDesign, stscl_latch_circuit
+from repro.stscl.adder import adder_chain_circuit
+from repro.stscl.netlist_gen import stscl_inverter_circuit
 from tests.conftest import ladder_hard_delay_chain
 
 DIODE = Diode(DiodeParameters(name="junction", i_s=1e-16))
@@ -185,6 +187,62 @@ class TestEquivalence:
             for node in serial.voltages:
                 assert point.voltages[node] == pytest.approx(
                     serial.voltages[node], abs=1e-9)
+
+    def test_full_bank_lane_with_a_scaled_resistor_keeps_its_mismatch(
+            self, default_design):
+        """A serial full-bank mismatch lane that also scales a resistor
+        solves to its batched twin: the resistor write must not make
+        the solve rebuild the device bank under the lane's overlay."""
+        def build() -> Circuit:
+            circuit, _ = adder_chain_circuit(default_design, 0.4, width=2,
+                                             a=1, b=3)
+            circuit.add_resistor("rleak", "s0p", "0", 1e12)
+            return circuit
+
+        n_bank = build().compile().assembler._mos_bank.n_devices
+        lane = LaneSpec(
+            vt_delta=np.random.default_rng(3).normal(0.0, 20e-3, n_bank),
+            resistor_scale=(("rleak", 2.0),))
+        batched = batch_operating_point(build(), [LaneSpec(), lane])
+        circuit = build()
+        undo = apply_lane(circuit, lane)
+        try:
+            serial = operating_point(circuit)
+        finally:
+            undo()
+        for node, value in serial.voltages.items():
+            assert batched.points[1].voltages[node] == pytest.approx(
+                value, abs=1e-9)
+
+    @pytest.mark.parametrize("circuit_name", ["inverter", "adder"])
+    def test_serial_device_ops_read_after_the_undo_see_the_lane(
+            self, default_design, circuit_name):
+        """A serial solution's MOS operating points belong to the lane
+        it was solved under, also when read after the lane's undo
+        (top-level lane on the inverter, full-bank lane on the
+        adder)."""
+        def build() -> Circuit:
+            if circuit_name == "inverter":
+                return stscl_inverter_circuit(default_design, 0.4)[0]
+            return adder_chain_circuit(default_design, 0.4, width=2,
+                                       a=1, b=3)[0]
+
+        # The inverter has no subcircuits: its bank is its top level.
+        n = build().compile().assembler._mos_bank.n_devices
+        lane = LaneSpec.mismatch(
+            np.random.default_rng(5).normal(0.0, 20e-3, n))
+        batched = batch_operating_point(build(), [LaneSpec(), lane])
+        circuit = build()
+        undo = apply_lane(circuit, lane)
+        try:
+            serial = operating_point(circuit)
+        finally:
+            undo()
+        expected = batched.points[1].device_ops
+        assert serial.device_ops.keys() == expected.keys()
+        for name, point in serial.device_ops.items():
+            assert point.ids == pytest.approx(expected[name].ids,
+                                              rel=1e-9, abs=1e-21)
 
     def test_warm_start_vector_validated(self):
         with pytest.raises(NetlistError):
