@@ -23,7 +23,6 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
-import scipy
 
 from .. import telemetry
 from ..analysis.montecarlo import MonteCarlo
@@ -766,6 +765,8 @@ def runtime_provenance() -> dict:
     match; recording them turns "CI got slower" from archaeology into a
     diff.
     """
+    import scipy
+
     return {
         "numpy": np.__version__,
         "scipy": scipy.__version__,

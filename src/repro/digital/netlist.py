@@ -13,11 +13,13 @@ simulation and timing analysis.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from ..errors import NetlistError
 from ..stscl.library import CellKind, StsclCell, cell as lookup_cell
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    import networkx as nx
 
 
 @dataclass(frozen=True)
@@ -130,6 +132,8 @@ class GateNetlist:
     def validate(self) -> None:
         """Check structural sanity: every pin driven, no combinational
         loops (loops through sequential cells are fine)."""
+        import networkx as nx
+
         for gate in self.gates:
             for pin in gate.inputs:
                 if (pin.net not in self._driver
@@ -149,6 +153,8 @@ class GateNetlist:
         sequential u supplies registered state, not a timing arc into
         the same cycle).
         """
+        import networkx as nx
+
         graph = nx.DiGraph()
         graph.add_nodes_from(self._gates)
         for gate in self.gates:
@@ -160,6 +166,8 @@ class GateNetlist:
 
     def full_graph(self) -> nx.DiGraph:
         """Gate dependency graph including sequential arcs."""
+        import networkx as nx
+
         graph = nx.DiGraph()
         graph.add_nodes_from(self._gates)
         for gate in self.gates:
@@ -201,6 +209,8 @@ class GateNetlist:
         pipelined ideal of Sec. III-B, where the effective N_L of
         Eq. (1) is one (the register's own evaluation).
         """
+        import networkx as nx
+
         graph = self.combinational_graph()
         combinational = [g.name for g in self.gates if not g.is_sequential]
         if not combinational:

@@ -14,8 +14,6 @@ count (and hence power) honest.
 
 from __future__ import annotations
 
-import networkx as nx
-
 from ..errors import NetlistError
 from ..stscl.library import cell as lookup_cell
 from .netlist import GateNetlist, Pin
@@ -25,6 +23,8 @@ def net_stages(netlist: GateNetlist) -> dict[str, int]:
     """Pipeline stage of every net: inputs are stage 0, each sequential
     cell adds one, combinational cells stay in their input stage
     (taking the max over inputs when they differ)."""
+    import networkx as nx
+
     netlist.validate()
     graph = netlist.full_graph()
     if not nx.is_directed_acyclic_graph(graph):
@@ -46,6 +46,8 @@ def balance_pipeline(netlist: GateNetlist,
     are additionally aligned to one common (deepest) stage so the whole
     word emerges in the same cycle.
     """
+    import networkx as nx
+
     stages = net_stages(netlist)
     balanced = GateNetlist(f"{netlist.name}_balanced")
     for net in netlist.primary_inputs:

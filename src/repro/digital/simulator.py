@@ -10,8 +10,6 @@ STSCL delay law.
 
 from __future__ import annotations
 
-import networkx as nx
-
 from ..errors import AnalysisError
 from .netlist import GateNetlist
 
@@ -20,6 +18,8 @@ class CycleSimulator:
     """Synchronous simulation with one evaluation per clock cycle."""
 
     def __init__(self, netlist: GateNetlist) -> None:
+        import networkx as nx
+
         netlist.validate()
         self.netlist = netlist
         graph = netlist.combinational_graph()
@@ -60,6 +60,8 @@ class CycleSimulator:
     def latency(self) -> int:
         """Pipeline latency in cycles: registers on the longest
         input-to-output register chain."""
+        import networkx as nx
+
         graph = self.netlist.full_graph()
         weights = {g.name: (1 if g.is_sequential else 0)
                    for g in self.netlist.gates}

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
-
 from ..errors import AnalysisError
 from ..stscl.gate_model import StsclGateDesign
 from .netlist import GateNetlist
@@ -52,6 +50,8 @@ def analyze_timing(netlist: GateNetlist, design: StsclGateDesign,
     hook :func:`timing_yield_under_mismatch` uses to inject per-gate
     tail-current mismatch (delay ~ 1/I_SS).
     """
+    import networkx as nx
+
     netlist.validate()
     base_delay = design.delay()
     graph = netlist.combinational_graph()

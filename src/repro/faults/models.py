@@ -89,11 +89,17 @@ class FaultedAdc:
         return FaultedAdc(self.adc.with_bias(bias), self.stuck_fine,
                           self.stuck_coarse, self.spec)
 
+    def calibrated(self, trim_resolution_rel: float = 0.002) -> "FaultedAdc":
+        """The fine-trimmed chip with the same stuck bits."""
+        return FaultedAdc(self.adc.calibrated(trim_resolution_rel),
+                          self.stuck_fine, self.stuck_coarse, self.spec)
+
     # The chip's own conversions, run on this wrapper: they read
     # ``raw_words`` and ``spec`` from ``self``, so a fault has one
-    # encode route.
+    # encode route.  ``scaled`` rebiases through :meth:`with_bias`.
     convert_batch = FaiAdc.convert_batch
     sample_and_convert = FaiAdc.sample_and_convert
+    scaled = FaiAdc.scaled
 
 
 class FaultModel(abc.ABC):

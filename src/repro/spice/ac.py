@@ -32,7 +32,6 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import qz as _qz
 
 from .. import telemetry
 from ..errors import AnalysisError
@@ -176,10 +175,12 @@ def _solve_qz_sweep(g_matrix: np.ndarray, c_matrix: np.ndarray,
     residual above bound); the caller then falls back to the direct
     chunked path.
     """
+    from scipy.linalg import qz
+
     size = b.size
     try:
-        s_tri, t_tri, q_mat, z_mat = _qz(c_matrix, g_matrix,
-                                         output="complex")
+        s_tri, t_tri, q_mat, z_mat = qz(c_matrix, g_matrix,
+                                        output="complex")
     except (ValueError, np.linalg.LinAlgError):
         return None
     y = q_mat.conj().T @ b

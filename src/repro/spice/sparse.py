@@ -41,8 +41,6 @@ MNA-sparsity matrices.
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse import coo_matrix, csc_matrix as _csc_matrix
-from scipy.sparse.linalg import splu as _splu
 
 from .. import telemetry
 from ..errors import ConvergenceError
@@ -67,6 +65,14 @@ SPARSE_AUTO_THRESHOLD = 500
 #: docs/architecture.md, "Ordering once").
 SUPERLU_RELAX = 1
 SUPERLU_PANEL_SIZE = 1
+
+
+def _splu(matrix, **options):
+    """``scipy.sparse.linalg.splu``: every SuperLU factorization goes
+    through this binding.  The import costs about 1 µs a call once
+    scipy.sparse is loaded, against a 0.2 ms factorization."""
+    from scipy.sparse.linalg import splu
+    return splu(matrix, **options)
 
 
 class SparseSystem:
@@ -169,8 +175,10 @@ class SparseSystem:
         """CSC matrix over the shared ``indices``/``indptr`` structure
         from one precomputed nonzero-data row (no copies: every lane of
         a batched ensemble shares the symbolic arrays)."""
-        return _csc_matrix((data, self.indices, self.indptr),
-                           shape=(self.size, self.size))
+        from scipy.sparse import csc_matrix
+
+        return csc_matrix((data, self.indices, self.indptr),
+                          shape=(self.size, self.size))
 
     def batch_data(self, values_b: np.ndarray,
                    out: np.ndarray | None = None) -> np.ndarray:
@@ -237,7 +245,9 @@ class SparseSystem:
                 return lu
             permuted = self._permuted
             if permuted is None:
-                permuted = self._permuted = _csc_matrix(
+                from scipy.sparse import csc_matrix
+
+                permuted = self._permuted = csc_matrix(
                     (data[self._perm_gather], self._perm_indices,
                      self._perm_indptr), shape=(self.size, self.size))
             else:
@@ -316,4 +326,6 @@ def coo_to_csr(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
                size: int):
     """CSR matrix from COO triplets (duplicates summed) -- used for the
     constant linear part's residual matvec."""
+    from scipy.sparse import coo_matrix
+
     return coo_matrix((vals, (rows, cols)), shape=(size, size)).tocsr()

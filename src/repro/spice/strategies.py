@@ -25,17 +25,12 @@ from its forensic record instead of re-run under a debugger.
 
 from __future__ import annotations
 
+import functools
 import time as _time
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
-# Raw LAPACK bindings: the getrf/getrs pair scipy.linalg's
-# lu_factor/lu_solve wrap, minus the per-call asarray/check_finite
-# overhead -- which is comparable to the factorization itself at MNA
-# sizes.
-from scipy.linalg.lapack import dgetrf as _getrf
-from scipy.linalg.lapack import dgetrs as _getrs
 
 from .. import telemetry
 from ..errors import ConvergenceError
@@ -118,6 +113,27 @@ def _lstsq_step(jac: np.ndarray, rhs: np.ndarray,
             f"singular, non-recoverable Jacobian in "
             f"{compiled.circuit.name} ({error})", iterations=iteration)
     return dx
+
+
+@functools.cache
+def _lapack():
+    """scipy's LAPACK module, imported by the first dense step."""
+    from scipy.linalg import lapack
+    return lapack
+
+
+# Raw LAPACK bindings: the getrf/getrs pair scipy.linalg's
+# lu_factor/lu_solve wrap, minus the per-call asarray/check_finite
+# overhead -- which is comparable to the factorization itself at MNA
+# sizes.  ``_dense_step`` looks both names up at call time.
+def _getrf(a: np.ndarray):
+    """LU factors of ``a``: ``(lu, piv, info)``."""
+    return _lapack().dgetrf(a)
+
+
+def _getrs(lu: np.ndarray, piv: np.ndarray, b: np.ndarray):
+    """Solve with the factors of :func:`_getrf`: ``(x, info)``."""
+    return _lapack().dgetrs(lu, piv, b)
 
 
 def _dense_step(jac: np.ndarray, rhs: np.ndarray,

@@ -17,12 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from ..constants import T_NOMINAL
 from ..devices.mosfet import Mosfet
 from ..devices.parameters import GENERIC_180NM, MosParameters
 from ..errors import DesignError
+from .roots import brentq
 
 
 @dataclass
@@ -82,7 +82,7 @@ class HighValueLoad:
             raise DesignError(
                 f"load conducts more than {i_ss:.3e} A even fully off; "
                 "increase L or reduce W")
-        return float(brentq(error, lo, hi, xtol=1e-9))
+        return brentq(error, lo, hi, xtol=1e-9)
 
     def iv_profile(self, v_bp: float, vdd: float, v_sw_max: float,
                    points: int = 41) -> tuple[np.ndarray, np.ndarray]:
@@ -167,5 +167,5 @@ class ReplicaBias:
             if error(lo) > 0.0 or error(hi) < 0.0:
                 swings.append(np.nan)
                 continue
-            swings.append(float(brentq(error, lo, hi, xtol=1e-9)))
+            swings.append(brentq(error, lo, hi, xtol=1e-9))
         return np.asarray(swings)

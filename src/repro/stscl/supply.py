@@ -16,11 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from ..constants import thermal_voltage
 from ..errors import DesignError
 from .gate_model import StsclGateDesign
+from .roots import brentq
 
 
 def _level_source_voltage(design: StsclGateDesign, v_drain: float,
@@ -50,7 +50,7 @@ def _level_source_voltage(design: StsclGateDesign, v_drain: float,
         # too much -- only possible for enormous currents; treat as the
         # boundary itself.
         return hi
-    return float(brentq(error, lo, hi, xtol=1e-9))
+    return brentq(error, lo, hi, xtol=1e-9)
 
 
 def minimum_supply(design: StsclGateDesign,
@@ -82,7 +82,7 @@ def minimum_supply(design: StsclGateDesign,
             "gate cannot reach full swing even at 2 V; check sizing")
     if headroom(lo) > 0.0:
         return lo + margin
-    return float(brentq(headroom, lo, hi, xtol=1e-6)) + margin
+    return brentq(headroom, lo, hi, xtol=1e-6) + margin
 
 
 def minimum_supply_sweep(design: StsclGateDesign,

@@ -154,6 +154,37 @@ class TestStuckComparator:
         np.testing.assert_array_equal(tuned.convert_batch(ramp),
                                       faulted.convert_batch(ramp))
 
+    @staticmethod
+    def _ramp(chip):
+        cfg = chip.config
+        return np.linspace(cfg.v_low + cfg.lsb, cfg.v_high - cfg.lsb, 512)
+
+    def test_calibrated_chip_keeps_the_stuck_bits(self):
+        """``calibrated`` trims the chip underneath and re-wraps it: its
+        codes are the faulted trimmed chip's, not the healthy one's."""
+        chip = FaiAdc(seed=1)
+        trimmed = StuckComparator("coarse", 3, False).apply(chip).calibrated()
+        assert isinstance(trimmed, FaultedAdc)
+        assert trimmed.stuck_coarse == {3: False}
+        ramp = self._ramp(chip)
+        expected = FaultedAdc(chip.calibrated(), stuck_coarse={3: False})
+        codes = trimmed.convert_batch(ramp)
+        np.testing.assert_array_equal(codes, expected.convert_batch(ramp))
+        assert np.any(codes != chip.calibrated().convert_batch(ramp))
+
+    def test_scaled_chip_keeps_the_stuck_bits(self):
+        """``scaled`` rebiases through ``with_bias``, so the rescaled
+        chip keeps the stuck bits."""
+        chip = FaiAdc(seed=1)
+        half = StuckComparator("coarse", 3, False).apply(chip).scaled(0.5)
+        assert isinstance(half, FaultedAdc)
+        assert half.bias == chip.scaled(0.5).bias
+        ramp = self._ramp(chip)
+        expected = FaultedAdc(chip.scaled(0.5), stuck_coarse={3: False})
+        codes = half.convert_batch(ramp)
+        np.testing.assert_array_equal(codes, expected.convert_batch(ramp))
+        assert np.any(codes != chip.scaled(0.5).convert_batch(ramp))
+
     def test_faults_compose_onto_one_wrapper(self, ideal):
         once = StuckComparator("fine", 5, True).apply(ideal)
         twice = StuckComparator("coarse", 3, False).apply(once)
